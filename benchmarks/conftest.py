@@ -8,7 +8,7 @@ cache on later invocations anyway.
 """
 import pytest
 
-from repro.core.runner import WorkloadRunner
+from repro.core.runner import RunConfig, WorkloadRunner
 from repro.experiments import table1
 from repro.workloads import all_workloads
 
@@ -21,5 +21,5 @@ def runner():
             warmed.run(workload.name, dataset)
     for program in table1.PAPER_DEAD_CODE:
         for dataset in warmed.workload(program).dataset_names():
-            warmed.run(program, dataset, dce=True)
+            warmed.run(program, dataset, RunConfig(dce=True))
     return warmed

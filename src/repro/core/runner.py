@@ -99,34 +99,19 @@ class WorkloadRunner:
         if fresh and self.publish is not None:
             self.publish(result, key[1])
 
-    @staticmethod
-    def _config(
-        dce: bool, inline: bool, if_conversion: bool,
-        config: Optional[RunConfig],
-    ) -> RunConfig:
-        if config is not None:
-            return config
-        return RunConfig(dce=dce, inline=inline, if_conversion=if_conversion)
-
     # -- compilation ----------------------------------------------------------
 
     def compiled(
-        self,
-        workload_name: str,
-        dce: bool = False,
-        inline: bool = False,
-        if_conversion: bool = False,
-        config: Optional[RunConfig] = None,
+        self, workload_name: str, config: RunConfig = RunConfig()
     ) -> CompiledProgram:
         """The compiled program for a workload (cached per configuration)."""
-        run_config = self._config(dce, inline, if_conversion, config)
-        key = (workload_name, run_config)
+        key = (workload_name, config)
         if key not in self._programs:
             workload = get_workload(workload_name)
             self._programs[key] = compile_source(
                 workload.source,
                 name=workload.name,
-                options=run_config.compile_options(),
+                options=config.compile_options(),
             )
         return self._programs[key]
 
@@ -136,22 +121,18 @@ class WorkloadRunner:
         self,
         workload_name: str,
         dataset_name: str,
-        dce: bool = False,
-        inline: bool = False,
-        if_conversion: bool = False,
-        config: Optional[RunConfig] = None,
+        config: RunConfig = RunConfig(),
         monitors: Sequence[BranchMonitor] = (),
     ) -> RunResult:
         """Run one (workload, dataset, configuration); results are cached
         unless monitors are attached (monitors observe the live stream)."""
-        run_config = self._config(dce, inline, if_conversion, config)
-        key = (workload_name, dataset_name, run_config)
+        key = (workload_name, dataset_name, config)
         if monitors:
             return self._execute(key, monitors)
         if key not in self._runs:
             workload = get_workload(workload_name)
             dataset = workload.dataset(dataset_name)
-            digest = run_digest(workload.source, dataset.data, run_config.tag())
+            digest = run_digest(workload.source, dataset.data, config.tag())
             cached = self._disk.load(digest)
             if cached is None:
                 cached = self._execute(key, ())
@@ -168,10 +149,10 @@ class WorkloadRunner:
         # fast engine caches its predecoded form on the LoweredProgram
         # itself — so a sweep over many datasets of one workload pays
         # compile + predecode exactly once per process.
-        workload_name, dataset_name, run_config = key
+        workload_name, dataset_name, config = key
         workload = get_workload(workload_name)
         dataset = workload.dataset(dataset_name)
-        compiled = self.compiled(workload_name, config=run_config)
+        compiled = self.compiled(workload_name, config=config)
         return self._machine.run(
             compiled.lowered, input_data=dataset.data, monitors=monitors
         )
@@ -192,25 +173,19 @@ class WorkloadRunner:
         )
 
     def run_all(
-        self,
-        workload_name: str,
-        dce: bool = False,
-        inline: bool = False,
-        if_conversion: bool = False,
-        config: Optional[RunConfig] = None,
+        self, workload_name: str, config: RunConfig = RunConfig()
     ) -> Dict[str, RunResult]:
         """Run a workload on every dataset; dataset name -> result."""
-        run_config = self._config(dce, inline, if_conversion, config)
         workload = get_workload(workload_name)
         names = workload.dataset_names()
         if self.jobs > 1:
             from repro.core.parallel import RunRequest
 
             self.run_many(
-                [RunRequest(workload_name, name, run_config) for name in names]
+                [RunRequest(workload_name, name, config) for name in names]
             )
         return {
-            name: self.run(workload_name, name, config=run_config)
+            name: self.run(workload_name, name, config=config)
             for name in names
         }
 
@@ -220,7 +195,7 @@ class WorkloadRunner:
         self,
         workload_name: str,
         dataset_name: str,
-        config: Optional[RunConfig] = None,
+        config: RunConfig = RunConfig(),
     ) -> BranchProfile:
         """The branch profile of one (workload, dataset) run."""
         return BranchProfile.from_run(

@@ -3,8 +3,8 @@
 The [Smith 81] scheme: each branch indexes a table of saturating
 counters; the counter's top half predicts taken.  ``table_size=None``
 gives every static branch its own counter — the idealized infinite,
-unaliased table the repo's original ``OnlinePredictorMonitor`` simulated
-— while a finite power-of-two table indexes by hashed branch address and
+unaliased table of the paper's 1-bit and 2-bit hardware schemes — while
+a finite power-of-two table indexes by hashed branch address and
 exhibits real aliasing.
 """
 from __future__ import annotations

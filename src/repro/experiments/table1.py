@@ -88,7 +88,7 @@ def run(runner: Optional[WorkloadRunner] = None) -> Table1Result:
         )
         dce_total = sum(
             result.instructions
-            for result in runner.run_all(program, dce=True).values()
+            for result in runner.run_all(program, RunConfig(dce=True)).values()
         )
         rows.append(
             Table1Row(

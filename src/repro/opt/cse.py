@@ -5,7 +5,7 @@ across stores); constants, addresses, ALU operations and selects are.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.cfg import Function
 from repro.ir.instructions import Instr
@@ -47,6 +47,9 @@ def cse_function(func: Function) -> bool:
     changed = False
     for block in func.blocks:
         available: Dict[Tuple, int] = {}
+        # Reverse index: register -> the keys it holds or is an operand of.
+        # Entries may be stale; a kill re-checks against ``available``.
+        mentions: Dict[int, List[Tuple]] = {}
         for position, instr in enumerate(block.instrs):
             key = _expr_key(instr)
             if key is not None:
@@ -57,13 +60,23 @@ def cse_function(func: Function) -> bool:
                     instr = replacement
                     changed = True
             dst = instr.dst
-            if dst is not None:
-                # Kill expressions that used dst or whose result lived in dst.
-                available = {
-                    k: reg
-                    for k, reg in available.items()
-                    if reg != dst and dst not in _key_operands(k)
-                }
-                if key is not None and instr.op != Opcode.MOV:
-                    available[key] = dst
+            if dst is None:
+                continue
+            # Kill expressions that used dst or whose result lived in dst.
+            for stale in mentions.pop(dst, ()):
+                holder = available.get(stale)
+                if holder is not None and (
+                    holder == dst or dst in _key_operands(stale)
+                ):
+                    del available[stale]
+            if key is None or instr.op == Opcode.MOV:
+                continue
+            operands = _key_operands(key)
+            # ``r0 = r0 add r1`` overwrote an operand: the key no longer
+            # names the value now in r0, so it must not be recorded.
+            if dst in operands:
+                continue
+            available[key] = dst
+            for reg in (dst,) + operands:
+                mentions.setdefault(reg, []).append(key)
     return changed

@@ -7,14 +7,13 @@ instances upload branch counters, a central aggregator serves summary
 predictions back.  This package is that service: an asyncio TCP server
 (`server`), a length-prefixed versioned JSON protocol (`protocol`), a
 sharded epoch-stamped aggregator with write-behind persistence
-(`aggregator`), resilient sync/async clients with offline degradation
+(`aggregator`), a resilient blocking client with offline degradation
 (`client`), and observability (`metrics`).  Served predictions are
 byte-identical to the offline ``combine_profiles``/``leave_one_out``
 path — see docs/SERVE.md for the equivalence argument.
 """
 from repro.serve.aggregator import Aggregator, database_predict
 from repro.serve.client import (
-    AsyncProfileClient,
     Prediction,
     ProfileClient,
     RetryPolicy,
@@ -33,7 +32,6 @@ from repro.serve.server import ProfileServer, ServerThread
 
 __all__ = [
     "Aggregator",
-    "AsyncProfileClient",
     "LatencyHistogram",
     "MAX_FRAME_BYTES",
     "OPS",

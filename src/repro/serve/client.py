@@ -1,6 +1,6 @@
-"""Profile-feedback clients: blocking and asyncio, both resilient.
+"""The profile-feedback client: blocking and resilient.
 
-Both clients share the same contract:
+Its contract:
 
 * **Connection reuse** — one TCP connection serves many requests; a dead
   connection is dropped and rebuilt transparently.
@@ -18,11 +18,10 @@ Both clients share the same contract:
 """
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import socket
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase
@@ -77,42 +76,7 @@ class Prediction:
     degraded: bool = False
 
 
-class _FallbackMixin:
-    """Shared offline-degradation logic (sync and async clients)."""
-
-    fallback: Optional[ProfileDatabase]
-
-    def _mirror_upload(
-        self, program: str, dataset: str, profile: BranchProfile
-    ) -> None:
-        if self.fallback is not None:
-            self._mirror_profile(program, dataset, profile)
-
-    def _mirror_profile(
-        self, program: str, dataset: str, profile: BranchProfile
-    ) -> None:
-        # Mirror a *copy*: the fallback database accumulates, and callers
-        # keep ownership of the profile they passed in.
-        self.fallback.record_profile(
-            program, dataset, BranchProfile.from_dict(profile.to_dict())
-        )
-
-    def _offline_predict(
-        self, program: str, mode: str, exclude: Optional[str]
-    ) -> Prediction:
-        profile, datasets = database_predict(
-            self.fallback, program, mode=mode, exclude=exclude
-        )
-        return Prediction(
-            profile=profile,
-            datasets=datasets,
-            mode=mode,
-            epoch=None,
-            degraded=True,
-        )
-
-
-class ProfileClient(_FallbackMixin):
+class ProfileClient:
     """Blocking client with connection reuse, timeouts, retries, fallback."""
 
     def __init__(
@@ -194,7 +158,12 @@ class ProfileClient(_FallbackMixin):
     ) -> Optional[int]:
         """Upload one run's counters; returns the server epoch, or ``None``
         when the server was unreachable and the fallback absorbed it."""
-        self._mirror_upload(program, dataset, profile)
+        if self.fallback is not None:
+            # Mirror a *copy*: the fallback database accumulates, and
+            # callers keep ownership of the profile they passed in.
+            self.fallback.record_profile(
+                program, dataset, BranchProfile.from_dict(profile.to_dict())
+            )
         try:
             response = self.request(
                 protocol.request(
@@ -232,7 +201,16 @@ class ProfileClient(_FallbackMixin):
             if self.fallback is None:
                 raise
             self.degraded = True
-            return self._offline_predict(program, mode, exclude)
+            profile, datasets = database_predict(
+                self.fallback, program, mode=mode, exclude=exclude
+            )
+            return Prediction(
+                profile=profile,
+                datasets=datasets,
+                mode=mode,
+                epoch=None,
+                degraded=True,
+            )
         return Prediction(
             profile=protocol.profile_from_wire(response["profile"]),
             datasets=list(response["datasets"]),
@@ -253,140 +231,3 @@ class ProfileClient(_FallbackMixin):
             self.upload_run(run, dataset)
 
         return publish
-
-
-class AsyncProfileClient(_FallbackMixin):
-    """Asyncio client: same retry/degrade contract as ``ProfileClient``."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float = 5.0,
-        retry: RetryPolicy = RetryPolicy(),
-        fallback: Optional[ProfileDatabase] = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self.fallback = fallback
-        self._streams: Optional[
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = None
-        self.transport_failures = 0
-        self.degraded = False
-
-    async def _connect(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if self._streams is None:
-            self._streams = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=self.timeout,
-            )
-        return self._streams
-
-    async def close(self) -> None:
-        if self._streams is not None:
-            _, writer = self._streams
-            self._streams = None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self) -> "AsyncProfileClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        delays = self.retry.delays()
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retry.attempts):
-            if attempt:
-                await asyncio.sleep(next(delays))
-            try:
-                reader, writer = await self._connect()
-                await asyncio.wait_for(
-                    protocol.write_frame_async(writer, payload),
-                    timeout=self.timeout,
-                )
-                response = await asyncio.wait_for(
-                    protocol.read_frame_async(reader), timeout=self.timeout
-                )
-                if response is None:
-                    raise protocol.ProtocolError("connection closed by server")
-            except (
-                OSError,
-                protocol.ProtocolError,
-                asyncio.TimeoutError,
-            ) as exc:
-                self.transport_failures += 1
-                last_error = exc
-                await self.close()
-                continue
-            if not response.get("ok"):
-                raise ServiceError(response.get("error", "unspecified error"))
-            return response
-        raise ServiceUnavailable(
-            f"{self.host}:{self.port} unreachable after "
-            f"{self.retry.attempts} attempts: {last_error}"
-        )
-
-    async def upload_profile(
-        self, program: str, dataset: str, profile: BranchProfile
-    ) -> Optional[int]:
-        self._mirror_upload(program, dataset, profile)
-        try:
-            response = await self.request(
-                protocol.request(
-                    "upload",
-                    program=program,
-                    dataset=dataset,
-                    profile=protocol.profile_to_wire(profile),
-                )
-            )
-        except ServiceUnavailable:
-            if self.fallback is None:
-                raise
-            self.degraded = True
-            return None
-        return response["epoch"]
-
-    async def upload_run(self, run: RunResult, dataset: str) -> Optional[int]:
-        return await self.upload_profile(
-            run.program, dataset, BranchProfile.from_run(run)
-        )
-
-    async def predict(
-        self,
-        program: str,
-        mode: str = "scaled",
-        exclude: Optional[str] = None,
-    ) -> Prediction:
-        try:
-            response = await self.request(
-                protocol.request(
-                    "predict", program=program, mode=mode, exclude=exclude
-                )
-            )
-        except ServiceUnavailable:
-            if self.fallback is None:
-                raise
-            self.degraded = True
-            return self._offline_predict(program, mode, exclude)
-        return Prediction(
-            profile=protocol.profile_from_wire(response["profile"]),
-            datasets=list(response["datasets"]),
-            mode=response["mode"],
-            epoch=response["epoch"],
-        )
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self.request(protocol.request("stats"))
-
-    async def health(self) -> Dict[str, Any]:
-        return await self.request(protocol.request("health"))

@@ -10,7 +10,6 @@ from repro.vm.machine import (
 )
 from repro.vm.monitors import (
     BranchMonitor,
-    OnlinePredictorMonitor,
     OutcomeRecorder,
     RunLengthMonitor,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ENGINES",
     "InstructionLimitExceeded",
     "Machine",
-    "OnlinePredictorMonitor",
     "OutcomeRecorder",
     "RunLengthMonitor",
     "RunResult",

@@ -37,18 +37,22 @@ The decoded form is cached on :attr:`LoweredProgram.predecoded`, so
 repeated runs of one compiled program (across datasets, within a worker
 process) pay the decode exactly once.
 
-Two loop variants execute the decoded form — :func:`run_fast` (no
-monitors: no callback plumbing at all) and :func:`run_monitored` (the
-branch-observer path; monitor callbacks are dispatched with the
-``in_monitor`` flag raised so a buggy monitor's ``IndexError``/
+One dispatch loop executes the decoded form.  It takes an optional
+branch observer: the two ``BR`` arms call it only when one is given, with
+the ``in_monitor`` flag raised so a buggy monitor's ``IndexError``/
 ``ZeroDivisionError`` propagates as-is instead of being mis-attributed to
-the guest program).  Both produce bit-identical :class:`RunResult`\\ s to
-the legacy interpreter; the differential harness in
+the guest program.  Two entry points feed it: :func:`run_fast` passes no
+observer, and :func:`run_monitored` passes a single monitor's bound
+``on_branch`` (or a fan-out over several) and then fires each monitor's
+``on_run_end``.  Both produce bit-identical :class:`RunResult`\\ s to the
+legacy interpreter; the differential harness in
 ``tests/test_vm_engine.py`` holds them to that.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 from repro.ir.lower import LoweredFunction, LoweredProgram
 from repro.ir.opcodes import (
@@ -388,7 +392,7 @@ def predecode(program: LoweredProgram) -> PredecodedProgram:
     return decoded
 
 
-# -- execution loops -----------------------------------------------------------
+# -- execution loop ------------------------------------------------------------
 
 
 def run_fast(
@@ -397,222 +401,8 @@ def run_fast(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """The monitor-free fast loop over the decoded form."""
-    program = predecoded.program
-    functions = predecoded.functions
-    main = functions[predecoded.main_index]
-
-    memory = list(program.memory_init)
-    mem_size = len(memory)
-    num_branches = len(program.branch_table)
-    branch_exec = [0] * num_branches
-    branch_taken = [0] * num_branches
-    output = bytearray()
-    in_pos = 0
-    in_len = len(input_data)
-
-    direct_calls = direct_returns = 0
-    indirect_calls = indirect_returns = 0
-    jumps = selects = 0
-    icount = 0
-    limit = max_instructions
-    depth_limit = max_call_depth
-
-    regs = [0] * main.num_regs
-    code = main.code
-    pc = 0
-    stack: List[Tuple[Any, ...]] = []
-    exit_code: Optional[int] = None
-
-    try:
-        while True:
-            ins = code[pc]
-            pc += 1
-            op = ins[0]
-            if op == OP_FUSED_BR:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                pc = ins[1](regs, memory, branch_exec, branch_taken)
-                continue
-            if op == OP_FUSED:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                ins[1](regs, memory, branch_exec, branch_taken)
-                continue
-            if op == OP_FUSED_CALL:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                ins[1](regs, memory, branch_exec, branch_taken)
-                callee = functions[ins[3]]
-                new_regs = [regs[src] for src in ins[5]]
-                new_regs += ins[6]
-                if len(stack) >= depth_limit:
-                    raise VMError(f"{program.name}: call depth limit exceeded")
-                stack.append((code, regs, pc, ins[4], False))
-                code = callee.code
-                regs = new_regs
-                pc = 0
-                direct_calls += 1
-                continue
-            if op == OP_FUSED_RET:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                value = ins[1](regs, memory, branch_exec, branch_taken)
-                if not stack:
-                    exit_code = value
-                    break
-                code, regs, pc, dst, via_indirect = stack.pop()
-                if via_indirect:
-                    indirect_returns += 1
-                else:
-                    direct_returns += 1
-                if dst != -1:
-                    regs[dst] = value
-                continue
-            if op == OP_FUSED_JMP:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                pc = ins[1](regs, memory, branch_exec, branch_taken)
-                jumps += 1
-                continue
-            icount += 1
-            if icount > limit:
-                raise InstructionLimitExceeded(
-                    f"{program.name}: exceeded {limit} instructions"
-                )
-            if op == _OP_BR:
-                bidx = ins[4]
-                branch_exec[bidx] += 1
-                if regs[ins[1]] != 0:
-                    branch_taken[bidx] += 1
-                    pc = ins[2]
-                else:
-                    pc = ins[3]
-            elif op == _OP_BIN:
-                regs[ins[2]] = ins[1](regs[ins[3]], regs[ins[4]])
-            elif op == _OP_LOAD:
-                addr = regs[ins[2]]
-                if addr < 0 or addr >= mem_size:
-                    raise VMError(
-                        f"{program.name}: load from bad address {addr}"
-                    )
-                regs[ins[1]] = memory[addr]
-            elif op == _OP_CONST:
-                regs[ins[1]] = ins[2]
-            elif op == _OP_STORE:
-                addr = regs[ins[1]]
-                if addr < 0 or addr >= mem_size:
-                    raise VMError(
-                        f"{program.name}: store to bad address {addr}"
-                    )
-                memory[addr] = regs[ins[2]]
-            elif op == _OP_MOV:
-                regs[ins[1]] = regs[ins[2]]
-            elif op == _OP_JMP:
-                pc = ins[1]
-                jumps += 1
-            elif op == _OP_CALL:
-                callee = functions[ins[1]]
-                new_regs = [regs[src] for src in ins[3]]
-                new_regs += ins[4]
-                if len(stack) >= depth_limit:
-                    raise VMError(f"{program.name}: call depth limit exceeded")
-                stack.append((code, regs, pc, ins[2], False))
-                code = callee.code
-                regs = new_regs
-                pc = 0
-                direct_calls += 1
-            elif op == _OP_RET:
-                value = 0 if ins[1] == -1 else regs[ins[1]]
-                if not stack:
-                    exit_code = value
-                    break
-                code, regs, pc, dst, via_indirect = stack.pop()
-                if via_indirect:
-                    indirect_returns += 1
-                else:
-                    direct_returns += 1
-                if dst != -1:
-                    regs[dst] = value
-            elif op == _OP_SELECT:
-                regs[ins[1]] = regs[ins[3]] if regs[ins[2]] != 0 else regs[ins[4]]
-                selects += 1
-            elif op == _OP_UN:
-                regs[ins[2]] = ins[1](regs[ins[3]])
-            elif op == _OP_GETC:
-                if in_pos < in_len:
-                    regs[ins[1]] = input_data[in_pos]
-                    in_pos += 1
-                else:
-                    regs[ins[1]] = -1
-            elif op == _OP_PUTC:
-                output.append(regs[ins[1]] & 0xFF)
-            elif op == _OP_ICALL:
-                target = regs[ins[1]]
-                if target < 0 or target >= len(functions):
-                    raise VMError(
-                        f"{program.name}: indirect call to bad target {target}"
-                    )
-                callee = functions[target]
-                if len(ins[3]) != callee.num_params:
-                    raise VMError(
-                        f"{program.name}: indirect call to {callee.name} with "
-                        f"{len(ins[3])} args, expects {callee.num_params}"
-                    )
-                new_regs = [regs[src] for src in ins[3]]
-                new_regs += [0] * (callee.num_regs - len(new_regs))
-                if len(stack) >= depth_limit:
-                    raise VMError(f"{program.name}: call depth limit exceeded")
-                stack.append((code, regs, pc, ins[2], True))
-                code = callee.code
-                regs = new_regs
-                pc = 0
-                indirect_calls += 1
-            elif op == _OP_HALT:
-                exit_code = 0
-                break
-            else:  # pragma: no cover - predecode emits only known opcodes
-                raise VMError(f"{program.name}: unknown opcode {op}")
-    except ZeroDivisionError:
-        raise VMError(f"{program.name}: division by zero") from None
-    except IndexError:
-        raise VMError(
-            f"{program.name}: bad register or code reference at pc {pc - 1}"
-        ) from None
-
-    events = ControlEvents(
-        direct_calls=direct_calls,
-        direct_returns=direct_returns,
-        indirect_calls=indirect_calls,
-        indirect_returns=indirect_returns,
-        jumps=jumps,
-        selects=selects,
-    )
-    return RunResult(
-        program=program.name,
-        instructions=icount,
-        branch_table=list(program.branch_table),
-        branch_exec=branch_exec,
-        branch_taken=branch_taken,
-        events=events,
-        output=bytes(output),
-        exit_code=exit_code,
-    )
+    """Run the decoded form with no branch observer."""
+    return _run(predecoded, input_data, max_instructions, max_call_depth, None)
 
 
 def run_monitored(
@@ -622,15 +412,39 @@ def run_monitored(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """The monitored loop over the decoded form.
+    """Run the decoded form, reporting every conditional-branch outcome to
+    ``monitors`` and then calling each monitor's ``on_run_end`` once."""
+    if len(monitors) == 1:
+        observe = monitors[0].on_branch
+    else:
+        callbacks = [monitor.on_branch for monitor in monitors]
 
-    Identical observable behaviour to the fast loop plus the monitor
-    callbacks: every conditional-branch outcome is reported with the exact
-    executed-instruction count the legacy interpreter would report.
-    Callbacks run with ``in_monitor`` set so an observer's own
+        def observe(bidx: int, taken: bool, icount: int) -> None:
+            for callback in callbacks:
+                callback(bidx, taken, icount)
+
+    result = _run(
+        predecoded, input_data, max_instructions, max_call_depth, observe
+    )
+    for monitor in monitors:
+        monitor.on_run_end(result.instructions)
+    return result
+
+
+def _run(
+    predecoded: PredecodedProgram,
+    input_data: bytes,
+    max_instructions: int,
+    max_call_depth: int,
+    observe: Optional[Callable[[int, bool, int], None]],
+) -> RunResult:
+    """The one dispatch loop over the decoded form.
+
+    ``observe``, when given, receives every conditional-branch outcome with
+    the exact executed-instruction count the legacy interpreter would
+    report.  It runs with ``in_monitor`` raised so an observer's own
     ``IndexError``/``ZeroDivisionError`` is re-raised unchanged instead of
-    being blamed on the guest program, and ``on_run_end`` fires once after
-    a normally-terminating run (outside the guarded region).
+    being blamed on the guest program.
     """
     program = predecoded.program
     functions = predecoded.functions
@@ -671,14 +485,12 @@ def run_monitored(
                         f"{program.name}: exceeded {limit} instructions"
                     )
                 pc = ins[1](regs, memory, branch_exec, branch_taken)
-                # The run never writes past the branch read, so the
-                # condition register still holds the branched-on value.
-                taken = regs[ins[3]] != 0
-                bidx = ins[4]
-                in_monitor = True
-                for monitor in monitors:
-                    monitor.on_branch(bidx, taken, icount)
-                in_monitor = False
+                if observe is not None:
+                    # The run never writes past the branch read, so the
+                    # condition register still holds the branched-on value.
+                    in_monitor = True
+                    observe(ins[4], regs[ins[3]] != 0, icount)
+                    in_monitor = False
                 continue
             if op == OP_FUSED:
                 icount += ins[2]
@@ -744,14 +556,12 @@ def run_monitored(
                 if regs[ins[1]] != 0:
                     branch_taken[bidx] += 1
                     pc = ins[2]
-                    taken = True
                 else:
                     pc = ins[3]
-                    taken = False
-                in_monitor = True
-                for monitor in monitors:
-                    monitor.on_branch(bidx, taken, icount)
-                in_monitor = False
+                if observe is not None:
+                    in_monitor = True
+                    observe(bidx, regs[ins[1]] != 0, icount)
+                    in_monitor = False
             elif op == _OP_BIN:
                 regs[ins[2]] = ins[1](regs[ins[3]], regs[ins[4]])
             elif op == _OP_LOAD:
@@ -847,9 +657,6 @@ def run_monitored(
         raise VMError(
             f"{program.name}: bad register or code reference at pc {pc - 1}"
         ) from None
-
-    for monitor in monitors:
-        monitor.on_run_end(icount)
 
     events = ControlEvents(
         direct_calls=direct_calls,

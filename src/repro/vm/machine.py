@@ -10,12 +10,12 @@ Two execution engines share this entry point:
 
 * ``engine="fast"`` (the default) predecodes the program once — operand
   pre-binding plus basic-block superinstruction fusion, see
-  :mod:`repro.vm.engine` — and runs one of two loop variants selected at
-  ``run()`` time: a monitor-free fast loop, or the monitored loop when
-  branch observers are attached.
-* ``engine="legacy"`` is the original single dispatch loop over the flat
-  instruction tuples, kept as the differential-testing and benchmarking
-  baseline.
+  :mod:`repro.vm.engine` — and runs the engine's one dispatch loop,
+  entered through ``run_fast`` or, when branch observers are attached,
+  ``run_monitored``.
+* ``engine="legacy"`` is the original dispatch loop over the flat
+  instruction tuples, kept as the differential-testing oracle and
+  benchmarking baseline.
 
 Both engines produce bit-identical :class:`RunResult`\\ s (instructions,
 per-branch exec/taken counts, control events, output, exit code); the

@@ -25,7 +25,7 @@ class BranchMonitor:
 
     def on_run_end(self, icount: int) -> None:
         """Called once after a normally-terminating run with the final
-        executed-instruction count (both engines, both loop variants).
+        executed-instruction count (both engines).
         Not called when the run aborts with a VM error or limit."""
 
 
@@ -40,62 +40,6 @@ class OutcomeRecorder(BranchMonitor):
 
     def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
         self.outcomes.append((branch_index, taken))
-
-
-class OnlinePredictorMonitor(BranchMonitor):
-    """Deprecated shim: an infinite-table bimodal counter scheme.
-
-    The real implementation now lives in :mod:`repro.dynamic` — this
-    wraps ``BimodalPredictor(table_size=None)`` (one untagged, unaliased
-    counter per static branch) and keeps the original hits/misses/states
-    surface for existing callers.  New code should build a
-    :class:`repro.dynamic.DynamicScoreMonitor` over zoo models instead,
-    which scores many predictors in one pass and reports the paper's
-    instructions-per-break measure, not just accuracy.
-    """
-
-    def __init__(self, num_bits: int = 2, initial_state: int = 0) -> None:
-        from repro.dynamic.bimodal import BimodalPredictor
-
-        if num_bits not in (1, 2):
-            raise ValueError("num_bits must be 1 or 2")
-        self.num_bits = num_bits
-        self.initial_state = initial_state
-        self.max_state = (1 << num_bits) - 1
-        self.threshold = 1 << (num_bits - 1)
-        self._model = BimodalPredictor(
-            table_size=None, num_bits=num_bits, initial_state=initial_state
-        )
-        self.hits = 0
-        self.misses = 0
-
-    def on_run_start(self, num_branches: int) -> None:
-        from repro.ir.instructions import BranchId
-
-        # Identities are irrelevant for an infinite (direct-indexed)
-        # table; synthesize placeholders to satisfy the reset interface.
-        self._model.reset([BranchId("", i) for i in range(num_branches)])
-        self.hits = 0
-        self.misses = 0
-
-    def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
-        if self._model.observe(branch_index, taken) == taken:
-            self.hits += 1
-        else:
-            self.misses += 1
-
-    @property
-    def states(self) -> List[int]:
-        """The per-branch counter states (the pre-shim attribute)."""
-        return list(self._model.snapshot()[0])
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of branch executions predicted correctly; vacuously
-        1.0 for a run with no branch executions, matching
-        ``PredictionReport.percent_correct``."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0
 
 
 class ProofViolationError(AssertionError):

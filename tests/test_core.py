@@ -155,11 +155,14 @@ def test_runner_profile_matches_run(runner):
 
 
 def test_monitored_runs_bypass_cache(runner):
-    from repro.vm.monitors import OnlinePredictorMonitor
+    from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
 
-    monitor = OnlinePredictorMonitor(num_bits=2)
+    monitor = DynamicScoreMonitor(
+        [BimodalPredictor(table_size=None, num_bits=2)],
+        runner.compiled("lfk").lowered.branch_table,
+    )
     result = runner.run("lfk", "default", monitors=[monitor])
-    assert monitor.hits + monitor.misses == result.total_branch_execs
+    assert monitor.hits[0] + monitor.mispredicts[0] == result.total_branch_execs
 
 
 class TestCrossDatasetExperiment:

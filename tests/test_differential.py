@@ -5,7 +5,7 @@ The reference interpreter (tests/reference_interp.py) walks the AST and
 shares nothing with the production pipeline beyond the parser, so agreement
 on outputs, exit codes and faults is strong evidence both are right.
 """
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import CompileOptions, compile_source
@@ -167,7 +167,16 @@ def run_pipeline(source, data, options):
         return ("fault", "vm")
 
 
+# CSE once recorded ``a + b`` as available in ``a`` right after ``a += b``
+# overwrote ``a``, so the later ``a + b`` read the stale sum (9, not 14).
+CSE_SELF_OPERAND = (
+    "func h(a, b) { a += b; return a + b + 1; }\n"
+    "func main() { return h(getc(), getc()) & 127; }\n"
+)
+
+
 @given(programs(), st.binary(max_size=6))
+@example(CSE_SELF_OPERAND, b"\x03\x05")
 @settings(max_examples=120, deadline=None)
 def test_pipeline_matches_reference_interpreter(source, data):
     expected = run_reference(source, data)

@@ -16,7 +16,8 @@ from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
 from repro.prediction.base import FixedPredictor, ProfilePredictor
 from repro.prediction.evaluate import evaluate_static
-from repro.vm.monitors import OnlinePredictorMonitor
+from repro.vm.machine import run_program
+from repro.vm.monitors import BranchMonitor
 
 ONE_BRANCH = [BranchId("main", 0)]
 
@@ -263,14 +264,37 @@ class TestStaticAsDynamic:
         assert self_score <= cross_score
 
 
+class LonghandCounters(BranchMonitor):
+    """The original per-branch scheme written out longhand: one n-bit
+    saturating counter per static branch, predicting taken in its top
+    half, starting at zero."""
+
+    def __init__(self, num_bits):
+        self.max_state = (1 << num_bits) - 1
+        self.threshold = 1 << (num_bits - 1)
+
+    def on_run_start(self, num_branches):
+        self.states = [0] * num_branches
+        self.hits = self.misses = 0
+
+    def on_branch(self, branch_index, taken, icount):
+        state = self.states[branch_index]
+        if (state >= self.threshold) == taken:
+            self.hits += 1
+        else:
+            self.misses += 1
+        if taken:
+            self.states[branch_index] = min(state + 1, self.max_state)
+        else:
+            self.states[branch_index] = max(state - 1, 0)
+
+
 class TestInfiniteBimodalMatchesLegacyMonitor:
     def test_same_numbers_as_online_predictor_monitor(self, doduc_run):
-        """BimodalPredictor(table_size=None) must reproduce the original
-        OnlinePredictorMonitor exactly (the informal experiment depends
-        on it)."""
+        """BimodalPredictor(table_size=None) must reproduce the per-branch
+        counters exactly (the informal experiment depends on it)."""
         runner, branch_table = doduc_run
-        legacy_one = OnlinePredictorMonitor(num_bits=1)
-        legacy_two = OnlinePredictorMonitor(num_bits=2)
+        longhand_one, longhand_two = LonghandCounters(1), LonghandCounters(2)
         monitor = DynamicScoreMonitor(
             [
                 BimodalPredictor(table_size=None, num_bits=1),
@@ -279,32 +303,41 @@ class TestInfiniteBimodalMatchesLegacyMonitor:
             branch_table,
         )
         result = runner.run(
-            "doduc", "small", monitors=[legacy_one, legacy_two, monitor]
+            "doduc", "small", monitors=[longhand_one, longhand_two, monitor]
         )
         one, two = monitor.scores(result)
-        assert one.mispredicted == legacy_one.misses
-        assert two.mispredicted == legacy_two.misses
-        assert one.percent_correct == legacy_one.accuracy
-        assert two.percent_correct == legacy_two.accuracy
+        assert one.mispredicted == longhand_one.misses
+        assert two.mispredicted == longhand_two.misses
+        for score, longhand in ((one, longhand_one), (two, longhand_two)):
+            total = longhand.hits + longhand.misses
+            assert score.percent_correct == longhand.hits / total
 
-    def test_shim_still_exposes_states(self):
-        monitor = OnlinePredictorMonitor(num_bits=2)
+    def test_infinite_bimodal_exposes_states(self):
+        model = BimodalPredictor(table_size=None, num_bits=2)
+        monitor = DynamicScoreMonitor(
+            [model], [BranchId("main", index) for index in range(3)]
+        )
         monitor.on_run_start(3)
         monitor.on_branch(1, True, 10)
-        assert monitor.states == [0, 1, 0]
+        assert model.snapshot() == ((0, 1, 0),)
 
 
 class TestVacuousAccuracy:
     def test_monitor_and_report_agree_on_zero_branches(self):
+        from repro.compiler import compile_source
         from repro.prediction.evaluate import PredictionReport
 
-        monitor = OnlinePredictorMonitor()
-        monitor.on_run_start(0)
+        lowered = compile_source("func main() { return 0; }").lowered
+        monitor = DynamicScoreMonitor(
+            [BimodalPredictor(table_size=None)], lowered.branch_table
+        )
+        result = run_program(lowered, monitors=[monitor])
         report = PredictionReport(
             program="p", predictor="q", instructions=10,
             branch_execs=0, mispredicted=0, unavoidable_breaks=0,
         )
-        assert monitor.accuracy == report.percent_correct == 1.0
+        assert monitor.score(0, result).percent_correct == 1.0
+        assert report.percent_correct == 1.0
 
     def test_dynamic_score_agrees(self):
         from repro.dynamic.score import DynamicScore

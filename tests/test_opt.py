@@ -25,6 +25,22 @@ def test_constant_folding_preserves_division_by_zero():
     assert Opcode.BIN in ops
 
 
+def test_cse_does_not_reuse_an_expression_over_its_own_operand():
+    # ``a += b`` overwrites an operand of ``a + b``, so the later ``a + b``
+    # must be recomputed: h(3, 5) is (3 + 5) + 5 + 1 = 14.
+    source = """
+    func h(a, b) { a += b; return a + b + 1; }
+    func main() { return h(getc(), getc()) & 127; }
+    """
+    for options in (
+        CompileOptions.paper_default(),
+        CompileOptions.with_dce(),
+        CompileOptions.unoptimized(),
+    ):
+        result = compile_and_run(source, input_data=b"\x03\x05", options=options)
+        assert result.exit_code == 14, options
+
+
 def test_cse_removes_duplicate_computation():
     # Operands come from input so constant folding cannot pre-compute them;
     # CSE must share the repeated a*b.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.lint import lint_errors
 from repro.compiler import CompileOptions, compile_source
+from repro.core.runner import RunConfig
 from repro.ir.printer import format_module
 from repro.ir.validate import validate_module
 from repro.opt.globalconst import constant_globals
@@ -29,7 +30,7 @@ from repro.workloads.sourcegen import mf_module
 def test_optimize_module_twice_is_byte_identical(runner, dce):
     options = OptOptions.with_dce() if dce else OptOptions.classical()
     for workload in all_workloads():
-        module = runner.compiled(workload.name, dce=dce).module
+        module = runner.compiled(workload.name, RunConfig(dce=dce)).module
         before = format_module(module)
         clone = copy.deepcopy(module)
         optimize_module(clone, options)

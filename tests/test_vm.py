@@ -2,10 +2,10 @@
 import pytest
 
 from repro.compiler import compile_source
+from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
 from repro.vm import (
     InstructionLimitExceeded,
     Machine,
-    OnlinePredictorMonitor,
     OutcomeRecorder,
     VMError,
     run_program,
@@ -94,38 +94,33 @@ def test_outcome_recorder_sees_every_branch():
     assert recorder.outcomes[-1] == (0, False)
 
 
+def bimodal_run(num_bits):
+    """Run COUNT_LOOP under one infinite-table bimodal counter scheme."""
+    lowered = compile_source(COUNT_LOOP).lowered
+    monitor = DynamicScoreMonitor(
+        [BimodalPredictor(table_size=None, num_bits=num_bits)],
+        lowered.branch_table,
+    )
+    result = run_program(lowered, monitors=[monitor])
+    return monitor, result
+
+
 def test_online_two_bit_predictor_learns_a_loop():
-    monitor = OnlinePredictorMonitor(num_bits=2)
-    program = compile_source(COUNT_LOOP)
-    run_program(program.lowered, monitors=[monitor])
+    monitor, _ = bimodal_run(num_bits=2)
     # Mispredicts while warming up (2) and at the final not-taken exit (1).
-    assert monitor.misses == 3
-    assert monitor.hits == 98
+    assert monitor.mispredicts == [3]
+    assert monitor.hits == [98]
 
 
 def test_online_one_bit_predictor():
-    monitor = OnlinePredictorMonitor(num_bits=1)
-    program = compile_source(COUNT_LOOP)
-    run_program(program.lowered, monitors=[monitor])
+    monitor, _ = bimodal_run(num_bits=1)
     # 1-bit: one warm-up miss, one miss at exit.
-    assert monitor.misses == 2
-
-
-def test_online_predictor_rejects_bad_width():
-    with pytest.raises(ValueError):
-        OnlinePredictorMonitor(num_bits=3)
+    assert monitor.mispredicts == [2]
 
 
 def test_monitor_accuracy_property():
-    monitor = OnlinePredictorMonitor(num_bits=2)
-    monitor.on_run_start(1)
-    # Zero branch executions is a vacuously perfect prediction, matching
-    # PredictionReport.percent_correct for the same degenerate run.
-    assert monitor.accuracy == 1.0
-    monitor.on_branch(0, True, 10)
-    monitor.on_branch(0, True, 20)
-    monitor.on_branch(0, True, 30)
-    assert 0 < monitor.accuracy < 1
+    monitor, result = bimodal_run(num_bits=2)
+    assert 0 < monitor.score(0, result).percent_correct < 1
 
 
 def test_output_and_percent_taken():

@@ -67,15 +67,33 @@ def test_fast_matches_legacy_on_generated_modules(seed, data):
     assert as_tuple(fast) == as_tuple(legacy)
 
 
-@given(st.integers(0, 100_000))
+class EndCountingRecorder(OutcomeRecorder):
+    """Records the outcome stream and every ``on_run_end`` call."""
+
+    def on_run_start(self, num_branches):
+        super().on_run_start(num_branches)
+        self.ends = []
+
+    def on_run_end(self, icount):
+        self.ends.append(icount)
+
+
+@given(st.integers(0, 100_000), st.integers(1, 2))
 @settings(max_examples=25, deadline=None)
-def test_monitored_fast_matches_legacy_on_generated_modules(seed):
+def test_monitored_fast_matches_legacy_on_generated_modules(seed, count):
+    # Two monitors take the fan-out path of the fast engine.
     program = lowered(mf_module(seed), name=f"p{seed}")
-    recorder_fast, recorder_legacy = OutcomeRecorder(), OutcomeRecorder()
-    fast = Machine(engine="fast").run(program, monitors=[recorder_fast])
-    legacy = Machine(engine="legacy").run(program, monitors=[recorder_legacy])
-    assert as_tuple(fast) == as_tuple(legacy)
-    assert recorder_fast.outcomes == recorder_legacy.outcomes
+    results, streams = [], []
+    for engine in ENGINES:
+        recorders = [EndCountingRecorder() for _ in range(count)]
+        result = Machine(engine=engine).run(program, monitors=recorders)
+        for recorder in recorders:
+            assert recorder.ends == [result.instructions], engine
+        results.append(as_tuple(result))
+        streams.append([recorder.outcomes for recorder in recorders])
+    assert results[0] == results[1]
+    assert streams[0] == streams[1]
+    assert all(stream == streams[0][0] for stream in streams[0])
 
 
 # -- bundled-workload differential --------------------------------------------
@@ -236,16 +254,29 @@ class _ExplodingMonitor(BranchMonitor):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("exc_type", [ZeroDivisionError, IndexError])
-def test_monitor_bugs_are_not_misattributed_to_the_guest(engine, exc_type):
+@pytest.mark.parametrize(
+    "exc_type, fan_out",
+    [
+        pytest.param(ZeroDivisionError, False, id="ZeroDivisionError"),
+        pytest.param(IndexError, False, id="IndexError"),
+        pytest.param(ZeroDivisionError, True, id="ZeroDivisionError-fan-out"),
+        pytest.param(IndexError, True, id="IndexError-fan-out"),
+    ],
+)
+def test_monitor_bugs_are_not_misattributed_to_the_guest(
+    engine, exc_type, fan_out
+):
     # Before the fix, the dispatch loop's broad except arms converted a
     # monitor's own ZeroDivisionError/IndexError into a guest VMError
     # ("division by zero" / "bad register or code reference").
     program = lowered(LOOPY)
     machine = Machine(engine=engine)
+    bystanders = [EndCountingRecorder()] if fan_out else []
     with pytest.raises(exc_type) as excinfo:
-        machine.run(program, monitors=[_ExplodingMonitor(exc_type)])
+        machine.run(program, monitors=bystanders + [_ExplodingMonitor(exc_type)])
     assert not isinstance(excinfo.value, VMError)
+    # An aborted run never reaches on_run_end.
+    assert all(bystander.ends == [] for bystander in bystanders)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

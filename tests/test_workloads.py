@@ -2,6 +2,7 @@
 import pytest
 
 from repro.compiler import compile_source
+from repro.core.runner import RunConfig
 from repro.workloads import (
     FORTRAN,
     all_workloads,
@@ -113,7 +114,7 @@ class TestWorkloadBehaviour:
         for workload in all_workloads():
             for dataset in workload.dataset_names():
                 default = runner.run(workload.name, dataset)
-                dce = runner.run(workload.name, dataset, dce=True)
+                dce = runner.run(workload.name, dataset, RunConfig(dce=True))
                 assert default.output == dce.output, (workload.name, dataset)
                 assert dce.instructions <= default.instructions
 
