@@ -6,7 +6,6 @@ from repro.core.experiment import (
 )
 from repro.core.parallel import (
     ParallelExecutionError,
-    ParallelRunner,
     RunFailure,
     RunRequest,
     dataset_requests,
@@ -19,7 +18,6 @@ __all__ = [
     "CrossDatasetExperiment",
     "DatasetPrediction",
     "ParallelExecutionError",
-    "ParallelRunner",
     "RunConfig",
     "RunFailure",
     "RunRequest",

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, Dict, Optional, Sequence, Tuple
+import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.compiler import CompiledProgram, CompileOptions, compile_source
 from repro.core.cache import DiskCache, run_digest
@@ -14,6 +18,9 @@ from repro.vm.machine import Machine
 from repro.vm.monitors import BranchMonitor
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
+
+if TYPE_CHECKING:
+    from repro.core.parallel import RunFailure, RunRequest
 
 #: Default on-disk cache location (override with the REPRO_CACHE_DIR
 #: environment variable; set it to empty to disable).
@@ -54,6 +61,10 @@ class RunConfig:
         return CompileOptions(inline=self.inline, opt=opt)
 
 
+#: The memo key of one run: (workload, dataset, configuration).
+RunKey = Tuple[str, str, RunConfig]
+
+
 class WorkloadRunner:
     """Compiles and executes workloads, memoizing runs in memory and on disk.
 
@@ -82,14 +93,12 @@ class WorkloadRunner:
             cache_dir = _default_cache_dir()
         self._disk = DiskCache(cache_dir)
         self._programs: Dict[Tuple[str, RunConfig], CompiledProgram] = {}
-        self._runs: Dict[Tuple[str, str, RunConfig], RunResult] = {}
+        self._runs: Dict[RunKey, RunResult] = {}
         self._machine = Machine()
         self.jobs = resolve_jobs(jobs)
         self.publish = publish
 
-    def _memoize(
-        self, key: Tuple[str, str, RunConfig], result: RunResult
-    ) -> None:
+    def _memoize(self, key: RunKey, result: RunResult) -> None:
         """Record a result in the in-memory memo, publishing it on first
         sight.  Every path that materializes a result — serial run, disk
         hit, parallel collection — funnels through here, so the publish
@@ -130,9 +139,7 @@ class WorkloadRunner:
         if monitors:
             return self._execute(key, monitors)
         if key not in self._runs:
-            workload = get_workload(workload_name)
-            dataset = workload.dataset(dataset_name)
-            digest = run_digest(workload.source, dataset.data, config.tag())
+            digest = self._digest(key)
             cached = self._disk.load(digest)
             if cached is None:
                 cached = self._execute(key, ())
@@ -140,10 +147,19 @@ class WorkloadRunner:
             self._memoize(key, cached)
         return self._runs[key]
 
+    def _digest(self, key: RunKey) -> str:
+        """The disk-cache digest of one triple; raises for an unknown
+        workload or dataset."""
+        workload_name, dataset_name, config = key
+        workload = get_workload(workload_name)
+        return run_digest(
+            workload.source,
+            workload.dataset(dataset_name).data,
+            config.tag(),
+        )
+
     def _execute(
-        self,
-        key: Tuple[str, str, RunConfig],
-        monitors: Sequence[BranchMonitor],
+        self, key: RunKey, monitors: Sequence[BranchMonitor]
     ) -> RunResult:
         # Compiled programs are memoized per (workload, config), and the
         # fast engine caches its predecoded form on the LoweredProgram
@@ -157,20 +173,105 @@ class WorkloadRunner:
             compiled.lowered, input_data=dataset.data, monitors=monitors
         )
 
-    def run_many(self, requests, jobs: Optional[int] = None,
-                 on_error: str = "raise"):
-        """Run a batch of ``RunRequest`` triples, fanning cache misses
-        across worker processes when the effective job count exceeds 1.
+    def run_many(
+        self,
+        requests: Sequence[RunRequest],
+        jobs: Optional[int] = None,
+        on_error: str = "raise",
+    ) -> List[Union[RunResult, RunFailure]]:
+        """Run a batch of ``RunRequest`` triples; results come back in
+        request order and are memoized exactly as if each triple had gone
+        through ``run``.
 
-        Results come back in request order and are memoized exactly as
-        if each triple had gone through ``run`` — serial and parallel
-        execution are byte-identical.  See ``repro.core.parallel``.
+        Each unique triple is checked against the memo, digested and
+        looked up on disk once.  With more than one miss, ``jobs > 1``
+        (``None`` means this runner's ``jobs``) and a disk cache, the
+        misses go to a process pool whose workers publish results through
+        the cache; one serial loop then executes and stores every miss the
+        pool did not publish, so serial and parallel execution are
+        byte-identical.  ``on_error="raise"`` raises
+        ``ParallelExecutionError`` after the whole batch has been
+        attempted; ``on_error="capture"`` returns ``RunFailure`` objects
+        in the failed slots instead.
         """
-        from repro.core.parallel import ParallelRunner
-
-        return ParallelRunner(self, jobs=jobs).run_many(
-            requests, on_error=on_error
+        from repro.core.parallel import (
+            ParallelExecutionError,
+            RunFailure,
+            resolve_jobs,
         )
+
+        if on_error not in ("raise", "capture"):
+            raise ValueError(
+                f"on_error must be 'raise' or 'capture', got {on_error!r}"
+            )
+        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
+        failures: Dict[RunKey, RunFailure] = {}
+        misses: Dict[RunKey, Tuple[RunRequest, str]] = {}
+        for request in requests:
+            key = request.key()
+            if key in self._runs or key in failures or key in misses:
+                continue
+            try:
+                digest = self._digest(key)
+            except Exception:
+                failures[key] = RunFailure(request, traceback.format_exc())
+                continue
+            cached = self._disk.load(digest)
+            if cached is None:
+                misses[key] = (request, digest)
+            else:
+                self._memoize(key, cached)
+
+        published: Dict[RunKey, Optional[str]] = {}
+        if jobs > 1 and len(misses) > 1 and self._disk.directory:
+            published = self._run_pool(misses, min(jobs, len(misses)))
+        for key, (request, digest) in misses.items():
+            error = published.get(key)
+            if error is not None:
+                failures[key] = RunFailure(request, error)
+                continue
+            result = self._disk.load(digest) if key in published else None
+            if result is None:
+                try:
+                    result = self._execute(key, ())
+                except Exception:
+                    failures[key] = RunFailure(request, traceback.format_exc())
+                    continue
+                self._disk.store(digest, result)
+            self._memoize(key, result)
+
+        if failures and on_error == "raise":
+            raise ParallelExecutionError(list(failures.values()))
+        return [
+            failures[request.key()] if request.key() in failures
+            else self._runs[request.key()]
+            for request in requests
+        ]
+
+    def _run_pool(
+        self, misses: Dict[RunKey, Tuple[RunRequest, str]], workers: int
+    ) -> Dict[RunKey, Optional[str]]:
+        """Execute misses in worker processes that publish through the
+        disk cache.  Returns each finished triple's error slot (``None``
+        once published); a triple missing from the answer — its worker
+        was killed, or the pool never started — is left to the caller."""
+        outcomes: Dict[RunKey, Optional[str]] = {}
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_worker_init,
+                initargs=(self._disk.directory,),
+            ) as pool:
+                futures = {
+                    pool.submit(_worker_execute, key, digest): key
+                    for key, (_, digest) in misses.items()
+                }
+                for future in as_completed(futures):
+                    if future.exception() is None:
+                        outcomes[futures[future]] = future.result()
+        except Exception:
+            pass  # the pool could not start or broke down
+        return outcomes
 
     def run_all(
         self, workload_name: str, config: RunConfig = RunConfig()
@@ -212,3 +313,29 @@ class WorkloadRunner:
     def workload(self, workload_name: str) -> Workload:
         """Convenience pass-through to the registry."""
         return get_workload(workload_name)
+
+
+# -- worker side of run_many's process pool -----------------------------------
+
+_WORKER_RUNNER: Optional[WorkloadRunner] = None
+
+
+def _worker_init(cache_dir: str) -> None:
+    """Build one runner per worker process so compiled programs — and the
+    fast engine's predecoded form cached on them — are reused across the
+    runs a worker executes."""
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = WorkloadRunner(cache_dir=cache_dir)
+
+
+def _worker_execute(key: RunKey, digest: str) -> Optional[str]:
+    """Execute one miss and publish it under its digest.
+
+    Returns ``None`` on success or a formatted traceback on failure —
+    never raises, so one bad triple cannot poison the pool.
+    """
+    try:
+        _WORKER_RUNNER._disk.store(digest, _WORKER_RUNNER._execute(key, ()))
+        return None
+    except Exception:
+        return traceback.format_exc()

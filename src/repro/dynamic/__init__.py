@@ -9,8 +9,7 @@ from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.gshare import GSharePredictor
 from repro.dynamic.local import TwoLevelLocalPredictor
-from repro.dynamic.score import DynamicScore, DynamicScoreMonitor, ipb_dynamic
-from repro.dynamic.static_adapter import StaticAsDynamic
+from repro.dynamic.score import DynamicScoreMonitor
 from repro.dynamic.tournament import TournamentPredictor
 from repro.dynamic.zoo import (
     DEFAULT_TABLE_SIZES,
@@ -23,16 +22,13 @@ __all__ = [
     "BimodalPredictor",
     "DEFAULT_TABLE_SIZES",
     "DynamicPredictor",
-    "DynamicScore",
     "DynamicScoreMonitor",
     "GSharePredictor",
     "MODEL_FAMILIES",
-    "StaticAsDynamic",
     "TournamentPredictor",
     "TwoLevelLocalPredictor",
     "branch_pc",
     "build_model",
     "check_table_size",
     "default_zoo",
-    "ipb_dynamic",
 ]

@@ -4,59 +4,22 @@
 hook) and scores any number of models against the same outcome stream in
 one pass — one simulation per (workload, dataset), however many
 predictors are competing.  From the tallies plus the run's counters it
-emits :class:`DynamicScore` rows carrying both the traditional
-percent-correct *and* the measure the paper argues actually matters:
-instructions per break, where breaks are mispredicted branches plus the
-run's unavoidable breaks (indirect calls and their returns), exactly as
-``repro.metrics.breaks`` counts them for static predictors.
+emits the same :class:`~repro.prediction.evaluate.PredictionReport` that
+``evaluate_static`` gives a static predictor, carrying both the
+traditional percent-correct *and* the measure the paper argues actually
+matters: instructions per break, where breaks are mispredicted branches
+plus the run's unavoidable breaks (indirect calls and their returns).
 """
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.dynamic.base import DynamicPredictor
 from repro.ir.instructions import BranchId
-from repro.metrics.breaks import predicted_breaks, unavoidable_breaks
+from repro.metrics.breaks import unavoidable_breaks
+from repro.prediction.evaluate import PredictionReport
 from repro.vm.counters import RunResult
 from repro.vm.monitors import BranchMonitor
-
-
-@dataclasses.dataclass
-class DynamicScore:
-    """How one predictor did against one run (the dynamic analogue of
-    :class:`~repro.prediction.evaluate.PredictionReport`)."""
-
-    program: str
-    predictor: str
-    table_size: Optional[int]
-    budget_bits: Optional[int]
-    instructions: int
-    branch_execs: int
-    mispredicted: int
-    unavoidable_breaks: int
-
-    @property
-    def correct(self) -> int:
-        return self.branch_execs - self.mispredicted
-
-    @property
-    def percent_correct(self) -> float:
-        """Fraction of branch executions predicted correctly; vacuously
-        1.0 when no branches executed (nothing was predicted wrongly)."""
-        if self.branch_execs == 0:
-            return 1.0
-        return self.correct / self.branch_execs
-
-    @property
-    def breaks(self) -> int:
-        return self.mispredicted + self.unavoidable_breaks
-
-    @property
-    def instructions_per_break(self) -> float:
-        """Instructions per mispredicted branch or unavoidable break."""
-        breaks = self.breaks
-        return self.instructions / breaks if breaks else float(self.instructions)
 
 
 class DynamicScoreMonitor(BranchMonitor):
@@ -100,27 +63,20 @@ class DynamicScoreMonitor(BranchMonitor):
 
     # -- results -------------------------------------------------------------
 
-    def score(self, model_index: int, run: RunResult) -> DynamicScore:
+    def score(self, model_index: int, run: RunResult) -> PredictionReport:
         """The score of one model against the observed run."""
         model = self.models[model_index]
-        return DynamicScore(
+        return PredictionReport(
             program=run.program,
             predictor=model.name,
-            table_size=model.table_size,
-            budget_bits=model.budget_bits(),
             instructions=run.instructions,
             branch_execs=self.hits[model_index] + self.mispredicts[model_index],
             mispredicted=self.mispredicts[model_index],
             unavoidable_breaks=unavoidable_breaks(run),
+            table_size=model.table_size,
+            budget_bits=model.budget_bits(),
         )
 
-    def scores(self, run: RunResult) -> List[DynamicScore]:
-        """One :class:`DynamicScore` per model, in model order."""
+    def scores(self, run: RunResult) -> List[PredictionReport]:
+        """One report per model, in model order."""
         return [self.score(index, run) for index in range(len(self.models))]
-
-
-def ipb_dynamic(run: RunResult, score: DynamicScore) -> float:
-    """Instructions per break for a dynamic score, through the same
-    ``BreakPolicy`` arithmetic the static metrics use."""
-    breaks = predicted_breaks(run, score.mispredicted)
-    return run.instructions / breaks if breaks else float(run.instructions)

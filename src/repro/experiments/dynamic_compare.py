@@ -2,7 +2,7 @@
 
 The paper's comparison with [Smith 81]/[Lee and Smith 84] is one line of
 context; this experiment makes it a full axis.  For every (workload,
-dataset) it scores, against the *same* outcome stream:
+dataset) it scores, against the *same* run:
 
 * **static-self** — the run predicting itself (the static upper bound);
 * **static-cross** — the paper's recommended predictor, the scaled
@@ -15,27 +15,25 @@ mispredict measures are reported, so the headline question — *where does
 cross-run profile prediction hold up against hardware, and where does it
 lose?* — is answerable per program and per hardware budget.
 
-The plain (monitor-free) runs every static predictor needs are prewarmed
-through ``run_many``, so ``--jobs N`` fans the simulations across
-processes; the monitored scoring passes are deterministic re-executions
-and happen in-process, which keeps serial and parallel output
-byte-identical.
+The static rows are scored from the run's counters, as the paper did;
+only the hardware models need the live outcome stream.  The plain
+(monitor-free) runs are prewarmed through ``run_many``, so ``--jobs N``
+fans the simulations across processes; the monitored scoring passes are
+deterministic re-executions and happen in-process, which keeps serial
+and parallel output byte-identical.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.core.experiment import CrossDatasetExperiment
 from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.dynamic.score import DynamicScoreMonitor
-from repro.dynamic.static_adapter import StaticAsDynamic
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES, default_zoo
 from repro.experiments.charts import ascii_bars
 from repro.experiments.report import TextTable
-from repro.prediction.base import ProfilePredictor
-from repro.prediction.combine import combine_profiles
-from repro.profiling.branch_profile import BranchProfile
 
 #: Default program set: FORTRAN (doduc, fpppp) vs systems C (gcc,
 #: compress), all with 2+ datasets so the cross predictor exists.  The
@@ -146,17 +144,6 @@ class DynamicCompareResult:
         )
 
 
-def _cross_predictor(
-    profiles: Dict[str, BranchProfile], exclude: str, program: str
-) -> ProfilePredictor:
-    """The scaled leave-one-out summary predictor (Figure 2's white bar)."""
-    rest = [
-        profile for name, profile in profiles.items() if name != exclude
-    ]
-    combined = combine_profiles(rest, mode="scaled", program=program)
-    return ProfilePredictor(combined, name="static-cross")
-
-
 def run(
     runner: Optional[WorkloadRunner] = None,
     programs: Optional[Sequence[str]] = None,
@@ -180,43 +167,35 @@ def run(
     runner.run_many(dataset_requests(workloads))
 
     rows: List[DynamicCompareRow] = []
-    predictor_order: List[str] = []
+    predictor_order = list(STATIC_PREDICTORS)
+    predictor_order.extend(model.name for model in default_zoo(sizes))
     for workload in workloads:
-        profiles = {
-            dataset: BranchProfile.from_run(run_result)
-            for dataset, run_result in runner.run_all(workload.name).items()
-        }
+        experiment = CrossDatasetExperiment(runner, workload.name)
         branch_table = runner.compiled(workload.name).lowered.branch_table
         for dataset in workload.dataset_names():
-            models = [
-                StaticAsDynamic(
-                    ProfilePredictor(profiles[dataset], name="self"),
-                    name="static-self",
-                ),
-                StaticAsDynamic(
-                    _cross_predictor(profiles, dataset, workload.name),
-                    name="static-cross",
+            static_reports = [
+                experiment.report(dataset, experiment.self_predictor(dataset)),
+                experiment.report(
+                    dataset, experiment.combined_predictor(dataset)
                 ),
             ]
-            models.extend(default_zoo(sizes))
-            if not predictor_order:
-                predictor_order = [model.name for model in models]
-            monitor = DynamicScoreMonitor(models, branch_table)
+            monitor = DynamicScoreMonitor(default_zoo(sizes), branch_table)
             run_result = runner.run(
                 workload.name, dataset, monitors=[monitor]
             )
-            for score in monitor.scores(run_result):
+            reports = static_reports + monitor.scores(run_result)
+            for predictor, report in zip(predictor_order, reports):
                 rows.append(
                     DynamicCompareRow(
                         program=workload.name,
                         dataset=dataset,
-                        predictor=score.predictor,
-                        table_size=score.table_size,
-                        budget_bits=score.budget_bits,
-                        branch_execs=score.branch_execs,
-                        mispredicted=score.mispredicted,
-                        percent_correct=score.percent_correct,
-                        ipb=score.instructions_per_break,
+                        predictor=predictor,
+                        table_size=report.table_size,
+                        budget_bits=report.budget_bits,
+                        branch_execs=report.branch_execs,
+                        mispredicted=report.mispredicted,
+                        percent_correct=report.percent_correct,
+                        ipb=report.instructions_per_break,
                     )
                 )
     return DynamicCompareResult(

@@ -1,7 +1,6 @@
 """Break-in-control accounting and the instructions-per-break measures."""
 from repro.metrics.breaks import (
     BreakPolicy,
-    predicted_breaks,
     unavoidable_breaks,
     unpredicted_breaks,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ipb_no_prediction",
     "ipb_self_prediction",
     "ipb_with_predictor",
-    "predicted_breaks",
     "unavoidable_breaks",
     "unpredicted_breaks",
 ]

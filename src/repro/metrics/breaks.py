@@ -6,7 +6,7 @@
   and excluded, Figure 1), and unconditional jumps (assumed eliminated by a
   good ILP compiler — never counted, matching the paper's assumption).
 * Conditional branches count as breaks when unpredicted (Figure 1) or when
-  mispredicted (Figure 2).
+  mispredicted (Figure 2, ``PredictionReport.breaks``).
 """
 from __future__ import annotations
 
@@ -37,19 +37,6 @@ def unpredicted_breaks(run: RunResult, policy: BreakPolicy = BreakPolicy()) -> i
     conditional branch execution plus unavoidable (and optionally direct
     call/return) breaks."""
     total = run.total_branch_execs + unavoidable_breaks(run)
-    if policy.include_direct_calls:
-        total += run.events.direct_calls + run.events.direct_returns
-    return total
-
-
-def predicted_breaks(
-    run: RunResult,
-    mispredicted: int,
-    policy: BreakPolicy = BreakPolicy(),
-) -> int:
-    """Breaks when branches are predicted (Figure 2): mispredicted branches
-    plus unavoidable (and optionally direct call/return) breaks."""
-    total = mispredicted + unavoidable_breaks(run)
     if policy.include_direct_calls:
         total += run.events.direct_calls + run.events.direct_returns
     return total

@@ -1,7 +1,7 @@
 """Instructions per break in control — the paper's central measure."""
 from __future__ import annotations
 
-from repro.metrics.breaks import BreakPolicy, predicted_breaks, unpredicted_breaks
+from repro.metrics.breaks import BreakPolicy, unpredicted_breaks
 from repro.prediction.base import StaticPredictor
 from repro.prediction.evaluate import evaluate_static, self_prediction
 from repro.vm.counters import RunResult
@@ -19,25 +19,15 @@ def ipb_no_prediction(
     return run.instructions / breaks if breaks else float(run.instructions)
 
 
-def ipb_with_predictor(
-    run: RunResult,
-    predictor: StaticPredictor,
-    include_direct_calls: bool = False,
-) -> float:
+def ipb_with_predictor(run: RunResult, predictor: StaticPredictor) -> float:
     """Instructions per break when branches are predicted (Figure 2)."""
-    report = evaluate_static(run, predictor)
-    policy = BreakPolicy(include_direct_calls=include_direct_calls)
-    breaks = predicted_breaks(run, report.mispredicted, policy)
-    return run.instructions / breaks if breaks else float(run.instructions)
+    return evaluate_static(run, predictor).instructions_per_break
 
 
-def ipb_self_prediction(run: RunResult, include_direct_calls: bool = False) -> float:
+def ipb_self_prediction(run: RunResult) -> float:
     """The best-possible instructions per break: the run predicts itself
     (Figure 2 black bars, Table 3)."""
-    report = self_prediction(run)
-    policy = BreakPolicy(include_direct_calls=include_direct_calls)
-    breaks = predicted_breaks(run, report.mispredicted, policy)
-    return run.instructions / breaks if breaks else float(run.instructions)
+    return self_prediction(run).instructions_per_break
 
 
 def branch_density(run: RunResult) -> float:

@@ -9,6 +9,7 @@ predicted not-taken mispredicts ``taken`` times.  No trace replay is needed
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 from repro.prediction.base import ProfilePredictor, StaticPredictor
 from repro.profiling.branch_profile import BranchProfile
@@ -17,7 +18,12 @@ from repro.vm.counters import RunResult
 
 @dataclasses.dataclass
 class PredictionReport:
-    """How one static predictor did against one run."""
+    """How one predictor did against one run.
+
+    Static predictors are scored from counters by ``evaluate_static``;
+    dynamic models are scored live by ``DynamicScoreMonitor``, which also
+    fills in the model's table size and hardware budget.
+    """
 
     program: str
     predictor: str
@@ -27,6 +33,10 @@ class PredictionReport:
     #: Indirect calls plus their returns: the unavoidable breaks the paper
     #: counts as mispredicted in its instructions-per-break figures.
     unavoidable_breaks: int
+    #: Table entries and predictor state bits of a hardware model; ``None``
+    #: for static predictors and idealized infinite tables.
+    table_size: Optional[int] = None
+    budget_bits: Optional[int] = None
 
     @property
     def correct(self) -> int:

@@ -28,7 +28,6 @@ from repro.metrics.ipb import (
     branch_density,
     ipb_no_prediction,
     ipb_self_prediction,
-    ipb_with_predictor,
 )
 from repro.opt.pipeline import OptOptions
 from repro.prediction.base import ProfilePredictor
@@ -161,18 +160,18 @@ def cmd_predict(args) -> int:
     print(f"branch executions:    {report.branch_execs}")
     print(f"predicted correctly:  {report.percent_correct:.1%}")
     print(f"instrs/break (none):  {ipb_no_prediction(result):.1f}")
-    print(f"instrs/break (fed):   {ipb_with_predictor(result, predictor):.1f}")
+    print(f"instrs/break (fed):   {report.instructions_per_break:.1f}")
     print(f"instrs/break (self):  {ipb_self_prediction(result):.1f}")
     return 0
 
 
 def cmd_dynsim(args) -> int:
-    from repro.dynamic import DynamicScoreMonitor, StaticAsDynamic, default_zoo
+    from repro.dynamic import DynamicScoreMonitor, default_zoo
 
     source = _load_source(args.program)
     name = _program_name(args.program)
     compiled = compile_source(source, name=name, options=_compile_options(args))
-    models = []
+    profile = None
     if args.db:
         database = ProfileDatabase.load(args.db)
         profile = database.program_profile(name)
@@ -180,14 +179,8 @@ def cmd_dynsim(args) -> int:
             print(f"error: no counts recorded for {name!r} in {args.db}",
                   file=sys.stderr)
             return 1
-        models.append(
-            StaticAsDynamic(
-                ProfilePredictor(profile, name="feedback"),
-                name="static-feedback",
-            )
-        )
     try:
-        models.extend(default_zoo(args.table_size or (64, 256, 1024)))
+        models = default_zoo(args.table_size or (64, 256, 1024))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -195,11 +188,15 @@ def cmd_dynsim(args) -> int:
     result = run_program(
         compiled.lowered, input_data=_read_input(args), monitors=[monitor]
     )
+    scores = monitor.scores(result)
+    if profile is not None:
+        predictor = ProfilePredictor(profile, name="static-feedback")
+        scores.insert(0, evaluate_static(result, predictor))
     print(f"{result.instructions} instructions, "
           f"{result.total_branch_execs} branch executions")
     print(f"{'predictor':<18} {'budget(bits)':>12} {'% correct':>10} "
           f"{'instrs/mispredict':>18}")
-    for score in monitor.scores(result):
+    for score in scores:
         budget = "-" if score.budget_bits is None else str(score.budget_bits)
         print(f"{score.predictor:<18} {budget:>12} "
               f"{score.percent_correct:>9.1%} "

@@ -1,5 +1,6 @@
 """The CI workflow must stay parseable and keep its jobs wired up."""
 import os
+import re
 
 import pytest
 
@@ -70,6 +71,22 @@ def test_jobs_run_the_advertised_commands(workflow):
     assert any(
         "repro-mf lint" in line for line in _run_lines(jobs["examples"])
     ), "the examples job must IR-lint the bundled programs"
+
+
+def test_dynamic_equivalence_runs_each_side_on_its_own_cache(workflow):
+    """A shared cache would let the --jobs 2 run see only hits and never
+    start a pool, so each side needs its own empty cache directory."""
+    commands = [
+        line
+        for run in _run_lines(workflow["jobs"]["examples"])
+        for line in run.splitlines()
+        if "repro-experiments dynamic" in line
+    ]
+    assert len(commands) == 2
+    assert ["--jobs 2" in line for line in commands] == [False, True]
+    caches = [re.search(r"REPRO_CACHE_DIR=(\S+)", line) for line in commands]
+    assert all(caches), "each side must set its own REPRO_CACHE_DIR"
+    assert caches[0].group(1) != caches[1].group(1)
 
 
 def test_setup_python_uses_pip_caching(workflow):

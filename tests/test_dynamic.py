@@ -5,7 +5,6 @@ from repro.dynamic import (
     BimodalPredictor,
     DynamicScoreMonitor,
     GSharePredictor,
-    StaticAsDynamic,
     TournamentPredictor,
     TwoLevelLocalPredictor,
     branch_pc,
@@ -14,8 +13,8 @@ from repro.dynamic import (
 )
 from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
-from repro.prediction.base import FixedPredictor, ProfilePredictor
-from repro.prediction.evaluate import evaluate_static
+from repro.prediction.base import ProfilePredictor
+from repro.prediction.evaluate import PredictionReport, evaluate_static
 from repro.vm.machine import run_program
 from repro.vm.monitors import BranchMonitor
 
@@ -204,7 +203,6 @@ class TestBudgets:
         assert GSharePredictor(table_size=1024).budget_bits() == 2048 + 10
         local = TwoLevelLocalPredictor(table_size=1024)
         assert local.budget_bits() == 1024 * 10 + 1024 * 2
-        assert StaticAsDynamic(FixedPredictor(True)).budget_bits() is None
 
     def test_zoo_builds_every_family_at_every_size(self):
         zoo = default_zoo(table_sizes=(16, 64))
@@ -225,43 +223,55 @@ def doduc_run(runner):
     return runner, branch_table
 
 
-class TestStaticAsDynamic:
+class StaticDirections(BranchMonitor):
+    """A static predictor scored event by event on the live stream: one
+    fixed direction per static branch, resolved at construction."""
+
+    def __init__(self, predictor, branch_table):
+        self.directions = [predictor.predict(bid) for bid in branch_table]
+
+    def on_run_start(self, num_branches):
+        self.branch_execs = self.mispredicted = 0
+
+    def on_branch(self, branch_index, taken, icount):
+        self.branch_execs += 1
+        if self.directions[branch_index] != taken:
+            self.mispredicted += 1
+
+
+class TestStaticFromCounters:
     @pytest.mark.parametrize("predictor_dataset", ["tiny", "small"])
     def test_mispredicts_match_evaluate_static(
         self, doduc_run, predictor_dataset
     ):
-        """The adapter, scored event-by-event on the live stream, must
-        agree exactly with the counter arithmetic of evaluate_static."""
+        """Scoring a static predictor event by event on the live stream
+        must agree exactly with the counter arithmetic of evaluate_static."""
         runner, branch_table = doduc_run
         profile = runner.profile("doduc", predictor_dataset)
         predictor = ProfilePredictor(profile, name=predictor_dataset)
-        monitor = DynamicScoreMonitor(
-            [StaticAsDynamic(predictor)], branch_table
+        live = StaticDirections(predictor, branch_table)
+        result = runner.run("doduc", "ref", monitors=[live])
+        assert evaluate_static(result, predictor) == PredictionReport(
+            program=result.program,
+            predictor=predictor_dataset,
+            instructions=result.instructions,
+            branch_execs=live.branch_execs,
+            mispredicted=live.mispredicted,
+            unavoidable_breaks=(
+                result.events.indirect_calls + result.events.indirect_returns
+            ),
         )
-        result = runner.run("doduc", "ref", monitors=[monitor])
-        report = evaluate_static(result, predictor)
-        score = monitor.scores(result)[0]
-        assert score.mispredicted == report.mispredicted
-        assert score.branch_execs == report.branch_execs
-        assert score.percent_correct == report.percent_correct
-        assert score.instructions_per_break == report.instructions_per_break
 
     def test_self_prediction_is_static_optimum(self, doduc_run):
-        runner, branch_table = doduc_run
-        self_profile = runner.profile("doduc", "tiny")
-        cross_profile = runner.profile("doduc", "ref")
-        monitor = DynamicScoreMonitor(
-            [
-                StaticAsDynamic(ProfilePredictor(self_profile, name="self")),
-                StaticAsDynamic(ProfilePredictor(cross_profile, name="x")),
-            ],
-            branch_table,
+        runner, _ = doduc_run
+        target = runner.run("doduc", "tiny")
+        self_report = evaluate_static(
+            target, ProfilePredictor(runner.profile("doduc", "tiny"))
         )
-        runner.run("doduc", "tiny", monitors=[monitor])
-        self_score, cross_score = (
-            monitor.mispredicts[0], monitor.mispredicts[1]
+        cross_report = evaluate_static(
+            target, ProfilePredictor(runner.profile("doduc", "ref"))
         )
-        assert self_score <= cross_score
+        assert self_report.mispredicted <= cross_report.mispredicted
 
 
 class LonghandCounters(BranchMonitor):
@@ -325,7 +335,6 @@ class TestInfiniteBimodalMatchesLegacyMonitor:
 class TestVacuousAccuracy:
     def test_monitor_and_report_agree_on_zero_branches(self):
         from repro.compiler import compile_source
-        from repro.prediction.evaluate import PredictionReport
 
         lowered = compile_source("func main() { return 0; }").lowered
         monitor = DynamicScoreMonitor(
@@ -340,14 +349,19 @@ class TestVacuousAccuracy:
         assert report.percent_correct == 1.0
 
     def test_dynamic_score_agrees(self):
-        from repro.dynamic.score import DynamicScore
+        """The monitor's reports carry each model's table and budget."""
+        from repro.compiler import compile_source
 
-        score = DynamicScore(
-            program="p", predictor="q", table_size=64, budget_bits=128,
-            instructions=10, branch_execs=0, mispredicted=0,
-            unavoidable_breaks=0,
+        lowered = compile_source("func main() { return 0; }").lowered
+        monitor = DynamicScoreMonitor(
+            [BimodalPredictor(table_size=64), BimodalPredictor(table_size=None)],
+            lowered.branch_table,
         )
-        assert score.percent_correct == 1.0
+        result = run_program(lowered, monitors=[monitor])
+        finite, infinite = monitor.scores(result)
+        assert (finite.table_size, finite.budget_bits) == (64, 128)
+        assert (infinite.table_size, infinite.budget_bits) == (None, None)
+        assert finite.percent_correct == infinite.percent_correct == 1.0
 
 
 class TestScoreMonitor:

@@ -8,11 +8,11 @@ from repro.metrics import (
     ipb_no_prediction,
     ipb_self_prediction,
     ipb_with_predictor,
-    predicted_breaks,
     unavoidable_breaks,
     unpredicted_breaks,
 )
 from repro.prediction import FixedPredictor
+from repro.prediction.evaluate import PredictionReport
 
 from tests.helpers import compile_and_run
 
@@ -43,9 +43,14 @@ def test_unpredicted_breaks_policy():
     assert with_calls == without_calls + 20  # 10 direct calls + 10 returns
 
 
-def test_predicted_breaks_uses_mispredictions():
+def test_report_breaks_uses_mispredictions():
     run = compile_and_run(MIXED)
-    assert predicted_breaks(run, mispredicted=3) == 23
+    report = PredictionReport(
+        program=run.program, predictor="p", instructions=run.instructions,
+        branch_execs=run.total_branch_execs, mispredicted=3,
+        unavoidable_breaks=unavoidable_breaks(run),
+    )
+    assert report.breaks == 23
 
 
 def test_ipb_no_prediction_matches_definition():

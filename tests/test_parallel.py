@@ -1,9 +1,11 @@
 """Parallel runner tests: equivalence, error isolation, jobs resolution."""
+import collections
 import os
 
 import pytest
 
-from repro.core.cache import run_result_to_dict
+import repro.core.runner as runner_module
+from repro.core.cache import DiskCache, run_result_to_dict
 from repro.core.parallel import (
     ParallelExecutionError,
     RunFailure,
@@ -80,6 +82,51 @@ def test_disabled_disk_cache_falls_back_to_in_process():
     results = runner.run_many(SWEEP[:2])
     assert results[0].instructions > 0
     assert results[1].instructions > 0
+
+
+_REAL_WORKER = runner_module._worker_execute
+
+
+def _worker_dies_on_doduc_small(key, digest):
+    """A pool worker entry that kills its own process on one triple."""
+    if key[:2] == ("doduc", "small"):
+        os._exit(1)
+    return _REAL_WORKER(key, digest)
+
+
+def _refuse_to_start(*args, **kwargs):
+    raise OSError("no process pool on this platform")
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        ("_worker_execute", _worker_dies_on_doduc_small),
+        ("ProcessPoolExecutor", _refuse_to_start),
+    ],
+    ids=["killed-worker", "pool-cannot-start"],
+)
+def test_broken_pool_falls_back_to_the_serial_loop(tmp_path, monkeypatch, patch):
+    serial = WorkloadRunner(cache_dir=str(tmp_path / "serial"))
+    expected = _dicts(serial.run_many(SWEEP))
+    monkeypatch.setattr(runner_module, *patch)
+    fanout = WorkloadRunner(cache_dir=str(tmp_path / "fanout"), jobs=2)
+    results = fanout.run_many(SWEEP, on_error="capture")
+    assert not any(isinstance(result, RunFailure) for result in results)
+    assert _dicts(results) == expected
+
+
+def test_cold_run_many_looks_up_and_stores_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for name in ("load", "store"):
+        def counted(cache, *args, _real=getattr(DiskCache, name), _name=name):
+            calls[_name] += 1
+            return _real(cache, *args)
+
+        monkeypatch.setattr(DiskCache, name, counted)
+    runner = WorkloadRunner(cache_dir=str(tmp_path))
+    runner.run_many([RunRequest("doduc", "tiny")])
+    assert calls == {"load": 1, "store": 1}
 
 
 def test_run_all_routes_through_batch_when_parallel(tmp_path):

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from repro.ir.instructions import BranchId
 from repro.prediction.base import FixedPredictor, ProfilePredictor
 from repro.prediction.combine import combine_profiles
-from repro.prediction.evaluate import evaluate_static, self_prediction
+from repro.prediction.evaluate import (
+    PredictionReport,
+    evaluate_static,
+    self_prediction,
+)
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import ControlEvents, RunResult
 
@@ -141,14 +145,22 @@ def test_profile_dict_round_trip(counts):
 # -- metrics ------------------------------------------------------------------
 
 
-@given(branch_counts(), st.booleans())
+@given(branch_counts(), st.integers(0, 1000))
 @settings(max_examples=100, deadline=None)
-def test_ipb_monotone_in_breaks(counts, include_calls):
-    from repro.metrics.breaks import BreakPolicy, predicted_breaks
+def test_ipb_monotone_in_breaks(counts, mispredicted):
+    from repro.metrics.breaks import unavoidable_breaks
 
     executed, taken = counts
     run = make_run(executed, taken)
-    policy = BreakPolicy(include_direct_calls=include_calls)
-    few = predicted_breaks(run, mispredicted=1, policy=policy)
-    many = predicted_breaks(run, mispredicted=10, policy=policy)
-    assert many == few + 9
+
+    def report(misses):
+        return PredictionReport(
+            program=run.program, predictor="p",
+            instructions=run.instructions,
+            branch_execs=run.total_branch_execs, mispredicted=misses,
+            unavoidable_breaks=unavoidable_breaks(run),
+        )
+
+    few, many = report(mispredicted), report(mispredicted + 9)
+    assert many.breaks == few.breaks + 9
+    assert many.instructions_per_break <= few.instructions_per_break
