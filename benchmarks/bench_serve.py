@@ -4,7 +4,7 @@ The serve subsystem only pays for itself if a fleet of runners can push
 branch counters through one aggregation point faster than they produce
 them, so this records the second perf axis (``BENCH_SERVE.json``): loopback
 upload and predict throughput plus tail latency through the real stack —
-canonical-JSON framing, asyncio server, sharded aggregator — with a sync
+canonical-JSON framing, asyncio server, one-database aggregator — with a sync
 client doing one request per round trip (no pipelining, the worst case).
 
 The smoke test guards CI with a conservative floor (the point is catching

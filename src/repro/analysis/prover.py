@@ -4,7 +4,8 @@ Classifies every conditional branch as ``PROVEN_TAKEN``,
 ``PROVEN_FALLTHROUGH``, or ``UNKNOWN`` using only the program text — no
 profile data.  A *proof* is a guarantee about the branch's condition value
 on every execution, so a proven branch can never mispredict; the test
-suite's cross-check gate enforces exactly that against monitored VM runs.
+suite's cross-check gate enforces exactly that against the aggregate
+branch counters of every workload run.
 
 Proof layers, cheapest first:
 

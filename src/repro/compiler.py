@@ -51,6 +51,33 @@ class CompileOptions:
         return cls(enable_select=False, opt=OptOptions.none())
 
 
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """Which compiler configuration a run uses.
+
+    The default is the paper's measurement configuration; ``dce`` is the
+    Table 1 variant; ``inline`` and ``if_conversion`` drive the ablation
+    experiments for the switches the paper's compiler had but kept off.
+    """
+
+    dce: bool = False
+    inline: bool = False
+    if_conversion: bool = False
+
+    def tag(self) -> str:
+        return (
+            f"dce={self.dce}|inline={self.inline}|ifconv={self.if_conversion}"
+        )
+
+    def compile_options(self) -> CompileOptions:
+        if self.dce:
+            opt = OptOptions.with_dce()
+        else:
+            opt = OptOptions.classical()
+        opt.if_conversion = self.if_conversion
+        return CompileOptions(inline=self.inline, opt=opt)
+
+
 @dataclasses.dataclass
 class CompiledProgram:
     """The result of compiling one MF source file."""

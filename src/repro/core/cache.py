@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Optional
 
 from repro.ir.instructions import BranchId
+from repro.profiling.database import write_json_atomic
 from repro.vm.counters import ControlEvents, RunResult
 
 #: Bump when the RunResult layout, counting semantics, or digest scheme
@@ -96,22 +96,4 @@ class DiskCache:
     def store(self, digest: str, result: RunResult) -> None:
         if not self.directory:
             return
-        path = self._path(digest)
-        # Unique per-writer temp file: a shared "<path>.tmp" lets two
-        # parallel workers storing the same digest interleave writes (and
-        # race the final rename), leaving a corrupt or vanished entry.
-        # mkstemp in the cache directory keeps the os.replace atomic
-        # (same filesystem) while giving each writer its own file.
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f"{digest}.", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(run_result_to_dict(result), handle)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(self._path(digest), run_result_to_dict(result))

@@ -1,7 +1,6 @@
 """The workload runner: compile once, run per dataset, cache everything."""
 from __future__ import annotations
 
-import dataclasses
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -9,9 +8,8 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.compiler import CompiledProgram, CompileOptions, compile_source
+from repro.compiler import CompiledProgram, RunConfig, compile_source
 from repro.core.cache import DiskCache, run_digest
-from repro.opt.pipeline import OptOptions
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import RunResult
 from repro.vm.machine import Machine
@@ -32,33 +30,6 @@ def _default_cache_dir() -> Optional[str]:
     if value is None:
         return DEFAULT_CACHE_DIR
     return value or None
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Which compiler configuration a run uses.
-
-    The default is the paper's measurement configuration; ``dce`` is the
-    Table 1 variant; ``inline`` and ``if_conversion`` drive the ablation
-    experiments for the switches the paper's compiler had but kept off.
-    """
-
-    dce: bool = False
-    inline: bool = False
-    if_conversion: bool = False
-
-    def tag(self) -> str:
-        return (
-            f"dce={self.dce}|inline={self.inline}|ifconv={self.if_conversion}"
-        )
-
-    def compile_options(self) -> CompileOptions:
-        if self.dce:
-            opt = OptOptions.with_dce()
-        else:
-            opt = OptOptions.classical()
-        opt.if_conversion = self.if_conversion
-        return CompileOptions(inline=self.inline, opt=opt)
 
 
 #: The memo key of one run: (workload, dataset, configuration).

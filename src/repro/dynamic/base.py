@@ -61,11 +61,12 @@ def check_table_size(table_size: int) -> int:
 class DynamicPredictor:
     """Interface: predict each branch execution from online state.
 
-    Lifecycle: ``reset(branch_table)`` once per run, then for every
-    conditional-branch execution either ``observe(index, taken)`` (the
-    fused fast path the scoring monitor uses) or ``predict``/``update``.
-    ``index`` is the position in the run's static branch table, exactly
-    what the VM hands to :meth:`BranchMonitor.on_branch`.
+    Lifecycle: ``reset(branch_table)`` once per run, then
+    ``observe(index, taken)`` for every conditional-branch execution —
+    one predict-then-train step that returns the direction predicted
+    before the outcome was seen.  ``index`` is the position in the run's
+    static branch table, exactly what the VM hands to
+    :meth:`BranchMonitor.on_branch`.
     """
 
     #: Human-readable name for reports (e.g. ``bimodal@1024``).
@@ -78,23 +79,11 @@ class DynamicPredictor:
         """Clear all state and bind the run's static branch table."""
         raise NotImplementedError
 
-    def predict(self, index: int) -> bool:
-        """The predicted direction for the next execution of a branch."""
-        raise NotImplementedError
-
-    def update(self, index: int, taken: bool) -> None:
-        """Feed the actual outcome back into the predictor state."""
-        raise NotImplementedError
-
     def observe(self, index: int, taken: bool) -> bool:
-        """Predict, then update: returns the direction that was predicted.
-
-        Models override this with a fused implementation — it runs once
-        per dynamic branch, the hottest path in a simulation.
-        """
-        predicted = self.predict(index)
-        self.update(index, taken)
-        return predicted
+        """Predict a branch execution, then train on its actual outcome;
+        returns the direction that was predicted.  Runs once per dynamic
+        branch — the hottest path in a simulation."""
+        raise NotImplementedError
 
     def budget_bits(self) -> Optional[int]:
         """Hardware state in bits, or ``None`` when not meaningfully

@@ -1,11 +1,11 @@
 """Bimodal branch-history table: one n-bit saturating counter per entry.
 
 The [Smith 81] scheme: each branch indexes a table of saturating
-counters; the counter's top half predicts taken.  ``table_size=None``
-gives every static branch its own counter — the idealized infinite,
-unaliased table of the paper's 1-bit and 2-bit hardware schemes — while
-a finite power-of-two table indexes by hashed branch address and
-exhibits real aliasing.
+counters, all starting at 0; the counter's top half predicts taken.
+``table_size=None`` gives every static branch its own counter — the
+idealized infinite, unaliased table of the paper's 1-bit and 2-bit
+hardware schemes — while a finite power-of-two table indexes by hashed
+branch address and exhibits real aliasing.
 """
 from __future__ import annotations
 
@@ -19,11 +19,7 @@ class BimodalPredictor(DynamicPredictor):
     """n-bit saturating-counter BHT, optionally finite and aliased."""
 
     def __init__(
-        self,
-        table_size: Optional[int] = 1024,
-        num_bits: int = 2,
-        initial_state: int = 0,
-        name: Optional[str] = None,
+        self, table_size: Optional[int] = 1024, num_bits: int = 2
     ) -> None:
         if num_bits < 1:
             raise ValueError(f"num_bits must be >= 1, got {num_bits}")
@@ -33,40 +29,19 @@ class BimodalPredictor(DynamicPredictor):
         self.num_bits = num_bits
         self.max_state = (1 << num_bits) - 1
         self.threshold = 1 << (num_bits - 1)
-        if not 0 <= initial_state <= self.max_state:
-            raise ValueError(
-                f"initial_state must be in [0, {self.max_state}], "
-                f"got {initial_state}"
-            )
-        self.initial_state = initial_state
-        if name is None:
-            size = "inf" if table_size is None else str(table_size)
-            name = f"bimodal@{size}"
-        self.name = name
+        size = "inf" if table_size is None else str(table_size)
+        self.name = f"bimodal@{size}"
         self._table: List[int] = []
         self._slots: List[int] = []
 
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         if self.table_size is None:
             self._slots = list(range(len(branch_table)))
-            self._table = [self.initial_state] * len(branch_table)
+            self._table = [0] * len(branch_table)
         else:
             mask = self.table_size - 1
             self._slots = [branch_pc(bid) & mask for bid in branch_table]
-            self._table = [self.initial_state] * self.table_size
-
-    def predict(self, index: int) -> bool:
-        return self._table[self._slots[index]] >= self.threshold
-
-    def update(self, index: int, taken: bool) -> None:
-        table = self._table
-        slot = self._slots[index]
-        state = table[slot]
-        if taken:
-            if state < self.max_state:
-                table[slot] = state + 1
-        elif state > 0:
-            table[slot] = state - 1
+            self._table = [0] * self.table_size
 
     def observe(self, index: int, taken: bool) -> bool:
         table = self._table

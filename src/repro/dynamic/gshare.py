@@ -14,69 +14,44 @@ from repro.ir.instructions import BranchId
 
 
 class GSharePredictor(DynamicPredictor):
-    """Global-history-XOR-address indexed saturating-counter table."""
+    """Global-history-XOR-address indexed table of 2-bit counters.
 
-    def __init__(
-        self,
-        table_size: int = 1024,
-        history_bits: Optional[int] = None,
-        num_bits: int = 2,
-        initial_state: int = 0,
-        name: Optional[str] = None,
-    ) -> None:
+    Counters start at 0 and predict taken at 2 or more; the history
+    register holds log2(table_size) outcomes (at least one).
+    """
+
+    def __init__(self, table_size: int = 1024) -> None:
         check_table_size(table_size)
         self.table_size = table_size
-        if history_bits is None:
-            history_bits = max(1, table_size.bit_length() - 1)
-        if history_bits < 1:
-            raise ValueError(f"history_bits must be >= 1, got {history_bits}")
-        self.history_bits = history_bits
-        self.num_bits = num_bits
-        self.max_state = (1 << num_bits) - 1
-        self.threshold = 1 << (num_bits - 1)
-        self.initial_state = initial_state
-        self.name = name if name is not None else f"gshare@{table_size}"
+        self.history_bits = max(1, table_size.bit_length() - 1)
+        self.name = f"gshare@{table_size}"
         self._mask = table_size - 1
-        self._history_mask = (1 << history_bits) - 1
+        self._history_mask = (1 << self.history_bits) - 1
         self._history = 0
         self._table: List[int] = []
         self._pcs: List[int] = []
 
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         self._pcs = [branch_pc(bid) for bid in branch_table]
-        self._table = [self.initial_state] * self.table_size
+        self._table = [0] * self.table_size
         self._history = 0
-
-    def slot(self, index: int) -> int:
-        """The table entry the next execution of a branch would use."""
-        return (self._pcs[index] ^ self._history) & self._mask
-
-    def predict(self, index: int) -> bool:
-        return self._table[self.slot(index)] >= self.threshold
-
-    def update(self, index: int, taken: bool) -> None:
-        self._observe_slot(self.slot(index), taken)
 
     def observe(self, index: int, taken: bool) -> bool:
         slot = (self._pcs[index] ^ self._history) & self._mask
-        return self._observe_slot(slot, taken) >= self.threshold
-
-    def _observe_slot(self, slot: int, taken: bool) -> int:
-        """Update counter and history; returns the pre-update counter."""
         table = self._table
         state = table[slot]
         if taken:
-            if state < self.max_state:
+            if state < 3:
                 table[slot] = state + 1
             self._history = ((self._history << 1) | 1) & self._history_mask
         else:
             if state > 0:
                 table[slot] = state - 1
             self._history = (self._history << 1) & self._history_mask
-        return state
+        return state >= 2
 
     def budget_bits(self) -> Optional[int]:
-        return self.table_size * self.num_bits + self.history_bits
+        return self.table_size * 2 + self.history_bits
 
     def snapshot(self) -> Tuple:
         return (tuple(self._table), self._history)

@@ -18,32 +18,18 @@ class TwoLevelLocalPredictor(DynamicPredictor):
     """Per-branch history registers indexing a shared pattern table.
 
     ``table_size`` sets both levels: the number of history registers and
-    the number of pattern-table counters; ``history_bits`` (default
-    log2(table_size)) is each register's length.
+    the number of pattern-table counters.  Each register holds
+    log2(table_size) outcomes (at least one); the counters are 2-bit,
+    start at 0 and predict taken at 2 or more.
     """
 
-    def __init__(
-        self,
-        table_size: int = 1024,
-        history_bits: Optional[int] = None,
-        num_bits: int = 2,
-        initial_state: int = 0,
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, table_size: int = 1024) -> None:
         check_table_size(table_size)
         self.table_size = table_size
-        if history_bits is None:
-            history_bits = max(1, table_size.bit_length() - 1)
-        if history_bits < 1:
-            raise ValueError(f"history_bits must be >= 1, got {history_bits}")
-        self.history_bits = history_bits
-        self.num_bits = num_bits
-        self.max_state = (1 << num_bits) - 1
-        self.threshold = 1 << (num_bits - 1)
-        self.initial_state = initial_state
-        self.name = name if name is not None else f"local@{table_size}"
+        self.history_bits = max(1, table_size.bit_length() - 1)
+        self.name = f"local@{table_size}"
         self._mask = table_size - 1
-        self._history_mask = (1 << history_bits) - 1
+        self._history_mask = (1 << self.history_bits) - 1
         self._histories: List[int] = []
         self._patterns: List[int] = []
         self._slots: List[int] = []
@@ -52,40 +38,26 @@ class TwoLevelLocalPredictor(DynamicPredictor):
         mask = self._mask
         self._slots = [branch_pc(bid) & mask for bid in branch_table]
         self._histories = [0] * self.table_size
-        self._patterns = [self.initial_state] * self.table_size
-
-    def predict(self, index: int) -> bool:
-        history = self._histories[self._slots[index]]
-        return self._patterns[history & self._mask] >= self.threshold
-
-    def update(self, index: int, taken: bool) -> None:
-        self._observe(index, taken)
+        self._patterns = [0] * self.table_size
 
     def observe(self, index: int, taken: bool) -> bool:
-        return self._observe(index, taken) >= self.threshold
-
-    def _observe(self, index: int, taken: bool) -> int:
-        """Advance both levels; returns the pre-update pattern counter."""
         slot = self._slots[index]
         history = self._histories[slot]
         patterns = self._patterns
         pattern_slot = history & self._mask
         state = patterns[pattern_slot]
         if taken:
-            if state < self.max_state:
+            if state < 3:
                 patterns[pattern_slot] = state + 1
             self._histories[slot] = ((history << 1) | 1) & self._history_mask
         else:
             if state > 0:
                 patterns[pattern_slot] = state - 1
             self._histories[slot] = (history << 1) & self._history_mask
-        return state
+        return state >= 2
 
     def budget_bits(self) -> Optional[int]:
-        return (
-            self.table_size * self.history_bits
-            + self.table_size * self.num_bits
-        )
+        return self.table_size * self.history_bits + self.table_size * 2
 
     def snapshot(self) -> Tuple:
         return (tuple(self._histories), tuple(self._patterns))

@@ -23,18 +23,12 @@ class TournamentPredictor(DynamicPredictor):
     behaviour is served while gshare's history warms up.
     """
 
-    def __init__(
-        self,
-        table_size: int = 1024,
-        num_bits: int = 2,
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, table_size: int = 1024) -> None:
         check_table_size(table_size)
         self.table_size = table_size
-        self.num_bits = num_bits
-        self.bimodal = BimodalPredictor(table_size=table_size, num_bits=num_bits)
-        self.gshare = GSharePredictor(table_size=table_size, num_bits=num_bits)
-        self.name = name if name is not None else f"tournament@{table_size}"
+        self.bimodal = BimodalPredictor(table_size=table_size)
+        self.gshare = GSharePredictor(table_size=table_size)
+        self.name = f"tournament@{table_size}"
         self._mask = table_size - 1
         self._chooser: List[int] = []
         self._slots: List[int] = []
@@ -46,18 +40,7 @@ class TournamentPredictor(DynamicPredictor):
         self._slots = [branch_pc(bid) & mask for bid in branch_table]
         self._chooser = [1] * self.table_size
 
-    def predict(self, index: int) -> bool:
-        if self._chooser[self._slots[index]] >= 2:
-            return self.gshare.predict(index)
-        return self.bimodal.predict(index)
-
-    def update(self, index: int, taken: bool) -> None:
-        self._observe(index, taken)
-
     def observe(self, index: int, taken: bool) -> bool:
-        return self._observe(index, taken)
-
-    def _observe(self, index: int, taken: bool) -> bool:
         from_bimodal = self.bimodal.observe(index, taken)
         from_gshare = self.gshare.observe(index, taken)
         slot = self._slots[index]

@@ -16,31 +16,18 @@ MODEL_FAMILIES = ("bimodal", "gshare", "local", "tournament")
 DEFAULT_TABLE_SIZES = (64, 256, 1024)
 
 
-def build_model(
-    family: str,
-    table_size: Optional[int],
-    num_bits: int = 2,
-    name: Optional[str] = None,
-) -> DynamicPredictor:
+def build_model(family: str, table_size: Optional[int]) -> DynamicPredictor:
     """Construct one zoo model by family name."""
     if family == "bimodal":
-        return BimodalPredictor(
-            table_size=table_size, num_bits=num_bits, name=name
-        )
+        return BimodalPredictor(table_size=table_size)
     if table_size is None:
         raise ValueError(f"family {family!r} requires a finite table_size")
     if family == "gshare":
-        return GSharePredictor(
-            table_size=table_size, num_bits=num_bits, name=name
-        )
+        return GSharePredictor(table_size=table_size)
     if family == "local":
-        return TwoLevelLocalPredictor(
-            table_size=table_size, num_bits=num_bits, name=name
-        )
+        return TwoLevelLocalPredictor(table_size=table_size)
     if family == "tournament":
-        return TournamentPredictor(
-            table_size=table_size, num_bits=num_bits, name=name
-        )
+        return TournamentPredictor(table_size=table_size)
     raise ValueError(
         f"unknown predictor family {family!r}; known: "
         f"{', '.join(MODEL_FAMILIES)}"
@@ -49,12 +36,10 @@ def build_model(
 
 def default_zoo(
     table_sizes: Sequence[int] = DEFAULT_TABLE_SIZES,
-    families: Sequence[str] = MODEL_FAMILIES,
-    num_bits: int = 2,
 ) -> List[DynamicPredictor]:
     """Every family at every table size, family-major."""
     return [
-        build_model(family, size, num_bits=num_bits)
-        for family in families
+        build_model(family, size)
+        for family in MODEL_FAMILIES
         for size in sorted(table_sizes)
     ]

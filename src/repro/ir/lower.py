@@ -82,10 +82,6 @@ class LoweredProgram:
         default=None, repr=False, compare=False
     )
 
-    def branch_index_of(self, branch_id: BranchId) -> int:
-        """Index of a branch identity in :attr:`branch_table`."""
-        return self.branch_table.index(branch_id)
-
 
 def lower_module(module: Module, validate: bool = True) -> LoweredProgram:
     """Lower a validated module to executable form."""

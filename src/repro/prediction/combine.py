@@ -11,11 +11,10 @@ predicted (§3, "Scaled vs. unscaled summary predictors"):
   (discarded by the paper for performing poorly).
 
 Profiles with zero recorded branch executions carry no evidence in any
-mode (scaled weighting would even divide by zero), so they are handled
-deliberately rather than silently: skipped by default, or rejected with
-``on_empty="error"``.  In every mode the combined profile's ``runs`` is
-the total number of underlying runs of the profiles that actually
-contributed.
+mode (scaled weighting would even divide by zero), so they are skipped:
+they add neither counts nor runs.  In every mode the combined profile's
+``runs`` is the total number of underlying runs of the profiles that
+actually contributed.
 """
 from __future__ import annotations
 
@@ -25,36 +24,23 @@ from repro.profiling.branch_profile import BranchProfile
 
 COMBINE_MODES = ("scaled", "unscaled", "polling")
 
-ON_EMPTY = ("skip", "error")
-
 
 def combine_profiles(
     profiles: Iterable[BranchProfile],
     mode: str = "scaled",
     program: str = "",
-    on_empty: str = "skip",
 ) -> BranchProfile:
     """Combine profiles into one summary profile using ``mode``.
 
-    ``on_empty`` decides what happens to profiles with zero total branch
-    executions: ``"skip"`` (the default) leaves them out of both the counts
-    and the ``runs`` accounting; ``"error"`` raises ``ValueError``.
+    Profiles with zero total branch executions are left out of both the
+    counts and the ``runs`` accounting.
     """
     profiles = list(profiles)
     if not profiles:
         raise ValueError("no profiles to combine")
     if mode not in COMBINE_MODES:
         raise ValueError(f"unknown combine mode {mode!r}; use one of {COMBINE_MODES}")
-    if on_empty not in ON_EMPTY:
-        raise ValueError(f"unknown on_empty {on_empty!r}; use one of {ON_EMPTY}")
     name = program or profiles[0].program
-
-    empty = [profile for profile in profiles if not profile.total_executed]
-    if empty and on_empty == "error":
-        raise ValueError(
-            f"{len(empty)} of {len(profiles)} profiles have no branch "
-            f"executions (program {name!r})"
-        )
     used = [profile for profile in profiles if profile.total_executed]
 
     combined = BranchProfile(program=name)
@@ -82,7 +68,6 @@ def leave_one_out(
     profiles: List[BranchProfile],
     exclude_index: int,
     mode: str = "scaled",
-    on_empty: str = "skip",
 ) -> BranchProfile:
     """Combine every profile except ``profiles[exclude_index]``.
 
@@ -96,4 +81,4 @@ def leave_one_out(
     ]
     if not rest:
         raise ValueError("leave-one-out needs at least two profiles")
-    return combine_profiles(rest, mode=mode, on_empty=on_empty)
+    return combine_profiles(rest, mode=mode)

@@ -20,6 +20,31 @@ from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import RunResult
 
 
+def write_json_atomic(path: str, data, **dump_options) -> None:
+    """Write ``data`` as JSON to ``path`` through a temp file and a rename.
+
+    Each writer gets its own mkstemp temp file in the target directory
+    (same filesystem, so ``os.replace`` stays atomic).  A shared
+    ``<path>.tmp`` would let two concurrent writers interleave writes and
+    race the final rename, leaving a corrupt or vanished file; here every
+    observable state of ``path`` is a complete file from one writer.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(data, handle, **dump_options)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 class ProfileDatabase:
     """Branch-count storage accumulated across runs, with JSON persistence."""
 
@@ -117,28 +142,8 @@ class ProfileDatabase:
         return database
 
     def save(self, path: str) -> None:
-        """Write the database as JSON (atomically).
-
-        Each writer gets its own mkstemp temp file in the target directory
-        (same filesystem, so ``os.replace`` stays atomic).  A shared
-        ``<path>.tmp`` would let two concurrent writers interleave writes
-        and race the final rename, leaving a corrupt or vanished database —
-        the same failure ``DiskCache.store`` had under parallel workers.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        """Write the database as JSON (atomically)."""
+        write_json_atomic(path, self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "ProfileDatabase":

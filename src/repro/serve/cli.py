@@ -52,12 +52,10 @@ def _client(args) -> ProfileClient:
 
 
 async def _serve(args) -> int:
-    aggregator = Aggregator(shards=args.shards, persist_dir=args.db)
     server = ProfileServer(
-        aggregator,
+        Aggregator(persist_dir=args.db),
         host=args.host,
         port=args.port,
-        max_inflight=args.max_inflight,
         flush_interval=args.flush_interval,
     )
     await server.start()
@@ -215,10 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=DEFAULT_PORT)
     serve.add_argument(
         "--db", default=None, metavar="DIR",
-        help="persist shards as JSON under this directory (write-behind)",
+        help="persist profiles as DIR/profiles.json (write-behind)",
     )
-    serve.add_argument("--shards", type=int, default=8)
-    serve.add_argument("--max-inflight", type=int, default=64)
     serve.add_argument("--flush-interval", type=float, default=1.0)
     serve.add_argument(
         "--ready-file", default=None, metavar="PATH",

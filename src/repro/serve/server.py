@@ -3,10 +3,11 @@
 One ``ProfileServer`` owns an ``Aggregator`` and serves the four protocol
 operations over TCP.  Design points:
 
-* **Bounded in-flight work.**  A semaphore caps how many requests are
-  being dispatched at once; excess requests queue on the semaphore (and
-  ultimately on TCP), so a burst degrades to latency, never to unbounded
-  memory.  Queue depth and in-flight counts are exported via metrics.
+* **One request at a time.**  A request is dispatched synchronously on
+  the event loop, with no ``await`` between parsing it and answering it,
+  so requests never interleave inside the aggregator; a burst queues on
+  the sockets and degrades to latency.  The in-flight gauge and its peak
+  are exported via metrics.
 * **Connection isolation.**  A peer that vanishes mid-frame, sends
   garbage, or claims an oversized frame costs the server exactly that
   connection — the handler catches the ``ProtocolError``, answers it when
@@ -14,11 +15,11 @@ operations over TCP.  Design points:
   only after a request parses completely, so a broken upload can never
   leave partial state behind.
 * **Graceful drain.**  ``stop()`` closes the listening socket, lets every
-  in-flight request finish (up to ``drain_timeout``), cancels stragglers,
-  then flushes the aggregator's dirty shards to disk.
-* **Write-behind persistence.**  A background task flushes dirty shards
-  every ``flush_interval`` seconds through a worker thread, so uploads
-  never wait on the filesystem.
+  connection finish its request (up to ``DRAIN_TIMEOUT``), cancels
+  stragglers, then flushes the aggregator to disk.
+* **Write-behind persistence.**  A background task flushes a changed
+  aggregator every ``flush_interval`` seconds through a worker thread, so
+  uploads never wait on the filesystem.
 
 ``ServerThread`` runs the whole thing on a private event loop in a
 daemon thread — the harness the sync client tests, benchmarks, and the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from typing import Dict, Optional
 
 from repro.serve import protocol
@@ -36,6 +38,12 @@ from repro.serve.metrics import ServiceMetrics
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7381
+
+#: Seconds a connection may sit idle between requests before it is closed.
+IDLE_TIMEOUT = 60.0
+
+#: Seconds ``stop()`` waits for open connections before cancelling them.
+DRAIN_TIMEOUT = 5.0
 
 
 class ProfileServer:
@@ -47,34 +55,24 @@ class ProfileServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         *,
-        max_inflight: int = 64,
-        idle_timeout: float = 60.0,
-        drain_timeout: float = 5.0,
         flush_interval: float = 1.0,
-        metrics: Optional[ServiceMetrics] = None,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.aggregator = aggregator
         self.host = host
         self.port = port
-        self.idle_timeout = idle_timeout
-        self.drain_timeout = drain_timeout
         self.flush_interval = flush_interval
-        self.metrics = metrics or ServiceMetrics(ops=list(protocol.OPS))
-        self._max_inflight = max_inflight
-        self._semaphore: Optional[asyncio.Semaphore] = None
+        self.metrics = ServiceMetrics(ops=list(protocol.OPS))
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: set = set()
         self._draining = False
         self._flusher: Optional[asyncio.Task] = None
+        self._flushing: Optional[asyncio.Future] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` is updated with the
         actual port when 0 was requested."""
-        self._semaphore = asyncio.Semaphore(self._max_inflight)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -94,7 +92,7 @@ class ProfileServer:
             await self._server.wait_closed()
         if self._handlers:
             done, pending = await asyncio.wait(
-                list(self._handlers), timeout=self.drain_timeout
+                list(self._handlers), timeout=DRAIN_TIMEOUT
             )
             for task in pending:
                 task.cancel()
@@ -106,6 +104,8 @@ class ProfileServer:
                 await self._flusher
             except asyncio.CancelledError:
                 pass
+        if self._flushing is not None:
+            await self._flushing  # a write-behind flush still on its thread
         await asyncio.get_running_loop().run_in_executor(
             None, self.aggregator.flush
         )
@@ -114,8 +114,14 @@ class ProfileServer:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.flush_interval)
-            if self.aggregator.dirty_shards():
-                await loop.run_in_executor(None, self.aggregator.flush)
+            if self.aggregator.dirty:
+                # Shielded, so cancelling this loop in stop() leaves the
+                # write running and stop() can wait for it before its own
+                # flush: two flushes never race the same file.
+                self._flushing = loop.run_in_executor(
+                    None, self.aggregator.flush
+                )
+                await asyncio.shield(self._flushing)
 
     # -- connection handling ------------------------------------------------
 
@@ -130,7 +136,7 @@ class ProfileServer:
                 try:
                     payload = await asyncio.wait_for(
                         protocol.read_frame_async(reader),
-                        timeout=self.idle_timeout,
+                        timeout=IDLE_TIMEOUT,
                     )
                 except (
                     protocol.ProtocolError,
@@ -141,7 +147,7 @@ class ProfileServer:
                     break
                 if payload is None:
                     break  # clean EOF
-                response = await self._serve_request(payload)
+                response = self._serve_request(payload)
                 try:
                     await protocol.write_frame_async(writer, response)
                 except (ConnectionError, protocol.ProtocolError):
@@ -156,30 +162,27 @@ class ProfileServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_request(self, payload: Dict) -> Dict:
+    def _serve_request(self, payload: Dict) -> Dict:
         op = payload.get("op")
         op_label = op if op in protocol.OPS else "invalid"
-        self.metrics.enter_queue()
-        async with self._semaphore:
-            self.metrics.start_request()
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            try:
-                response = self._dispatch(payload)
-            except protocol.ProtocolError as exc:
-                response = protocol.error_response(str(exc))
-            except (KeyError, ValueError) as exc:
-                response = protocol.error_response(str(exc))
-            except Exception as exc:  # a bug, but never kill the service
-                response = protocol.error_response(
-                    f"internal error: {type(exc).__name__}: {exc}"
-                )
-            finally:
-                self.metrics.finish_request()
-            self.metrics.record_request(
-                op_label, loop.time() - started, error=not response["ok"]
+        self.metrics.start_request()
+        started = time.monotonic()
+        try:
+            response = self._dispatch(payload)
+        except protocol.ProtocolError as exc:
+            response = protocol.error_response(str(exc))
+        except (KeyError, ValueError) as exc:
+            response = protocol.error_response(str(exc))
+        except Exception as exc:  # a bug, but never kill the service
+            response = protocol.error_response(
+                f"internal error: {type(exc).__name__}: {exc}"
             )
-            return response
+        finally:
+            self.metrics.finish_request()
+        self.metrics.record_request(
+            op_label, time.monotonic() - started, error=not response["ok"]
+        )
+        return response
 
     # -- operations ---------------------------------------------------------
 

@@ -22,14 +22,13 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.compiler import CompileOptions, compile_source
+from repro.compiler import CompileOptions, RunConfig, compile_source
 from repro.lang.directives import apply_feedback
 from repro.metrics.ipb import (
     branch_density,
     ipb_no_prediction,
     ipb_self_prediction,
 )
-from repro.opt.pipeline import OptOptions
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import evaluate_static
 from repro.profiling.database import ProfileDatabase
@@ -37,11 +36,11 @@ from repro.vm.machine import run_program
 
 
 def _compile_options(args) -> CompileOptions:
-    opt = OptOptions.with_dce() if getattr(args, "dce", False) else (
-        OptOptions.classical()
-    )
-    opt.if_conversion = getattr(args, "ifconvert", False)
-    return CompileOptions(inline=getattr(args, "inline", False), opt=opt)
+    return RunConfig(
+        dce=getattr(args, "dce", False),
+        inline=getattr(args, "inline", False),
+        if_conversion=getattr(args, "ifconvert", False),
+    ).compile_options()
 
 
 def _read_input(args) -> bytes:

@@ -11,7 +11,7 @@ count.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 class BranchMonitor:
@@ -40,56 +40,6 @@ class OutcomeRecorder(BranchMonitor):
 
     def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
         self.outcomes.append((branch_index, taken))
-
-
-class ProofViolationError(AssertionError):
-    """A branch the static prover marked PROVEN went the other way.
-
-    Proofs are guarantees, not predictions — one counterexample means the
-    prover (or an analysis under it) is unsound, so this is an assertion
-    failure, not a measurement.
-    """
-
-
-class ProofCheckMonitor(BranchMonitor):
-    """Cross-checks static branch-direction proofs against reality.
-
-    Takes the proven directions keyed by branch *index* (see
-    :attr:`LoweredProgram.branch_table` for the index -> identity mapping);
-    unproven branches are simply not checked.  Violations are recorded as
-    ``(branch_index, expected, icount)``; with ``fail_fast`` the first one
-    raises :class:`ProofViolationError` mid-run.
-    """
-
-    def __init__(
-        self, directions: Mapping[int, bool], fail_fast: bool = False
-    ) -> None:
-        self.directions = dict(directions)
-        self.fail_fast = fail_fast
-        self.violations: List[Tuple[int, bool, int]] = []
-        self.checked = 0
-
-    def on_run_start(self, num_branches: int) -> None:
-        self.violations = []
-        self.checked = 0
-
-    def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
-        expected = self.directions.get(branch_index)
-        if expected is None:
-            return
-        self.checked += 1
-        if taken != expected:
-            self.violations.append((branch_index, expected, icount))
-            if self.fail_fast:
-                raise ProofViolationError(
-                    f"branch {branch_index} proven "
-                    f"{'taken' if expected else 'fall-through'} but went "
-                    f"{'taken' if taken else 'fall-through'} at icount={icount}"
-                )
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class RunLengthMonitor(BranchMonitor):

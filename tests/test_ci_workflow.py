@@ -58,6 +58,12 @@ def test_jobs_run_the_advertised_commands(workflow):
     assert any(
         "repro-serve serve" in line for line in serve_lines
     ), "the serve-smoke job must start a live aggregation server"
+    assert sum(
+        "repro-serve serve" in line and "--db" in line for line in serve_lines
+    ) >= 2, (
+        "the serve-smoke job must persist with --db and restart a second "
+        "server on the same store"
+    )
     assert any(
         "upload-sweep" in line and "predict" in line for line in serve_lines
     ), "the serve-smoke job must round-trip upload-sweep and predict"

@@ -35,15 +35,13 @@ class TestSaturatingCounters:
         model = BimodalPredictor(table_size=None, num_bits=1)
         model.reset(ONE_BRANCH)
         # state 0 predicts not-taken; a single taken flips it, and back.
-        assert model.predict(0) is False
-        model.update(0, True)
+        assert model.observe(0, True) is False
         assert model.snapshot() == ((1,),)
-        assert model.predict(0) is True
-        model.update(0, True)
+        assert model.observe(0, True) is True
         assert model.snapshot() == ((1,),)  # saturates at 1
-        model.update(0, False)
+        assert model.observe(0, False) is True
         assert model.snapshot() == ((0,),)
-        model.update(0, False)
+        assert model.observe(0, False) is False
         assert model.snapshot() == ((0,),)  # saturates at 0
 
     def test_two_bit_transitions(self):
@@ -51,7 +49,7 @@ class TestSaturatingCounters:
         model.reset(ONE_BRANCH)
         states = []
         for taken in (True, True, True, True, False, False, True, False):
-            model.update(0, taken)
+            model.observe(0, taken)
             states.append(model.snapshot()[0][0])
         # 0 -> 1 -> 2 -> 3 (saturate) -> 3 -> 2 -> 1 -> 2 -> 1
         assert states == [1, 2, 3, 3, 2, 1, 2, 1]
@@ -66,18 +64,13 @@ class TestSaturatingCounters:
         assert drive(two, stream)[-1] is True    # hysteresis held
 
     def test_threshold_is_top_half(self):
-        model = BimodalPredictor(table_size=None, num_bits=2, initial_state=2)
-        model.reset(ONE_BRANCH)
-        assert model.predict(0) is True
-        model = BimodalPredictor(table_size=None, num_bits=2, initial_state=1)
-        model.reset(ONE_BRANCH)
-        assert model.predict(0) is False
+        # Counters start at 0: states 0 and 1 predict not-taken, 2 taken.
+        model = BimodalPredictor(table_size=None, num_bits=2)
+        assert drive(model, [True, True, True]) == [False, False, True]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="num_bits"):
             BimodalPredictor(num_bits=0)
-        with pytest.raises(ValueError, match="initial_state"):
-            BimodalPredictor(num_bits=1, initial_state=2)
         with pytest.raises(ValueError, match="power of two"):
             BimodalPredictor(table_size=100)
 
@@ -109,20 +102,20 @@ class TestIndexing:
         model.reset(branches)
         # Every branch maps to the single entry: training one branch
         # taken trains them all.
-        model.update(0, True)
-        model.update(0, True)
-        assert all(model.predict(i) is True for i in range(64))
+        model.observe(0, True)
+        model.observe(0, True)
+        assert all(model.observe(i, True) is True for i in range(64))
 
 
 class TestGShare:
     def test_history_register_tracks_recent_outcomes(self):
-        model = GSharePredictor(table_size=16, history_bits=4)
+        model = GSharePredictor(table_size=16)  # 4 history bits
         drive(model, [True, False, True, True])
         # history = last 4 outcomes, oldest first: 1011
         assert model.snapshot()[1] == 0b1011
 
     def test_history_length_is_bounded(self):
-        model = GSharePredictor(table_size=16, history_bits=2)
+        model = GSharePredictor(table_size=4)  # 2 history bits
         drive(model, [True] * 10)
         assert model.snapshot()[1] == 0b11
 
@@ -138,13 +131,11 @@ class TestGShare:
         assert snaps[0] == snaps[1]
 
     def test_index_mixes_history_and_address(self):
-        model = GSharePredictor(table_size=16, history_bits=4)
-        model.reset(ONE_BRANCH)
-        before = model.slot(0)
-        model.update(0, True)
-        after = model.slot(0)
-        # Same branch, different history context -> different entry.
-        assert before != after
+        model = GSharePredictor(table_size=16)
+        drive(model, [True, True])
+        # Same branch, different history context -> different entry: two
+        # counters at 1 rather than one counter at 2.
+        assert sorted(model.snapshot()[0])[-2:] == [1, 1]
 
     def test_learns_an_alternating_pattern_bimodal_cannot(self):
         stream = [i % 2 == 0 for i in range(400)]
@@ -182,9 +173,10 @@ class TestTournament:
         # chooser must end up trusting gshare and track its predictions.
         model = TournamentPredictor(table_size=16)
         stream = [i % 2 == 0 for i in range(600)]
-        drive(model, stream)
+        predictions = drive(model, stream)
         assert model._chooser[model._slots[0]] >= 2
-        assert model.predict(0) == model.gshare.predict(0)
+        alone = drive(GSharePredictor(table_size=16), stream)
+        assert predictions[-100:] == alone[-100:]
 
     def test_budget_sums_components_and_chooser(self):
         model = TournamentPredictor(table_size=64)

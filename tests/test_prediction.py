@@ -165,29 +165,18 @@ def test_combine_skips_empty_profiles_deliberately():
         assert BranchId("f", 0) in combined, mode
 
 
-def test_combine_on_empty_error_surfaces_empty_profiles():
-    empty = make_profile({})
-    loaded = make_profile({("f", 0): (10, 9)})
-    with pytest.raises(ValueError, match="no branch executions"):
-        combine_profiles([loaded, empty], mode="scaled", on_empty="error")
-    with pytest.raises(ValueError):
-        combine_profiles([loaded], on_empty="bogus")
-
-
 def test_combine_all_empty_returns_empty_summary():
     combined = combine_profiles([make_profile({})], mode="scaled")
     assert len(combined) == 0
     assert combined.runs == 0
 
 
-def test_leave_one_out_passes_on_empty_through():
+def test_leave_one_out_skips_empty_profiles():
     profiles = [
         make_profile({("f", 0): (10, 10)}),
         make_profile({}),
         make_profile({("f", 0): (10, 0)}),
     ]
-    with pytest.raises(ValueError, match="no branch executions"):
-        leave_one_out(profiles, exclude_index=2, on_empty="error")
     loo = leave_one_out(profiles, exclude_index=2, mode="unscaled")
     assert loo.counts[BranchId("f", 0)] == (10.0, 10.0)
 

@@ -2,10 +2,10 @@
 
 Unit tests pin the prover's verdicts on small programs; the gate tests at
 the bottom are the soundness contract: across every workload and dataset,
-no branch the prover marks PROVEN_* ever goes the other way — checked both
-against cached aggregate counts and live inside a monitored VM run.
+no branch the prover marks PROVEN_* ever goes the other way — checked
+against every run's aggregate branch counters: a proven-taken branch must
+be taken on every execution, a proven fall-through branch never.
 """
-import pytest
 
 from repro.analysis.prover import (
     ProofVerdict,
@@ -16,8 +16,6 @@ from repro.analysis.prover import (
 from repro.compiler import CompileOptions, compile_source
 from repro.opt.globalconst import constant_globals
 from repro.prediction import StaticProofPredictor
-from repro.vm.machine import Machine
-from repro.vm.monitors import ProofCheckMonitor, ProofViolationError
 from repro.workloads.registry import all_workloads
 
 
@@ -205,40 +203,20 @@ def test_static_proof_predictor_uses_fallback_for_unknown():
     assert not predictor.is_proven(unknown[0].branch_id)
 
 
-# -- the monitor ----------------------------------------------------------------
-
-
-def test_proof_check_monitor_flags_wrong_direction():
-    monitor = ProofCheckMonitor({0: True})
-    monitor.on_run_start(1)
-    monitor.on_branch(0, True, 10)
-    assert monitor.ok and monitor.checked == 1
-    monitor.on_branch(0, False, 20)
-    assert not monitor.ok
-    assert monitor.violations == [(0, True, 20)]
-
-
-def test_proof_check_monitor_fail_fast_raises():
-    monitor = ProofCheckMonitor({0: False}, fail_fast=True)
-    monitor.on_run_start(1)
-    with pytest.raises(ProofViolationError):
-        monitor.on_branch(0, True, 5)
-
-
 # -- soundness gates over the real workloads ------------------------------------
 
 
 def _proven_directions(runner, workload_name):
     compiled = runner.compiled(workload_name)
     proofs = prove_module(compiled.module, constant_globals(compiled.module))
-    return compiled, proof_directions(proofs)
+    return proof_directions(proofs)
 
 
 def test_no_proven_branch_mispredicts_in_aggregate_counts(runner):
     """Gate: proofs hold on every workload x dataset (cached counts)."""
     checked = 0
     for workload in all_workloads():
-        _, directions = _proven_directions(runner, workload.name)
+        directions = _proven_directions(runner, workload.name)
         if not directions:
             continue
         for dataset in workload.dataset_names():
@@ -257,39 +235,3 @@ def test_no_proven_branch_mispredicts_in_aggregate_counts(runner):
     assert checked > 0  # the gate must actually be exercising proofs
 
 
-def test_no_proven_branch_mispredicts_in_monitored_run(runner):
-    """Gate: proofs hold live, inside a monitored VM run.
-
-    Workloads with no proven branches contribute nothing to this check
-    (the monitor would observe an empty direction map), so only workloads
-    with at least one proof pay the uncached monitored execution.
-    """
-    checked = 0
-    for workload in all_workloads():
-        compiled, directions = _proven_directions(runner, workload.name)
-        if not directions:
-            continue
-        by_index = {
-            compiled.lowered.branch_index_of(branch_id): direction
-            for branch_id, direction in directions.items()
-        }
-        for dataset_name in workload.dataset_names():
-            monitor = ProofCheckMonitor(by_index)
-            dataset = workload.dataset(dataset_name)
-            Machine().run(
-                compiled.lowered,
-                input_data=dataset.data,
-                monitors=[monitor],
-            )
-            assert monitor.ok, (
-                f"{workload.name}/{dataset_name}: proven branches "
-                f"mispredicted: "
-                + ", ".join(
-                    f"branch {index} (expected "
-                    f"{'taken' if expected else 'fall-through'}) "
-                    f"at icount={icount}"
-                    for index, expected, icount in monitor.violations[:5]
-                )
-            )
-            checked += monitor.checked
-    assert checked > 0

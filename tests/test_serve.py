@@ -125,7 +125,6 @@ def test_latency_histogram_percentiles():
 
 def test_metrics_snapshot_shape():
     metrics = ServiceMetrics(ops=["upload"])
-    metrics.enter_queue()
     metrics.start_request()
     metrics.record_request("upload", 0.001, error=False)
     metrics.finish_request()
@@ -133,9 +132,7 @@ def test_metrics_snapshot_shape():
     snapshot = metrics.snapshot()
     assert snapshot["requests"]["upload"] == 2
     assert snapshot["errors"]["upload"] == 1
-    assert snapshot["queue"] == {
-        "depth": 0, "peak": 1, "inflight": 0, "inflight_peak": 1,
-    }
+    assert snapshot["queue"] == {"inflight": 0, "inflight_peak": 1}
     assert snapshot["latency"]["upload"]["count"] == 2
 
 
@@ -143,7 +140,7 @@ def test_metrics_snapshot_shape():
 
 
 def test_aggregator_record_predict_and_epoch():
-    aggregator = Aggregator(shards=4)
+    aggregator = Aggregator()
     assert aggregator.epoch == 0
     for dataset, counts in PROFILES.items():
         aggregator.record_profile("demo", dataset, make_profile("demo", counts))
@@ -158,7 +155,7 @@ def test_aggregator_record_predict_and_epoch():
 
 
 def test_aggregator_predict_errors():
-    aggregator = Aggregator(shards=2)
+    aggregator = Aggregator()
     with pytest.raises(KeyError):
         aggregator.predict("missing")
     aggregator.record_profile("demo", "d1", make_profile("demo", PROFILES["d1"]))
@@ -170,30 +167,22 @@ def test_aggregator_predict_errors():
         aggregator.predict("demo", mode="bogus")
 
 
-def test_aggregator_sharding_is_stable_and_complete():
-    aggregator = Aggregator(shards=4)
-    names = [f"prog{i}" for i in range(12)]
-    for name in names:
-        assert aggregator.shard_index(name) == aggregator.shard_index(name)
-        aggregator.record_profile(name, "d", make_profile(name, PROFILES["d1"]))
-    assert aggregator.programs() == sorted(names)
-    shards = {aggregator.shard_index(name) for name in names}
-    assert len(shards) > 1, "12 programs should spread over 4 shards"
-
-
 def test_aggregator_persistence_round_trip(tmp_path):
     persist = str(tmp_path / "agg")
-    aggregator = Aggregator(shards=3, persist_dir=persist)
+    aggregator = Aggregator(persist_dir=persist)
     for dataset, counts in PROFILES.items():
         aggregator.record_profile("demo", dataset, make_profile("demo", counts))
     aggregator.record_profile("other", "d", make_profile("other", PROFILES["d2"]))
-    assert aggregator.dirty_shards() >= 1
-    written = aggregator.flush()
-    assert written >= 1
-    assert aggregator.dirty_shards() == 0
-    assert aggregator.flush() == 0  # write-behind: clean shards are skipped
+    assert aggregator.dirty
+    assert aggregator.flush()
+    assert not aggregator.dirty
+    assert not aggregator.flush()  # write-behind: a clean store is skipped
+    # One store, one file, and no temp files left behind.
+    assert sorted(path.name for path in (tmp_path / "agg").iterdir()) == [
+        "profiles.json"
+    ]
 
-    reloaded = Aggregator(shards=3, persist_dir=persist)
+    reloaded = Aggregator(persist_dir=persist)
     assert reloaded.programs() == ["demo", "other"]
     original = aggregator.predict("demo", mode="unscaled")[0]
     recovered = reloaded.predict("demo", mode="unscaled")[0]
@@ -203,7 +192,7 @@ def test_aggregator_persistence_round_trip(tmp_path):
 
 
 def test_aggregator_stats_contents():
-    aggregator = Aggregator(shards=2)
+    aggregator = Aggregator()
     aggregator.record_profile("demo", "d1", make_profile("demo", PROFILES["d1"]))
     stats = aggregator.stats()
     assert stats["epoch"] == 1
@@ -338,30 +327,38 @@ def test_slow_client_does_not_block_fast_clients(server, client):
 
 
 def test_backpressure_bounds_inflight_work():
-    with ServerThread(max_inflight=1) as server:
+    """Four clients upload at once: every upload lands, each bumps the
+    epoch once, and the synchronous dispatch never has two requests in
+    flight — a burst waits on the sockets, not inside the aggregator."""
+    with ServerThread() as server:
         clients = [
             ProfileClient(server.host, server.port) for _ in range(4)
         ]
         errors = []
 
-        def spam(instance):
+        def spam(instance, program):
             try:
-                for _ in range(25):
-                    instance.health()
+                for index in range(25):
+                    instance.upload_profile(
+                        program, f"d{index}",
+                        make_profile(program, PROFILES["d1"]),
+                    )
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=spam, args=(instance,))
-            for instance in clients
+            threading.Thread(target=spam, args=(instance, f"prog{number}"))
+            for number, instance in enumerate(clients)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
         assert not errors
+        assert server.server.aggregator.epoch == 100
         snapshot = server.server.metrics.snapshot()
-        assert snapshot["requests"]["health"] == 100
+        assert snapshot["requests"]["upload"] == 100
         assert snapshot["queue"]["inflight_peak"] == 1
         for instance in clients:
             instance.close()
@@ -411,14 +408,43 @@ def test_client_reconnects_after_server_restart():
 
 def test_graceful_drain_flushes_persistence(tmp_path):
     persist = str(tmp_path / "drain")
-    aggregator = Aggregator(shards=2, persist_dir=persist)
+    aggregator = Aggregator(persist_dir=persist)
     # Long flush interval: only the drain path can have written the data.
     with ServerThread(aggregator, flush_interval=3600.0) as server:
         with ProfileClient(server.host, server.port) as client:
             upload_demo(client)
-    reloaded = Aggregator(shards=2, persist_dir=persist)
+    reloaded = Aggregator(persist_dir=persist)
     assert reloaded.programs() == ["demo"]
     assert reloaded.datasets("demo") == ["d1", "d2", "d3"]
+
+
+def test_drain_flush_waits_for_a_write_behind_flush(tmp_path, monkeypatch):
+    """A write-behind flush still writing an older snapshot when the server
+    stops must land before the drain flush, not after it."""
+    from repro.serve import aggregator as aggregator_module
+
+    started, release, written = (threading.Event() for _ in range(3))
+    real_write = aggregator_module.write_json_atomic
+
+    def slow_first_write(*args, **kwargs):
+        first = not started.is_set()
+        if first:
+            started.set()
+            release.wait(10.0)
+        real_write(*args, **kwargs)
+        if first:
+            written.set()
+
+    monkeypatch.setattr(aggregator_module, "write_json_atomic", slow_first_write)
+    persist = str(tmp_path / "db")
+    server = ServerThread(Aggregator(persist_dir=persist), flush_interval=0.01)
+    with server, ProfileClient(server.host, server.port) as client:
+        client.upload_profile("demo", "d1", make_profile("demo", PROFILES["d1"]))
+        assert started.wait(10.0)  # the flush now holds a d1-only snapshot
+        client.upload_profile("demo", "d2", make_profile("demo", PROFILES["d2"]))
+        threading.Timer(0.2, release.set).start()
+    assert written.wait(10.0)
+    assert Aggregator(persist_dir=persist).datasets("demo") == ["d1", "d2"]
 
 
 def test_degraded_client_serves_offline_bytes():
