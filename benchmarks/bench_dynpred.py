@@ -3,10 +3,10 @@
 Two measurements:
 
 * raw model throughput on a synthetic outcome stream — the per-event
-  Python cost of each predictor family, which bounds how large a sweep
-  stays practical;
+  Python cost of each predictor family's ``replay`` loop, which bounds
+  how large a sweep stays practical;
 * the ``dynamic_compare`` experiment on one workload — the monitored
-  re-simulation plus 14-model scoring pass end to end.
+  re-simulation plus 12-model scoring pass end to end.
 """
 import time
 
@@ -29,7 +29,7 @@ def _synthetic_stream(num_branches=256, events=STREAM_EVENTS):
             taken = i % 2 == 0
         else:
             taken = i % 4 != 3
-        stream.append((index, taken))
+        stream.append(index << 1 | taken)
     return [BranchId("synth", i) for i in range(num_branches)], stream
 
 
@@ -39,8 +39,7 @@ def test_smoke_predictor_throughput():
     for model in default_zoo(table_sizes=(1024,)):
         model.reset(branch_table)
         started = time.perf_counter()
-        for index, taken in stream:
-            model.observe(index, taken)
+        model.replay(stream)
         elapsed = time.perf_counter() - started
         rate = STREAM_EVENTS / elapsed
         print(f"{model.name:16s} {rate / 1e6:6.2f} M events/s")

@@ -6,8 +6,10 @@ goes — the [Smith 81] / [Lee and Smith 84] schemes the paper compares its
 static profile prediction against.  Unlike the static predictors in
 ``repro.prediction``, a dynamic predictor cannot be scored from aggregate
 (executed, taken) counters: its behaviour depends on outcome *order*, so
-it must ride along on a live run via the ``BranchMonitor`` hook (see
-``repro.dynamic.score``).  No trace is ever stored.
+it replays the run's outcome stream, which the VM buffers in bounded
+chunks and hands over through the ``BranchMonitor`` hook (see
+``repro.dynamic.score``).  Only the current chunk is held; no trace of a
+whole run is stored.
 
 Realism constraints the model zoo honors:
 
@@ -27,7 +29,7 @@ Realism constraints the model zoo honors:
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.instructions import BranchId
 
@@ -58,15 +60,33 @@ def check_table_size(table_size: int) -> int:
     return table_size
 
 
+def outcome_slots(slots: Iterable[int]) -> List[int]:
+    """Per-branch table slots spread over outcomes: entry ``index << 1 |
+    taken`` holds branch ``index``'s slot, so a replay loop indexes by the
+    outcome itself instead of shifting the direction out first."""
+    return [slot for slot in slots for _ in (False, True)]
+
+
+def history_shifts(history_bits: int) -> Tuple[List[int], List[int]]:
+    """Next-state tables of a ``history_bits``-wide outcome shift register:
+    ``(after_not_taken, after_taken)``, each indexed by the current
+    history.  A replay loop then spends one list index per event on its
+    history update instead of a shift, an or and a mask."""
+    mask = (1 << history_bits) - 1
+    return (
+        [(history << 1) & mask for history in range(mask + 1)],
+        [(history << 1 | 1) & mask for history in range(mask + 1)],
+    )
+
+
 class DynamicPredictor:
     """Interface: predict each branch execution from online state.
 
-    Lifecycle: ``reset(branch_table)`` once per run, then
-    ``observe(index, taken)`` for every conditional-branch execution —
-    one predict-then-train step that returns the direction predicted
-    before the outcome was seen.  ``index`` is the position in the run's
-    static branch table, exactly what the VM hands to
-    :meth:`BranchMonitor.on_branch`.
+    Lifecycle: ``reset(branch_table)`` once per run, then ``replay`` over
+    the run's outcomes in order, in chunks of any size.  An *outcome* is
+    the int ``index << 1 | taken``, where ``index`` is the position in the
+    run's static branch table: the form the VM records it in (see
+    :mod:`repro.vm.monitors`).
     """
 
     #: Human-readable name for reports (e.g. ``bimodal@1024``).
@@ -79,11 +99,16 @@ class DynamicPredictor:
         """Clear all state and bind the run's static branch table."""
         raise NotImplementedError
 
-    def observe(self, index: int, taken: bool) -> bool:
-        """Predict a branch execution, then train on its actual outcome;
-        returns the direction that was predicted.  Runs once per dynamic
-        branch — the hottest path in a simulation."""
+    def replay(self, outcomes: Iterable[int]) -> int:
+        """Predict each outcome, then train on it, in order; returns how
+        many were mispredicted.  This loop is the model's only copy of its
+        predict-then-train step and the hottest path in a simulation."""
         raise NotImplementedError
+
+    def observe(self, index: int, taken: bool) -> bool:
+        """Replay one branch execution; returns the direction that was
+        predicted before the outcome was seen."""
+        return taken != bool(self.replay((index << 1 | taken,)))
 
     def budget_bits(self) -> Optional[int]:
         """Hardware state in bits, or ``None`` when not meaningfully

@@ -9,9 +9,14 @@ branch address and exhibits real aliasing.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
+from repro.dynamic.base import (
+    DynamicPredictor,
+    branch_pc,
+    check_table_size,
+    outcome_slots,
+)
 from repro.ir.instructions import BranchId
 
 
@@ -36,23 +41,35 @@ class BimodalPredictor(DynamicPredictor):
 
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         if self.table_size is None:
-            self._slots = list(range(len(branch_table)))
+            self._slots = outcome_slots(range(len(branch_table)))
             self._table = [0] * len(branch_table)
         else:
             mask = self.table_size - 1
-            self._slots = [branch_pc(bid) & mask for bid in branch_table]
+            self._slots = outcome_slots(
+                branch_pc(bid) & mask for bid in branch_table
+            )
             self._table = [0] * self.table_size
 
-    def observe(self, index: int, taken: bool) -> bool:
+    def replay(self, outcomes: Iterable[int]) -> int:
         table = self._table
-        slot = self._slots[index]
-        state = table[slot]
-        if taken:
-            if state < self.max_state:
-                table[slot] = state + 1
-        elif state > 0:
-            table[slot] = state - 1
-        return state >= self.threshold
+        slots = self._slots
+        top = self.max_state
+        threshold = self.threshold
+        mispredicts = 0
+        for outcome in outcomes:
+            slot = slots[outcome]
+            state = table[slot]
+            if outcome & 1:
+                if state < threshold:
+                    mispredicts += 1
+                if state < top:
+                    table[slot] = state + 1
+            else:
+                if state >= threshold:
+                    mispredicts += 1
+                if state:
+                    table[slot] = state - 1
+        return mispredicts
 
     def budget_bits(self) -> Optional[int]:
         if self.table_size is None:

@@ -7,9 +7,15 @@ different branches can constructively or destructively alias.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
+from repro.dynamic.base import (
+    DynamicPredictor,
+    branch_pc,
+    check_table_size,
+    history_shifts,
+    outcome_slots,
+)
 from repro.ir.instructions import BranchId
 
 
@@ -26,29 +32,48 @@ class GSharePredictor(DynamicPredictor):
         self.history_bits = max(1, table_size.bit_length() - 1)
         self.name = f"gshare@{table_size}"
         self._mask = table_size - 1
-        self._history_mask = (1 << self.history_bits) - 1
+        self._after_not_taken, self._after_taken = history_shifts(
+            self.history_bits
+        )
         self._history = 0
         self._table: List[int] = []
-        self._pcs: List[int] = []
+        self._slots: List[int] = []
 
     def reset(self, branch_table: Sequence[BranchId]) -> None:
-        self._pcs = [branch_pc(bid) for bid in branch_table]
+        # (pc ^ history) & mask == (pc & mask ^ history) & mask: mask the
+        # addresses once here, not once per event.
+        mask = self._mask
+        self._slots = outcome_slots(
+            branch_pc(bid) & mask for bid in branch_table
+        )
         self._table = [0] * self.table_size
         self._history = 0
 
-    def observe(self, index: int, taken: bool) -> bool:
-        slot = (self._pcs[index] ^ self._history) & self._mask
+    def replay(self, outcomes: Iterable[int]) -> int:
         table = self._table
-        state = table[slot]
-        if taken:
-            if state < 3:
-                table[slot] = state + 1
-            self._history = ((self._history << 1) | 1) & self._history_mask
-        else:
-            if state > 0:
-                table[slot] = state - 1
-            self._history = (self._history << 1) & self._history_mask
-        return state >= 2
+        slots = self._slots
+        mask = self._mask
+        after_not_taken = self._after_not_taken
+        after_taken = self._after_taken
+        history = self._history
+        mispredicts = 0
+        for outcome in outcomes:
+            slot = (slots[outcome] ^ history) & mask
+            state = table[slot]
+            if outcome & 1:
+                if state < 2:
+                    mispredicts += 1
+                if state < 3:
+                    table[slot] = state + 1
+                history = after_taken[history]
+            else:
+                if state >= 2:
+                    mispredicts += 1
+                if state:
+                    table[slot] = state - 1
+                history = after_not_taken[history]
+        self._history = history
+        return mispredicts
 
     def budget_bits(self) -> Optional[int]:
         return self.table_size * 2 + self.history_bits

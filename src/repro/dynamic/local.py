@@ -8,9 +8,15 @@ runs exactly 4 iterations) that bimodal counters cannot.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
+from repro.dynamic.base import (
+    DynamicPredictor,
+    branch_pc,
+    check_table_size,
+    history_shifts,
+    outcome_slots,
+)
 from repro.ir.instructions import BranchId
 
 
@@ -29,32 +35,47 @@ class TwoLevelLocalPredictor(DynamicPredictor):
         self.history_bits = max(1, table_size.bit_length() - 1)
         self.name = f"local@{table_size}"
         self._mask = table_size - 1
-        self._history_mask = (1 << self.history_bits) - 1
+        self._after_not_taken, self._after_taken = history_shifts(
+            self.history_bits
+        )
         self._histories: List[int] = []
         self._patterns: List[int] = []
         self._slots: List[int] = []
 
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         mask = self._mask
-        self._slots = [branch_pc(bid) & mask for bid in branch_table]
+        self._slots = outcome_slots(
+            branch_pc(bid) & mask for bid in branch_table
+        )
         self._histories = [0] * self.table_size
         self._patterns = [0] * self.table_size
 
-    def observe(self, index: int, taken: bool) -> bool:
-        slot = self._slots[index]
-        history = self._histories[slot]
+    def replay(self, outcomes: Iterable[int]) -> int:
+        slots = self._slots
+        histories = self._histories
         patterns = self._patterns
-        pattern_slot = history & self._mask
-        state = patterns[pattern_slot]
-        if taken:
-            if state < 3:
-                patterns[pattern_slot] = state + 1
-            self._histories[slot] = ((history << 1) | 1) & self._history_mask
-        else:
-            if state > 0:
-                patterns[pattern_slot] = state - 1
-            self._histories[slot] = (history << 1) & self._history_mask
-        return state >= 2
+        mask = self._mask
+        after_not_taken = self._after_not_taken
+        after_taken = self._after_taken
+        mispredicts = 0
+        for outcome in outcomes:
+            slot = slots[outcome]
+            history = histories[slot]
+            pattern_slot = history & mask
+            state = patterns[pattern_slot]
+            if outcome & 1:
+                if state < 2:
+                    mispredicts += 1
+                if state < 3:
+                    patterns[pattern_slot] = state + 1
+                histories[slot] = after_taken[history]
+            else:
+                if state >= 2:
+                    mispredicts += 1
+                if state:
+                    patterns[pattern_slot] = state - 1
+                histories[slot] = after_not_taken[history]
+        return mispredicts
 
     def budget_bits(self) -> Optional[int]:
         return self.table_size * self.history_bits + self.table_size * 2

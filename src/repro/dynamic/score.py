@@ -3,8 +3,10 @@
 ``DynamicScoreMonitor`` attaches to a VM run (the ``BranchMonitor``
 hook) and scores any number of models against the same outcome stream in
 one pass — one simulation per (workload, dataset), however many
-predictors are competing.  From the tallies plus the run's counters it
-emits the same :class:`~repro.prediction.evaluate.PredictionReport` that
+predictors are competing.  The VM hands it the stream in bounded chunks,
+and every model replays each chunk's outcomes in its own tight loop.
+From the tallies plus the run's counters it emits the same
+:class:`~repro.prediction.evaluate.PredictionReport` that
 ``evaluate_static`` gives a static predictor, carrying both the
 traditional percent-correct *and* the measure the paper argues actually
 matters: instructions per break, where breaks are mispredicted branches
@@ -52,14 +54,14 @@ class DynamicScoreMonitor(BranchMonitor):
         self.hits = [0] * len(self.models)
         self.mispredicts = [0] * len(self.models)
 
-    def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
+    def replay(self, chunk: List[int]) -> None:
+        outcomes = chunk[0::2]
         hits = self.hits
         mispredicts = self.mispredicts
         for slot, model in enumerate(self.models):
-            if model.observe(branch_index, taken) == taken:
-                hits[slot] += 1
-            else:
-                mispredicts[slot] += 1
+            missed = model.replay(outcomes)
+            hits[slot] += len(outcomes) - missed
+            mispredicts[slot] += missed
 
     # -- results -------------------------------------------------------------
 

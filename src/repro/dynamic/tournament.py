@@ -7,9 +7,9 @@ The chooser only trains when the components disagree.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
+from repro.dynamic.base import DynamicPredictor, check_table_size
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.gshare import GSharePredictor
 from repro.ir.instructions import BranchId
@@ -36,23 +36,59 @@ class TournamentPredictor(DynamicPredictor):
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         self.bimodal.reset(branch_table)
         self.gshare.reset(branch_table)
-        mask = self._mask
-        self._slots = [branch_pc(bid) & mask for bid in branch_table]
+        # The chooser is indexed like the bimodal table: pc & mask.
+        self._slots = self.bimodal._slots
         self._chooser = [1] * self.table_size
 
-    def observe(self, index: int, taken: bool) -> bool:
-        from_bimodal = self.bimodal.observe(index, taken)
-        from_gshare = self.gshare.observe(index, taken)
-        slot = self._slots[index]
-        state = self._chooser[slot]
-        predicted = from_gshare if state >= 2 else from_bimodal
-        if from_bimodal != from_gshare:
-            if from_gshare == taken:
-                if state < 3:
-                    self._chooser[slot] = state + 1
-            elif state > 0:
-                self._chooser[slot] = state - 1
-        return predicted
+    def replay(self, outcomes: Iterable[int]) -> int:
+        # The bimodal and gshare steps are inlined on the components' own
+        # state, which ends exactly where their standalone replays would.
+        bimodal = self.bimodal._table
+        gshare = self.gshare._table
+        after_not_taken = self.gshare._after_not_taken
+        after_taken = self.gshare._after_taken
+        history = self.gshare._history
+        chooser = self._chooser
+        slots = self._slots
+        mask = self._mask
+        mispredicts = 0
+        for outcome in outcomes:
+            slot = slots[outcome]
+            global_slot = (slot ^ history) & mask
+            local_state = bimodal[slot]
+            global_state = gshare[global_slot]
+            from_bimodal = local_state >= 2
+            from_gshare = global_state >= 2
+            taken = outcome & 1
+            if taken:
+                if local_state < 3:
+                    bimodal[slot] = local_state + 1
+                if global_state < 3:
+                    gshare[global_slot] = global_state + 1
+                history = after_taken[history]
+            else:
+                if local_state:
+                    bimodal[slot] = local_state - 1
+                if global_state:
+                    gshare[global_slot] = global_state - 1
+                history = after_not_taken[history]
+            if from_bimodal == from_gshare:
+                if from_bimodal != taken:
+                    mispredicts += 1
+            else:
+                choice = chooser[slot]
+                if from_gshare == taken:
+                    if choice < 2:
+                        mispredicts += 1
+                    if choice < 3:
+                        chooser[slot] = choice + 1
+                else:
+                    if choice >= 2:
+                        mispredicts += 1
+                    if choice:
+                        chooser[slot] = choice - 1
+        self.gshare._history = history
+        return mispredicts
 
     def budget_bits(self) -> Optional[int]:
         return (

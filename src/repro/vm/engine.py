@@ -37,23 +37,22 @@ The decoded form is cached on :attr:`LoweredProgram.predecoded`, so
 repeated runs of one compiled program (across datasets, within a worker
 process) pay the decode exactly once.
 
-One dispatch loop executes the decoded form.  It takes an optional
-branch observer: the two ``BR`` arms call it only when one is given, with
-the ``in_monitor`` flag raised so a buggy monitor's ``IndexError``/
-``ZeroDivisionError`` propagates as-is instead of being mis-attributed to
-the guest program.  Two entry points feed it: :func:`run_fast` passes no
-observer, and :func:`run_monitored` passes a single monitor's bound
-``on_branch`` (or a fan-out over several) and then fires each monitor's
-``on_run_end``.  Both produce bit-identical :class:`RunResult`\\ s to the
-legacy interpreter; the differential harness in
-``tests/test_vm_engine.py`` holds them to that.
+One dispatch loop executes the decoded form.  When monitors are attached,
+its two ``BR`` arms append every conditional-branch execution to a
+bounded buffer (see :mod:`repro.vm.monitors`), and each full chunk is
+replayed to the monitors with the ``in_monitor`` flag raised, so a buggy
+monitor's ``IndexError``/``ZeroDivisionError`` propagates as-is instead of
+being mis-attributed to the guest program.  Two entry points feed it:
+:func:`run_fast` attaches no monitors, and :func:`run_monitored` attaches
+them and then fires each monitor's ``on_run_end``.  Both produce
+bit-identical :class:`RunResult`\\ s to the legacy interpreter; the
+differential harness in ``tests/test_vm_engine.py`` holds them to that.
 """
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import repro.vm.monitors as vm_monitors
 from repro.ir.lower import LoweredFunction, LoweredProgram
 from repro.ir.opcodes import (
     BINOP_FUNCS,
@@ -66,7 +65,7 @@ from repro.ir.opcodes import (
 )
 from repro.vm.counters import ControlEvents, RunResult
 from repro.vm.errors import InstructionLimitExceeded, VMError
-from repro.vm.monitors import BranchMonitor
+from repro.vm.monitors import BranchMonitor, deliver
 
 _OP_CONST = int(Opcode.CONST)
 _OP_MOV = int(Opcode.MOV)
@@ -338,7 +337,12 @@ def _predecode_function(
             if term is None:
                 decoded.append((OP_FUSED, fn, count))
             elif term[0] == _OP_BR:
-                decoded.append((OP_FUSED_BR, fn, count, term[1], term[4]))
+                # Ends with the branch's not-taken and taken outcomes, so
+                # a monitored run records one without arithmetic.
+                outcome = term[4] << 1
+                decoded.append(
+                    (OP_FUSED_BR, fn, count, term[1], outcome, outcome | 1)
+                )
             elif term[0] == _OP_JMP:
                 decoded.append((OP_FUSED_JMP, fn, count))
             elif term[0] == _OP_RET:
@@ -401,8 +405,8 @@ def run_fast(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """Run the decoded form with no branch observer."""
-    return _run(predecoded, input_data, max_instructions, max_call_depth, None)
+    """Run the decoded form with no monitors."""
+    return _run(predecoded, input_data, max_instructions, max_call_depth, ())
 
 
 def run_monitored(
@@ -412,19 +416,11 @@ def run_monitored(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """Run the decoded form, reporting every conditional-branch outcome to
-    ``monitors`` and then calling each monitor's ``on_run_end`` once."""
-    if len(monitors) == 1:
-        observe = monitors[0].on_branch
-    else:
-        callbacks = [monitor.on_branch for monitor in monitors]
-
-        def observe(bidx: int, taken: bool, icount: int) -> None:
-            for callback in callbacks:
-                callback(bidx, taken, icount)
-
+    """Run the decoded form, replaying every conditional-branch outcome to
+    ``monitors`` in chunks and then calling each monitor's ``on_run_end``
+    once."""
     result = _run(
-        predecoded, input_data, max_instructions, max_call_depth, observe
+        predecoded, input_data, max_instructions, max_call_depth, monitors
     )
     for monitor in monitors:
         monitor.on_run_end(result.instructions)
@@ -436,15 +432,17 @@ def _run(
     input_data: bytes,
     max_instructions: int,
     max_call_depth: int,
-    observe: Optional[Callable[[int, bool, int], None]],
+    monitors: Sequence[BranchMonitor],
 ) -> RunResult:
     """The one dispatch loop over the decoded form.
 
-    ``observe``, when given, receives every conditional-branch outcome with
-    the exact executed-instruction count the legacy interpreter would
-    report.  It runs with ``in_monitor`` raised so an observer's own
-    ``IndexError``/``ZeroDivisionError`` is re-raised unchanged instead of
-    being blamed on the guest program.
+    With ``monitors``, both ``BR`` arms append each event to the chunk
+    (see :mod:`repro.vm.monitors`) with the exact executed-instruction
+    count the legacy interpreter would report, and every full chunk is
+    replayed to the monitors with ``in_monitor`` raised, so a monitor's
+    own ``IndexError``/``ZeroDivisionError`` is re-raised unchanged
+    instead of being blamed on the guest program.  The tail is replayed
+    before the run returns, or before a guest fault propagates.
     """
     program = predecoded.program
     functions = predecoded.functions
@@ -472,6 +470,11 @@ def _run(
     stack: List[Tuple[Any, ...]] = []
     exit_code: Optional[int] = None
     in_monitor = False
+    fault: Optional[VMError] = None
+
+    recording = bool(monitors)
+    events: List[int] = []
+    chunk_events = room = vm_monitors.CHUNK_EVENTS
 
     try:
         while True:
@@ -485,12 +488,17 @@ def _run(
                         f"{program.name}: exceeded {limit} instructions"
                     )
                 pc = ins[1](regs, memory, branch_exec, branch_taken)
-                if observe is not None:
+                if recording:
                     # The run never writes past the branch read, so the
                     # condition register still holds the branched-on value.
-                    in_monitor = True
-                    observe(ins[4], regs[ins[3]] != 0, icount)
-                    in_monitor = False
+                    events.append(ins[5] if regs[ins[3]] else ins[4])
+                    events.append(icount)
+                    room -= 1
+                    if not room:
+                        in_monitor = True
+                        deliver(monitors, events)
+                        in_monitor = False
+                        room = chunk_events
                 continue
             if op == OP_FUSED:
                 icount += ins[2]
@@ -558,10 +566,15 @@ def _run(
                     pc = ins[2]
                 else:
                     pc = ins[3]
-                if observe is not None:
-                    in_monitor = True
-                    observe(bidx, regs[ins[1]] != 0, icount)
-                    in_monitor = False
+                if recording:
+                    events.append(bidx << 1 | (regs[ins[1]] != 0))
+                    events.append(icount)
+                    room -= 1
+                    if not room:
+                        in_monitor = True
+                        deliver(monitors, events)
+                        in_monitor = False
+                        room = chunk_events
             elif op == _OP_BIN:
                 regs[ins[2]] = ins[1](regs[ins[3]], regs[ins[4]])
             elif op == _OP_LOAD:
@@ -650,15 +663,23 @@ def _run(
     except ZeroDivisionError:
         if in_monitor:
             raise
-        raise VMError(f"{program.name}: division by zero") from None
+        fault = VMError(f"{program.name}: division by zero")
     except IndexError:
         if in_monitor:
             raise
-        raise VMError(
+        fault = VMError(
             f"{program.name}: bad register or code reference at pc {pc - 1}"
-        ) from None
+        )
+    except VMError as error:
+        if in_monitor:
+            raise
+        fault = error
+    if events:
+        deliver(monitors, events)
+    if fault is not None:
+        raise fault
 
-    events = ControlEvents(
+    control = ControlEvents(
         direct_calls=direct_calls,
         direct_returns=direct_returns,
         indirect_calls=indirect_calls,
@@ -672,7 +693,7 @@ def _run(
         branch_table=list(program.branch_table),
         branch_exec=branch_exec,
         branch_taken=branch_taken,
-        events=events,
+        events=control,
         output=bytes(output),
         exit_code=exit_code,
     )

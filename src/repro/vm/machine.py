@@ -23,13 +23,14 @@ differential harness in ``tests/test_vm_engine.py`` enforces that.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
+import repro.vm.monitors as vm_monitors
 from repro.ir.lower import LoweredProgram
 from repro.ir.opcodes import BINOP_FUNCS, UNOP_FUNCS, Opcode
 from repro.vm.counters import ControlEvents, RunResult
 from repro.vm.errors import InstructionLimitExceeded, VMError
-from repro.vm.monitors import BranchMonitor
+from repro.vm.monitors import BranchMonitor, deliver
 
 _OP_CONST = int(Opcode.CONST)
 _OP_MOV = int(Opcode.MOV)
@@ -126,8 +127,11 @@ class Machine:
         limit = self.max_instructions
         depth_limit = self.max_call_depth
 
-        have_monitors = bool(monitors)
         in_monitor = False
+        fault: Optional[VMError] = None
+        recording = bool(monitors)
+        events: List[int] = []
+        chunk_events = room = vm_monitors.CHUNK_EVENTS
 
         binop_funcs = BINOP_FUNCS
         unop_funcs = UNOP_FUNCS
@@ -166,18 +170,17 @@ class Machine:
                     if regs[ins[1]] != 0:
                         branch_taken[bidx] += 1
                         pc = ins[2]
-                        if have_monitors:
-                            in_monitor = True
-                            for monitor in monitors:
-                                monitor.on_branch(bidx, True, icount)
-                            in_monitor = False
                     else:
                         pc = ins[3]
-                        if have_monitors:
+                    if recording:
+                        events.append(bidx << 1 | (regs[ins[1]] != 0))
+                        events.append(icount)
+                        room -= 1
+                        if not room:
                             in_monitor = True
-                            for monitor in monitors:
-                                monitor.on_branch(bidx, False, icount)
+                            deliver(monitors, events)
                             in_monitor = False
+                            room = chunk_events
                 elif op == _OP_STORE:
                     addr = regs[ins[1]]
                     if addr < 0 or addr >= mem_size:
@@ -257,13 +260,21 @@ class Machine:
         except ZeroDivisionError:
             if in_monitor:
                 raise  # a monitor's own bug, not a guest division fault
-            raise VMError(f"{program.name}: division by zero") from None
+            fault = VMError(f"{program.name}: division by zero")
         except IndexError:
             if in_monitor:
                 raise  # a monitor's own bug, not a guest memory fault
-            raise VMError(
+            fault = VMError(
                 f"{program.name}: bad register or code reference at pc {pc - 1}"
-            ) from None
+            )
+        except VMError as error:
+            if in_monitor:
+                raise
+            fault = error
+        if events:
+            deliver(monitors, events)
+        if fault is not None:
+            raise fault
 
         for monitor in monitors:
             monitor.on_run_end(icount)

@@ -1,27 +1,57 @@
-"""Branch monitors: online observers of the dynamic branch-outcome stream.
+"""Branch monitors: observers of the dynamic branch-outcome stream.
 
 Static prediction can be evaluated after the fact from aggregate counts, but
 some measurements depend on outcome *order* or *position*: dynamic
 predictors (the 1-bit and 2-bit hardware schemes the paper compares against)
 and the distribution of instruction run lengths between breaks (§3: "The
 distribution of runs of instructions between mispredicted branches will not
-be constant").  A monitor is attached to a VM run and receives every
-conditional branch outcome along with the current executed-instruction
-count.
+be constant").  A monitor is attached to a VM run and is handed its
+conditional-branch outcomes, with the executed-instruction count at each,
+in chunks: the dispatch loop appends each event to a bounded buffer, and
+each full buffer (then the tail) is replayed to every monitor.  A monitor
+scores a chunk in one tight loop instead of being called once per event.
+
+A chunk is a flat list holding two items per event, oldest first: the
+*outcome* ``branch_index << 1 | taken`` and the executed-instruction count
+``icount`` at the branch, exactly as the legacy interpreter reports it.
+``chunk[0::2]`` slices out the outcomes and ``chunk[1::2]`` the counts at C
+speed.  Two plain appends per event cost the dispatch loop less than
+building a record object, or packing both fields into one int, would.
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Sequence
+
+#: Events buffered before the dispatch loop hands them to the monitors.
+#: Bounds the buffer's memory whatever the length of the run.
+CHUNK_EVENTS = 1 << 12
+
+
+def deliver(monitors: Sequence["BranchMonitor"], chunk: List[int]) -> None:
+    """Replay a chunk to every monitor, then empty it for reuse.  Both
+    engines flush their buffers through this."""
+    for monitor in monitors:
+        monitor.replay(chunk)
+    chunk.clear()
 
 
 class BranchMonitor:
-    """Interface: receives each (branch_index, taken, instruction_count)."""
+    """Interface: replays chunks of branch events (see the module docs).
 
-    def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
-        raise NotImplementedError
+    Lifecycle: ``on_run_start`` once, ``replay`` for each chunk in run
+    order (every event is delivered exactly once, also when the run then
+    aborts), and ``on_run_end`` once after a normal termination.
+    """
 
     def on_run_start(self, num_branches: int) -> None:
         """Called once before execution with the static branch count."""
+
+    def replay(self, chunk: List[int]) -> None:
+        """Consume a chunk of ``outcome, icount`` pairs (see the module
+        docs).  The list is reused once this returns, so a monitor must not
+        keep it."""
+        raise NotImplementedError
 
     def on_run_end(self, icount: int) -> None:
         """Called once after a normally-terminating run with the final
@@ -38,8 +68,10 @@ class OutcomeRecorder(BranchMonitor):
     def on_run_start(self, num_branches: int) -> None:
         self.outcomes = []
 
-    def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
-        self.outcomes.append((branch_index, taken))
+    def replay(self, chunk: List[int]) -> None:
+        self.outcomes.extend(
+            (outcome >> 1, bool(outcome & 1)) for outcome in chunk[0::2]
+        )
 
 
 class RunLengthMonitor(BranchMonitor):
@@ -58,6 +90,7 @@ class RunLengthMonitor(BranchMonitor):
         self.directions = list(directions)
         self.run_lengths: List[int] = []
         self._last_break_icount = 0
+        self._breaks: List[bool] = []
 
     def on_run_start(self, num_branches: int) -> None:
         if len(self.directions) < num_branches:
@@ -66,11 +99,22 @@ class RunLengthMonitor(BranchMonitor):
             )
         self.run_lengths = []
         self._last_break_icount = 0
+        # Indexed by outcome: does it go against the static direction?
+        self._breaks = [
+            taken != predicted
+            for predicted in self.directions[:num_branches]
+            for taken in (False, True)
+        ]
 
-    def on_branch(self, branch_index: int, taken: bool, icount: int) -> None:
-        if taken != self.directions[branch_index]:
-            self.run_lengths.append(icount - self._last_break_icount)
-            self._last_break_icount = icount
+    def replay(self, chunk: List[int]) -> None:
+        # Breaks are rare: find them at C speed, walk only those in Python.
+        breaks = compress(chunk[1::2], map(self._breaks.__getitem__, chunk[0::2]))
+        lengths = self.run_lengths
+        last = self._last_break_icount
+        for icount in breaks:
+            lengths.append(icount - last)
+            last = icount
+        self._last_break_icount = last
 
     def on_run_end(self, icount: int) -> None:
         # Flush the tail run: instructions executed after the last

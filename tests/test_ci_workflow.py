@@ -54,6 +54,11 @@ def test_jobs_run_the_advertised_commands(workflow):
         "benchmarks/bench_vm.py" in line
         for line in _run_lines(jobs["benchmark-smoke"])
     ), "the smoke job must enforce the VM fast-engine speedup floor"
+    assert any(
+        "perfbench/run.py --workload monitored-warm" in line
+        and '"failed"' in line
+        for line in _run_lines(jobs["benchmark-smoke"])
+    ), "the smoke job must run the traced monitored-warm benchmark"
     serve_lines = _run_lines(jobs["serve-smoke"])
     assert any(
         "repro-serve serve" in line for line in serve_lines

@@ -1,7 +1,11 @@
 """Tests for the dynamic branch-predictor subsystem (repro.dynamic)."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.vm.monitors as vm_monitors
 from repro.dynamic import (
+    MODEL_FAMILIES,
     BimodalPredictor,
     DynamicScoreMonitor,
     GSharePredictor,
@@ -206,6 +210,208 @@ class TestBudgets:
             build_model("neural", 64)
 
 
+# -- replay against a longhand per-event oracle --------------------------------
+
+
+class LonghandBimodal:
+    """One n-bit counter per slot, stepped one event at a time."""
+
+    def __init__(self, table_size, num_bits=2):
+        self.table_size = table_size
+        self.num_bits = num_bits
+
+    def reset(self, branch_table):
+        if self.table_size is None:
+            self.slots = list(range(len(branch_table)))
+            self.table = [0] * len(branch_table)
+        else:
+            self.slots = [branch_pc(bid) % self.table_size for bid in branch_table]
+            self.table = [0] * self.table_size
+
+    def step(self, index, taken):
+        slot = self.slots[index]
+        state = self.table[slot]
+        if taken:
+            self.table[slot] = min(state + 1, 2 ** self.num_bits - 1)
+        else:
+            self.table[slot] = max(state - 1, 0)
+        return state >= 2 ** (self.num_bits - 1)
+
+    def snapshot(self):
+        return (tuple(self.table),)
+
+
+class LonghandGShare:
+    def __init__(self, table_size):
+        self.table_size = table_size
+        self.history_bits = max(1, table_size.bit_length() - 1)
+
+    def reset(self, branch_table):
+        self.pcs = [branch_pc(bid) for bid in branch_table]
+        self.table = [0] * self.table_size
+        self.history = 0
+
+    def step(self, index, taken):
+        slot = (self.pcs[index] ^ self.history) % self.table_size
+        state = self.table[slot]
+        self.table[slot] = min(state + 1, 3) if taken else max(state - 1, 0)
+        self.history = (self.history * 2 + taken) % 2 ** self.history_bits
+        return state >= 2
+
+    def snapshot(self):
+        return (tuple(self.table), self.history)
+
+
+class LonghandLocal:
+    def __init__(self, table_size):
+        self.table_size = table_size
+        self.history_bits = max(1, table_size.bit_length() - 1)
+
+    def reset(self, branch_table):
+        self.slots = [branch_pc(bid) % self.table_size for bid in branch_table]
+        self.histories = [0] * self.table_size
+        self.patterns = [0] * self.table_size
+
+    def step(self, index, taken):
+        slot = self.slots[index]
+        history = self.histories[slot]
+        pattern = history % self.table_size
+        state = self.patterns[pattern]
+        self.patterns[pattern] = (
+            min(state + 1, 3) if taken else max(state - 1, 0)
+        )
+        self.histories[slot] = (history * 2 + taken) % 2 ** self.history_bits
+        return state >= 2
+
+    def snapshot(self):
+        return (tuple(self.histories), tuple(self.patterns))
+
+
+class LonghandTournament:
+    def __init__(self, table_size):
+        self.table_size = table_size
+        self.bimodal = LonghandBimodal(table_size)
+        self.gshare = LonghandGShare(table_size)
+
+    def reset(self, branch_table):
+        self.bimodal.reset(branch_table)
+        self.gshare.reset(branch_table)
+        self.slots = [branch_pc(bid) % self.table_size for bid in branch_table]
+        self.chooser = [1] * self.table_size
+
+    def step(self, index, taken):
+        from_bimodal = self.bimodal.step(index, taken)
+        from_gshare = self.gshare.step(index, taken)
+        slot = self.slots[index]
+        state = self.chooser[slot]
+        if from_bimodal != from_gshare:
+            if from_gshare == taken:
+                self.chooser[slot] = min(state + 1, 3)
+            else:
+                self.chooser[slot] = max(state - 1, 0)
+        return from_gshare if state >= 2 else from_bimodal
+
+    def snapshot(self):
+        return (
+            self.bimodal.snapshot(), self.gshare.snapshot(), tuple(self.chooser)
+        )
+
+
+LONGHAND = {
+    "bimodal": LonghandBimodal,
+    "gshare": LonghandGShare,
+    "local": LonghandLocal,
+    "tournament": LonghandTournament,
+}
+
+#: Every zoo family at an edge, a small and a default size, plus the
+#: infinite-table 1-bit and 2-bit counters of the informal experiment.
+REPLAY_MODELS = [
+    pytest.param(
+        lambda family=family, size=size: build_model(family, size),
+        lambda family=family, size=size: LONGHAND[family](size),
+        id=f"{family}@{size}",
+    )
+    for family in MODEL_FAMILIES
+    for size in (1, 4, 64)
+] + [
+    pytest.param(
+        lambda bits=bits: BimodalPredictor(table_size=None, num_bits=bits),
+        lambda bits=bits: LonghandBimodal(None, num_bits=bits),
+        id=f"bimodal@inf-{bits}bit",
+    )
+    for bits in (1, 2)
+]
+
+
+@st.composite
+def split_streams(draw):
+    """A branch table, an outcome stream over it, and cut points."""
+    num_branches = draw(st.integers(1, 12))
+    events = draw(st.lists(
+        st.tuples(st.integers(0, num_branches - 1), st.booleans()),
+        max_size=300,
+    ))
+    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=6)))
+    branch_table = [BranchId("f", index) for index in range(num_branches)]
+    return branch_table, events, cuts
+
+
+@pytest.mark.parametrize("make_model, make_longhand", REPLAY_MODELS)
+@given(split_streams())
+@settings(max_examples=60, deadline=None)
+def test_replay_matches_longhand_in_any_chunking(
+    make_model, make_longhand, stream
+):
+    branch_table, events, cuts = stream
+    outcomes = [index << 1 | taken for index, taken in events]
+
+    longhand = make_longhand()
+    longhand.reset(branch_table)
+    predicted = [longhand.step(index, taken) for index, taken in events]
+    expected = sum(
+        guess != taken for guess, (_, taken) in zip(predicted, events)
+    )
+
+    whole = make_model()
+    whole.reset(branch_table)
+    assert whole.replay(outcomes) == expected
+    assert whole.snapshot() == longhand.snapshot()
+
+    split = make_model()
+    split.reset(branch_table)
+    bounds = [0] + cuts + [len(outcomes)]
+    assert sum(
+        split.replay(outcomes[start:end])
+        for start, end in zip(bounds, bounds[1:])
+    ) == expected
+    assert split.snapshot() == longhand.snapshot()
+
+    stepped = make_model()
+    stepped.reset(branch_table)
+    assert [
+        stepped.observe(index, taken) for index, taken in events
+    ] == predicted
+    assert stepped.snapshot() == longhand.snapshot()
+
+
+@given(split_streams(), st.sampled_from([1, 4, 64]))
+@settings(max_examples=60, deadline=None)
+def test_tournament_leaves_components_where_standalone_replays_would(
+    stream, size
+):
+    branch_table, events, _ = stream
+    outcomes = [index << 1 | taken for index, taken in events]
+    tournament = TournamentPredictor(table_size=size)
+    bimodal = BimodalPredictor(table_size=size)
+    gshare = GSharePredictor(table_size=size)
+    for model in (tournament, bimodal, gshare):
+        model.reset(branch_table)
+        model.replay(outcomes)
+    assert tournament.bimodal.snapshot() == bimodal.snapshot()
+    assert tournament.gshare.snapshot() == gshare.snapshot()
+
+
 # -- scoring against real runs -------------------------------------------------
 
 
@@ -225,10 +431,12 @@ class StaticDirections(BranchMonitor):
     def on_run_start(self, num_branches):
         self.branch_execs = self.mispredicted = 0
 
-    def on_branch(self, branch_index, taken, icount):
-        self.branch_execs += 1
-        if self.directions[branch_index] != taken:
-            self.mispredicted += 1
+    def replay(self, chunk):
+        for outcome in chunk[0::2]:
+            branch_index, taken = outcome >> 1, bool(outcome & 1)
+            self.branch_execs += 1
+            if self.directions[branch_index] != taken:
+                self.mispredicted += 1
 
 
 class TestStaticFromCounters:
@@ -279,16 +487,18 @@ class LonghandCounters(BranchMonitor):
         self.states = [0] * num_branches
         self.hits = self.misses = 0
 
-    def on_branch(self, branch_index, taken, icount):
-        state = self.states[branch_index]
-        if (state >= self.threshold) == taken:
-            self.hits += 1
-        else:
-            self.misses += 1
-        if taken:
-            self.states[branch_index] = min(state + 1, self.max_state)
-        else:
-            self.states[branch_index] = max(state - 1, 0)
+    def replay(self, chunk):
+        for outcome in chunk[0::2]:
+            branch_index, taken = outcome >> 1, bool(outcome & 1)
+            state = self.states[branch_index]
+            if (state >= self.threshold) == taken:
+                self.hits += 1
+            else:
+                self.misses += 1
+            if taken:
+                self.states[branch_index] = min(state + 1, self.max_state)
+            else:
+                self.states[branch_index] = max(state - 1, 0)
 
 
 class TestInfiniteBimodalMatchesLegacyMonitor:
@@ -320,7 +530,7 @@ class TestInfiniteBimodalMatchesLegacyMonitor:
             [model], [BranchId("main", index) for index in range(3)]
         )
         monitor.on_run_start(3)
-        monitor.on_branch(1, True, 10)
+        monitor.replay([1 << 1 | 1, 10])  # branch 1 taken at icount 10
         assert model.snapshot() == ((0, 1, 0),)
 
 
@@ -407,6 +617,15 @@ class TestDynamicCompareExperiment:
         assert "bimodal@16" in text and "tournament@256" in text
         chart = result.format_chart()
         assert "instrs per mispredict" in chart
+
+    def test_chunk_size_does_not_change_the_table(
+        self, runner, result, monkeypatch
+    ):
+        monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", 7)
+        chunked = dynamic_compare.run(
+            runner, programs=["doduc"], table_sizes=(16, 64, 256)
+        )
+        assert chunked.format_text() == result.format_text()
 
     def test_single_dataset_workload_rejected(self, runner):
         with pytest.raises(ValueError, match="single dataset"):

@@ -1,6 +1,7 @@
 """Tests for the ablation, run-length and coverage experiments."""
 import pytest
 
+import repro.vm.monitors as vm_monitors
 from repro.experiments import ablations, coverage, runlengths
 from repro.vm.monitors import RunLengthMonitor
 
@@ -81,14 +82,31 @@ class TestRunLengths:
     def test_formatting(self, result):
         assert "run lengths" in result.format_text().lower()
 
+    def test_chunk_size_does_not_change_the_table(
+        self, runner, result, monkeypatch
+    ):
+        monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", 7)
+        assert runlengths.run(runner).format_text() == result.format_text()
+
+
+def chunk(*events):
+    """The chunk of (branch_index, taken, icount) events."""
+    return [
+        item
+        for index, taken, icount in events
+        for item in (index << 1 | taken, icount)
+    ]
+
 
 class TestRunLengthMonitor:
     def test_records_gaps(self):
         monitor = RunLengthMonitor([True, False])
         monitor.on_run_start(2)
-        monitor.on_branch(0, True, 10)    # predicted: no break
-        monitor.on_branch(1, True, 25)    # mispredicted: gap 25
-        monitor.on_branch(0, False, 40)   # mispredicted: gap 15
+        monitor.replay(chunk((0, True, 10)))  # predicted: no break
+        monitor.replay(chunk(
+            (1, True, 25),    # mispredicted: gap 25
+            (0, False, 40),   # mispredicted: gap 15
+        ))
         assert monitor.run_lengths == [25, 15]
         stats = monitor.stats()
         assert stats["count"] == 2
@@ -97,7 +115,7 @@ class TestRunLengthMonitor:
     def test_direction_list_extension(self):
         monitor = RunLengthMonitor([True])
         monitor.on_run_start(3)  # grows with default not-taken
-        monitor.on_branch(2, True, 5)
+        monitor.replay(chunk((2, True, 5)))
         assert monitor.run_lengths == [5]
 
     def test_empty_stats(self):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.vm.monitors as vm_monitors
 from repro.compiler import compile_source
 from repro.vm.engine import (
     FUSIBLE_OPS,
@@ -246,7 +247,7 @@ class _ExplodingMonitor(BranchMonitor):
     def __init__(self, exc_type):
         self.exc_type = exc_type
 
-    def on_branch(self, branch_index, taken, icount):
+    def replay(self, chunk):
         if self.exc_type is ZeroDivisionError:
             _ = 1 // 0
         else:
@@ -264,19 +265,94 @@ class _ExplodingMonitor(BranchMonitor):
     ],
 )
 def test_monitor_bugs_are_not_misattributed_to_the_guest(
-    engine, exc_type, fan_out
+    engine, exc_type, fan_out, monkeypatch
 ):
     # Before the fix, the dispatch loop's broad except arms converted a
     # monitor's own ZeroDivisionError/IndexError into a guest VMError
-    # ("division by zero" / "bad register or code reference").
+    # ("division by zero" / "bad register or code reference").  LOOPY's
+    # events fit one default chunk, replayed after the loop; with 7-event
+    # chunks the first replay happens inside the loop.
     program = lowered(LOOPY)
     machine = Machine(engine=engine)
-    bystanders = [EndCountingRecorder()] if fan_out else []
-    with pytest.raises(exc_type) as excinfo:
-        machine.run(program, monitors=bystanders + [_ExplodingMonitor(exc_type)])
-    assert not isinstance(excinfo.value, VMError)
-    # An aborted run never reaches on_run_end.
-    assert all(bystander.ends == [] for bystander in bystanders)
+    for chunk_events in (vm_monitors.CHUNK_EVENTS, 7):
+        monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", chunk_events)
+        bystanders = [EndCountingRecorder()] if fan_out else []
+        with pytest.raises(exc_type) as excinfo:
+            machine.run(
+                program, monitors=bystanders + [_ExplodingMonitor(exc_type)]
+            )
+        assert not isinstance(excinfo.value, VMError)
+        # An aborted run never reaches on_run_end.
+        assert all(bystander.ends == [] for bystander in bystanders)
+
+
+FAULTS_AFTER_BRANCHES = {
+    "store to bad address": """
+        arr buf[4];
+        func main() {
+            var i; var j = 0;
+            for (i = 0; i < 20; i += 1) { if (i % 3 == 0) { j += 1; } }
+            buf[j - 100] = 1;
+            return 0;
+        }
+        """,
+    "division by zero": """
+        func main() {
+            var i; var j = 0;
+            for (i = 0; i < 20; i += 1) { if (i % 3 == 0) { j += 1; } }
+            return 7 / (j - 7);
+        }
+        """,
+    "exceeded 5000 instructions": """
+        func main() {
+            var i; var j = 0;
+            for (i = 0; i < 1000000; i += 1) { if (i % 3 == 0) { j += 1; } }
+            return j;
+        }
+        """,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS_AFTER_BRANCHES))
+def test_events_before_a_guest_fault_reach_the_monitors(fault, monkeypatch):
+    """Buffered events are replayed before a guest fault propagates: every
+    engine and chunk size delivers the same stream, and on_run_end is
+    still not called."""
+    program = lowered(FAULTS_AFTER_BRANCHES[fault])
+    streams = []
+    for chunk_events in (vm_monitors.CHUNK_EVENTS, 7):
+        monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", chunk_events)
+        for engine in ENGINES:
+            recorder = EndCountingRecorder()
+            with pytest.raises(VMError, match=fault):
+                Machine(engine=engine, max_instructions=5_000).run(
+                    program, monitors=[recorder]
+                )
+            assert recorder.ends == []
+            streams.append(recorder.outcomes)
+    assert all(stream == streams[0] for stream in streams)
+    assert len(streams[0]) >= 20
+
+
+class ChunkLengths(BranchMonitor):
+    """Records how many events every chunk it is handed holds."""
+
+    def on_run_start(self, num_branches):
+        self.lengths = []
+
+    def replay(self, chunk):
+        assert len(chunk) % 2 == 0
+        self.lengths.append(len(chunk) // 2)
+
+
+def test_chunks_never_exceed_the_chunk_size(runner):
+    monitor = ChunkLengths()
+    result = runner.run("li", "6queens", monitors=[monitor])
+    assert max(monitor.lengths) <= vm_monitors.CHUNK_EVENTS
+    assert all(
+        length == vm_monitors.CHUNK_EVENTS for length in monitor.lengths[:-1]
+    )
+    assert sum(monitor.lengths) == result.total_branch_execs
 
 
 @pytest.mark.parametrize("engine", ENGINES)
