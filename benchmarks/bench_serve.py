@@ -4,7 +4,7 @@ The serve subsystem only pays for itself if a fleet of runners can push
 branch counters through one aggregation point faster than they produce
 them, so this records the second perf axis (``BENCH_SERVE.json``): loopback
 upload and predict throughput plus tail latency through the real stack —
-canonical-JSON framing, asyncio server, one-database aggregator — with a sync
+canonical-JSON framing, threaded server, one-database aggregator — with a sync
 client doing one request per round trip (no pipelining, the worst case).
 
 The smoke test guards CI with a conservative floor (the point is catching
@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.ir.instructions import BranchId
 from repro.profiling.branch_profile import BranchProfile
 from repro.serve.client import ProfileClient, RetryPolicy
-from repro.serve.server import ServerThread
+from repro.serve.server import ProfileServer
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_SERVE.json"
 
@@ -84,7 +84,7 @@ def _sweep_predicts(client, count):
 
 
 def test_smoke_serve_throughput():
-    with ServerThread() as server:
+    with ProfileServer() as server:
         with ProfileClient(
             server.host, server.port, retry=RetryPolicy(attempts=2)
         ) as client:
@@ -108,7 +108,7 @@ def test_full_serve_benchmark():
     batch_size = 1_000
     predict_count = 1_000
 
-    with ServerThread() as server:
+    with ProfileServer() as server:
         with ProfileClient(
             server.host, server.port, retry=RetryPolicy(attempts=2)
         ) as client:

@@ -4,7 +4,7 @@ The paper's core observation — a scaled sum of *other* runs' profiles
 predicts a held-out run nearly as well as self-prediction — is exactly
 the contract of a production profile-feedback service: executing
 instances upload branch counters, a central aggregator serves summary
-predictions back.  This package is that service: an asyncio TCP server
+predictions back.  This package is that service: a threaded TCP server
 (`server`), a length-prefixed versioned JSON protocol (`protocol`), an
 epoch-stamped aggregator over one profile database with write-behind
 persistence (`aggregator`), a resilient blocking client with offline
@@ -28,7 +28,7 @@ from repro.serve.protocol import (
     ProtocolError,
     canonical_profile_bytes,
 )
-from repro.serve.server import ProfileServer, ServerThread
+from repro.serve.server import ProfileServer
 
 __all__ = [
     "Aggregator",
@@ -41,7 +41,6 @@ __all__ = [
     "ProfileServer",
     "ProtocolError",
     "RetryPolicy",
-    "ServerThread",
     "ServiceError",
     "ServiceMetrics",
     "ServiceUnavailable",

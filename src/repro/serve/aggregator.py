@@ -58,8 +58,8 @@ def database_predict(
 class Aggregator:
     """Thread-safe profile storage with write-behind persistence.
 
-    Safe to drive from the asyncio server, its flush thread, and the
-    benchmark harness alike: the database, the epoch and the dirty flag
+    Safe to drive from the server's connection threads, its flush
+    thread, and the benchmark harness alike: the database, the epoch and the dirty flag
     change only under one lock.  With ``persist_dir`` the database lives
     in ``<persist_dir>/profiles.json``.
     """

@@ -18,10 +18,10 @@ the served bytes match exactly — the round-trip check CI runs.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import signal
 import sys
+import threading
 from typing import List, Optional, Tuple
 
 from repro.prediction.combine import COMBINE_MODES
@@ -51,38 +51,22 @@ def _client(args) -> ProfileClient:
 # -- serve ---------------------------------------------------------------------
 
 
-async def _serve(args) -> int:
+def cmd_serve(args) -> int:
+    stopping = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stopping.set())
     server = ProfileServer(
-        Aggregator(persist_dir=args.db),
-        host=args.host,
-        port=args.port,
-        flush_interval=args.flush_interval,
-    )
-    await server.start()
+        Aggregator(persist_dir=args.db), host=args.host, port=args.port
+    ).start()
     print(f"repro-serve: listening on {server.host}:{server.port}", flush=True)
     if args.ready_file:
         with open(args.ready_file, "w") as handle:
             handle.write(f"{server.host}:{server.port}\n")
-
-    loop = asyncio.get_running_loop()
-    stopping = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stopping.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # platforms without signal support on loops
-    await stopping.wait()
+    stopping.wait()
     print("repro-serve: draining...", flush=True)
-    await server.stop()
+    server.stop()
     print("repro-serve: stopped", flush=True)
     return 0
-
-
-def cmd_serve(args) -> int:
-    try:
-        return asyncio.run(_serve(args))
-    except KeyboardInterrupt:
-        return 0
 
 
 # -- upload-sweep --------------------------------------------------------------
@@ -215,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--db", default=None, metavar="DIR",
         help="persist profiles as DIR/profiles.json (write-behind)",
     )
-    serve.add_argument("--flush-interval", type=float, default=1.0)
     serve.add_argument(
         "--ready-file", default=None, metavar="PATH",
         help="write HOST:PORT here once listening (for scripts)",

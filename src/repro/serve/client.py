@@ -134,8 +134,10 @@ class ProfileClient:
                 self._sleep(next(delays))
             try:
                 sock = self._connect()
-                protocol.write_frame_sync(sock, payload)
-                response = protocol.read_frame_sync(sock)
+                protocol.write_frame(sock, payload)
+                response = protocol.read_frame(sock)
+                if response is None:
+                    raise ConnectionResetError("server closed the connection")
             except (OSError, protocol.ProtocolError) as exc:
                 # Covers refused/reset/timeout and torn frames alike; the
                 # connection state is unknown, so drop it and retry fresh.

@@ -1,9 +1,9 @@
 """Service observability: request/error counters, latency histograms,
 the in-flight gauge.
 
-Everything is in-process and lock-guarded (the server's asyncio loop,
-its persistence thread, and test harnesses may all touch it), exported
-as one JSON-ready dict through the ``stats`` operation and the
+Everything is in-process and lock-guarded (the server's connection
+threads and test harnesses may all touch it), exported as one
+JSON-ready dict through the ``stats`` operation and the
 ``repro-serve stats --metrics`` dump.  Latencies go into fixed
 log-spaced buckets, so percentile estimates are bounded-error and the
 export stays O(buckets) no matter how many requests were served.

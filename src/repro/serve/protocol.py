@@ -25,7 +25,6 @@ Operations:
 """
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -141,68 +140,44 @@ def canonical_profile_bytes(profile: BranchProfile) -> bytes:
     return canonical_json(profile.to_dict())
 
 
-# -- asyncio framing -----------------------------------------------------------
-
-
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF before a header starts.
-
-    EOF mid-header or mid-body raises ``ProtocolError`` — the peer
-    vanished inside a message.
-    """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-header ({len(exc.partial)} of "
-            f"{_HEADER.size} bytes)"
-        ) from None
-    length = _claimed_length(header)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} of "
-            f"{length} bytes)"
-        ) from None
-    return decode_body(body)
-
-
-async def write_frame_async(
-    writer: asyncio.StreamWriter, payload: Dict[str, Any]
-) -> None:
-    writer.write(encode_frame(payload))
-    await writer.drain()
-
-
-# -- blocking-socket framing (the sync client) ---------------------------------
+# -- framing -------------------------------------------------------------------
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    """``count`` bytes, or fewer only when the peer closed first."""
     chunks = []
     remaining = count
     while remaining:
         chunk = sock.recv(remaining)
         if not chunk:
-            raise ProtocolError(
-                f"connection closed mid-frame ({count - remaining} of "
-                f"{count} bytes)"
-            )
+            break
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
 
 
-def read_frame_sync(sock: socket.socket) -> Dict[str, Any]:
-    """Read one frame from a blocking socket (EOF is always an error:
-    the sync client only reads where a response is owed)."""
+def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
+    """Read one frame; ``None`` on clean EOF before a header starts.
+
+    EOF mid-header or mid-body raises ``ProtocolError`` — the peer
+    vanished inside a message.
+    """
     header = _recv_exact(sock, _HEADER.size)
-    return decode_body(_recv_exact(sock, _claimed_length(header)))
+    if not header:
+        return None
+    if len(header) < _HEADER.size:
+        raise ProtocolError(
+            f"connection closed mid-header ({len(header)} of "
+            f"{_HEADER.size} bytes)"
+        )
+    length = _claimed_length(header)
+    body = _recv_exact(sock, length)
+    if len(body) < length:
+        raise ProtocolError(
+            f"connection closed mid-frame ({len(body)} of {length} bytes)"
+        )
+    return decode_body(body)
 
 
-def write_frame_sync(sock: socket.socket, payload: Dict[str, Any]) -> None:
+def write_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
     sock.sendall(encode_frame(payload))

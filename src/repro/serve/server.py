@@ -1,33 +1,33 @@
-"""The asyncio profile-feedback server.
+"""The threaded profile-feedback server.
 
 One ``ProfileServer`` owns an ``Aggregator`` and serves the four protocol
-operations over TCP.  Design points:
+operations over TCP, one thread per connection
+(``socketserver.ThreadingTCPServer``).  Design points:
 
-* **One request at a time.**  A request is dispatched synchronously on
-  the event loop, with no ``await`` between parsing it and answering it,
-  so requests never interleave inside the aggregator; a burst queues on
-  the sockets and degrades to latency.  The in-flight gauge and its peak
-  are exported via metrics.
+* **One request at a time.**  Dispatch and its metrics run under one
+  lock, so requests never interleave inside the aggregator; a burst
+  queues on that lock and degrades to latency.  The in-flight gauge and
+  its peak (always 1) are exported via metrics.
 * **Connection isolation.**  A peer that vanishes mid-frame, sends
-  garbage, or claims an oversized frame costs the server exactly that
-  connection — the handler catches the ``ProtocolError``, answers it when
-  the transport still allows, and closes.  Aggregator mutations happen
-  only after a request parses completely, so a broken upload can never
-  leave partial state behind.
-* **Graceful drain.**  ``stop()`` closes the listening socket, lets every
-  connection finish its request (up to ``DRAIN_TIMEOUT``), cancels
-  stragglers, then flushes the aggregator to disk.
-* **Write-behind persistence.**  A background task flushes a changed
-  aggregator every ``flush_interval`` seconds through a worker thread, so
-  uploads never wait on the filesystem.
-
-``ServerThread`` runs the whole thing on a private event loop in a
-daemon thread — the harness the sync client tests, benchmarks, and the
-blocking CLI lean on.
+  garbage, claims an oversized frame or idles past ``IDLE_TIMEOUT`` costs
+  the server exactly that connection: the handler counts the protocol
+  error and closes.  Aggregator mutations happen only after a request
+  parses completely, so a broken upload can never leave partial state
+  behind.
+* **Graceful drain.**  ``stop()`` stops accepting, closes idle
+  connections at once, gives connections in the middle of a request (from
+  the first header byte until the response is written) up to
+  ``DRAIN_TIMEOUT`` to finish, hangs up on stragglers, then flushes the
+  aggregator to disk.
+* **Write-behind persistence.**  A flusher thread writes a changed
+  aggregator every ``FLUSH_INTERVAL`` seconds, so uploads never wait on
+  the filesystem.  ``stop()`` joins it before the final flush, so two
+  flushes never race the same file.
 """
 from __future__ import annotations
 
-import asyncio
+import socket
+import socketserver
 import threading
 import time
 from typing import Dict, Optional
@@ -42,146 +42,170 @@ DEFAULT_PORT = 7381
 #: Seconds a connection may sit idle between requests before it is closed.
 IDLE_TIMEOUT = 60.0
 
-#: Seconds ``stop()`` waits for open connections before cancelling them.
+#: Seconds ``stop()`` waits for requests in progress before hanging up.
 DRAIN_TIMEOUT = 5.0
 
+#: Seconds between write-behind flushes of a changed aggregator.
+FLUSH_INTERVAL = 1.0
 
-class ProfileServer:
-    """Asyncio TCP server over one aggregator."""
+#: How often the accept loop checks for ``shutdown()``; bounds its latency.
+_POLL_INTERVAL = 0.05
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Wake the connection's handler: its blocked read sees EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer is already gone
+
+
+class _Connection(socketserver.BaseRequestHandler):
+    server: "ProfileServer"
+
+    def handle(self) -> None:
+        self.server._serve_connection(self.request)
+
+
+class ProfileServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP server over one aggregator."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+    block_on_close = False  # stop() drains connections itself
 
     def __init__(
         self,
-        aggregator: Aggregator,
+        aggregator: Optional[Aggregator] = None,
         host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-        *,
-        flush_interval: float = 1.0,
+        port: int = 0,
     ) -> None:
-        self.aggregator = aggregator
+        super().__init__((host, port), _Connection, bind_and_activate=False)
+        self.aggregator = aggregator or Aggregator()
         self.host = host
         self.port = port
-        self.flush_interval = flush_interval
         self.metrics = ServiceMetrics(ops=list(protocol.OPS))
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._handlers: set = set()
+        # Guards dispatch, its metrics and the connection table, which
+        # maps each open socket to whether it is inside a request.
+        self._lock = threading.Condition()
+        self._connections: Dict[socket.socket, bool] = {}
         self._draining = False
-        self._flusher: Optional[asyncio.Task] = None
-        self._flushing: Optional[asyncio.Future] = None
+        self._stopping = threading.Event()
+        self._serving: Optional[threading.Thread] = None
+        self._flusher: Optional[threading.Thread] = None
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> "ProfileServer":
         """Bind and start accepting; ``self.port`` is updated with the
         actual port when 0 was requested."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        try:
+            self.server_bind()
+            self.server_activate()
+        except BaseException:
+            self.server_close()
+            raise
+        self.port = self.server_address[1]
+        self._serving = threading.Thread(
+            target=self.serve_forever, args=(_POLL_INTERVAL,), daemon=True
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._serving.start()
         if self.aggregator.persist_dir:
-            self._flusher = asyncio.ensure_future(self._flush_loop())
+            self._flusher = threading.Thread(target=self._flush_loop, daemon=True)
+            self._flusher.start()
+        return self
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight work, flush."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._handlers:
-            done, pending = await asyncio.wait(
-                list(self._handlers), timeout=DRAIN_TIMEOUT
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+    def stop(self) -> None:
+        """Graceful drain: stop accepting, finish requests in progress,
+        flush."""
+        if self._serving is None:
+            return
+        self.shutdown()
+        self.server_close()
+        self._serving = None
+        with self._lock:
+            self._draining = True
+            for sock, busy in self._connections.items():
+                if not busy:
+                    _hang_up(sock)
+            if not self._lock.wait_for(lambda: not self._connections, DRAIN_TIMEOUT):
+                for sock in self._connections:
+                    _hang_up(sock)
+                self._lock.wait_for(lambda: not self._connections, DRAIN_TIMEOUT)
+        self._stopping.set()
         if self._flusher is not None:
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-        if self._flushing is not None:
-            await self._flushing  # a write-behind flush still on its thread
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.aggregator.flush
-        )
+            self._flusher.join()
+        self.aggregator.flush()
 
-    async def _flush_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.flush_interval)
-            if self.aggregator.dirty:
-                # Shielded, so cancelling this loop in stop() leaves the
-                # write running and stop() can wait for it before its own
-                # flush: two flushes never race the same file.
-                self._flushing = loop.run_in_executor(
-                    None, self.aggregator.flush
-                )
-                await asyncio.shield(self._flushing)
+    def __enter__(self) -> "ProfileServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _flush_loop(self) -> None:
+        while not self._stopping.wait(FLUSH_INTERVAL):
+            self.aggregator.flush()  # a no-op while nothing changed
 
     # -- connection handling ------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._handlers.add(task)
+    def _serve_connection(self, sock: socket.socket) -> None:
+        sock.settimeout(IDLE_TIMEOUT)
+        with self._lock:
+            if self._draining:
+                return
+            self._connections[sock] = False
         self.metrics.connection_opened()
         try:
-            while not self._draining:
+            while True:
                 try:
-                    payload = await asyncio.wait_for(
-                        protocol.read_frame_async(reader),
-                        timeout=IDLE_TIMEOUT,
-                    )
-                except (
-                    protocol.ProtocolError,
-                    asyncio.TimeoutError,
-                    ConnectionError,
-                ):
+                    # Wait for a request's first byte without taking it.
+                    if not sock.recv(1, socket.MSG_PEEK):
+                        break  # clean EOF, or stop() closed an idle connection
+                    if not self._mark(sock, busy=True):
+                        break
+                    payload = protocol.read_frame(sock)
+                    if payload is None:
+                        break  # stop() hung up on this straggler
+                    protocol.write_frame(sock, self._serve_request(payload))
+                except (OSError, protocol.ProtocolError):
                     self.metrics.record_protocol_error()
                     break
-                if payload is None:
-                    break  # clean EOF
-                response = self._serve_request(payload)
-                try:
-                    await protocol.write_frame_async(writer, response)
-                except (ConnectionError, protocol.ProtocolError):
-                    self.metrics.record_protocol_error()
+                if not self._mark(sock, busy=False):
                     break
         finally:
-            self._handlers.discard(task)
+            with self._lock:
+                del self._connections[sock]
+                self._lock.notify_all()
             self.metrics.connection_closed()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+
+    def _mark(self, sock: socket.socket, busy: bool) -> bool:
+        """Enter or leave a request; False once the server is draining."""
+        with self._lock:
+            self._connections[sock] = busy
+            return not self._draining
 
     def _serve_request(self, payload: Dict) -> Dict:
         op = payload.get("op")
         op_label = op if op in protocol.OPS else "invalid"
-        self.metrics.start_request()
-        started = time.monotonic()
-        try:
-            response = self._dispatch(payload)
-        except protocol.ProtocolError as exc:
-            response = protocol.error_response(str(exc))
-        except (KeyError, ValueError) as exc:
-            response = protocol.error_response(str(exc))
-        except Exception as exc:  # a bug, but never kill the service
-            response = protocol.error_response(
-                f"internal error: {type(exc).__name__}: {exc}"
+        with self._lock:
+            self.metrics.start_request()
+            started = time.monotonic()
+            try:
+                response = self._dispatch(payload)
+            except protocol.ProtocolError as exc:
+                response = protocol.error_response(str(exc))
+            except (KeyError, ValueError) as exc:
+                response = protocol.error_response(str(exc))
+            except Exception as exc:  # a bug, but never kill the service
+                response = protocol.error_response(
+                    f"internal error: {type(exc).__name__}: {exc}"
+                )
+            finally:
+                self.metrics.finish_request()
+            self.metrics.record_request(
+                op_label, time.monotonic() - started, error=not response["ok"]
             )
-        finally:
-            self.metrics.finish_request()
-        self.metrics.record_request(
-            op_label, time.monotonic() - started, error=not response["ok"]
-        )
         return response
 
     # -- operations ---------------------------------------------------------
@@ -245,71 +269,3 @@ class ProfileServer:
             inflight=snapshot["queue"]["inflight"],
             uptime_s=snapshot["uptime_s"],
         )
-
-
-class ServerThread:
-    """A ProfileServer on a private event loop in a daemon thread.
-
-    Blocking callers (tests, benchmarks, the sync CLI) start one, talk to
-    ``host:port`` with the sync client, and ``stop()`` it — which runs the
-    server's graceful drain on its own loop before the thread exits.
-    """
-
-    def __init__(self, aggregator: Optional[Aggregator] = None, **kwargs):
-        self.server = ProfileServer(
-            aggregator or Aggregator(), port=kwargs.pop("port", 0), **kwargs
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"server failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if not self._ready.is_set():
-            raise RuntimeError("server did not start within 10s")
-        return self
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self.server.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            self._loop.close()
-            return
-        self._ready.set()
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.run_until_complete(self.server.stop())
-            self._loop.close()
-
-    def stop(self) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

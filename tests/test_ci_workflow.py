@@ -69,6 +69,13 @@ def test_jobs_run_the_advertised_commands(workflow):
         "the serve-smoke job must persist with --db and restart a second "
         "server on the same store"
     )
+    for line in serve_lines:
+        if "repro-serve serve" in line:
+            wait = line.split("repro-serve serve", 1)[1].split("SERVER=")[0]
+            assert "[ ! -s ready.txt ]" in wait and "exit 1" in wait, (
+                "each serve-smoke server start must fail fast when "
+                "ready.txt is still empty after the wait loop"
+            )
     assert any(
         "upload-sweep" in line and "predict" in line for line in serve_lines
     ), "the serve-smoke job must round-trip upload-sweep and predict"

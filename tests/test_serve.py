@@ -2,8 +2,12 @@
 round trips, fault injection, client resilience, runner integration, CLI.
 """
 import json
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -22,7 +26,8 @@ from repro.serve.client import (
     ServiceUnavailable,
 )
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
-from repro.serve.server import ServerThread
+from repro.serve import server as server_module
+from repro.serve.server import ProfileServer
 
 
 def make_profile(program, counts, runs=1):
@@ -50,8 +55,8 @@ def demo_profiles(program="demo"):
 
 @pytest.fixture()
 def server():
-    with ServerThread() as thread:
-        yield thread
+    with ProfileServer() as instance:
+        yield instance
 
 
 @pytest.fixture()
@@ -260,6 +265,13 @@ def _raw_connect(server):
     return socket.create_connection((server.host, server.port), timeout=5.0)
 
 
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
+
+
 def test_dropped_connection_mid_header(server, client):
     upload_demo(client)
     before = client.stats()["stats"]
@@ -312,7 +324,7 @@ def test_slow_client_does_not_block_fast_clients(server, client):
         for index in range(0, len(frame), 16):
             raw.sendall(frame[index:index + 16])
             time.sleep(0.005)
-        slow_response["payload"] = protocol.read_frame_sync(raw)
+        slow_response["payload"] = protocol.read_frame(raw)
         raw.close()
 
     thread = threading.Thread(target=dribble)
@@ -322,7 +334,7 @@ def test_slow_client_does_not_block_fast_clients(server, client):
         assert client.health()["status"] == "ok"
     thread.join(timeout=10.0)
     assert slow_response["payload"]["ok"] is True
-    profile, _, _ = server.server.aggregator.predict("slow", mode="unscaled")
+    profile, _, _ = server.aggregator.predict("slow", mode="unscaled")
     assert profile.counts[BranchId("f", 0)] == (10.0, 3.0)
 
 
@@ -330,7 +342,7 @@ def test_backpressure_bounds_inflight_work():
     """Four clients upload at once: every upload lands, each bumps the
     epoch once, and the synchronous dispatch never has two requests in
     flight — a burst waits on the sockets, not inside the aggregator."""
-    with ServerThread() as server:
+    with ProfileServer() as server:
         clients = [
             ProfileClient(server.host, server.port) for _ in range(4)
         ]
@@ -356,12 +368,50 @@ def test_backpressure_bounds_inflight_work():
             thread.join(timeout=30.0)
             assert not thread.is_alive()
         assert not errors
-        assert server.server.aggregator.epoch == 100
-        snapshot = server.server.metrics.snapshot()
+        assert server.aggregator.epoch == 100
+        snapshot = server.metrics.snapshot()
         assert snapshot["requests"]["upload"] == 100
         assert snapshot["queue"]["inflight_peak"] == 1
         for instance in clients:
             instance.close()
+
+
+def test_connection_churn_leaves_no_connection_behind():
+    """Many threads open, use and drop connections with a short switch
+    interval: every upload lands once and the connection table empties."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ProfileServer() as server:
+            errors = []
+
+            def churn(number):
+                try:
+                    for index in range(10):
+                        with ProfileClient(server.host, server.port) as client:
+                            client.upload_profile(
+                                f"prog{number}", f"d{index}",
+                                make_profile(f"prog{number}", PROFILES["d1"]),
+                            )
+                except Exception as exc:  # noqa: BLE001 - collected for assert
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=churn, args=(number,))
+                for number in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert not errors
+            assert server.aggregator.epoch == 80
+            wait_until(lambda: not server._connections)
+            connections = server.metrics.snapshot()["connections"]
+            assert connections["opened"] == connections["closed"] == 80
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_client_retries_with_exponential_backoff():
@@ -385,7 +435,7 @@ def test_retry_policy_caps_backoff():
 
 
 def test_client_reconnects_after_server_restart():
-    first = ServerThread().start()
+    first = ProfileServer().start()
     host, port = first.host, first.port
     client = ProfileClient(
         host, port, retry=RetryPolicy(attempts=8, backoff=0.05)
@@ -395,7 +445,7 @@ def test_client_reconnects_after_server_restart():
         client.predict("demo").profile
     )
     first.stop()
-    second = ServerThread(port=port).start()
+    second = ProfileServer(port=port).start()
     try:
         upload_demo(client)  # reconnects transparently on the same client
         served = protocol.canonical_profile_bytes(client.predict("demo").profile)
@@ -406,11 +456,12 @@ def test_client_reconnects_after_server_restart():
         second.stop()
 
 
-def test_graceful_drain_flushes_persistence(tmp_path):
+def test_graceful_drain_flushes_persistence(tmp_path, monkeypatch):
     persist = str(tmp_path / "drain")
     aggregator = Aggregator(persist_dir=persist)
     # Long flush interval: only the drain path can have written the data.
-    with ServerThread(aggregator, flush_interval=3600.0) as server:
+    monkeypatch.setattr(server_module, "FLUSH_INTERVAL", 3600.0)
+    with ProfileServer(aggregator) as server:
         with ProfileClient(server.host, server.port) as client:
             upload_demo(client)
     reloaded = Aggregator(persist_dir=persist)
@@ -437,7 +488,8 @@ def test_drain_flush_waits_for_a_write_behind_flush(tmp_path, monkeypatch):
 
     monkeypatch.setattr(aggregator_module, "write_json_atomic", slow_first_write)
     persist = str(tmp_path / "db")
-    server = ServerThread(Aggregator(persist_dir=persist), flush_interval=0.01)
+    monkeypatch.setattr(server_module, "FLUSH_INTERVAL", 0.01)
+    server = ProfileServer(Aggregator(persist_dir=persist))
     with server, ProfileClient(server.host, server.port) as client:
         client.upload_profile("demo", "d1", make_profile("demo", PROFILES["d1"]))
         assert started.wait(10.0)  # the flush now holds a d1-only snapshot
@@ -445,6 +497,48 @@ def test_drain_flush_waits_for_a_write_behind_flush(tmp_path, monkeypatch):
         threading.Timer(0.2, release.set).start()
     assert written.wait(10.0)
     assert Aggregator(persist_dir=persist).datasets("demo") == ["d1", "d2"]
+
+
+def test_stop_closes_idle_connections_at_once():
+    """An idle keep-alive client must not hold stop() for DRAIN_TIMEOUT."""
+    server = ProfileServer().start()
+    idle = ProfileClient(server.host, server.port, retry=RetryPolicy(attempts=1))
+    assert idle.health()["status"] == "ok"  # connected, now idle
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 1.0
+    with pytest.raises(ServiceUnavailable):
+        idle.health()  # its connection was closed and nothing listens
+    idle.close()
+
+
+def test_stop_drains_a_request_in_progress(tmp_path, monkeypatch):
+    """A request whose frame is half sent when stop() starts is finished,
+    answered, and included in the final flush."""
+    monkeypatch.setattr(server_module, "FLUSH_INTERVAL", 3600.0)
+    persist = str(tmp_path / "db")
+    server = ProfileServer(Aggregator(persist_dir=persist)).start()
+    frame = protocol.encode_frame(
+        protocol.request(
+            "upload",
+            program="demo",
+            dataset="d1",
+            profile=protocol.profile_to_wire(make_profile("demo", PROFILES["d1"])),
+        )
+    )
+    raw = _raw_connect(server)
+    raw.sendall(frame[: len(frame) // 2])
+    wait_until(lambda: any(server._connections.values()))  # counted as busy
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()
+    wait_until(lambda: server._draining)
+    raw.sendall(frame[len(frame) // 2:])
+    response = protocol.read_frame(raw)
+    raw.close()
+    stopper.join(timeout=10.0)
+    assert not stopper.is_alive()
+    assert response["ok"] is True and response["epoch"] == 1
+    assert Aggregator(persist_dir=persist).datasets("demo") == ["d1"]
 
 
 def test_degraded_client_serves_offline_bytes():
@@ -533,7 +627,7 @@ def test_server_aggregation_matches_offline_database(runner):
     """Publishing runs through the hook accumulates exactly what an
     offline ProfileDatabase would."""
     offline = ProfileDatabase()
-    with ServerThread() as server:
+    with ProfileServer() as server:
         with ProfileClient(server.host, server.port) as client:
             from repro.core.runner import WorkloadRunner
 
@@ -566,7 +660,7 @@ def test_cli_parse_server_validation():
 def test_cli_round_trip_against_live_server(runner, capsys):
     from repro.serve.cli import main
 
-    with ServerThread() as server:
+    with ProfileServer() as server:
         address = f"{server.host}:{server.port}"
         assert main([
             "upload-sweep", "--server", address, "--workloads", "doduc",
@@ -588,6 +682,45 @@ def test_cli_round_trip_against_live_server(runner, capsys):
         assert main(["health", "--server", address]) == 0
         health = json.loads(capsys.readouterr().out)
         assert health["status"] == "ok"
+
+
+def test_cli_serve_lifecycle(tmp_path):
+    """`repro-serve serve` starts, persists uploads, and drains on SIGTERM."""
+    import repro
+
+    ready = tmp_path / "ready.txt"
+    persist = str(tmp_path / "db")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serve.cli", "serve", "--port", "0",
+            "--ready-file", str(ready), "--db", persist,
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        wait_until(
+            lambda: process.poll() is not None
+            or (ready.exists() and ready.read_text().endswith("\n")),
+            timeout=60.0,
+        )
+        assert process.poll() is None, process.communicate()[1]
+        host, _, port = ready.read_text().strip().rpartition(":")
+        with ProfileClient(host, int(port)) as client:
+            upload_demo(client)
+        process.send_signal(signal.SIGTERM)
+        out, err = process.communicate(timeout=30.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0, err
+    assert "stopped" in out
+    assert Aggregator(persist_dir=persist).datasets("demo") == ["d1", "d2", "d3"]
 
 
 def test_cli_upload_sweep_rejects_empty_workloads(capsys):

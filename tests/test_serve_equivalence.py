@@ -22,7 +22,7 @@ from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase
 from repro.serve.client import ProfileClient, RetryPolicy
 from repro.serve.protocol import canonical_profile_bytes
-from repro.serve.server import ServerThread
+from repro.serve.server import ProfileServer
 from repro.workloads.registry import all_workloads
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -36,7 +36,7 @@ MODES = ("scaled", "unscaled", "polling")
 def live():
     """One server + client shared by the module; programs are namespaced
     per test so uploads never collide."""
-    with ServerThread() as server:
+    with ProfileServer() as server:
         with ProfileClient(
             server.host, server.port, retry=RetryPolicy(attempts=2)
         ) as client:
@@ -139,7 +139,7 @@ def test_unreachable_server_degrades_to_identical_bytes(runner):
     }
 
     served = {}
-    with ServerThread() as server:
+    with ProfileServer() as server:
         with ProfileClient(server.host, server.port) as online:
             for name, result in runs.items():
                 online.upload_run(result, name)
