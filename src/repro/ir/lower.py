@@ -53,13 +53,9 @@ class LoweredFunction:
     num_regs: int
     code: List[Tuple[Any, ...]]
     #: Decode metadata: every pc a BR/JMP in this function can transfer to.
-    #: The fast-path engine (:mod:`repro.vm.engine`) breaks superinstruction
-    #: fusion at these pcs so every jump target stays addressable after
-    #: decoding.  ``None`` means "unknown" (a hand-built function); the
-    #: engine then derives the set by scanning ``code``.
-    jump_targets: Optional[FrozenSet[int]] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
+    #: The engine (:mod:`repro.vm.engine`) breaks superinstruction fusion
+    #: at these pcs so every jump target stays addressable after decoding.
+    jump_targets: FrozenSet[int] = dataclasses.field(repr=False, compare=False)
 
 
 @dataclasses.dataclass

@@ -16,6 +16,7 @@ from typing import Callable, List, Mapping, Optional
 
 from repro.analysis.lint import format_findings, lint_errors
 from repro.ir.cfg import Function, IRError, Module
+from repro.ir.printer import format_module
 from repro.ir.validate import validate_module
 from repro.opt.branch_folding import fold_branches
 from repro.opt.constant_folding import fold_function
@@ -166,6 +167,13 @@ def optimize_module(
 ) -> Module:
     """Run the configured passes to a fixpoint (bounded), in place.
 
+    The loop stops after an iteration in which no pass reports a change,
+    or which leaves the printed module unchanged: some passes undo each
+    other (CSE turns a duplicate ``const`` into a ``mov`` and constant
+    folding turns it back), so "changed" alone would never settle.  Passes
+    depend only on the printed state, so a further iteration would repeat
+    the same round trip.
+
     With ``sanitize``, the module is re-validated (structural checks plus
     error-severity lint rules) after every pass that changed it;
     a violation raises :class:`PipelineSanityError` naming the pass.
@@ -174,6 +182,7 @@ def optimize_module(
         options = OptOptions.classical()
     if sanitize:
         _check_invariants(module, "<input>")
+    printed = format_module(module)
     for _ in range(options.max_iterations):
         changed = False
         const_globals = (
@@ -189,5 +198,8 @@ def optimize_module(
                 _check_invariants(module, pipeline_pass.name)
             changed |= pass_changed
         if not changed:
+            break
+        before, printed = printed, format_module(module)
+        if printed == before:
             break
     return module

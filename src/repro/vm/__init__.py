@@ -4,7 +4,6 @@ from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import (
     DEFAULT_MAX_CALL_DEPTH,
     DEFAULT_MAX_INSTRUCTIONS,
-    ENGINES,
     Machine,
     run_program,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "ControlEvents",
     "DEFAULT_MAX_CALL_DEPTH",
     "DEFAULT_MAX_INSTRUCTIONS",
-    "ENGINES",
     "InstructionLimitExceeded",
     "Machine",
     "OutcomeRecorder",

@@ -1,13 +1,14 @@
-"""Predecoded fast-path execution engine for the counting VM.
+"""The counting VM's engine: predecoding, fusion and superblocks.
 
-The legacy interpreter in :mod:`repro.vm.machine` re-derives everything per
-dispatch: it fetches a flat tuple, compares its opcode down an ``elif``
-chain, and indexes operand registers and the BIN/UN function tables on
-every executed operation.  For a simulator whose entire job is executing
-hundreds of millions of RISC-ops, that per-op bookkeeping dominates.
+The original interpreter (kept as the oracle in ``tests/legacy_vm.py``)
+re-derives everything per dispatch: it fetches a flat tuple, compares its
+opcode down an ``elif`` chain, and indexes operand registers and the
+BIN/UN function tables on every executed operation.  For a simulator
+whose entire job is executing hundreds of millions of RISC-ops, that
+per-op bookkeeping dominates.
 
 This module *predecodes* a :class:`~repro.ir.lower.LoweredProgram` once
-into a form the dispatch loops can execute with far less per-op work:
+into a form the dispatch loop can execute with far less per-op work:
 
 * **Operand pre-binding.**  Unfused ``BIN``/``UN`` tuples carry the bound
   Python function (``BINOP_FUNCS[subop]``) instead of the subop index,
@@ -32,10 +33,16 @@ into a form the dispatch loops can execute with far less per-op work:
   are broken at every jump target, so a target pc always starts a decoded
   element (call-return sites always follow a ``CALL``/``ICALL`` element,
   so they also stay addressable).
+* **Superblocks** (unmonitored runs only).  Each fused element ending in
+  ``BR`` or ``JMP``, or in no terminator, is chained with its likely
+  successors (see :func:`superblocks`) into one more generated function
+  with side exits, so a hot path costs one dispatch instead of one per
+  block.
 
-The decoded form is cached on :attr:`LoweredProgram.predecoded`, so
-repeated runs of one compiled program (across datasets, within a worker
-process) pay the decode exactly once.
+The decoded form is cached on :attr:`LoweredProgram.predecoded`, and the
+superblocks with it on first use, so repeated runs of one compiled
+program (across datasets, within a worker process) pay each build
+exactly once.
 
 One dispatch loop executes the decoded form.  When monitors are attached,
 its two ``BR`` arms append every conditional-branch execution to a
@@ -43,14 +50,16 @@ bounded buffer (see :mod:`repro.vm.monitors`), and each full chunk is
 replayed to the monitors with the ``in_monitor`` flag raised, so a buggy
 monitor's ``IndexError``/``ZeroDivisionError`` propagates as-is instead of
 being mis-attributed to the guest program.  Two entry points feed it:
-:func:`run_fast` attaches no monitors, and :func:`run_monitored` attaches
-them and then fires each monitor's ``on_run_end``.  Both produce
-bit-identical :class:`RunResult`\\ s to the legacy interpreter; the
-differential harness in ``tests/test_vm_engine.py`` holds them to that.
+:func:`run_fast` runs the superblock code with no monitors, and
+:func:`run_monitored` runs the decoded code without superblocks, with
+monitors attached, and then fires each monitor's ``on_run_end``.  Both
+produce bit-identical :class:`RunResult`\\ s to the legacy interpreter;
+the differential harness in ``tests/test_vm_engine.py`` holds them to
+that.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.vm.monitors as vm_monitors
 from repro.ir.lower import LoweredFunction, LoweredProgram
@@ -89,6 +98,7 @@ OP_FUSED_BR = _OP_HALT + 2     #: run + BR: pc = fn(...) (counters inside)
 OP_FUSED_JMP = _OP_HALT + 3    #: run + JMP: pc = fn(...)
 OP_FUSED_RET = _OP_HALT + 4    #: run + RET: value = fn(...)
 OP_FUSED_CALL = _OP_HALT + 5   #: run + CALL: fn(...) then the call transfer
+OP_SUPERBLOCK = _OP_HALT + 6   #: chained runs: pc, n, j = fn(...), or base
 
 #: Opcodes eligible for superinstruction fusion: straight-line register and
 #: memory traffic with no control flow, no I/O, and no event counters.
@@ -103,6 +113,14 @@ _MERGEABLE_TERMINATORS = frozenset({_OP_BR, _OP_JMP, _OP_RET, _OP_CALL})
 #: "run" would just trade an inline dispatch arm for a Python call.  With a
 #: terminator merged, even a 1-op run halves its dispatch count.
 MIN_FUSE_RUN = 2
+
+#: Most fused elements one superblock chains together.  Every superblock is
+#: one more generated function holding copies of its elements' bodies, so
+#: this bounds the code (and memory) superblocks add.
+SUPERBLOCK_BLOCKS = 4
+
+#: Terminators a superblock can continue past (and plain runs, with none).
+_CHAINED_TERMINATORS = frozenset({_OP_BR, _OP_JMP})
 
 # -- fused-run code generation -------------------------------------------------
 
@@ -187,10 +205,15 @@ def _terminator_statements(
 # -- predecoding ---------------------------------------------------------------
 
 
+#: One decoded element's source: (first original pc, fused ops or None for
+#: a plain instruction, absorbed terminator or None).
+Segment = Tuple[int, Optional[List[Tuple[Any, ...]]], Optional[Tuple[Any, ...]]]
+
+
 class PredecodedFunction:
     """One function in decoded, fusion-collapsed form."""
 
-    __slots__ = ("name", "num_params", "num_regs", "code", "fused_ops")
+    __slots__ = ("name", "num_params", "num_regs", "code", "fused_ops", "segments")
 
     def __init__(
         self,
@@ -199,6 +222,7 @@ class PredecodedFunction:
         num_regs: int,
         code: List[Tuple[Any, ...]],
         fused_ops: int,
+        segments: List[Segment],
     ) -> None:
         self.name = name
         self.num_params = num_params
@@ -207,13 +231,15 @@ class PredecodedFunction:
         #: How many original instructions live inside fused superinstructions
         #: (decode statistics; used by tests and the benchmark report).
         self.fused_ops = fused_ops
+        #: Where each element of ``code`` came from (superblocks chain them).
+        self.segments = segments
 
 
 class PredecodedProgram:
     """A whole program in decoded form, sharing the source program's
     memory image, branch table, and function indexing."""
 
-    __slots__ = ("program", "functions", "main_index")
+    __slots__ = ("program", "functions", "main_index", "superblock_codes")
 
     def __init__(
         self,
@@ -224,19 +250,28 @@ class PredecodedProgram:
         self.program = program
         self.functions = functions
         self.main_index = main_index
+        #: Per function, ``code`` with superblock heads; see
+        #: :func:`superblocks`, which builds it on the first unmonitored run.
+        self.superblock_codes: Optional[List[List[Tuple[Any, ...]]]] = None
 
 
-def _scan_jump_targets(code: Sequence[Tuple[Any, ...]]) -> FrozenSet[int]:
-    """Every pc a BR/JMP can transfer to (the fusion break points)."""
-    targets = set()
-    for ins in code:
-        op = ins[0]
-        if op == _OP_BR:
-            targets.add(ins[2])
-            targets.add(ins[3])
-        elif op == _OP_JMP:
-            targets.add(ins[1])
-    return frozenset(targets)
+def _compile_functions(
+    lines: List[str], count: int, prefix: str, label: str, program: LoweredProgram
+) -> List[Any]:
+    """Exec ``lines`` (defining ``prefix0`` .. ``prefix{count-1}``) once."""
+    if not count:
+        return []
+    namespace: Dict[str, Any] = {
+        "VMError": VMError,
+        "_div": _c_div,
+        "_mod": _c_mod,
+        "_name": program.name,
+    }
+    exec(  # noqa: S102 - generated from the validated lowered form only
+        compile("\n".join(lines), f"<{label}:{program.name}>", "exec"),
+        namespace,
+    )
+    return [namespace[f"{prefix}{index}"] for index in range(count)]
 
 
 def _decode_call(
@@ -255,16 +290,12 @@ def _predecode_function(
     code = func.code
     length = len(code)
     targets = func.jump_targets
-    if targets is None:  # hand-built LoweredFunction: derive the metadata
-        targets = _scan_jump_targets(code)
 
     # Segment the code.  Each segment becomes exactly one decoded element:
     # either a fused run (ops, optionally an absorbed terminator) or a
     # single plain instruction (ops None).  Jump targets always start a
     # segment, so every reachable target stays addressable after decoding.
-    segments: List[
-        Tuple[int, Optional[List[Tuple[Any, ...]]], Optional[Tuple[Any, ...]]]
-    ] = []
+    segments: List[Segment] = []
     pc = 0
     while pc < length:
         if code[pc][0] in FUSIBLE_OPS:
@@ -307,23 +338,9 @@ def _predecode_function(
             for stmt in _terminator_statements(term, new_pc):
                 lines.append("    " + stmt)
         fused_count += 1
-    fns: List[Any] = []
-    if fused_count:
-        namespace: Dict[str, Any] = {
-            "VMError": VMError,
-            "_div": _c_div,
-            "_mod": _c_mod,
-            "_name": program.name,
-        }
-        exec(  # noqa: S102 - generated from the validated lowered form only
-            compile(
-                "\n".join(lines),
-                f"<fused:{program.name}:{func.name}>",
-                "exec",
-            ),
-            namespace,
-        )
-        fns = [namespace[f"_f{index}"] for index in range(fused_count)]
+    fns = _compile_functions(
+        lines, fused_count, "_f", f"fused:{func.name}", program
+    )
 
     decoded: List[Tuple[Any, ...]] = []
     run_index = 0
@@ -377,6 +394,7 @@ def _predecode_function(
         num_regs=func.num_regs,
         code=decoded,
         fused_ops=fused_ops,
+        segments=segments,
     )
 
 
@@ -396,6 +414,145 @@ def predecode(program: LoweredProgram) -> PredecodedProgram:
     return decoded
 
 
+# -- superblocks ---------------------------------------------------------------
+
+
+def _chains_on(segment: Segment) -> bool:
+    """Whether a superblock may hold this element (and go on past it)."""
+    _, ops, term = segment
+    return ops is not None and (term is None or term[0] in _CHAINED_TERMINATORS)
+
+
+def _takes_back_edge(segment: Segment) -> bool:
+    """A BR's likely direction: taken iff the target is at or before it."""
+    old, ops, term = segment
+    assert ops is not None and term is not None
+    return bool(term[2] <= old + len(ops))
+
+
+def _likely_successor(
+    segments: List[Segment], new_pc: Dict[int, int], index: int
+) -> int:
+    """The decoded index a chainable element most likely continues at."""
+    _, _, term = segments[index]
+    if term is None:
+        return index + 1
+    if term[0] == _OP_JMP:
+        return new_pc[term[1]]
+    return new_pc[term[2] if _takes_back_edge(segments[index]) else term[3]]
+
+
+def _superblock_lines(
+    name: str,
+    chain: List[int],
+    segments: List[Segment],
+    new_pc: Dict[int, int],
+    mem_size: int,
+) -> Tuple[List[str], int]:
+    """One superblock function and its longest path's instruction count.
+
+    Every exit returns the constant ``(next pc, instructions, jumps)``
+    executed up to it; an off-path branch outcome counts exactly as the
+    element's own function would, then exits.
+    """
+    lines = [f"def {name}(regs, memory, bexec, btaken):"]
+    count = jumps = 0
+    for position, index in enumerate(chain):
+        _, ops, term = segments[index]
+        assert ops is not None
+        for ins in ops:
+            lines.extend("    " + stmt for stmt in _fused_statements(ins, mem_size))
+        count += len(ops)
+        last = position == len(chain) - 1
+        if term is None:
+            if last:
+                lines.append(f"    return ({index + 1}, {count}, {jumps})")
+            continue
+        count += 1
+        if term[0] == _OP_JMP:
+            jumps += 1
+            if last:
+                lines.append(f"    return ({new_pc[term[1]]}, {count}, {jumps})")
+            continue
+        bidx, cond = term[4], term[1]
+        taken = f"({new_pc[term[2]]}, {count}, {jumps})"
+        not_taken = f"({new_pc[term[3]]}, {count}, {jumps})"
+        lines.append(f"    bexec[{bidx}] += 1")
+        if last:
+            lines += [
+                f"    if regs[{cond}]:",
+                f"        btaken[{bidx}] += 1",
+                f"        return {taken}",
+                f"    return {not_taken}",
+            ]
+        elif _takes_back_edge(segments[index]):
+            lines += [
+                f"    if not regs[{cond}]:",
+                f"        return {not_taken}",
+                f"    btaken[{bidx}] += 1",
+            ]
+        else:
+            lines += [
+                f"    if regs[{cond}]:",
+                f"        btaken[{bidx}] += 1",
+                f"        return {taken}",
+            ]
+    return lines, count
+
+
+def _superblock_code(
+    func: PredecodedFunction, program: LoweredProgram
+) -> List[Tuple[Any, ...]]:
+    """``func.code`` with every chainable element whose likely successor
+    is chainable too replaced by an ``OP_SUPERBLOCK`` head."""
+    segments = func.segments
+    new_pc = {old: index for index, (old, _, _) in enumerate(segments)}
+    chainable = [_chains_on(segment) for segment in segments]
+    lines: List[str] = []
+    heads: List[Tuple[int, int]] = []
+    for index, head_chains in enumerate(chainable):
+        if not head_chains:
+            continue
+        chain = [index]
+        while len(chain) < SUPERBLOCK_BLOCKS:
+            successor = _likely_successor(segments, new_pc, chain[-1])
+            if (
+                successor >= len(segments)
+                or successor in chain
+                or not chainable[successor]
+            ):
+                break
+            chain.append(successor)
+        if len(chain) < 2:
+            continue
+        body, count = _superblock_lines(
+            f"_s{len(heads)}", chain, segments, new_pc, program.memory_size
+        )
+        lines += body
+        heads.append((index, count))
+    fns = _compile_functions(
+        lines, len(heads), "_s", f"superblock:{func.name}", program
+    )
+    code = list(func.code)
+    for fn, (index, count) in zip(fns, heads):
+        code[index] = (OP_SUPERBLOCK, fn, count, code[index])
+    return code
+
+
+def superblocks(predecoded: PredecodedProgram) -> List[List[Tuple[Any, ...]]]:
+    """Per function, the decoded code :func:`run_fast` executes: each
+    superblock head carries its chain's function, its longest path's
+    instruction count and the element it replaces.  Built on first use
+    and cached with the decoded form."""
+    codes = predecoded.superblock_codes
+    if codes is None:
+        codes = predecoded.superblock_codes = [
+            _superblock_code(func, predecoded.program)
+            for func in predecoded.functions
+        ]
+    return codes
+
+
 # -- execution loop ------------------------------------------------------------
 
 
@@ -405,8 +562,11 @@ def run_fast(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """Run the decoded form with no monitors."""
-    return _run(predecoded, input_data, max_instructions, max_call_depth, ())
+    """Run the decoded form, with superblocks and no monitors."""
+    return _run(
+        predecoded, superblocks(predecoded), input_data,
+        max_instructions, max_call_depth, (),
+    )
 
 
 def run_monitored(
@@ -419,8 +579,9 @@ def run_monitored(
     """Run the decoded form, replaying every conditional-branch outcome to
     ``monitors`` in chunks and then calling each monitor's ``on_run_end``
     once."""
+    codes = [func.code for func in predecoded.functions]
     result = _run(
-        predecoded, input_data, max_instructions, max_call_depth, monitors
+        predecoded, codes, input_data, max_instructions, max_call_depth, monitors
     )
     for monitor in monitors:
         monitor.on_run_end(result.instructions)
@@ -429,13 +590,17 @@ def run_monitored(
 
 def _run(
     predecoded: PredecodedProgram,
+    codes: List[List[Tuple[Any, ...]]],
     input_data: bytes,
     max_instructions: int,
     max_call_depth: int,
     monitors: Sequence[BranchMonitor],
 ) -> RunResult:
-    """The one dispatch loop over the decoded form.
+    """The one dispatch loop over the decoded form, ``codes`` per function.
 
+    An ``OP_SUPERBLOCK`` head runs its chain only when the chain's longest
+    path fits under the instruction limit, and otherwise falls back to
+    the element it replaced, so the limit trips at the same element.
     With ``monitors``, both ``BR`` arms append each event to the chunk
     (see :mod:`repro.vm.monitors`) with the exact executed-instruction
     count the legacy interpreter would report, and every full chunk is
@@ -465,7 +630,7 @@ def _run(
     depth_limit = max_call_depth
 
     regs = [0] * main.num_regs
-    code = main.code
+    code = codes[predecoded.main_index]
     pc = 0
     stack: List[Tuple[Any, ...]] = []
     exit_code: Optional[int] = None
@@ -481,6 +646,16 @@ def _run(
             ins = code[pc]
             pc += 1
             op = ins[0]
+            if op == OP_SUPERBLOCK:
+                if icount + ins[2] <= limit:
+                    pc, count, taken_jumps = ins[1](
+                        regs, memory, branch_exec, branch_taken
+                    )
+                    icount += count
+                    jumps += taken_jumps
+                    continue
+                ins = ins[3]
+                op = ins[0]
             if op == OP_FUSED_BR:
                 icount += ins[2]
                 if icount > limit:
@@ -515,13 +690,12 @@ def _run(
                         f"{program.name}: exceeded {limit} instructions"
                     )
                 ins[1](regs, memory, branch_exec, branch_taken)
-                callee = functions[ins[3]]
                 new_regs = [regs[src] for src in ins[5]]
                 new_regs += ins[6]
                 if len(stack) >= depth_limit:
                     raise VMError(f"{program.name}: call depth limit exceeded")
                 stack.append((code, regs, pc, ins[4], False))
-                code = callee.code
+                code = codes[ins[3]]
                 regs = new_regs
                 pc = 0
                 direct_calls += 1
@@ -599,13 +773,12 @@ def _run(
                 pc = ins[1]
                 jumps += 1
             elif op == _OP_CALL:
-                callee = functions[ins[1]]
                 new_regs = [regs[src] for src in ins[3]]
                 new_regs += ins[4]
                 if len(stack) >= depth_limit:
                     raise VMError(f"{program.name}: call depth limit exceeded")
                 stack.append((code, regs, pc, ins[2], False))
-                code = callee.code
+                code = codes[ins[1]]
                 regs = new_regs
                 pc = 0
                 direct_calls += 1
@@ -651,7 +824,7 @@ def _run(
                 if len(stack) >= depth_limit:
                     raise VMError(f"{program.name}: call depth limit exceeded")
                 stack.append((code, regs, pc, ins[2], True))
-                code = callee.code
+                code = codes[target]
                 regs = new_regs
                 pc = 0
                 indirect_calls += 1

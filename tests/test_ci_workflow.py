@@ -91,6 +91,24 @@ def test_jobs_run_the_advertised_commands(workflow):
     ), "the examples job must IR-lint the bundled programs"
 
 
+def test_property_files_run_under_a_fresh_printed_seed(workflow):
+    """Tier-1 must pass on any Hypothesis seed, so CI draws a new one each
+    run and prints it before the property files run under it."""
+    steps = [
+        line for line in _run_lines(workflow["jobs"]["tests"])
+        if "--hypothesis-seed" in line
+    ]
+    assert len(steps) == 1
+    step = steps[0]
+    assert '--hypothesis-seed="${SEED}"' in step
+    assert 'grep -l "^@given" tests/*.py' in step, (
+        "the step must run every tests/ file that uses @given"
+    )
+    assert 0 <= step.index('echo "SEED=${SEED}"') < step.index("pytest"), (
+        "the seed must be printed before the tests run"
+    )
+
+
 def test_dynamic_equivalence_runs_each_side_on_its_own_cache(workflow):
     """A shared cache would let the --jobs 2 run see only hits and never
     start a pool, so each side needs its own empty cache directory."""

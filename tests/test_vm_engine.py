@@ -1,12 +1,13 @@
-"""Differential harness for the predecoded fast-path engine.
+"""Differential harness for the predecoded engine.
 
-The fast engine (repro.vm.engine) must be observably indistinguishable
-from the legacy dispatch loop: bit-identical RunResults (instructions,
-per-branch exec/taken, events, output, exit code) and identical monitor
-callback streams, over both generated programs and every bundled
-workload x dataset.  Anything the fast path gets wrong shows up here as
-a disagreement with the legacy loop, which stays in the tree precisely
-to serve as this oracle.
+The engine (repro.vm.engine) must be observably indistinguishable from
+the original dispatch loop in ``tests/legacy_vm.py``: bit-identical
+RunResults (instructions, per-branch exec/taken, events, output, exit
+code), identical monitor callback streams, the same instruction-limit
+trips and the same fault messages, over both generated programs and
+every bundled workload x dataset.  Anything the engine, its fusion or
+its superblocks get wrong shows up here as a disagreement with that
+loop, which is kept precisely to serve as this oracle.
 """
 import dataclasses
 
@@ -16,17 +17,27 @@ from hypothesis import strategies as st
 
 import repro.vm.monitors as vm_monitors
 from repro.compiler import compile_source
+import repro.vm as vm
+from repro.ir.opcodes import BinOp, Opcode
 from repro.vm.engine import (
     FUSIBLE_OPS,
     OP_FUSED,
+    OP_SUPERBLOCK,
     PredecodedProgram,
     predecode,
+    run_monitored,
+    superblocks,
 )
-from repro.vm.errors import VMError
-from repro.vm.machine import ENGINES, Machine, run_program
+from repro.vm.errors import InstructionLimitExceeded, VMError
+from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, Machine, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
 from repro.workloads import registry
 from repro.workloads.sourcegen import mf_module
+from tests.legacy_vm import LegacyMachine
+
+#: The engine under test and the oracle, by the ids the tests are
+#: parametrized with.
+ENGINES = {"fast": Machine, "legacy": LegacyMachine}
 
 
 def as_tuple(result):
@@ -35,6 +46,14 @@ def as_tuple(result):
 
 def lowered(source, name="test"):
     return compile_source(source, name=name).lowered
+
+
+def superblock_count(program):
+    return sum(
+        ins[0] == OP_SUPERBLOCK
+        for code in superblocks(predecode(program))
+        for ins in code
+    )
 
 
 LOOPY = """
@@ -63,9 +82,10 @@ func main() {
 @settings(max_examples=60, deadline=None)
 def test_fast_matches_legacy_on_generated_modules(seed, data):
     program = lowered(mf_module(seed), name=f"p{seed}")
-    fast = Machine(engine="fast").run(program, input_data=data)
-    legacy = Machine(engine="legacy").run(program, input_data=data)
+    fast = Machine().run(program, input_data=data)
+    legacy = LegacyMachine().run(program, input_data=data)
     assert as_tuple(fast) == as_tuple(legacy)
+    assert superblock_count(program) > 0
 
 
 class EndCountingRecorder(OutcomeRecorder):
@@ -87,7 +107,7 @@ def test_monitored_fast_matches_legacy_on_generated_modules(seed, count):
     results, streams = [], []
     for engine in ENGINES:
         recorders = [EndCountingRecorder() for _ in range(count)]
-        result = Machine(engine=engine).run(program, monitors=recorders)
+        result = ENGINES[engine]().run(program, monitors=recorders)
         for recorder in recorders:
             assert recorder.ends == [result.instructions], engine
         results.append(as_tuple(result))
@@ -105,8 +125,9 @@ def test_fast_matches_legacy_on_workload(workload_name):
     """Bit-identical RunResults for every dataset of every bundled workload."""
     workload = registry.get_workload(workload_name)
     program = lowered(workload.source, name=workload_name)
-    fast = Machine(engine="fast")
-    legacy = Machine(engine="legacy")
+    fast = Machine()
+    legacy = LegacyMachine()
+    assert superblock_count(program) > 0
     for dataset in workload.datasets:
         fast_result = fast.run(program, input_data=dataset.data)
         legacy_result = legacy.run(program, input_data=dataset.data)
@@ -123,10 +144,10 @@ def test_monitored_fast_matches_legacy_on_smallest_workload_runs():
         program = lowered(workload.source, name=workload_name)
         dataset = min(workload.datasets, key=lambda ds: len(ds.data))
         recorder_fast, recorder_legacy = OutcomeRecorder(), OutcomeRecorder()
-        fast = Machine(engine="fast").run(
+        fast = Machine().run(
             program, input_data=dataset.data, monitors=[recorder_fast]
         )
-        legacy = Machine(engine="legacy").run(
+        legacy = LegacyMachine().run(
             program, input_data=dataset.data, monitors=[recorder_legacy]
         )
         assert as_tuple(fast) == as_tuple(legacy), (workload_name, dataset.name)
@@ -177,18 +198,6 @@ def test_fusion_collapses_straight_line_runs():
         assert expanded == len(original.code)
 
 
-def test_jump_target_scan_fallback_matches_lowering_metadata():
-    """A hand-built function (jump_targets=None) decodes via the scan
-    fallback to the same behaviour as the lowering-provided metadata."""
-    with_metadata = lowered(LOOPY)
-    without_metadata = lowered(LOOPY)
-    for func in without_metadata.functions:
-        func.jump_targets = None
-    expected = Machine(engine="fast").run(with_metadata)
-    actual = Machine(engine="fast").run(without_metadata)
-    assert as_tuple(expected) == as_tuple(actual)
-
-
 def test_fusible_ops_have_no_control_flow():
     from repro.ir.opcodes import Opcode
 
@@ -197,14 +206,17 @@ def test_fusible_ops_have_no_control_flow():
     assert not FUSIBLE_OPS & {int(op) for op in control}
 
 
-def test_engine_selector():
+def test_no_engine_selector_is_left():
+    """One engine: no selector, no alias for it."""
     program = lowered("func main() { return 41; }")
-    assert Machine(engine="legacy").run(program).exit_code == 41
-    assert Machine(engine="fast").run(program).exit_code == 41
-    assert run_program(program, engine="legacy").exit_code == 41
-    assert set(ENGINES) == {"fast", "legacy"}
-    with pytest.raises(ValueError, match="engine"):
-        Machine(engine="turbo")
+    assert Machine().run(program).exit_code == 41
+    assert run_program(program).exit_code == 41
+    assert not hasattr(vm, "ENGINES")
+    assert not hasattr(vm.machine, "ENGINES")
+    with pytest.raises(TypeError):
+        Machine(engine="fast")
+    with pytest.raises(TypeError):
+        run_program(program, engine="fast")
 
 
 def test_faults_are_identical_across_engines():
@@ -219,9 +231,9 @@ def test_faults_are_identical_across_engines():
         """
     )
     with pytest.raises(VMError, match="store to bad address"):
-        Machine(engine="fast").run(bad_store)
+        Machine().run(bad_store)
     with pytest.raises(VMError, match="store to bad address"):
-        Machine(engine="legacy").run(bad_store)
+        LegacyMachine().run(bad_store)
 
     div_zero = lowered(
         """
@@ -232,9 +244,174 @@ def test_faults_are_identical_across_engines():
         """
     )
     with pytest.raises(VMError, match="division by zero"):
-        Machine(engine="fast").run(div_zero)
+        Machine().run(div_zero)
     with pytest.raises(VMError, match="division by zero"):
-        Machine(engine="legacy").run(div_zero)
+        LegacyMachine().run(div_zero)
+
+
+# -- superblocks ---------------------------------------------------------------
+
+#: Small programs for the instruction-limit sweep: loops in both branch
+#: directions, calls out of a loop, and a loop that exits early.
+LIMIT_SWEEP = {
+    "nested": """
+        func main() {
+            var i; var j; var acc = 0;
+            for (i = 0; i < 6; i += 1) {
+                for (j = 0; j < i; j += 1) {
+                    if ((i + j) % 3 == 0) { acc += j; } else { acc -= 1; }
+                }
+            }
+            return acc & 127;
+        }
+        """,
+    "calls": """
+        arr table[8];
+        func bump(k) { table[k % 8] = table[k % 8] + k; return k + 1; }
+        func main() {
+            var i = 0; var s = 0;
+            while (i < 12) { i = bump(i); s += table[i % 8]; }
+            putc(s & 255);
+            return 0;
+        }
+        """,
+    "early exit": """
+        func main() {
+            var i; var found = 0 - 1;
+            for (i = 0; i < 50; i += 1) {
+                if (i * i > 90) { found = i; break; }
+            }
+            return found;
+        }
+        """,
+}
+
+
+#: Each faults in a loop condition.  The loop body's superblock chains
+#: the condition's block onto the (fault-free) body block.
+FAULTS_IN_A_SUPERBLOCK = {
+    "load from bad address -1": """
+        arr buf[8];
+        func main() {
+            var i = 0;
+            while (buf[7 - i] == 0) { i += 1; }
+            return i;
+        }
+        """,
+    "division by zero": """
+        func main() {
+            var i = 0; var j = 0;
+            while (100 / (7 - i) != 0) { j += i; i += 1; }
+            return j;
+        }
+        """,
+}
+
+
+def _outcome(run, *args):
+    """A run's result, or the class and message of the error it raised."""
+    try:
+        return ("ok", as_tuple(run(*args)))
+    except VMError as error:
+        return (type(error).__name__, str(error))
+
+
+_LIMIT = InstructionLimitExceeded.__name__
+
+
+@pytest.mark.parametrize(
+    "name", sorted(LIMIT_SWEEP) + sorted(FAULTS_IN_A_SUPERBLOCK)
+)
+def test_limit_sweep_matches_legacy(name):
+    """At every limit up to the run's own count (or its fault), the fast
+    engine raises iff the legacy loop raises.  It also raises exactly
+    what the decoded code without superblocks raises (``run_monitored``
+    with no monitors): a superblock entered too close to the limit would
+    run past it, and in the faulting programs report the fault instead.
+
+    The decoded code checks the limit once per fused element, so where a
+    fault and the limit fall inside one element, the legacy loop reports
+    the fault and the engine the limit; only there do their errors
+    differ.
+    """
+    program = lowered(LIMIT_SWEEP.get(name) or FAULTS_IN_A_SUPERBLOCK[name])
+    decoded = predecode(program)
+    assert superblock_count(program) > 0
+    for limit in range(10_000):
+        legacy = _outcome(LegacyMachine(max_instructions=limit).run, program)
+        fast = _outcome(Machine(max_instructions=limit).run, program)
+        base = _outcome(
+            run_monitored, decoded, b"", (), limit, DEFAULT_MAX_CALL_DEPTH
+        )
+        assert fast == base, (name, limit)
+        assert (fast[0] == "ok") == (legacy[0] == "ok"), (name, limit)
+        if legacy[0] != _LIMIT and fast[0] != _LIMIT:
+            break
+        if fast[0] != _LIMIT:
+            assert fast == legacy, (name, limit)
+    assert fast == legacy
+    assert 20 < limit < 10_000
+
+
+#: Opcodes that can fault inside a fused block.
+_FAULTING = {int(Opcode.LOAD), int(Opcode.STORE)}
+_FAULTING_BIN = {int(BinOp.DIV), int(BinOp.MOD)}
+
+
+def _can_fault(ins):
+    return ins[0] in _FAULTING or (
+        ins[0] == int(Opcode.BIN) and ins[1] in _FAULTING_BIN
+    )
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS_IN_A_SUPERBLOCK))
+def test_fault_inside_a_superblocks_second_block(fault):
+    program = lowered(FAULTS_IN_A_SUPERBLOCK[fault])
+    decoded = predecode(program)
+    # Mark which superblock is running, so the fault can be placed.
+    running = []
+    for code in superblocks(decoded):
+        for index, ins in enumerate(code):
+            if ins[0] != OP_SUPERBLOCK:
+                continue
+
+            def traced(*args, _run=ins[1], _index=index):
+                running.append(_index)
+                result = _run(*args)
+                running.pop()
+                return result
+
+            code[index] = (OP_SUPERBLOCK, traced) + ins[2:]
+    with pytest.raises(VMError) as fast:
+        Machine().run(program)
+    with pytest.raises(VMError) as legacy:
+        LegacyMachine().run(program)
+    assert str(fast.value) == str(legacy.value) == f"test: {fault}"
+    # The fault left a superblock mid-flight, and that superblock's head
+    # block cannot fault, so the faulting op sat in a later block.
+    assert len(running) == 1
+    main = decoded.functions[decoded.main_index]
+    _, head_ops, _ = main.segments[running[0]]
+    assert not any(_can_fault(ins) for ins in head_ops)
+
+
+def test_superblocks_are_built_once_and_only_for_unmonitored_runs():
+    program = lowered(LOOPY)
+    decoded = predecode(program)
+    assert decoded.superblock_codes is None
+    Machine().run(program, monitors=[OutcomeRecorder()])
+    assert decoded.superblock_codes is None
+    Machine().run(program)
+    codes = decoded.superblock_codes
+    assert codes is not None and superblocks(decoded) is codes
+    for func, code in zip(decoded.functions, codes):
+        assert len(code) == len(func.code)
+        for base, ins in zip(func.code, code):
+            if ins[0] == OP_SUPERBLOCK:
+                # A head replaces its element and runs more than it alone.
+                assert ins[3] is base and ins[2] > base[2]
+            else:
+                assert ins is base
 
 
 # -- monitor contract regressions ---------------------------------------------
@@ -273,7 +450,7 @@ def test_monitor_bugs_are_not_misattributed_to_the_guest(
     # events fit one default chunk, replayed after the loop; with 7-event
     # chunks the first replay happens inside the loop.
     program = lowered(LOOPY)
-    machine = Machine(engine=engine)
+    machine = ENGINES[engine]()
     for chunk_events in (vm_monitors.CHUNK_EVENTS, 7):
         monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", chunk_events)
         bystanders = [EndCountingRecorder()] if fan_out else []
@@ -325,7 +502,7 @@ def test_events_before_a_guest_fault_reach_the_monitors(fault, monkeypatch):
         for engine in ENGINES:
             recorder = EndCountingRecorder()
             with pytest.raises(VMError, match=fault):
-                Machine(engine=engine, max_instructions=5_000).run(
+                ENGINES[engine](max_instructions=5_000).run(
                     program, monitors=[recorder]
                 )
             assert recorder.ends == []
@@ -363,7 +540,7 @@ def test_run_length_monitor_flushes_the_tail_run(engine):
     program = lowered(LOOPY)
     num_branches = len(program.branch_table)
     monitor = RunLengthMonitor([False] * num_branches)
-    result = Machine(engine=engine).run(program, monitors=[monitor])
+    result = ENGINES[engine]().run(program, monitors=[monitor])
     assert monitor.run_lengths
     assert all(length > 0 for length in monitor.run_lengths)
     assert sum(monitor.run_lengths) == result.instructions
