@@ -9,10 +9,11 @@ import time
 
 from repro.analysis.lint import lint_module
 from repro.analysis.prover import ProofVerdict, prove_module
-from repro.compiler import CompileOptions, compile_source
 from repro.opt.globalconst import constant_globals
-from repro.opt.pipeline import OptOptions, optimize_module
+from repro.opt.pipeline import optimize_module
 from repro.workloads import all_workloads
+
+from tests.helpers import compile_reference
 
 
 def test_smoke_prover_over_all_workloads(runner):
@@ -51,10 +52,8 @@ def test_smoke_sanitizer_overhead():
     workload = next(w for w in all_workloads() if w.name == "compress")
 
     def pipeline(sanitize):
-        program = compile_source(
-            workload.source,
-            name=workload.name,
-            options=CompileOptions(opt=OptOptions.none()),
+        program = compile_reference(
+            workload.source, select=True, optimize=False, name=workload.name
         )
         started = time.perf_counter()
         optimize_module(program.module, sanitize=sanitize)

@@ -12,14 +12,14 @@ Quickstart::
 See :mod:`repro.core` for the profile-feedback workflow the paper studies and
 :mod:`repro.experiments` for the table/figure reproductions.
 """
-from repro.compiler import CompiledProgram, CompileOptions, compile_source
+from repro.compiler import CompiledProgram, RunConfig, compile_source
 from repro.vm.machine import run_program
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CompileOptions",
     "CompiledProgram",
+    "RunConfig",
     "__version__",
     "compile_source",
     "run_program",

@@ -8,7 +8,7 @@ on, dead code elimination off, simple-``if``-to-``select`` conversion on).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.ir.cfg import Module
 from repro.ir.instructions import BranchId
@@ -19,36 +19,7 @@ from repro.lang.directives import parse_directives
 from repro.lang.parser import parse_source
 from repro.lang.sema import analyze
 from repro.opt.inline import inline_module
-from repro.opt.pipeline import OptOptions, optimize_module
-
-
-@dataclasses.dataclass
-class CompileOptions:
-    """Knobs for one compilation.
-
-    ``inline`` enables procedure inlining of small leaf functions before
-    optimization (the Multiflow compiler's automatic-inlining switch; off
-    in all of the paper's measurements).
-    """
-
-    enable_select: bool = True
-    inline: bool = False
-    opt: OptOptions = dataclasses.field(default_factory=OptOptions.classical)
-
-    @classmethod
-    def paper_default(cls) -> "CompileOptions":
-        """The configuration used for all of the paper's measurements."""
-        return cls()
-
-    @classmethod
-    def with_dce(cls) -> "CompileOptions":
-        """As the default, but with dead code elimination (Table 1)."""
-        return cls(opt=OptOptions.with_dce())
-
-    @classmethod
-    def unoptimized(cls) -> "CompileOptions":
-        """No optimization, no select conversion (debugging baseline)."""
-        return cls(enable_select=False, opt=OptOptions.none())
+from repro.opt.pipeline import optimize_module
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,14 +40,6 @@ class RunConfig:
             f"dce={self.dce}|inline={self.inline}|ifconv={self.if_conversion}"
         )
 
-    def compile_options(self) -> CompileOptions:
-        if self.dce:
-            opt = OptOptions.with_dce()
-        else:
-            opt = OptOptions.classical()
-        opt.if_conversion = self.if_conversion
-        return CompileOptions(inline=self.inline, opt=opt)
-
 
 @dataclasses.dataclass
 class CompiledProgram:
@@ -87,25 +50,19 @@ class CompiledProgram:
     lowered: LoweredProgram
     #: IFPROB directive counts parsed from the source, if any were present.
     feedback: Dict[BranchId, Tuple[int, int]]
-    options: CompileOptions
+    config: RunConfig
 
 
 def compile_source(
-    source: str,
-    name: str = "program",
-    options: Optional[CompileOptions] = None,
+    source: str, name: str = "program", config: RunConfig = RunConfig()
 ) -> CompiledProgram:
     """Compile MF source text into an executable :class:`CompiledProgram`."""
-    if options is None:
-        options = CompileOptions.paper_default()
     program_ast = parse_source(source)
     info = analyze(program_ast)
-    module = generate_module(
-        program_ast, name=name, info=info, enable_select=options.enable_select
-    )
-    if options.inline:
+    module = generate_module(program_ast, name=name, info=info)
+    if config.inline:
         inline_module(module)
-    optimize_module(module, options.opt)
+    optimize_module(module, dce=config.dce, if_conversion=config.if_conversion)
     validate_module(module)
     lowered = lower_module(module, validate=False)
     feedback = parse_directives(program_ast.directives)
@@ -114,5 +71,5 @@ def compile_source(
         module=module,
         lowered=lowered,
         feedback=feedback,
-        options=options,
+        config=config,
     )

@@ -89,9 +89,7 @@ class WorkloadRunner:
         if key not in self._programs:
             workload = get_workload(workload_name)
             self._programs[key] = compile_source(
-                workload.source,
-                name=workload.name,
-                options=config.compile_options(),
+                workload.source, name=workload.name, config=config
             )
         return self._programs[key]
 

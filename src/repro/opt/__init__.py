@@ -8,11 +8,10 @@ from repro.opt.globalconst import constant_globals, written_symbols
 from repro.opt.ifconvert import if_convert_function, if_convert_module
 from repro.opt.inline import inline_function, inline_module
 from repro.opt.jump_threading import thread_jumps
-from repro.opt.pipeline import OptOptions, optimize_module
+from repro.opt.pipeline import optimize_module
 from repro.opt.unreachable import remove_unreachable
 
 __all__ = [
-    "OptOptions",
     "constant_globals",
     "cse_function",
     "eliminate_dead_instructions",

@@ -1,13 +1,13 @@
-"""The optimization pipeline and its configuration.
+"""The optimization pipeline.
 
-The default configuration mirrors the paper's: "we allowed most of the
-typical classical intraprocedural optimizations ... but suppressed some more
-advanced optimizations that would have changed the flow of control", and
-"we had to turn off the compiler's global dead code elimination".  So the
-classical scalar passes (including plain dead-instruction cleanup) are on by
-default, and *global dead code elimination* — branch folding plus
-unreachable-block removal — is off; Table 1 turns it on to measure what it
-would have removed.
+It mirrors the paper's compiler: "we allowed most of the typical classical
+intraprocedural optimizations ... but suppressed some more advanced
+optimizations that would have changed the flow of control", and "we had to
+turn off the compiler's global dead code elimination".  So the classical
+scalar passes (including plain dead-instruction cleanup) always run, and
+*global dead code elimination* — branch folding plus unreachable-block
+removal — runs only with ``dce``; Table 1 turns it on to measure what it
+would have removed.  If-conversion runs only with ``if_conversion``.
 """
 from __future__ import annotations
 
@@ -28,107 +28,57 @@ from repro.opt.ifconvert import if_convert_function
 from repro.opt.jump_threading import thread_jumps
 from repro.opt.unreachable import remove_unreachable
 
-
-@dataclasses.dataclass
-class OptOptions:
-    """Which passes run.  Defaults reproduce the paper's compiler setup.
-
-    Dead-*instruction* elimination (removing pure computations whose results
-    are never used, e.g. copy-propagation leftovers) is a classical scalar
-    cleanup and is on by default.  What the paper calls "global dead code
-    elimination" — folding constant-outcome branches and deleting the code
-    they guard, which "removes conditional branches with constant outcome,
-    hence changes the total number and order of conditional branches" — is
-    the ``branch_folding`` + ``remove_unreachable`` pair, off by default and
-    enabled only to measure Table 1.  (A computation whose only use sits
-    behind a constant-false guard stays live until the guard is folded, so
-    those two passes are also what unlocks removing it.)
-    """
-
-    constant_folding: bool = True
-    copy_propagation: bool = True
-    cse: bool = True
-    jump_threading: bool = True
-    global_constants: bool = True
-    dead_instructions: bool = True
-    # Global dead code elimination (paper: OFF for all measurements).
-    branch_folding: bool = False
-    remove_unreachable: bool = False
-    # If-conversion (paper: suppressed; enabled only by the ablation).
-    if_conversion: bool = False
-    max_iterations: int = 10
-
-    @classmethod
-    def classical(cls) -> "OptOptions":
-        """The paper's configuration: classical optimizations, no DCE."""
-        return cls()
-
-    @classmethod
-    def with_dce(cls) -> "OptOptions":
-        """Classical optimizations plus global dead code elimination."""
-        return cls(branch_folding=True, remove_unreachable=True)
-
-    @classmethod
-    def none(cls) -> "OptOptions":
-        """No optimization at all (for debugging and baselines)."""
-        return cls(
-            constant_folding=False,
-            copy_propagation=False,
-            cse=False,
-            jump_threading=False,
-            global_constants=False,
-            dead_instructions=False,
-        )
+#: The most pipeline iterations one ``optimize_module`` call runs.
+MAX_ITERATIONS = 10
 
 
 @dataclasses.dataclass(frozen=True)
 class Pass:
-    """A named pipeline pass: an enable switch plus a per-function body."""
+    """A named pipeline pass and its per-function body.
+
+    ``switch`` names the ``optimize_module`` flag that enables the pass
+    (spelled like the ``RunConfig`` field it carries), or is ``None`` for
+    a classical pass that always runs.
+    """
 
     name: str
-    enabled: Callable[[OptOptions], bool]
     run: Callable[[Function, Mapping[str, int]], bool]
+    switch: Optional[str] = None
 
 
 #: Pipeline order.  Each entry runs over every function before the next
 #: starts; passes are intraprocedural, so this produces the same IR as the
 #: historical function-major loop while giving the sanitizer a well-defined
 #: "after pass X" point to re-check invariants at.
+#:
+#: Dead-*instruction* elimination (removing pure computations whose results
+#: are never used, e.g. copy-propagation leftovers) is a classical scalar
+#: cleanup and always runs.  What the paper calls "global dead code
+#: elimination" — folding constant-outcome branches and deleting the code
+#: they guard, which "removes conditional branches with constant outcome,
+#: hence changes the total number and order of conditional branches" — is
+#: the branch-folding + remove-unreachable pair.  (A computation whose only
+#: use sits behind a constant-false guard stays live until the guard is
+#: folded, so those two passes are also what unlocks removing it.)
 PASSES: List[Pass] = [
-    Pass(
-        "constant-folding",
-        lambda options: options.constant_folding,
-        fold_function,
-    ),
+    Pass("constant-folding", fold_function),
     Pass(
         "copy-propagation",
-        lambda options: options.copy_propagation,
         lambda func, const_globals: propagate_function(func),
     ),
-    Pass("cse", lambda options: options.cse, lambda func, _: cse_function(func)),
-    Pass(
-        "jump-threading",
-        lambda options: options.jump_threading,
-        lambda func, _: thread_jumps(func),
-    ),
+    Pass("cse", lambda func, _: cse_function(func)),
+    Pass("jump-threading", lambda func, _: thread_jumps(func)),
     Pass(
         "if-conversion",
-        lambda options: options.if_conversion,
         lambda func, _: if_convert_function(func),
+        "if_conversion",
     ),
+    Pass("branch-folding", fold_branches, "dce"),
     Pass(
-        "branch-folding",
-        lambda options: options.branch_folding,
-        fold_branches,
-    ),
-    Pass(
-        "remove-unreachable",
-        lambda options: options.remove_unreachable,
-        lambda func, _: remove_unreachable(func),
+        "remove-unreachable", lambda func, _: remove_unreachable(func), "dce"
     ),
     Pass(
         "dead-instructions",
-        lambda options: options.dead_instructions,
         lambda func, _: eliminate_dead_instructions(func),
     ),
 ]
@@ -162,10 +112,15 @@ def _check_invariants(module: Module, pass_name: str) -> None:
 
 def optimize_module(
     module: Module,
-    options: Optional[OptOptions] = None,
+    *,
+    dce: bool = False,
+    if_conversion: bool = False,
     sanitize: bool = False,
 ) -> Module:
-    """Run the configured passes to a fixpoint (bounded), in place.
+    """Run the passes to a fixpoint (at most ``MAX_ITERATIONS``), in place.
+
+    The classical passes always run; ``dce`` adds global dead code
+    elimination and ``if_conversion`` adds if-conversion (see ``PASSES``).
 
     The loop stops after an iteration in which no pass reports a change,
     or which leaves the printed module unchanged: some passes undo each
@@ -178,18 +133,15 @@ def optimize_module(
     error-severity lint rules) after every pass that changed it;
     a violation raises :class:`PipelineSanityError` naming the pass.
     """
-    if options is None:
-        options = OptOptions.classical()
+    switches = {"dce": dce, "if_conversion": if_conversion}
     if sanitize:
         _check_invariants(module, "<input>")
     printed = format_module(module)
-    for _ in range(options.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         changed = False
-        const_globals = (
-            constant_globals(module) if options.global_constants else {}
-        )
+        const_globals = constant_globals(module)
         for pipeline_pass in PASSES:
-            if not pipeline_pass.enabled(options):
+            if pipeline_pass.switch and not switches[pipeline_pass.switch]:
                 continue
             pass_changed = False
             for func in module.functions:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.compiler import CompiledProgram, CompileOptions, compile_source
+from repro.compiler import CompiledProgram, compile_source
 from repro.lang.directives import apply_feedback
 from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase
@@ -28,14 +28,11 @@ class IfProbber:
         self,
         source: str,
         name: str = "program",
-        options: Optional[CompileOptions] = None,
         database: Optional[ProfileDatabase] = None,
     ) -> None:
         self.source = source
         self.name = name
-        self.compiled: CompiledProgram = compile_source(
-            source, name=name, options=options
-        )
+        self.compiled: CompiledProgram = compile_source(source, name=name)
         self.database = database if database is not None else ProfileDatabase()
 
     def run_dataset(self, dataset: str, input_data: bytes) -> RunResult:

@@ -22,7 +22,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.compiler import CompileOptions, RunConfig, compile_source
+from repro.compiler import RunConfig, compile_source
 from repro.lang.directives import apply_feedback
 from repro.metrics.ipb import (
     branch_density,
@@ -35,12 +35,10 @@ from repro.profiling.database import ProfileDatabase
 from repro.vm.machine import run_program
 
 
-def _compile_options(args) -> CompileOptions:
+def _run_config(args) -> RunConfig:
     return RunConfig(
-        dce=getattr(args, "dce", False),
-        inline=getattr(args, "inline", False),
-        if_conversion=getattr(args, "ifconvert", False),
-    ).compile_options()
+        dce=args.dce, inline=args.inline, if_conversion=args.ifconvert
+    )
 
 
 def _read_input(args) -> bytes:
@@ -73,7 +71,7 @@ def _load_db(path: str) -> ProfileDatabase:
 def cmd_run(args) -> int:
     source = _load_source(args.program)
     compiled = compile_source(
-        source, name=_program_name(args.program), options=_compile_options(args)
+        source, name=_program_name(args.program), config=_run_config(args)
     )
     result = run_program(compiled.lowered, input_data=_read_input(args))
     sys.stdout.buffer.write(result.output)
@@ -97,7 +95,7 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     source = _load_source(args.program)
     name = _program_name(args.program)
-    compiled = compile_source(source, name=name, options=_compile_options(args))
+    compiled = compile_source(source, name=name, config=_run_config(args))
     result = run_program(compiled.lowered, input_data=_read_input(args))
     database = _load_db(args.db)
     database.record(result, args.dataset)
@@ -135,7 +133,7 @@ def cmd_feedback(args) -> int:
 def cmd_predict(args) -> int:
     source = _load_source(args.program)
     name = _program_name(args.program)
-    compiled = compile_source(source, name=name, options=_compile_options(args))
+    compiled = compile_source(source, name=name, config=_run_config(args))
     result = run_program(compiled.lowered, input_data=_read_input(args))
 
     if args.db:
@@ -169,7 +167,7 @@ def cmd_dynsim(args) -> int:
 
     source = _load_source(args.program)
     name = _program_name(args.program)
-    compiled = compile_source(source, name=name, options=_compile_options(args))
+    compiled = compile_source(source, name=name, config=_run_config(args))
     profile = None
     if args.db:
         database = ProfileDatabase.load(args.db)
@@ -208,7 +206,7 @@ def cmd_lint(args) -> int:
 
     source = _load_source(args.program)
     compiled = compile_source(
-        source, name=_program_name(args.program), options=_compile_options(args)
+        source, name=_program_name(args.program), config=_run_config(args)
     )
     findings = lint_module(compiled.module, min_severity=args.min_severity)
     for finding in findings:
@@ -229,7 +227,7 @@ def cmd_disasm(args) -> int:
 
     source = _load_source(args.program)
     compiled = compile_source(
-        source, name=_program_name(args.program), options=_compile_options(args)
+        source, name=_program_name(args.program), config=_run_config(args)
     )
     print(disassemble(compiled.lowered))
     return 0

@@ -1,5 +1,4 @@
 """CFG analysis tests: reverse postorder, dominators, loops."""
-from repro.compiler import CompileOptions, compile_source
 from repro.ir.analysis import (
     back_edges,
     cfg_edges,
@@ -14,9 +13,11 @@ from repro.ir.analysis import (
     successor_map,
 )
 
+from tests.helpers import compile_reference
+
 
 def function_of(source, name="main"):
-    program = compile_source(source, options=CompileOptions(enable_select=False))
+    program = compile_reference(source, select=False, optimize=True)
     return program.module.function(name)
 
 

@@ -59,6 +59,16 @@ def test_jobs_run_the_advertised_commands(workflow):
         and '"failed"' in line
         for line in _run_lines(jobs["benchmark-smoke"])
     ), "the smoke job must run the traced monitored-warm benchmark"
+    assert any(
+        "perfbench/run.py --workload cold-sweep" in line
+        and "--trace 1" in line
+        and '"failed"' in line
+        and '"opt.cap_hits"' in line
+        for line in _run_lines(jobs["benchmark-smoke"])
+    ), (
+        "the smoke job must run the traced cold-sweep benchmark and fail "
+        "on a wrong table, a failed op or an optimizer cap hit"
+    )
     serve_lines = _run_lines(jobs["serve-smoke"])
     assert any(
         "repro-serve serve" in line for line in serve_lines

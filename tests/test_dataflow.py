@@ -14,14 +14,15 @@ from repro.analysis import (
     reaching_definitions,
 )
 from repro.analysis.ranges import compare_intervals
-from repro.compiler import CompileOptions, compile_source
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import BranchId, Instr
 from repro.ir.opcodes import BinOp, Opcode
 
+from tests.helpers import compile_reference
+
 
 def function_of(source, name="main"):
-    program = compile_source(source, options=CompileOptions(enable_select=False))
+    program = compile_reference(source, select=False, optimize=True)
     return program.module.function(name)
 
 

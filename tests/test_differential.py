@@ -4,23 +4,28 @@ full compile-optimize-lower-execute pipeline, under every configuration.
 The reference interpreter (tests/reference_interp.py) walks the AST and
 shares nothing with the production pipeline beyond the parser, so agreement
 on outputs, exit codes and faults is strong evidence both are right.
+Each optimizer pass is also checked on its own, so a miscompile names its
+pass even when the full pipeline happens to mask it.
 """
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import CompileOptions, compile_source
-from repro.opt import OptOptions
+from repro.compiler import RunConfig
+from repro.ir.lower import lower_module
+from repro.opt import pipeline
+from repro.opt.globalconst import constant_globals
 from repro.vm.errors import VMError
 from repro.vm.machine import Machine
 
+from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_reference, compile_with
 from tests.reference_interp import ReferenceFault, ReferenceInterpreter
 
 CONFIGS = [
-    CompileOptions.paper_default(),
-    CompileOptions.with_dce(),
-    CompileOptions.unoptimized(),
-    CompileOptions(inline=True),
-    CompileOptions(opt=OptOptions(if_conversion=True)),
+    RunConfig(),
+    RunConfig(dce=True),
+    UNOPTIMIZED,
+    RunConfig(inline=True),
+    RunConfig(if_conversion=True),
 ]
 
 # --- program generator ----------------------------------------------------------
@@ -157,14 +162,26 @@ def run_reference(source, data):
         return ("fault", str(fault))
 
 
-def run_pipeline(source, data, options):
-    compiled = compile_source(source, options=options)
+def run_lowered(lowered, data):
     machine = Machine(max_instructions=5_000_000)
     try:
-        result = machine.run(compiled.lowered, input_data=data)
+        result = machine.run(lowered, input_data=data)
         return result.exit_code, result.output
-    except VMError as fault:
+    except VMError:
         return ("fault", "vm")
+
+
+def run_pipeline(source, data, config):
+    return run_lowered(compile_with(source, config).lowered, data)
+
+
+def assert_agrees(expected, actual, context):
+    if isinstance(expected, tuple) and expected[0] == "fault":
+        assert isinstance(actual, tuple) and actual[0] == "fault", (
+            context, expected, actual,
+        )
+    else:
+        assert actual == expected, context
 
 
 # CSE once recorded ``a + b`` as available in ``a`` right after ``a += b``
@@ -180,14 +197,37 @@ CSE_SELF_OPERAND = (
 @settings(max_examples=120, deadline=None)
 def test_pipeline_matches_reference_interpreter(source, data):
     expected = run_reference(source, data)
-    for options in CONFIGS:
-        actual = run_pipeline(source, data, options)
-        if isinstance(expected, tuple) and expected[0] == "fault":
-            assert isinstance(actual, tuple) and actual[0] == "fault", (
-                source, data, expected, actual,
+    for config in CONFIGS:
+        actual = run_pipeline(source, data, config)
+        assert_agrees(expected, actual, (source, data, config))
+
+
+def run_one_pass(source, select, pipeline_pass):
+    """The unoptimized module, lowered after ``pipeline_pass`` alone runs
+    to its fixpoint (at most ``MAX_ITERATIONS`` rounds, as in the
+    pipeline)."""
+    module = compile_reference(source, select=select, optimize=False).module
+    for _ in range(pipeline.MAX_ITERATIONS):
+        const_globals = constant_globals(module)
+        changed = False
+        for func in module.functions:
+            changed |= pipeline_pass.run(func, const_globals)
+        if not changed:
+            break
+    return lower_module(module)
+
+
+@given(programs(), st.binary(max_size=6))
+@example(CSE_SELF_OPERAND, b"\x03\x05")
+@settings(max_examples=40, deadline=None)
+def test_each_pass_alone_matches_reference_interpreter(source, data):
+    expected = run_reference(source, data)
+    for select in (True, False):
+        for pipeline_pass in pipeline.PASSES:
+            actual = run_lowered(run_one_pass(source, select, pipeline_pass), data)
+            assert_agrees(
+                expected, actual, (source, data, pipeline_pass.name, select)
             )
-        else:
-            assert actual == expected, (source, data, options)
 
 
 @given(programs(), st.binary(max_size=4))
@@ -200,10 +240,8 @@ def test_branch_counts_agree_across_scalar_configs(source, data):
     before BranchIds are assigned, so comparing it against the unconverted
     program would diff two legitimately different branch sets.
     """
-    default = compile_source(
-        source, options=CompileOptions(enable_select=False)
-    )
-    unopt = compile_source(source, options=CompileOptions.unoptimized())
+    default = compile_with(source, SELECT_OFF)
+    unopt = compile_with(source, UNOPTIMIZED)
     machine = Machine(max_instructions=5_000_000)
     try:
         counts_default = machine.run(

@@ -1,7 +1,6 @@
 """If-conversion tests."""
-from repro.compiler import CompileOptions, compile_source
+from repro.compiler import RunConfig, compile_source
 from repro.ir import validate_module
-from repro.opt import OptOptions
 
 from tests.helpers import compile_and_run
 
@@ -23,25 +22,21 @@ func main() {
 """
 
 
-def converted_options():
-    return CompileOptions(opt=OptOptions(if_conversion=True))
-
-
 def test_conversion_preserves_semantics():
     base = compile_and_run(DIAMOND)
-    converted = compile_and_run(DIAMOND, options=converted_options())
+    converted = compile_and_run(DIAMOND, config=RunConfig(if_conversion=True))
     assert base.exit_code == converted.exit_code
 
 
 def test_conversion_removes_the_branch():
     base = compile_and_run(DIAMOND)
-    converted = compile_and_run(DIAMOND, options=converted_options())
+    converted = compile_and_run(DIAMOND, config=RunConfig(if_conversion=True))
     assert len(converted.branch_counts()) < len(base.branch_counts())
     assert converted.events.selects > 0
 
 
 def test_converted_module_is_valid():
-    program = compile_source(DIAMOND, options=converted_options())
+    program = compile_source(DIAMOND, config=RunConfig(if_conversion=True))
     validate_module(program.module)
 
 
@@ -57,7 +52,7 @@ def test_memory_touching_arms_are_not_converted():
     }
     """
     base = compile_and_run(source)
-    converted = compile_and_run(source, options=converted_options())
+    converted = compile_and_run(source, config=RunConfig(if_conversion=True))
     assert base.exit_code == converted.exit_code
     # Stores/loads in the arms keep the branch.
     assert len(converted.branch_counts()) == len(base.branch_counts())
@@ -76,7 +71,7 @@ def test_division_arms_are_not_converted():
     }
     """
     base = compile_and_run(source)
-    converted = compile_and_run(source, options=converted_options())
+    converted = compile_and_run(source, config=RunConfig(if_conversion=True))
     # Converting would divide by zero at i == 5.
     assert base.exit_code == converted.exit_code
 
@@ -96,7 +91,7 @@ def test_one_sided_hammock_conversion():
     }
     """
     base = compile_and_run(source)
-    converted = compile_and_run(source, options=converted_options())
+    converted = compile_and_run(source, config=RunConfig(if_conversion=True))
     assert base.exit_code == converted.exit_code
     assert len(converted.branch_counts()) <= len(base.branch_counts())
 
@@ -114,6 +109,6 @@ def test_conversion_keeps_branch_when_arm_has_call():
     }
     """
     base = compile_and_run(source)
-    converted = compile_and_run(source, options=converted_options())
+    converted = compile_and_run(source, config=RunConfig(if_conversion=True))
     # Calls must not be speculated: exactly 5 in both configurations.
     assert base.exit_code == converted.exit_code == 5

@@ -1,9 +1,9 @@
 """Inliner tests."""
-from repro.compiler import CompileOptions, compile_source
+from repro.compiler import RunConfig, compile_source
 from repro.ir import validate_module
 from repro.opt.inline import inline_module
 
-from tests.helpers import compile_and_run
+from tests.helpers import compile_and_run, compile_reference
 
 CALL_HEAVY = """
 func add3(a, b, c) { return a + b + c; }
@@ -22,32 +22,28 @@ func main() {
 """
 
 
-def inline_options():
-    return CompileOptions(inline=True)
-
-
 def test_inlining_preserves_semantics():
     base = compile_and_run(CALL_HEAVY)
-    inlined = compile_and_run(CALL_HEAVY, options=inline_options())
+    inlined = compile_and_run(CALL_HEAVY, config=RunConfig(inline=True))
     assert base.exit_code == inlined.exit_code
     assert base.output == inlined.output
 
 
 def test_inlining_removes_direct_calls():
     base = compile_and_run(CALL_HEAVY)
-    inlined = compile_and_run(CALL_HEAVY, options=inline_options())
+    inlined = compile_and_run(CALL_HEAVY, config=RunConfig(inline=True))
     assert base.events.direct_calls == 60
     assert inlined.events.direct_calls == 0
     assert inlined.events.direct_returns == 0
 
 
 def test_inlined_module_is_valid():
-    program = compile_source(CALL_HEAVY, options=inline_options())
+    program = compile_source(CALL_HEAVY, config=RunConfig(inline=True))
     validate_module(program.module)
 
 
 def test_inlined_branches_get_fresh_ids():
-    program = compile_source(CALL_HEAVY, options=inline_options())
+    program = compile_source(CALL_HEAVY, config=RunConfig(inline=True))
     ids = program.module.branch_ids()
     assert len(ids) == len(set(ids))
     # clamp's branches were cloned into main under main's name.
@@ -62,7 +58,7 @@ def test_recursive_functions_are_not_inlined():
     }
     func main() { return fact(6) % 256; }
     """
-    result = compile_and_run(source, options=inline_options())
+    result = compile_and_run(source, config=RunConfig(inline=True))
     assert result.exit_code == 720 % 256
     assert result.events.direct_calls > 0  # recursion stayed
 
@@ -73,7 +69,7 @@ def test_large_functions_are_not_inlined():
     func big(x) {{ {body} return x; }}
     func main() {{ return big(1) & 127; }}
     """
-    result = compile_and_run(source, options=inline_options())
+    result = compile_and_run(source, config=RunConfig(inline=True))
     assert result.events.direct_calls == 1
 
 
@@ -85,7 +81,7 @@ def test_indirect_calls_are_never_inlined():
         return g(4) + f(5);
     }
     """
-    result = compile_and_run(source, options=inline_options())
+    result = compile_and_run(source, config=RunConfig(inline=True))
     assert result.exit_code == 11
     assert result.events.indirect_calls == 1
     assert result.events.direct_calls == 0  # the direct call was inlined
@@ -101,7 +97,7 @@ def test_void_style_callee_and_unused_result():
         return sink;
     }
     """
-    result = compile_and_run(source, options=inline_options())
+    result = compile_and_run(source, config=RunConfig(inline=True))
     assert result.exit_code == 9
     assert result.events.direct_calls == 0
 
@@ -118,13 +114,13 @@ def test_callee_with_multiple_returns():
     }
     """
     base = compile_and_run(source)
-    inlined = compile_and_run(source, options=inline_options())
+    inlined = compile_and_run(source, config=RunConfig(inline=True))
     assert base.exit_code == inlined.exit_code == 109
     assert inlined.events.direct_calls == 0
 
 
 def test_inline_module_reports_change():
-    program = compile_source(CALL_HEAVY, options=CompileOptions.unoptimized())
+    program = compile_reference(CALL_HEAVY, select=False, optimize=False)
     assert inline_module(program.module) is True
     assert inline_module(program.module) is False or True  # idempotent-safe
 

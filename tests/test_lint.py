@@ -16,13 +16,14 @@ from repro.analysis.lint import (
     lint_function,
     severity_counts,
 )
-from repro.compiler import CompileOptions, compile_source
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import BranchId, Instr
 from repro.ir.opcodes import Opcode
 from repro.opt import pipeline
 from repro.opt.pipeline import PipelineSanityError, optimize_module
 from repro.workloads.registry import all_workloads
+
+from tests.helpers import compile_reference
 
 
 def rules_of(findings):
@@ -150,13 +151,9 @@ def test_all_workloads_are_lint_error_free(runner):
 
 
 def test_sanitized_pipeline_is_quiet_on_all_workloads():
-    from repro.opt.pipeline import OptOptions
-
     for workload in all_workloads():
-        program = compile_source(
-            workload.source,
-            name=workload.name,
-            options=CompileOptions(opt=OptOptions.none()),
+        program = compile_reference(
+            workload.source, select=True, optimize=False, name=workload.name
         )
         optimize_module(program.module, sanitize=True)  # must not raise
 
@@ -170,7 +167,7 @@ def test_broken_pass_is_caught_by_name():
                 return True
         return False
 
-    program = compile_source(
+    program = compile_reference(
         """
         func main() {
             var n = 0;
@@ -178,16 +175,15 @@ def test_broken_pass_is_caught_by_name():
             return n;
         }
         """,
-        options=CompileOptions.unoptimized(),
+        select=False,
+        optimize=False,
     )
     index = next(
         i for i, p in enumerate(pipeline.PASSES) if p.name == "jump-threading"
     )
     original = pipeline.PASSES[index]
     pipeline.PASSES[index] = pipeline.Pass(
-        name="jump-threading",
-        enabled=lambda options: True,
-        run=clobber_jump_target,
+        name="jump-threading", run=clobber_jump_target
     )
     try:
         with pytest.raises(PipelineSanityError) as excinfo:

@@ -1,10 +1,17 @@
 """Optimizer pass tests."""
-from repro.compiler import CompileOptions, compile_source
+import dataclasses
+
+from repro.compiler import RunConfig, compile_source
 from repro.ir import Opcode
-from repro.opt import OptOptions, constant_globals
+from repro.opt import constant_globals, pipeline
 from repro.vm.machine import run_program
 
-from tests.helpers import compile_and_run
+from tests.helpers import (
+    SELECT_OFF,
+    UNOPTIMIZED,
+    compile_and_run,
+    compile_reference,
+)
 
 
 def ops_of(program, func_name):
@@ -32,13 +39,9 @@ def test_cse_does_not_reuse_an_expression_over_its_own_operand():
     func h(a, b) { a += b; return a + b + 1; }
     func main() { return h(getc(), getc()) & 127; }
     """
-    for options in (
-        CompileOptions.paper_default(),
-        CompileOptions.with_dce(),
-        CompileOptions.unoptimized(),
-    ):
-        result = compile_and_run(source, input_data=b"\x03\x05", options=options)
-        assert result.exit_code == 14, options
+    for config in (RunConfig(), RunConfig(dce=True), UNOPTIMIZED):
+        result = compile_and_run(source, input_data=b"\x03\x05", config=config)
+        assert result.exit_code == 14, config
 
 
 def test_cse_removes_duplicate_computation():
@@ -61,17 +64,15 @@ def test_cse_removes_duplicate_computation():
             if instr.op == Opcode.BIN and instr.subop == int(BinOp.MUL)
         )
 
-    unopt_program = compile_source(source, options=CompileOptions.unoptimized())
+    unopt_program = compile_reference(source, select=False, optimize=False)
     opt_program = compile_source(source)
     assert multiplies(unopt_program) == 2
     assert multiplies(opt_program) == 1  # CSE shares a*b (leaves a MOV)
     data = bytes([5, 7])
     assert run_program(opt_program.lowered, input_data=data).exit_code == 73
     # With dead-instruction elimination on top, the dynamic count shrinks too.
-    dce = compile_and_run(source, input_data=data, options=CompileOptions.with_dce())
-    base = compile_and_run(
-        source, input_data=data, options=CompileOptions.unoptimized()
-    )
+    dce = compile_and_run(source, input_data=data, config=RunConfig(dce=True))
+    base = compile_and_run(source, input_data=data, config=UNOPTIMIZED)
     assert dce.exit_code == 73
     assert dce.instructions < base.instructions
 
@@ -136,7 +137,7 @@ def test_paper_config_keeps_constant_branch():
 
 
 def test_dce_removes_constant_branch():
-    result = compile_and_run(DEBUG_GUARDED, options=CompileOptions.with_dce())
+    result = compile_and_run(DEBUG_GUARDED, config=RunConfig(dce=True))
     assert result.exit_code == 50
     assert len(result.branch_counts()) == 1  # only the loop test remains
     baseline = compile_and_run(DEBUG_GUARDED)
@@ -156,7 +157,7 @@ def test_classical_removes_plainly_unused_computation():
         return live;
     }
     """
-    unopt = compile_and_run(source, options=CompileOptions.unoptimized())
+    unopt = compile_and_run(source, config=UNOPTIMIZED)
     classical = compile_and_run(source)
     assert unopt.exit_code == classical.exit_code == 60
     assert classical.instructions < unopt.instructions
@@ -180,7 +181,7 @@ def test_guarded_use_keeps_computation_live_until_dce():
     }
     """
     classical = compile_and_run(source)
-    dce = compile_and_run(source, options=CompileOptions.with_dce())
+    dce = compile_and_run(source, config=RunConfig(dce=True))
     assert classical.exit_code == dce.exit_code == 60
     assert dce.instructions < classical.instructions
     assert len(dce.branch_counts()) < len(classical.branch_counts())
@@ -197,7 +198,7 @@ def test_branch_ids_survive_optimization():
     }
     """
     default = compile_source(source)
-    unopt = compile_source(source, options=CompileOptions.unoptimized())
+    unopt = compile_reference(source, select=False, optimize=False)
     assert set(default.module.branch_ids()) == set(unopt.module.branch_ids())
 
 
@@ -211,12 +212,12 @@ def test_dce_only_removes_branches_it_proves_constant():
     }
     """
     # LIMIT is constant, but the loop test depends on i too: branch stays.
-    result = compile_and_run(source, options=CompileOptions.with_dce())
+    result = compile_and_run(source, config=RunConfig(dce=True))
     assert result.exit_code == 10
     assert len(result.branch_counts()) == 1
 
 
-def test_jump_threading_reduces_jump_events():
+def test_jump_threading_reduces_jump_events(monkeypatch):
     source = """
     func main() {
         var i; var n = 0;
@@ -226,13 +227,11 @@ def test_jump_threading_reduces_jump_events():
         return n;
     }
     """
-    threaded = compile_and_run(
-        source, options=CompileOptions(enable_select=False)
-    )
-    unthreaded_opts = CompileOptions(
-        enable_select=False, opt=OptOptions(jump_threading=False)
-    )
-    unthreaded = compile_and_run(source, options=unthreaded_opts)
+    threaded = compile_and_run(source, config=SELECT_OFF)
+    monkeypatch.setattr(pipeline, "PASSES", [
+        entry for entry in pipeline.PASSES if entry.name != "jump-threading"
+    ])
+    unthreaded = compile_and_run(source, config=SELECT_OFF)
     assert threaded.exit_code == unthreaded.exit_code == 30
     assert threaded.events.jumps <= unthreaded.events.jumps
 
@@ -251,20 +250,46 @@ def test_optimization_never_changes_output():
     }
     """
     results = [
-        compile_and_run(source, options=options)
-        for options in (
-            CompileOptions.paper_default(),
-            CompileOptions.with_dce(),
-            CompileOptions.unoptimized(),
-        )
+        compile_and_run(source, config=config)
+        for config in (RunConfig(), RunConfig(dce=True), UNOPTIMIZED)
     ]
     assert len({r.exit_code for r in results}) == 1
     assert len({r.output for r in results}) == 1
 
 
-def test_opt_options_factories():
-    assert not OptOptions.classical().branch_folding
-    assert OptOptions.classical().dead_instructions
-    assert OptOptions.with_dce().branch_folding
-    assert not OptOptions.none().constant_folding
-    assert not OptOptions.none().dead_instructions
+#: The passes ``optimize_module`` runs under each experiment RunConfig.
+CLASSICAL = [
+    "constant-folding", "copy-propagation", "cse", "jump-threading",
+    "dead-instructions",
+]
+EXPECTED_PASSES = {
+    RunConfig(): CLASSICAL,
+    RunConfig(dce=True): CLASSICAL[:4] + [
+        "branch-folding", "remove-unreachable", "dead-instructions",
+    ],
+    RunConfig(inline=True): CLASSICAL,
+    RunConfig(if_conversion=True): CLASSICAL[:4] + [
+        "if-conversion", "dead-instructions",
+    ],
+}
+
+
+def test_each_run_config_runs_its_passes(monkeypatch):
+    # Spies that change nothing: one function, one iteration, so each
+    # enabled pass runs exactly once per compile.
+    ran = []
+
+    def spy(entry):
+        def run(func, const_globals):
+            ran.append(entry.name)
+            return False
+
+        return dataclasses.replace(entry, run=run)
+
+    monkeypatch.setattr(
+        pipeline, "PASSES", [spy(entry) for entry in pipeline.PASSES]
+    )
+    for config, expected in EXPECTED_PASSES.items():
+        ran.clear()
+        compile_source("func main() { return getc(); }", config=config)
+        assert ran == expected, config

@@ -2,8 +2,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import CompileOptions, compile_source
+from repro.compiler import RunConfig, compile_source
 from repro.vm.machine import run_program
+
+from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_with
 
 # -- random expression trees over integer literals ---------------------------
 
@@ -93,13 +95,8 @@ def test_optimization_configs_agree_on_expressions(expr):
     }}
     """
     outputs = {
-        run_program(compile_source(source, options=options).lowered).output
-        for options in (
-            CompileOptions.paper_default(),
-            CompileOptions.with_dce(),
-            CompileOptions.unoptimized(),
-            CompileOptions(enable_select=False),
-        )
+        run_program(compile_with(source, config).lowered).output
+        for config in (RunConfig(), RunConfig(dce=True), UNOPTIMIZED, SELECT_OFF)
     }
     assert len(outputs) == 1
 
@@ -136,12 +133,8 @@ def loop_programs(draw):
 @settings(max_examples=60, deadline=None)
 def test_optimization_configs_agree_on_loops(source):
     results = [
-        run_program(compile_source(source, options=options).lowered)
-        for options in (
-            CompileOptions.paper_default(),
-            CompileOptions.with_dce(),
-            CompileOptions.unoptimized(),
-        )
+        run_program(compile_with(source, config).lowered)
+        for config in (RunConfig(), RunConfig(dce=True), UNOPTIMIZED)
     ]
     assert len({result.output for result in results}) == 1
     # Branch counters keyed by BranchId must agree wherever both configs

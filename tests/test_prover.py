@@ -13,14 +13,15 @@ from repro.analysis.prover import (
     prove_function,
     prove_module,
 )
-from repro.compiler import CompileOptions, compile_source
 from repro.opt.globalconst import constant_globals
 from repro.prediction import StaticProofPredictor
 from repro.workloads.registry import all_workloads
 
+from tests.helpers import compile_reference
+
 
 def compiled_program(source):
-    return compile_source(source, options=CompileOptions(enable_select=False))
+    return compile_reference(source, select=False, optimize=True)
 
 
 def proofs_of(source, name="main"):
@@ -42,7 +43,7 @@ def test_constant_false_condition_proven_fallthrough():
     # constant, but `0` surviving as a branch condition is what the
     # generality knobs produce; synthesize it via prove_function on the
     # unoptimized module.
-    program = compile_source(
+    program = compile_reference(
         """
         var knob = 0;
         func main() {
@@ -50,7 +51,8 @@ def test_constant_false_condition_proven_fallthrough():
             return 0;
         }
         """,
-        options=CompileOptions(enable_select=False),
+        select=False,
+        optimize=True,
     )
     proofs = prove_function(
         program.module.function("main"),
@@ -61,7 +63,7 @@ def test_constant_false_condition_proven_fallthrough():
 
 
 def test_constant_true_condition_proven_taken():
-    program = compile_source(
+    program = compile_reference(
         """
         var knob = 3;
         func main() {
@@ -69,7 +71,8 @@ def test_constant_true_condition_proven_taken():
             return 0;
         }
         """,
-        options=CompileOptions(enable_select=False),
+        select=False,
+        optimize=True,
     )
     proofs = prove_function(
         program.module.function("main"),

@@ -5,63 +5,59 @@ optimizer (default configuration) and virtual machine together.
 """
 import pytest
 
-from repro.compiler import CompileOptions
+from repro.compiler import RunConfig
 from repro.vm.errors import VMError
 
-from tests.helpers import compile_and_run, run_main
+from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_and_run, run_main
 
-ALL_CONFIGS = [
-    CompileOptions.paper_default(),
-    CompileOptions.with_dce(),
-    CompileOptions.unoptimized(),
-]
+ALL_CONFIGS = [RunConfig(), RunConfig(dce=True), UNOPTIMIZED]
 
 
 @pytest.fixture(params=ALL_CONFIGS, ids=["default", "dce", "unopt"])
-def options(request):
+def config(request):
     """Semantics must not depend on the optimization configuration."""
     return request.param
 
 
-def test_return_constant(options):
-    assert run_main("func main() { return 42; }", options=options) == 42
+def test_return_constant(config):
+    assert run_main("func main() { return 42; }", config=config) == 42
 
 
-def test_arithmetic(options):
+def test_arithmetic(config):
     assert run_main(
-        "func main() { return (2 + 3) * 4 - 10 / 2; }", options=options
+        "func main() { return (2 + 3) * 4 - 10 / 2; }", config=config
     ) == 15
 
 
-def test_c_style_division_truncates_toward_zero(options):
-    assert run_main("func main() { return -7 / 2; }", options=options) == -3
-    assert run_main("func main() { return 7 / -2; }", options=options) == -3
-    assert run_main("func main() { return -7 % 2; }", options=options) == -1
-    assert run_main("func main() { return 7 % -2; }", options=options) == 1
+def test_c_style_division_truncates_toward_zero(config):
+    assert run_main("func main() { return -7 / 2; }", config=config) == -3
+    assert run_main("func main() { return 7 / -2; }", config=config) == -3
+    assert run_main("func main() { return -7 % 2; }", config=config) == -1
+    assert run_main("func main() { return 7 % -2; }", config=config) == 1
 
 
-def test_bitwise_and_shifts(options):
+def test_bitwise_and_shifts(config):
     assert run_main(
-        "func main() { return (12 & 10) | (1 << 4) ^ 3; }", options=options
+        "func main() { return (12 & 10) | (1 << 4) ^ 3; }", config=config
     ) == ((12 & 10) | (1 << 4) ^ 3)
-    assert run_main("func main() { return -16 >> 2; }", options=options) == -4
-    assert run_main("func main() { return ~5; }", options=options) == -6
+    assert run_main("func main() { return -16 >> 2; }", config=config) == -4
+    assert run_main("func main() { return ~5; }", config=config) == -6
 
 
-def test_comparisons_produce_zero_or_one(options):
+def test_comparisons_produce_zero_or_one(config):
     assert run_main("func main() { return (3 < 5) + (5 <= 5) + (6 > 9); }",
-                    options=options) == 2
+                    config=config) == 2
 
 
-def test_logical_not(options):
-    assert run_main("func main() { return !0 + !7; }", options=options) == 1
+def test_logical_not(config):
+    assert run_main("func main() { return !0 + !7; }", config=config) == 1
 
 
-def test_unary_minus(options):
-    assert run_main("func main() { var x = 5; return -x; }", options=options) == -5
+def test_unary_minus(config):
+    assert run_main("func main() { var x = 5; return -x; }", config=config) == -5
 
 
-def test_globals_and_arrays(options):
+def test_globals_and_arrays(config):
     source = """
     var g = 7;
     arr a[8] = {10, 20, 30};
@@ -71,10 +67,10 @@ def test_globals_and_arrays(options):
         return a[3] + a[0] + a[7];
     }
     """
-    assert run_main(source, options=options) == 37
+    assert run_main(source, config=config) == 37
 
 
-def test_while_loop(options):
+def test_while_loop(config):
     source = """
     func main() {
         var i = 0; var sum = 0;
@@ -82,10 +78,10 @@ def test_while_loop(options):
         return sum;
     }
     """
-    assert run_main(source, options=options) == 45
+    assert run_main(source, config=config) == 45
 
 
-def test_do_while_executes_at_least_once(options):
+def test_do_while_executes_at_least_once(config):
     source = """
     func main() {
         var n = 0;
@@ -93,10 +89,10 @@ def test_do_while_executes_at_least_once(options):
         return n;
     }
     """
-    assert run_main(source, options=options) == 1
+    assert run_main(source, config=config) == 1
 
 
-def test_for_loop_with_break_and_continue(options):
+def test_for_loop_with_break_and_continue(config):
     source = """
     func main() {
         var i; var sum = 0;
@@ -108,10 +104,10 @@ def test_for_loop_with_break_and_continue(options):
         return sum;
     }
     """
-    assert run_main(source, options=options) == 0 + 2 + 4 + 6 + 8
+    assert run_main(source, config=config) == 0 + 2 + 4 + 6 + 8
 
 
-def test_nested_loops_break_binds_innermost(options):
+def test_nested_loops_break_binds_innermost(config):
     source = """
     func main() {
         var i; var j; var count = 0;
@@ -124,10 +120,10 @@ def test_nested_loops_break_binds_innermost(options):
         return count;
     }
     """
-    assert run_main(source, options=options) == 6
+    assert run_main(source, config=config) == 6
 
 
-def test_short_circuit_and_skips_rhs(options):
+def test_short_circuit_and_skips_rhs(config):
     source = """
     var effects;
     func bump() { effects += 1; return 1; }
@@ -137,10 +133,10 @@ def test_short_circuit_and_skips_rhs(options):
         return effects;
     }
     """
-    assert run_main(source, options=options) == 1
+    assert run_main(source, config=config) == 1
 
 
-def test_short_circuit_or_skips_rhs(options):
+def test_short_circuit_or_skips_rhs(config):
     source = """
     var effects;
     func bump() { effects += 1; return 0; }
@@ -150,10 +146,10 @@ def test_short_circuit_or_skips_rhs(options):
         return effects;
     }
     """
-    assert run_main(source, options=options) == 1
+    assert run_main(source, config=config) == 1
 
 
-def test_logical_as_value(options):
+def test_logical_as_value(config):
     source = """
     func main() {
         var a = 3 && 0;
@@ -163,10 +159,10 @@ def test_logical_as_value(options):
         return a * 1000 + b * 100 + c * 10 + d;
     }
     """
-    assert run_main(source, options=options) == 101
+    assert run_main(source, config=config) == 101
 
 
-def test_switch_dispatch_and_default(options):
+def test_switch_dispatch_and_default(config):
     source = """
     func pick(x) {
         switch (x) {
@@ -179,10 +175,10 @@ def test_switch_dispatch_and_default(options):
         return pick(1) * 1000 + pick(3) * 10 + (pick(9) == -1);
     }
     """
-    assert run_main(source, options=options) == 10201
+    assert run_main(source, config=config) == 10201
 
 
-def test_switch_fallthrough(options):
+def test_switch_fallthrough(config):
     source = """
     func main() {
         var n = 0;
@@ -196,10 +192,10 @@ def test_switch_fallthrough(options):
         return n;
     }
     """
-    assert run_main(source, options=options) == 110
+    assert run_main(source, config=config) == 110
 
 
-def test_switch_default_position_is_matched_last(options):
+def test_switch_default_position_is_matched_last(config):
     source = """
     func main() {
         var n = 0;
@@ -211,10 +207,10 @@ def test_switch_default_position_is_matched_last(options):
         return n;
     }
     """
-    assert run_main(source, options=options) == 5
+    assert run_main(source, config=config) == 5
 
 
-def test_recursion(options):
+def test_recursion(config):
     source = """
     func fib(n) {
         if (n < 2) { return n; }
@@ -222,19 +218,19 @@ def test_recursion(options):
     }
     func main() { return fib(12); }
     """
-    assert run_main(source, options=options) == 144
+    assert run_main(source, config=config) == 144
 
 
-def test_mutual_recursion(options):
+def test_mutual_recursion(config):
     source = """
     func is_even(n) { if (n == 0) { return 1; } return is_odd(n - 1); }
     func is_odd(n) { if (n == 0) { return 0; } return is_even(n - 1); }
     func main() { return is_even(10) * 10 + is_odd(7); }
     """
-    assert run_main(source, options=options) == 11
+    assert run_main(source, config=config) == 11
 
 
-def test_indirect_call_through_variable(options):
+def test_indirect_call_through_variable(config):
     source = """
     func double(x) { return 2 * x; }
     func triple(x) { return 3 * x; }
@@ -245,10 +241,10 @@ def test_indirect_call_through_variable(options):
         return a + f(10);
     }
     """
-    assert run_main(source, options=options) == 50
+    assert run_main(source, config=config) == 50
 
 
-def test_indirect_call_through_table(options):
+def test_indirect_call_through_table(config):
     source = """
     arr ops[2];
     func inc(x) { return x + 1; }
@@ -259,21 +255,21 @@ def test_indirect_call_through_table(options):
         return ops[0](10) * 100 + ops[1](10);
     }
     """
-    assert run_main(source, options=options) == 1109
+    assert run_main(source, config=config) == 1109
 
 
-def test_indirect_calls_counted_as_events(options):
+def test_indirect_calls_counted_as_events(config):
     source = """
     func f() { return 1; }
     func main() { var g = &f; return g() + g(); }
     """
-    result = compile_and_run(source, options=options)
+    result = compile_and_run(source, config=config)
     assert result.events.indirect_calls == 2
     assert result.events.indirect_returns == 2
     assert result.events.direct_calls == 0
 
 
-def test_getc_putc_roundtrip(options):
+def test_getc_putc_roundtrip(config):
     source = """
     func main() {
         var c = getc();
@@ -284,69 +280,69 @@ def test_getc_putc_roundtrip(options):
         return 0;
     }
     """
-    result = compile_and_run(source, input_data=b"hello", options=options)
+    result = compile_and_run(source, input_data=b"hello", config=config)
     assert result.output == b"hello"
 
 
-def test_getc_returns_minus_one_at_eof(options):
-    assert run_main("func main() { return getc(); }", options=options) == -1
+def test_getc_returns_minus_one_at_eof(config):
+    assert run_main("func main() { return getc(); }", config=config) == -1
 
 
-def test_halt_stops_program(options):
+def test_halt_stops_program(config):
     source = """
     func main() {
         putc('a');
         halt;
     }
     """
-    result = compile_and_run(source, options=options)
+    result = compile_and_run(source, config=config)
     assert result.output == b"a"
     assert result.exit_code == 0
 
 
-def test_compound_assignment_on_array_element(options):
+def test_compound_assignment_on_array_element(config):
     source = """
     arr a[4] = {5};
     func main() { a[0] *= 3; a[0] += 1; return a[0]; }
     """
-    assert run_main(source, options=options) == 16
+    assert run_main(source, config=config) == 16
 
 
-def test_function_falls_off_end_returns_zero(options):
+def test_function_falls_off_end_returns_zero(config):
     source = "func f() { } func main() { return f() + 5; }"
-    assert run_main(source, options=options) == 5
+    assert run_main(source, config=config) == 5
 
 
-def test_statements_after_return_are_dead(options):
+def test_statements_after_return_are_dead(config):
     source = """
     func main() {
         return 1;
         return 2;
     }
     """
-    assert run_main(source, options=options) == 1
+    assert run_main(source, config=config) == 1
 
 
-def test_division_by_zero_raises_vmerror(options):
+def test_division_by_zero_raises_vmerror(config):
     with pytest.raises(VMError, match="division by zero"):
-        run_main("func main() { var z = 0; return 5 / z; }", options=options)
+        run_main("func main() { var z = 0; return 5 / z; }", config=config)
 
 
-def test_out_of_bounds_store_raises_vmerror(options):
+def test_out_of_bounds_store_raises_vmerror(config):
     with pytest.raises(VMError, match="bad address"):
-        run_main("arr a[2]; func main() { a[5] = 1; return 0; }", options=options)
+        run_main("arr a[2]; func main() { a[5] = 1; return 0; }", config=config)
 
 
-def test_negative_index_raises_vmerror(options):
+def test_negative_index_raises_vmerror(config):
     with pytest.raises(VMError, match="bad address"):
         run_main(
-            "arr a[2]; func main() { var i = -1; return a[i]; }", options=options
+            "arr a[2]; func main() { var i = -1; return a[i]; }", config=config
         )
 
 
-def test_bad_indirect_target_raises_vmerror(options):
+def test_bad_indirect_target_raises_vmerror(config):
     with pytest.raises(VMError, match="indirect call"):
-        run_main("func main() { var f = 999; return f(); }", options=options)
+        run_main("func main() { var f = 999; return f(); }", config=config)
 
 
 def test_select_conversion_is_semantics_preserving():
@@ -361,7 +357,7 @@ def test_select_conversion_is_semantics_preserving():
     }
     """
     with_select = compile_and_run(source)
-    without = compile_and_run(source, options=CompileOptions(enable_select=False))
+    without = compile_and_run(source, config=SELECT_OFF)
     assert with_select.exit_code == without.exit_code == 13
     assert with_select.events.selects > 0
     assert without.events.selects == 0
@@ -381,5 +377,5 @@ def test_select_not_applied_to_division():
     assert run_main(source) == -1
 
 
-def test_exit_code_is_mains_return_value(options):
-    assert run_main("func main() { return 123; }", options=options) == 123
+def test_exit_code_is_mains_return_value(config):
+    assert run_main("func main() { return 123; }", config=config) == 123

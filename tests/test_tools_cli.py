@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+import repro.tools.cli as cli
+from repro.compiler import RunConfig
 from repro.tools.cli import main
 
 PROGRAM = """
@@ -119,6 +121,44 @@ def test_compile_flags_accepted(workdir, capsysbinary):
     assert main(["run", "histogram.mf", "--input", "d1.txt",
                  "--dce", "--inline", "--ifconvert"]) == 0
     assert capsysbinary.readouterr().out == b"o"
+
+
+#: Every subcommand that compiles, with the arguments it needs to run.
+COMPILING_COMMANDS = {
+    "run": ["--input", "d1.txt"],
+    "profile": ["--dataset", "d1", "--input", "d1.txt", "--db", "p.json"],
+    "predict": ["--input", "d2.txt", "--db", "p.json"],
+    "dynsim": ["--input", "d1.txt", "--table-size", "16"],
+    "lint": [],
+    "disasm": [],
+}
+
+FLAG_SETS = {
+    (): RunConfig(),
+    ("--dce",): RunConfig(dce=True),
+    ("--inline",): RunConfig(inline=True),
+    ("--ifconvert",): RunConfig(if_conversion=True),
+    ("--dce", "--inline", "--ifconvert"): RunConfig(
+        dce=True, inline=True, if_conversion=True
+    ),
+}
+
+
+def test_compile_flags_reach_the_compiler(workdir, monkeypatch, capsys):
+    seen = []
+    real_compile = cli.compile_source
+
+    def spy(source, name, config):
+        seen.append(config)
+        return real_compile(source, name=name, config=config)
+
+    monkeypatch.setattr(cli, "compile_source", spy)
+    for command, arguments in COMPILING_COMMANDS.items():
+        for flags, expected in FLAG_SETS.items():
+            seen.clear()
+            main([command, "histogram.mf", *arguments, *flags])
+            assert seen == [expected], (command, flags)
+    capsys.readouterr()
 
 
 def test_dynsim_scores_the_zoo(workdir, capsys):
