@@ -1,6 +1,6 @@
 """Benchmark: the engine's throughput vs the original dispatch loop.
 
-The VM dispatch loop is the substrate-wide hot path — every table and
+The VM engine is the substrate-wide hot path — every table and
 figure is arithmetic over millions of simulated RISC-ops — so this is
 the repo's first recorded perf point (``BENCH_VM.json``).  The baseline
 is the original tuple-dispatch loop, kept in ``tests/legacy_vm.py`` as
@@ -11,7 +11,9 @@ runner); the full benchmark sweeps every bundled workload x dataset,
 checks bit-identity against the legacy loop as it goes, and rewrites
 ``BENCH_VM.json``.  The rewrite keeps the fast-engine numbers it replaces
 as its ``before`` half, so each refresh is a before/after pair; it also
-records the superblocks' count, build time and added resident memory.
+records how many functions the engine generates, how long generating and
+compiling them takes and the resident memory they add.  A second smoke
+test holds monitored runs (a no-op monitor) to the same floor.
 """
 import dataclasses
 import gc
@@ -22,20 +24,33 @@ import time
 from pathlib import Path
 
 from repro.compiler import compile_source
-from repro.vm.engine import OP_SUPERBLOCK, SUPERBLOCK_BLOCKS, predecode, superblocks
+from repro.vm.engine import compiled, predecode
 from repro.vm.machine import Machine
+from repro.vm.monitors import BranchMonitor
 from repro.workloads import registry
 from tests.legacy_vm import LegacyMachine
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_VM.json"
 
-#: CI floor: the engine measures about 2.4x overall (1.5x on the most
-#: control-heavy workload, 4x on compute kernels, about 3.9x on this mix);
-#: anything under 1.4x on this mix means the fast path stopped being fast.
+#: CI floor: the engine measures about 5.1x overall (3.2x on the most
+#: call-heavy workload, 6-8x on compute kernels, about 7.8x on this mix,
+#: 4.4x monitored on its mix); anything under 1.4x on either mix means the
+#: fast path stopped being fast.
 SMOKE_FLOOR = 1.4
 
 #: A small compute + control mix for the smoke check.
 SMOKE_RUNS = [("nasa7", None), ("espresso", None)]
+
+#: The monitored smoke check adds the call-heavy li.
+MONITORED_SMOKE_RUNS = ["nasa7", "espresso", "li"]
+
+
+class NoOpMonitor(BranchMonitor):
+    """Takes every chunk and does nothing with it, so a monitored run
+    times the engine's recording and chunking, not a predictor."""
+
+    def replay(self, chunk):
+        pass
 
 
 def _compiled(workload_name):
@@ -43,26 +58,29 @@ def _compiled(workload_name):
     return workload, compile_source(workload.source, name=workload_name).lowered
 
 
-def _timed_run(machine, program, data):
+def _timed_run(machine, program, data, monitored):
+    monitors = [NoOpMonitor()] if monitored else []
     started = time.perf_counter()
-    result = machine.run(program, input_data=data)
+    result = machine.run(program, input_data=data, monitors=monitors)
     return time.perf_counter() - started, result
 
 
-def _measure(workload, program, dataset_names=None):
+def _measure(workload, program, dataset_names=None, monitored=False):
     """Per-workload (instructions, legacy_seconds, fast_seconds); the fast
-    timing is the warm path (decode and superblocks cached on the
+    timing is the warm path (the compiled variant cached on the
     LoweredProgram), which is what every sweep after the first run pays."""
     fast = Machine()
     legacy = LegacyMachine()
-    superblocks(predecode(program))  # build once, outside the timed region
+    compiled(predecode(program), monitored)  # build outside the timed region
     instructions = 0
     legacy_seconds = fast_seconds = 0.0
     for dataset in workload.datasets:
         if dataset_names is not None and dataset.name not in dataset_names:
             continue
-        legacy_time, legacy_result = _timed_run(legacy, program, dataset.data)
-        fast_time, fast_result = _timed_run(fast, program, dataset.data)
+        legacy_time, legacy_result = _timed_run(
+            legacy, program, dataset.data, monitored
+        )
+        fast_time, fast_result = _timed_run(fast, program, dataset.data, monitored)
         assert dataclasses.astuple(fast_result) == dataclasses.astuple(
             legacy_result
         ), (workload.name, dataset.name)
@@ -72,14 +90,16 @@ def _measure(workload, program, dataset_names=None):
     return instructions, legacy_seconds, fast_seconds
 
 
-def test_smoke_vm_engine_speedup():
+def _smoke(workload_names, monitored):
+    """The engine's speedup over the legacy loop on the smallest dataset
+    of each workload."""
     instructions = 0
     legacy_seconds = fast_seconds = 0.0
-    for workload_name, _ in SMOKE_RUNS:
+    for workload_name in workload_names:
         workload, program = _compiled(workload_name)
         smallest = min(workload.datasets, key=lambda ds: len(ds.data))
         count, legacy_time, fast_time = _measure(
-            workload, program, dataset_names={smallest.name}
+            workload, program, dataset_names={smallest.name}, monitored=monitored
         )
         instructions += count
         legacy_seconds += legacy_time
@@ -87,7 +107,8 @@ def test_smoke_vm_engine_speedup():
 
     speedup = legacy_seconds / fast_seconds
     print(
-        f"\nVM engine smoke: {instructions / 1e6:.1f}M ops, "
+        f"\nVM engine {'monitored ' if monitored else ''}smoke: "
+        f"{instructions / 1e6:.1f}M ops, "
         f"legacy {instructions / legacy_seconds / 1e6:.2f} Mops/s, "
         f"fast {instructions / fast_seconds / 1e6:.2f} Mops/s, "
         f"speedup {speedup:.2f}x"
@@ -97,6 +118,14 @@ def test_smoke_vm_engine_speedup():
         f"{SMOKE_FLOOR}x floor — did the fast path regress to the "
         "legacy loop?"
     )
+
+
+def test_smoke_vm_engine_speedup():
+    _smoke([name for name, _ in SMOKE_RUNS], monitored=False)
+
+
+def test_smoke_vm_monitored_speedup():
+    _smoke(MONITORED_SMOKE_RUNS, monitored=True)
 
 
 def _resident_mb():
@@ -109,23 +138,17 @@ def _resident_mb():
     return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-def _build_superblocks(programs):
-    """Build every program's superblocks: (count, seconds, added MB)."""
-    for program in programs:
-        predecode(program)
+def _build_plain_variants(programs):
+    """Analyse every program and generate and compile its plain variant:
+    (functions generated, seconds, added MB)."""
     gc.collect()
     resident = _resident_mb()
     started = time.perf_counter()
-    codes = [superblocks(predecode(program)) for program in programs]
+    codes = [compiled(predecode(program), False) for program in programs]
     seconds = time.perf_counter() - started
     gc.collect()
     after = _resident_mb()
-    count = sum(
-        ins[0] == OP_SUPERBLOCK
-        for program_codes in codes
-        for code in program_codes
-        for ins in code
-    )
+    count = sum(len(program_codes) for program_codes in codes)
     added = None if resident is None else round(after - resident, 2)
     return count, round(seconds, 3), added
 
@@ -153,14 +176,14 @@ def _previous_fast_numbers():
 
 def test_full_vm_engine_benchmark():
     """Sweep every bundled workload x dataset and record BENCH_VM.json."""
-    compiled = [_compiled(name) for name in registry.workload_names()]
-    count, build_seconds, added_mb = _build_superblocks(
-        [program for _, program in compiled]
+    programs = [_compiled(name) for name in registry.workload_names()]
+    count, build_seconds, added_mb = _build_plain_variants(
+        [program for _, program in programs]
     )
     workloads = {}
     total_instructions = 0
     total_legacy = total_fast = 0.0
-    for workload, program in compiled:
+    for workload, program in programs:
         instructions, legacy_seconds, fast_seconds = _measure(workload, program)
         workloads[workload.name] = {
             "instructions": instructions,
@@ -188,8 +211,7 @@ def test_full_vm_engine_benchmark():
             "fast_mops": fast_mops,
             "speedup": speedup,
         },
-        "superblocks": {
-            "blocks": SUPERBLOCK_BLOCKS,
+        "compiled_functions": {
             "count": count,
             "build_s": build_seconds,
             "added_rss_mb": added_mb,
@@ -201,7 +223,7 @@ def test_full_vm_engine_benchmark():
     print(
         f"\nVM engine full sweep: {total_instructions / 1e6:.0f}M ops, "
         f"legacy {legacy_mops:.2f} Mops/s, fast {fast_mops:.2f} Mops/s, "
-        f"speedup {speedup:.2f}x, {count} superblocks built in "
+        f"speedup {speedup:.2f}x, {count} functions generated in "
         f"{build_seconds:.2f}s (+{added_mb} MB) -> {BENCH_PATH.name}"
     )
     assert overall[2] >= 2.0, (

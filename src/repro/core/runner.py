@@ -131,9 +131,9 @@ class WorkloadRunner:
         self, key: RunKey, monitors: Sequence[BranchMonitor]
     ) -> RunResult:
         # Compiled programs are memoized per (workload, config), and the
-        # fast engine caches its predecoded form on the LoweredProgram
-        # itself — so a sweep over many datasets of one workload pays
-        # compile + predecode exactly once per process.
+        # VM engine caches its generated Python functions on the
+        # LoweredProgram itself — so a sweep over many datasets of one
+        # workload compiles both exactly once per process.
         workload_name, dataset_name, config = key
         workload = get_workload(workload_name)
         dataset = workload.dataset(dataset_name)
@@ -291,7 +291,7 @@ _WORKER_RUNNER: Optional[WorkloadRunner] = None
 
 def _worker_init(cache_dir: str) -> None:
     """Build one runner per worker process so compiled programs — and the
-    fast engine's predecoded form cached on them — are reused across the
+    engine's generated functions cached on them — are reused across the
     runs a worker executes."""
     global _WORKER_RUNNER
     _WORKER_RUNNER = WorkloadRunner(cache_dir=cache_dir)

@@ -52,9 +52,9 @@ class LoweredFunction:
     num_params: int
     num_regs: int
     code: List[Tuple[Any, ...]]
-    #: Decode metadata: every pc a BR/JMP in this function can transfer to.
-    #: The engine (:mod:`repro.vm.engine`) breaks superinstruction fusion
-    #: at these pcs so every jump target stays addressable after decoding.
+    #: Every pc a BR/JMP in this function can transfer to.  The engine
+    #: (:mod:`repro.vm.engine`) starts a block at each of these pcs when it
+    #: compiles the function.
     jump_targets: FrozenSet[int] = dataclasses.field(repr=False, compare=False)
 
 
@@ -70,10 +70,10 @@ class LoweredProgram:
     memory_init: List[int]
     symbols: Dict[str, int]
     branch_table: List[BranchId]
-    #: Cache slot for the fast-path engine's decoded form (a
+    #: Cache slot for the engine's analysed form and compiled functions (a
     #: ``repro.vm.engine.PredecodedProgram``); populated lazily by
     #: ``repro.vm.engine.predecode`` so repeated runs of one compiled
-    #: program pay the decode exactly once per process.
+    #: program pay for them exactly once per process.
     predecoded: Optional[Any] = dataclasses.field(
         default=None, repr=False, compare=False
     )

@@ -1,77 +1,73 @@
-"""The counting VM's engine: predecoding, fusion and superblocks.
+"""The counting VM's engine: each guest function compiled to one Python function.
 
 The original interpreter (kept as the oracle in ``tests/legacy_vm.py``)
-re-derives everything per dispatch: it fetches a flat tuple, compares its
-opcode down an ``elif`` chain, and indexes operand registers and the
-BIN/UN function tables on every executed operation.  For a simulator
-whose entire job is executing hundreds of millions of RISC-ops, that
-per-op bookkeeping dominates.
+re-derives everything per executed operation: it fetches a flat tuple,
+compares its opcode down an ``elif`` chain and indexes a register list.
+For a simulator whose entire job is executing hundreds of millions of
+RISC-ops, that per-op bookkeeping dominates.
 
-This module *predecodes* a :class:`~repro.ir.lower.LoweredProgram` once
-into a form the dispatch loop can execute with far less per-op work:
+This module instead generates, for every
+:class:`~repro.ir.lower.LoweredFunction`, one Python function that
+executes it:
 
-* **Operand pre-binding.**  Unfused ``BIN``/``UN`` tuples carry the bound
-  Python function (``BINOP_FUNCS[subop]``) instead of the subop index,
-  and ``CALL``/``ICALL`` tuples carry a precomputed zero-padding tuple so
-  callee frames are built with a list comprehension instead of an
-  index-assign loop.
-* **Superinstruction fusion.**  Maximal straight-line runs of
-  ``CONST``/``MOV``/``BIN``/``UN``/``LOAD``/``STORE`` that no branch can
-  jump into are compiled (via ``exec``) into one specialized Python
-  function executing the whole run — one dispatch, one instruction-limit
-  check, and zero opcode comparisons for the entire run.  Comparisons,
-  bit-ops, and wrapping arithmetic become native Python expressions
-  (``regs[5] = regs[3] + regs[4]``) rather than calls.
-* **Terminator merging.**  A run followed by its block's ``BR``, ``JMP``,
-  ``RET``, or ``CALL`` absorbs the terminator into the same
-  superinstruction: the generated function updates the branch counters
-  with constant indices and returns the (decoded) successor pc directly,
-  so a typical loop body costs one dispatch per iteration instead of one
-  per instruction.
-* **Branch-target remapping.**  Fusion collapses pcs, so ``BR``/``JMP``
-  targets are remapped to the decoded index space at decode time.  Runs
-  are broken at every jump target, so a target pc always starts a decoded
-  element (call-return sites always follow a ``CALL``/``ICALL`` element,
-  so they also stay addressable).
-* **Superblocks** (unmonitored runs only).  Each fused element ending in
-  ``BR`` or ``JMP``, or in no terminator, is chained with its likely
-  successors (see :func:`superblocks`) into one more generated function
-  with side exits, so a hot path costs one dispatch instead of one per
-  block.
+* **Registers are locals** (``r0``, ``r1``, ...).  Parameters arrive as
+  arguments.  The registers a backward liveness pass finds live at entry
+  start at zero, as every register of a legacy frame does; every other
+  register is written before it is read on every path.
+* **Basic blocks are arms** of one ``while True`` loop, which picks the
+  arm for ``pc`` in a binary tree of ``if pc < k`` tests; a ``BR`` or
+  ``JMP`` sets ``pc``.  A block with one way in is not an arm: it is
+  emitted where control comes from (the entry block before the loop, a
+  branch's target inside its ``if``).  An arm that reaches its own start
+  runs in a ``while True`` of its own, so a loop whose body has one way
+  in spins there without going back through the tree (see
+  :class:`_Writer`).
+* **A guest call is a Python call** (``r3 = f7(depth - 1, r1, r2)``) that
+  returns the callee's value; ``RET`` returns it, and ``halt`` raises
+  :class:`_Halt`, which unwinds every guest frame.
+* **Operations are native expressions** (``r5 = r3 + r4``,
+  ``r2 = 1 if r0 < r1 else 0``); only C-style ``DIV``/``MOD`` of a
+  negative operand call out.  A comparison that a ``BR`` tests right
+  after it becomes the ``if`` test itself, and its 0/1 result is stored
+  only if a successor reads it.  ``LOAD``/``STORE`` keep their bounds
+  checks, with the memory size inlined.
+* **The instruction limit** is checked once per *element*, before its
+  body: an element is a run of straight-line ops plus the ``BR``,
+  ``JMP``, ``RET`` or ``CALL`` that follows it, or one other instruction
+  (see :func:`_blocks`).
 
-The decoded form is cached on :attr:`LoweredProgram.predecoded`, and the
-superblocks with it on first use, so repeated runs of one compiled
-program (across datasets, within a worker process) pay each build
-exactly once.
+The shared per-run state (the instruction count, the counters,
+``memory``, the event buffer and the function table) lives in closure
+cells made for each run, so each function is compiled once per program
+and bound to a run with :class:`types.FunctionType`.  The function
+cells are cleared after the run, so a run's ``memory`` copy is freed as
+soon as it ends instead of waiting for the cyclic collector.
 
-One dispatch loop executes the decoded form.  When monitors are attached,
-its two ``BR`` arms append every conditional-branch execution to a
-bounded buffer (see :mod:`repro.vm.monitors`), and each full chunk is
-replayed to the monitors with the ``in_monitor`` flag raised, so a buggy
-monitor's ``IndexError``/``ZeroDivisionError`` propagates as-is instead of
-being mis-attributed to the guest program.  Two entry points feed it:
-:func:`run_fast` runs the superblock code with no monitors, and
-:func:`run_monitored` runs the decoded code without superblocks, with
-monitors attached, and then fires each monitor's ``on_run_end``.  Both
+One code generator emits two variants of every function.  The plain
+variant runs :func:`run_fast`.  The recording variant runs
+:func:`run_monitored`: each ``BR`` also appends its event to a bounded
+buffer (see :mod:`repro.vm.monitors`), and each full chunk is replayed
+to the monitors with the ``in_monitor`` flag raised, so a buggy
+monitor's ``ZeroDivisionError`` propagates as-is instead of being
+mis-attributed to the guest program.  :func:`predecode` analyses a
+program once and caches the result on
+:attr:`LoweredProgram.predecoded`; each variant is generated and
+compiled on its first run and cached there too.  Both entry points
 produce bit-identical :class:`RunResult`\\ s to the legacy interpreter;
 the differential harness in ``tests/test_vm_engine.py`` holds them to
 that.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import builtins
+import sys
+from collections import Counter
+from types import CellType, CodeType, FunctionType
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import repro.vm.monitors as vm_monitors
 from repro.ir.lower import LoweredFunction, LoweredProgram
-from repro.ir.opcodes import (
-    BINOP_FUNCS,
-    UNOP_FUNCS,
-    BinOp,
-    Opcode,
-    UnOp,
-    _c_div,
-    _c_mod,
-)
+from repro.ir.opcodes import BinOp, Opcode, UnOp, _c_div, _c_mod
 from repro.vm.counters import ControlEvents, RunResult
 from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.monitors import BranchMonitor, deliver
@@ -92,468 +88,555 @@ _OP_JMP = int(Opcode.JMP)
 _OP_RET = int(Opcode.RET)
 _OP_HALT = int(Opcode.HALT)
 
-#: Decoded-only opcodes (continue past Opcode.HALT).
-OP_FUSED = _OP_HALT + 1        #: plain fused run: fn(...)
-OP_FUSED_BR = _OP_HALT + 2     #: run + BR: pc = fn(...) (counters inside)
-OP_FUSED_JMP = _OP_HALT + 3    #: run + JMP: pc = fn(...)
-OP_FUSED_RET = _OP_HALT + 4    #: run + RET: value = fn(...)
-OP_FUSED_CALL = _OP_HALT + 5   #: run + CALL: fn(...) then the call transfer
-OP_SUPERBLOCK = _OP_HALT + 6   #: chained runs: pc, n, j = fn(...), or base
-
-#: Opcodes eligible for superinstruction fusion: straight-line register and
-#: memory traffic with no control flow, no I/O, and no event counters.
-FUSIBLE_OPS = frozenset(
+#: Straight-line ops: register and memory traffic with no control flow,
+#: no I/O and no event counters.  An element is a run of these ...
+_STRAIGHT_LINE = frozenset(
     {_OP_CONST, _OP_MOV, _OP_BIN, _OP_UN, _OP_LOAD, _OP_STORE}
 )
 
-#: Block terminators a run can absorb into its superinstruction.
-_MERGEABLE_TERMINATORS = frozenset({_OP_BR, _OP_JMP, _OP_RET, _OP_CALL})
+#: ... plus, when one follows the run, one of these.
+_CLOSES_RUN = frozenset({_OP_BR, _OP_JMP, _OP_RET, _OP_CALL})
 
-#: Minimum run length worth fusing *without* a merged terminator; a 1-op
-#: "run" would just trade an inline dispatch arm for a Python call.  With a
-#: terminator merged, even a 1-op run halves its dispatch count.
-MIN_FUSE_RUN = 2
+#: Ops after which control never reaches the next instruction.
+_TRANSFERS = frozenset({_OP_BR, _OP_JMP, _OP_RET, _OP_HALT})
 
-#: Most fused elements one superblock chains together.  Every superblock is
-#: one more generated function holding copies of its elements' bodies, so
-#: this bounds the code (and memory) superblocks add.
-SUPERBLOCK_BLOCKS = 4
+#: How deep blocks with one way in are nested where control comes from;
+#: deeper ones become arms of the dispatch loop instead.
+_MAX_NESTING = 24
 
-#: Terminators a superblock can continue past (and plain runs, with none).
-_CHAINED_TERMINATORS = frozenset({_OP_BR, _OP_JMP})
+#: Python frames allowed above the deepest guest frame: the run's own
+#: frames and, in a monitored run, a monitor replaying a chunk.
+_RECURSION_HEADROOM = 100
 
-# -- fused-run code generation -------------------------------------------------
+#: Per-run state shared by every generated function through closure cells.
+_STATE = (
+    "icount", "limit", "memory", "btaken", "bnot", "jumps", "selects",
+    "direct_calls", "direct_returns", "indirect_calls", "indirect_returns",
+    "stdin", "putc", "functions", "record", "room", "flush",
+)
 
-#: Statement templates per BinOp: inline native expressions where Python
-#: semantics match the IR (everything except C-style DIV/MOD).
-_BIN_STMTS = {
-    int(BinOp.ADD): "regs[{d}] = regs[{a}] + regs[{b}]",
-    int(BinOp.SUB): "regs[{d}] = regs[{a}] - regs[{b}]",
-    int(BinOp.MUL): "regs[{d}] = regs[{a}] * regs[{b}]",
-    int(BinOp.DIV): "regs[{d}] = _div(regs[{a}], regs[{b}])",
-    int(BinOp.MOD): "regs[{d}] = _mod(regs[{a}], regs[{b}])",
-    int(BinOp.AND): "regs[{d}] = regs[{a}] & regs[{b}]",
-    int(BinOp.OR): "regs[{d}] = regs[{a}] | regs[{b}]",
-    int(BinOp.XOR): "regs[{d}] = regs[{a}] ^ regs[{b}]",
-    int(BinOp.SHL): "regs[{d}] = regs[{a}] << regs[{b}]",
-    int(BinOp.SHR): "regs[{d}] = regs[{a}] >> regs[{b}]",
-    int(BinOp.EQ): "regs[{d}] = 1 if regs[{a}] == regs[{b}] else 0",
-    int(BinOp.NE): "regs[{d}] = 1 if regs[{a}] != regs[{b}] else 0",
-    int(BinOp.LT): "regs[{d}] = 1 if regs[{a}] < regs[{b}] else 0",
-    int(BinOp.LE): "regs[{d}] = 1 if regs[{a}] <= regs[{b}] else 0",
-    int(BinOp.GT): "regs[{d}] = 1 if regs[{a}] > regs[{b}] else 0",
-    int(BinOp.GE): "regs[{d}] = 1 if regs[{a}] >= regs[{b}] else 0",
-}
+# -- analysis ------------------------------------------------------------------
 
-_UN_STMTS = {
-    int(UnOp.NEG): "regs[{d}] = -regs[{a}]",
-    int(UnOp.NOT): "regs[{d}] = 1 if regs[{a}] == 0 else 0",
-    int(UnOp.BNOT): "regs[{d}] = ~regs[{a}]",
-}
+Instruction = Tuple[Any, ...]
 
 
-def _fused_statements(ins: Tuple[Any, ...], mem_size: int) -> List[str]:
-    """The Python statement(s) implementing one fusible instruction."""
+class Block(NamedTuple):
+    """A run of code that starts at a jump target (or pc 0) and ends
+    before the next one, split into elements."""
+
+    start: int
+    #: The pc control falls through to if the block ends without a transfer.
+    end: int
+    elements: List[List[Instruction]]
+
+
+def _blocks(func: LoweredFunction) -> Dict[int, Block]:
+    """Split ``func`` into blocks at its jump targets, and each block into
+    elements.  Code after a block's ``BR``/``JMP``/``RET``/``HALT`` is
+    unreachable (nothing jumps to it) and is dropped."""
+    code = func.code
+    starts = sorted({0} | set(func.jump_targets))
+    ends = starts[1:] + [len(code)]
+    blocks: Dict[int, Block] = {}
+    for start, end in zip(starts, ends):
+        end = min(end, len(code))
+        elements: List[List[Instruction]] = []
+        pc = start
+        while pc < end:
+            first = pc
+            while pc < end and code[pc][0] in _STRAIGHT_LINE:
+                pc += 1
+            if pc < end and (pc == first or code[pc][0] in _CLOSES_RUN):
+                pc += 1
+            elements.append(code[first:pc])
+            if code[pc - 1][0] in _TRANSFERS:
+                break
+        blocks[start] = Block(start, end, elements)
+    return blocks
+
+
+def _exits(block: Block, length: int) -> List[int]:
+    """The pcs control can go to from the end of ``block``."""
+    last = block.elements[-1][-1] if block.elements else None
+    if last is not None and last[0] in _TRANSFERS:
+        if last[0] == _OP_BR:
+            return [last[2], last[3]]
+        return [last[1]] if last[0] == _OP_JMP else []
+    return [block.end] if block.end < length else []
+
+
+def _uses_and_def(ins: Instruction) -> Tuple[Sequence[int], int]:
+    """The registers ``ins`` reads, and the one it writes (or -1)."""
     op = ins[0]
-    if op == _OP_CONST:
-        return [f"regs[{ins[1]}] = {ins[2]}"]
-    if op == _OP_MOV:
-        return [f"regs[{ins[1]}] = regs[{ins[2]}]"]
+    if op == _OP_CONST or op == _OP_GETC:
+        return (), ins[1]
+    if op == _OP_MOV or op == _OP_LOAD:
+        return (ins[2],), ins[1]
     if op == _OP_BIN:
-        return [_BIN_STMTS[ins[1]].format(d=ins[2], a=ins[3], b=ins[4])]
+        return (ins[3], ins[4]), ins[2]
     if op == _OP_UN:
-        return [_UN_STMTS[ins[1]].format(d=ins[2], a=ins[3])]
-    if op == _OP_LOAD:
-        return [
-            f"_t = regs[{ins[2]}]",
-            f"if _t < 0 or _t >= {mem_size}:",
-            "    raise VMError(_name + ': load from bad address %d' % _t)",
-            f"regs[{ins[1]}] = memory[_t]",
-        ]
+        return (ins[3],), ins[2]
+    if op == _OP_SELECT:
+        return (ins[2], ins[3], ins[4]), ins[1]
     if op == _OP_STORE:
-        return [
-            f"_t = regs[{ins[1]}]",
-            f"if _t < 0 or _t >= {mem_size}:",
-            "    raise VMError(_name + ': store to bad address %d' % _t)",
-            f"memory[_t] = regs[{ins[2]}]",
-        ]
-    raise AssertionError(f"unfusible opcode {op}")  # pragma: no cover
-
-
-def _terminator_statements(
-    term: Tuple[Any, ...], new_pc: Dict[int, int]
-) -> List[str]:
-    """The trailing statements for a terminator merged into a run."""
-    op = term[0]
-    if op == _OP_BR:
-        return [
-            f"bexec[{term[4]}] += 1",
-            f"if regs[{term[1]}] != 0:",
-            f"    btaken[{term[4]}] += 1",
-            f"    return {new_pc[term[2]]}",
-            f"return {new_pc[term[3]]}",
-        ]
-    if op == _OP_JMP:
-        return [f"return {new_pc[term[1]]}"]
-    if op == _OP_RET:
-        return ["return 0" if term[1] == -1 else f"return regs[{term[1]}]"]
+        return (ins[1], ins[2]), -1
+    if op == _OP_PUTC or op == _OP_BR:
+        return (ins[1],), -1
     if op == _OP_CALL:
-        return []  # the call transfer itself stays in the dispatch arm
-    raise AssertionError(f"unmergeable terminator {op}")  # pragma: no cover
+        return ins[3], ins[2]
+    if op == _OP_ICALL:
+        return (ins[1],) + tuple(ins[3]), ins[2]
+    if op == _OP_RET:
+        return ((ins[1],) if ins[1] != -1 else ()), -1
+    return (), -1  # JMP, HALT
 
 
-# -- predecoding ---------------------------------------------------------------
-
-
-#: One decoded element's source: (first original pc, fused ops or None for
-#: a plain instruction, absorbed terminator or None).
-Segment = Tuple[int, Optional[List[Tuple[Any, ...]]], Optional[Tuple[Any, ...]]]
+def _live_in(
+    blocks: Dict[int, Block], exits: Dict[int, List[int]]
+) -> Dict[int, int]:
+    """Per block, the registers some path from its start reads before
+    writing them (as a bit set): backward liveness."""
+    gens: Dict[int, int] = {}
+    kills: Dict[int, int] = {}
+    for block in blocks.values():
+        gen = kill = 0
+        for element in reversed(block.elements):
+            for ins in reversed(element):
+                uses, dst = _uses_and_def(ins)
+                if dst >= 0:
+                    kill |= 1 << dst
+                    gen &= ~(1 << dst)
+                for reg in uses:
+                    gen |= 1 << reg
+        gens[block.start] = gen
+        kills[block.start] = kill
+    live = dict.fromkeys(blocks, 0)
+    order = list(reversed(blocks))
+    changed = True
+    while changed:
+        changed = False
+        for start in order:
+            out = 0
+            for succ in exits[start]:
+                out |= live.get(succ, 0)
+            value = gens[start] | (out & ~kills[start])
+            if value != live[start]:
+                live[start] = value
+                changed = True
+    return live
 
 
 class PredecodedFunction:
-    """One function in decoded, fusion-collapsed form."""
+    """One function, analysed for code generation."""
 
-    __slots__ = ("name", "num_params", "num_regs", "code", "fused_ops", "segments")
+    __slots__ = (
+        "name", "num_params", "length", "blocks", "inlined", "live", "zeros",
+    )
 
-    def __init__(
-        self,
-        name: str,
-        num_params: int,
-        num_regs: int,
-        code: List[Tuple[Any, ...]],
-        fused_ops: int,
-        segments: List[Segment],
-    ) -> None:
-        self.name = name
-        self.num_params = num_params
-        self.num_regs = num_regs
-        self.code = code
-        #: How many original instructions live inside fused superinstructions
-        #: (decode statistics; used by tests and the benchmark report).
-        self.fused_ops = fused_ops
-        #: Where each element of ``code`` came from (superblocks chain them).
-        self.segments = segments
+    def __init__(self, func: LoweredFunction) -> None:
+        self.name = func.name
+        self.num_params = func.num_params
+        self.length = len(func.code)
+        #: Its blocks by first pc, in code order.
+        self.blocks = _blocks(func)
+        exits = {
+            start: _exits(block, self.length) for start, block in self.blocks.items()
+        }
+        # The function's entry counts as one way into pc 0.
+        entries = Counter(pc for targets in exits.values() for pc in targets)
+        entries[0] += 1
+        #: Blocks with one way in, emitted where control comes from.
+        self.inlined = frozenset(
+            start for start in self.blocks if entries[start] == 1
+        )
+        #: Per block, the registers live at its start (a bit set).
+        self.live = _live_in(self.blocks, exits)
+        #: Registers the generated function sets to zero on entry.
+        self.zeros = [
+            reg
+            for reg in range(func.num_params, func.num_regs)
+            if self.live[0] >> reg & 1
+        ]
 
 
 class PredecodedProgram:
-    """A whole program in decoded form, sharing the source program's
-    memory image, branch table, and function indexing."""
+    """A whole program analysed for code generation, with the compiled
+    variants of its functions once built (see :func:`compiled`)."""
 
-    __slots__ = ("program", "functions", "main_index", "superblock_codes")
+    __slots__ = (
+        "program", "functions", "main_index", "namespace", "plain", "recording",
+    )
 
-    def __init__(
-        self,
-        program: LoweredProgram,
-        functions: List[PredecodedFunction],
-        main_index: int,
-    ) -> None:
+    def __init__(self, program: LoweredProgram) -> None:
         self.program = program
-        self.functions = functions
-        self.main_index = main_index
-        #: Per function, ``code`` with superblock heads; see
-        #: :func:`superblocks`, which builds it on the first unmonitored run.
-        self.superblock_codes: Optional[List[List[Tuple[Any, ...]]]] = None
-
-
-def _compile_functions(
-    lines: List[str], count: int, prefix: str, label: str, program: LoweredProgram
-) -> List[Any]:
-    """Exec ``lines`` (defining ``prefix0`` .. ``prefix{count-1}``) once."""
-    if not count:
-        return []
-    namespace: Dict[str, Any] = {
-        "VMError": VMError,
-        "_div": _c_div,
-        "_mod": _c_mod,
-        "_name": program.name,
-    }
-    exec(  # noqa: S102 - generated from the validated lowered form only
-        compile("\n".join(lines), f"<{label}:{program.name}>", "exec"),
-        namespace,
-    )
-    return [namespace[f"{prefix}{index}"] for index in range(count)]
-
-
-def _decode_call(
-    ins: Tuple[Any, ...], program: LoweredProgram
-) -> Tuple[Any, ...]:
-    """Pre-bind a CALL's callee frame shape: (op, func_index, dst, args,
-    zeros) where ``zeros`` pads the arg registers up to num_regs."""
-    callee = program.functions[ins[1]]
-    args = tuple(ins[3])
-    return (_OP_CALL, ins[1], ins[2], args, (0,) * (callee.num_regs - len(args)))
-
-
-def _predecode_function(
-    func: LoweredFunction, program: LoweredProgram
-) -> PredecodedFunction:
-    code = func.code
-    length = len(code)
-    targets = func.jump_targets
-
-    # Segment the code.  Each segment becomes exactly one decoded element:
-    # either a fused run (ops, optionally an absorbed terminator) or a
-    # single plain instruction (ops None).  Jump targets always start a
-    # segment, so every reachable target stays addressable after decoding.
-    segments: List[Segment] = []
-    pc = 0
-    while pc < length:
-        if code[pc][0] in FUSIBLE_OPS:
-            end = pc + 1
-            while (
-                end < length
-                and code[end][0] in FUSIBLE_OPS
-                and end not in targets
-            ):
-                end += 1
-            ops = list(code[pc:end])
-            term: Optional[Tuple[Any, ...]] = None
-            if (
-                end < length
-                and end not in targets
-                and code[end][0] in _MERGEABLE_TERMINATORS
-            ):
-                term = code[end]
-                end += 1
-            if term is not None or len(ops) >= MIN_FUSE_RUN:
-                segments.append((pc, ops, term))
-                pc = end
-                continue
-        segments.append((pc, None, None))
-        pc += 1
-
-    new_pc = {old: index for index, (old, _, _) in enumerate(segments)}
-
-    # Compile every fused segment of the function in a single exec.
-    lines: List[str] = []
-    fused_count = 0
-    for old, ops, term in segments:
-        if ops is None:
-            continue
-        lines.append(f"def _f{fused_count}(regs, memory, bexec, btaken):")
-        for ins in ops:
-            for stmt in _fused_statements(ins, program.memory_size):
-                lines.append("    " + stmt)
-        if term is not None:
-            for stmt in _terminator_statements(term, new_pc):
-                lines.append("    " + stmt)
-        fused_count += 1
-    fns = _compile_functions(
-        lines, fused_count, "_f", f"fused:{func.name}", program
-    )
-
-    decoded: List[Tuple[Any, ...]] = []
-    run_index = 0
-    fused_ops = 0
-    for old, ops, term in segments:
-        if ops is not None:
-            fn = fns[run_index]
-            run_index += 1
-            count = len(ops) + (1 if term is not None else 0)
-            fused_ops += count
-            if term is None:
-                decoded.append((OP_FUSED, fn, count))
-            elif term[0] == _OP_BR:
-                # Ends with the branch's not-taken and taken outcomes, so
-                # a monitored run records one without arithmetic.
-                outcome = term[4] << 1
-                decoded.append(
-                    (OP_FUSED_BR, fn, count, term[1], outcome, outcome | 1)
-                )
-            elif term[0] == _OP_JMP:
-                decoded.append((OP_FUSED_JMP, fn, count))
-            elif term[0] == _OP_RET:
-                decoded.append((OP_FUSED_RET, fn, count))
-            else:  # CALL
-                call = _decode_call(term, program)
-                decoded.append(
-                    (OP_FUSED_CALL, fn, count) + call[1:]
-                )
-            continue
-        ins = code[old]
-        op = ins[0]
-        if op == _OP_BIN:
-            decoded.append((_OP_BIN, BINOP_FUNCS[ins[1]], ins[2], ins[3], ins[4]))
-        elif op == _OP_UN:
-            decoded.append((_OP_UN, UNOP_FUNCS[ins[1]], ins[2], ins[3]))
-        elif op == _OP_BR:
-            decoded.append(
-                (_OP_BR, ins[1], new_pc[ins[2]], new_pc[ins[3]], ins[4])
-            )
-        elif op == _OP_JMP:
-            decoded.append((_OP_JMP, new_pc[ins[1]]))
-        elif op == _OP_CALL:
-            decoded.append(_decode_call(ins, program))
-        elif op == _OP_ICALL:
-            decoded.append((_OP_ICALL, ins[1], ins[2], tuple(ins[3])))
-        else:
-            decoded.append(ins)
-    return PredecodedFunction(
-        name=func.name,
-        num_params=func.num_params,
-        num_regs=func.num_regs,
-        code=decoded,
-        fused_ops=fused_ops,
-        segments=segments,
-    )
+        self.functions = [PredecodedFunction(func) for func in program.functions]
+        self.main_index = program.main_index
+        #: The globals every generated function of this program shares.
+        self.namespace = _namespace(program)
+        #: Per function, the compiled code of each variant, once built.
+        self.plain: Optional[List[CodeType]] = None
+        self.recording: Optional[List[CodeType]] = None
 
 
 def predecode(program: LoweredProgram) -> PredecodedProgram:
-    """The decoded form of ``program``, built once and cached on it."""
+    """The analysed form of ``program``, built once and cached on it."""
     cached = program.predecoded
-    if cached is not None:
-        return cached  # type: ignore[no-any-return]
-    decoded = PredecodedProgram(
-        program=program,
-        functions=[
-            _predecode_function(func, program) for func in program.functions
-        ],
-        main_index=program.main_index,
-    )
-    program.predecoded = decoded
-    return decoded
+    if cached is None:
+        cached = program.predecoded = PredecodedProgram(program)
+    return cached  # type: ignore[no-any-return]
 
 
-# -- superblocks ---------------------------------------------------------------
+# -- code generation -----------------------------------------------------------
 
 
-def _chains_on(segment: Segment) -> bool:
-    """Whether a superblock may hold this element (and go on past it)."""
-    _, ops, term = segment
-    return ops is not None and (term is None or term[0] in _CHAINED_TERMINATORS)
+class _Halt(Exception):
+    """Raised by a guest ``halt``: unwinds every guest frame."""
 
 
-def _takes_back_edge(segment: Segment) -> bool:
-    """A BR's likely direction: taken iff the target is at or before it."""
-    old, ops, term = segment
-    assert ops is not None and term is not None
-    return bool(term[2] <= old + len(ops))
+def _namespace(program: LoweredProgram) -> Dict[str, Any]:
+    """The globals of a program's generated functions: the helpers that
+    build its fault messages, so each check is short code."""
+    name = program.name
+    functions = program.functions
 
+    def exceeded(limit: int) -> VMError:
+        return InstructionLimitExceeded(f"{name}: exceeded {limit} instructions")
 
-def _likely_successor(
-    segments: List[Segment], new_pc: Dict[int, int], index: int
-) -> int:
-    """The decoded index a chainable element most likely continues at."""
-    _, _, term = segments[index]
-    if term is None:
-        return index + 1
-    if term[0] == _OP_JMP:
-        return new_pc[term[1]]
-    return new_pc[term[2] if _takes_back_edge(segments[index]) else term[3]]
+    def fault(what: str) -> VMError:
+        return VMError(f"{name}: {what}")
 
-
-def _superblock_lines(
-    name: str,
-    chain: List[int],
-    segments: List[Segment],
-    new_pc: Dict[int, int],
-    mem_size: int,
-) -> Tuple[List[str], int]:
-    """One superblock function and its longest path's instruction count.
-
-    Every exit returns the constant ``(next pc, instructions, jumps)``
-    executed up to it; an off-path branch outcome counts exactly as the
-    element's own function would, then exits.
-    """
-    lines = [f"def {name}(regs, memory, bexec, btaken):"]
-    count = jumps = 0
-    for position, index in enumerate(chain):
-        _, ops, term = segments[index]
-        assert ops is not None
-        for ins in ops:
-            lines.extend("    " + stmt for stmt in _fused_statements(ins, mem_size))
-        count += len(ops)
-        last = position == len(chain) - 1
-        if term is None:
-            if last:
-                lines.append(f"    return ({index + 1}, {count}, {jumps})")
-            continue
-        count += 1
-        if term[0] == _OP_JMP:
-            jumps += 1
-            if last:
-                lines.append(f"    return ({new_pc[term[1]]}, {count}, {jumps})")
-            continue
-        bidx, cond = term[4], term[1]
-        taken = f"({new_pc[term[2]]}, {count}, {jumps})"
-        not_taken = f"({new_pc[term[3]]}, {count}, {jumps})"
-        lines.append(f"    bexec[{bidx}] += 1")
-        if last:
-            lines += [
-                f"    if regs[{cond}]:",
-                f"        btaken[{bidx}] += 1",
-                f"        return {taken}",
-                f"    return {not_taken}",
-            ]
-        elif _takes_back_edge(segments[index]):
-            lines += [
-                f"    if not regs[{cond}]:",
-                f"        return {not_taken}",
-                f"    btaken[{bidx}] += 1",
-            ]
-        else:
-            lines += [
-                f"    if regs[{cond}]:",
-                f"        btaken[{bidx}] += 1",
-                f"        return {taken}",
-            ]
-    return lines, count
-
-
-def _superblock_code(
-    func: PredecodedFunction, program: LoweredProgram
-) -> List[Tuple[Any, ...]]:
-    """``func.code`` with every chainable element whose likely successor
-    is chainable too replaced by an ``OP_SUPERBLOCK`` head."""
-    segments = func.segments
-    new_pc = {old: index for index, (old, _, _) in enumerate(segments)}
-    chainable = [_chains_on(segment) for segment in segments]
-    lines: List[str] = []
-    heads: List[Tuple[int, int]] = []
-    for index, head_chains in enumerate(chainable):
-        if not head_chains:
-            continue
-        chain = [index]
-        while len(chain) < SUPERBLOCK_BLOCKS:
-            successor = _likely_successor(segments, new_pc, chain[-1])
-            if (
-                successor >= len(segments)
-                or successor in chain
-                or not chainable[successor]
-            ):
-                break
-            chain.append(successor)
-        if len(chain) < 2:
-            continue
-        body, count = _superblock_lines(
-            f"_s{len(heads)}", chain, segments, new_pc, program.memory_size
+    def arity_error(target: int, count: int) -> VMError:
+        callee = functions[target]
+        return VMError(
+            f"{name}: indirect call to {callee.name} with "
+            f"{count} args, expects {callee.num_params}"
         )
-        lines += body
-        heads.append((index, count))
-    fns = _compile_functions(
-        lines, len(heads), "_s", f"superblock:{func.name}", program
-    )
-    code = list(func.code)
-    for fn, (index, count) in zip(fns, heads):
-        code[index] = (OP_SUPERBLOCK, fn, count, code[index])
-    return code
+
+    return {
+        "__builtins__": builtins,
+        "_Halt": _Halt,
+        "_div": _c_div,
+        "_mod": _c_mod,
+        "_exceeded": exceeded,
+        "_fault": fault,
+        "_arity": tuple(func.num_params for func in functions),
+        "_arity_error": arity_error,
+    }
 
 
-def superblocks(predecoded: PredecodedProgram) -> List[List[Tuple[Any, ...]]]:
-    """Per function, the decoded code :func:`run_fast` executes: each
-    superblock head carries its chain's function, its longest path's
-    instruction count and the element it replaces.  Built on first use
-    and cached with the decoded form."""
-    codes = predecoded.superblock_codes
-    if codes is None:
-        codes = predecoded.superblock_codes = [
-            _superblock_code(func, predecoded.program)
-            for func in predecoded.functions
+#: Statement templates per BinOp.  C-style DIV/MOD agree with Python's
+#: ``//`` and ``%`` when the dividend is non-negative and the divisor
+#: positive; otherwise (including division by zero) they call out.
+_BIN_STMTS = {
+    int(BinOp.ADD): "r{d} = r{a} + r{b}",
+    int(BinOp.SUB): "r{d} = r{a} - r{b}",
+    int(BinOp.MUL): "r{d} = r{a} * r{b}",
+    int(BinOp.DIV): (
+        "r{d} = r{a} // r{b} if r{a} >= 0 and r{b} > 0 else _div(r{a}, r{b})"
+    ),
+    int(BinOp.MOD): (
+        "r{d} = r{a} % r{b} if r{a} >= 0 and r{b} > 0 else _mod(r{a}, r{b})"
+    ),
+    int(BinOp.AND): "r{d} = r{a} & r{b}",
+    int(BinOp.OR): "r{d} = r{a} | r{b}",
+    int(BinOp.XOR): "r{d} = r{a} ^ r{b}",
+    int(BinOp.SHL): "r{d} = r{a} << r{b}",
+    int(BinOp.SHR): "r{d} = r{a} >> r{b}",
+    int(BinOp.EQ): "r{d} = 1 if r{a} == r{b} else 0",
+    int(BinOp.NE): "r{d} = 1 if r{a} != r{b} else 0",
+    int(BinOp.LT): "r{d} = 1 if r{a} < r{b} else 0",
+    int(BinOp.LE): "r{d} = 1 if r{a} <= r{b} else 0",
+    int(BinOp.GT): "r{d} = 1 if r{a} > r{b} else 0",
+    int(BinOp.GE): "r{d} = 1 if r{a} >= r{b} else 0",
+}
+
+#: Comparisons a ``BR`` right after them can test directly.
+_TESTS = {
+    int(BinOp.EQ): "==",
+    int(BinOp.NE): "!=",
+    int(BinOp.LT): "<",
+    int(BinOp.LE): "<=",
+    int(BinOp.GT): ">",
+    int(BinOp.GE): ">=",
+}
+
+_UN_STMTS = {
+    int(UnOp.NEG): "r{d} = -r{a}",
+    int(UnOp.NOT): "r{d} = 1 if r{a} == 0 else 0",
+    int(UnOp.BNOT): "r{d} = ~r{a}",
+}
+
+_LIMIT_CHECK = ["if icount > limit:", "    raise _exceeded(limit)"]
+
+_DEPTH_CHECK = ["if not depth:", "    raise _fault('call depth limit exceeded')"]
+
+
+def _call(dst: int, callee: str, args: Sequence[int]) -> str:
+    call = f"{callee}({', '.join(['depth - 1'] + [f'r{a}' for a in args])})"
+    return call if dst == -1 else f"r{dst} = {call}"
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+class _Writer:
+    """Emits the source of one function for one variant.
+
+    Blocks with more than one way in are the arms of the dispatch loop; a
+    block with one way in is emitted where control comes from, nested in
+    the ``if`` of a branch, up to :data:`_MAX_NESTING` levels deep.  An
+    arm that can reach its own start runs in a ``while True`` of its own,
+    so a loop body that stays within one arm never goes through the tree.
+    """
+
+    def __init__(
+        self, program: LoweredProgram, func: PredecodedFunction, recording: bool
+    ) -> None:
+        self.program = program
+        self.func = func
+        self.recording = recording
+        #: Shared state the function writes (its ``nonlocal`` names).
+        self.assigned = {"icount"}
+        self.arms: Dict[int, List[str]] = {}
+        self.pending: List[int] = []
+        self.looped = False
+
+    def goto(self, target: int, nesting: int, head: Optional[int]) -> List[str]:
+        """Transfer control to ``target``, inside the arm headed by
+        ``head`` if it loops (else ``None``)."""
+        if target in self.func.inlined and nesting < _MAX_NESTING:
+            return self.block(self.func.blocks[target], nesting + 1, head)
+        if target == head:
+            self.looped = True
+            return ["continue"]
+        if target not in self.arms and target not in self.pending:
+            self.pending.append(target)
+        return [f"pc = {target}"] + (["break"] if head is not None else [])
+
+    def block(self, block: Block, nesting: int, head: Optional[int]) -> List[str]:
+        """A block's statements: each element's limit check and body, then
+        its transfer."""
+        lines: List[str] = []
+        for element in block.elements:
+            lines += [f"icount += {len(element)}"] + _LIMIT_CHECK
+            last = element[-1]
+            test = None
+            if last[0] == _OP_BR and len(element) > 1:
+                test = self.test(element[-2], last)
+            for ins in element[:-2] if test else element[:-1]:
+                lines += self.op(ins, nesting, head)
+            if last[0] == _OP_BR:
+                lines += self.branch(last, test, nesting, head)
+            else:
+                lines += self.op(last, nesting, head)
+        if block.elements and block.elements[-1][-1][0] in _TRANSFERS:
+            return lines
+        if block.end < self.func.length:
+            return lines + self.goto(block.end, nesting, head)
+        # Only malformed (unvalidated) code runs off the end of a function.
+        fetch = block.end if block.elements else block.start
+        return lines + [
+            f"raise _fault('bad register or code reference at pc {fetch}')"
         ]
+
+    def event(self, outcome: int) -> List[str]:
+        if not self.recording:
+            return []
+        self.assigned.add("room")
+        return [
+            f"record({outcome})",
+            "record(icount)",
+            "room -= 1",
+            "if not room:",
+            "    flush()",
+        ]
+
+    def test(self, ins: Instruction, br: Instruction) -> Optional[Tuple[str, bool]]:
+        """When ``ins`` is a comparison whose result ``br`` branches on,
+        the expression to test instead, and whether a successor reads the
+        result (so each arm still stores it)."""
+        if ins[0] != _OP_BIN or ins[1] not in _TESTS or ins[2] != br[1]:
+            return None
+        live = self.func.live
+        stored = any(live.get(target, 0) >> ins[2] & 1 for target in br[2:4])
+        return f"r{ins[3]} {_TESTS[ins[1]]} r{ins[4]}", stored
+
+    def branch(
+        self,
+        ins: Instruction,
+        test: Optional[Tuple[str, bool]],
+        nesting: int,
+        head: Optional[int],
+    ) -> List[str]:
+        """A ``BR``: count the outcome, record it, and go on."""
+        bidx = ins[4]
+        taken = [f"btaken[{bidx}] += 1"] + self.event(bidx << 1 | 1)
+        not_taken = [f"bnot[{bidx}] += 1"] + self.event(bidx << 1)
+        condition = f"r{ins[1]}"
+        if test is not None:
+            condition, stored = test
+            if stored:
+                taken.insert(0, f"r{ins[1]} = 1")
+                not_taken.insert(0, f"r{ins[1]} = 0")
+        return (
+            [f"if {condition}:"]
+            + _indent(taken + self.goto(ins[2], nesting + 1, head))
+            + ["else:"]
+            + _indent(not_taken + self.goto(ins[3], nesting + 1, head))
+        )
+
+    def op(self, ins: Instruction, nesting: int, head: Optional[int]) -> List[str]:
+        """The statements of one instruction other than ``BR``."""
+        op = ins[0]
+        if op == _OP_CONST:
+            return [f"r{ins[1]} = {ins[2]!r}"]
+        if op == _OP_MOV:
+            return [f"r{ins[1]} = r{ins[2]}"]
+        if op == _OP_BIN:
+            return [_BIN_STMTS[ins[1]].format(d=ins[2], a=ins[3], b=ins[4])]
+        if op == _OP_UN:
+            return [_UN_STMTS[ins[1]].format(d=ins[2], a=ins[3])]
+        if op == _OP_LOAD or op == _OP_STORE:
+            addr = ins[2] if op == _OP_LOAD else ins[1]
+            kind = "load from" if op == _OP_LOAD else "store to"
+            access = (
+                f"r{ins[1]} = memory[r{addr}]" if op == _OP_LOAD
+                else f"memory[r{addr}] = r{ins[2]}"
+            )
+            return [
+                f"if r{addr} < 0 or r{addr} >= {self.program.memory_size}:",
+                f"    raise _fault('{kind} bad address %d' % r{addr})",
+                access,
+            ]
+        if op == _OP_JMP:
+            self.assigned.add("jumps")
+            return ["jumps += 1"] + self.goto(ins[1], nesting, head)
+        if op == _OP_RET:
+            return ["return 0" if ins[1] == -1 else f"return r{ins[1]}"]
+        if op == _OP_CALL:
+            self.assigned.update(("direct_calls", "direct_returns"))
+            return _DEPTH_CHECK + [
+                "direct_calls += 1",
+                _call(ins[2], f"f{ins[1]}", ins[3]),
+                "direct_returns += 1",
+            ]
+        if op == _OP_ICALL:
+            target = f"r{ins[1]}"
+            self.assigned.update(("indirect_calls", "indirect_returns"))
+            return [
+                f"if {target} < 0 or {target} >= {len(self.program.functions)}:",
+                f"    raise _fault('indirect call to bad target %d' % {target})",
+                f"if _arity[{target}] != {len(ins[3])}:",
+                f"    raise _arity_error({target}, {len(ins[3])})",
+            ] + _DEPTH_CHECK + [
+                "indirect_calls += 1",
+                _call(ins[2], f"functions[{target}]", ins[3]),
+                "indirect_returns += 1",
+            ]
+        if op == _OP_SELECT:
+            self.assigned.add("selects")
+            return [
+                f"r{ins[1]} = r{ins[3]} if r{ins[2]} else r{ins[4]}",
+                "selects += 1",
+            ]
+        if op == _OP_GETC:
+            return [f"r{ins[1]} = next(stdin, -1)"]
+        if op == _OP_PUTC:
+            return [f"putc(r{ins[1]} & 255)"]
+        if op == _OP_HALT:
+            return ["raise _Halt"]
+        raise AssertionError(f"unknown opcode {op}")  # pragma: no cover
+
+    def arm(self, start: int) -> List[str]:
+        """The arm for ``start``, looping on itself if it can reach it."""
+        self.arms[start] = []
+        self.looped = False
+        lines = self.block(self.func.blocks[start], 0, start)
+        if self.looped:
+            return ["while True:"] + _indent(lines)
+        return self.block(self.func.blocks[start], 0, None)
+
+    def tree(self, starts: List[int]) -> List[str]:
+        """Select the arm for ``pc`` with a binary tree of ``if pc < k``."""
+        if len(starts) == 1:
+            return self.arms[starts[0]]
+        middle = len(starts) // 2
+        return (
+            [f"if pc < {starts[middle]}:"]
+            + _indent(self.tree(starts[:middle]))
+            + ["else:"]
+            + _indent(self.tree(starts[middle:]))
+        )
+
+    def body(self) -> List[str]:
+        entry = self.goto(0, 0, None)
+        while self.pending:
+            start = self.pending.pop()
+            self.arms[start] = self.arm(start)
+        lines = entry
+        if self.arms:
+            lines += ["while True:"] + _indent(self.tree(sorted(self.arms)))
+        header = [f"nonlocal {', '.join(sorted(self.assigned))}"]
+        if self.func.zeros:
+            header.append(" = ".join(f"r{reg}" for reg in self.func.zeros) + " = 0")
+        return header + lines
+
+
+def _function_source(
+    predecoded: PredecodedProgram, index: int, recording: bool
+) -> str:
+    func = predecoded.functions[index]
+    body = _Writer(predecoded.program, func, recording).body()
+    callees = {
+        f"f{ins[1]}"
+        for block in func.blocks.values()
+        for element in block.elements
+        for ins in element
+        if ins[0] == _OP_CALL
+    }
+    params = ["depth"] + [f"r{reg}" for reg in range(func.num_params)]
+    return "\n".join(
+        ["def _scope():", f"    {' = '.join(_STATE + tuple(sorted(callees)))} = None"]
+        + [f"    def f{index}({', '.join(params)}):"]
+        + ["        " + line for line in body]
+        + [f"    return f{index}"]
+    )
+
+
+def _compile_function(
+    predecoded: PredecodedProgram, index: int, recording: bool
+) -> CodeType:
+    """Compile one function's source and return the inner function's code,
+    whose free variables the run binds to its cells."""
+    program = predecoded.program
+    name = predecoded.functions[index].name
+    module = compile(
+        _function_source(predecoded, index, recording),
+        f"<vm:{program.name}:{name}>",
+        "exec",
+    )
+    scope = next(c for c in module.co_consts if isinstance(c, CodeType))
+    return next(c for c in scope.co_consts if isinstance(c, CodeType))
+
+
+def compiled(predecoded: PredecodedProgram, recording: bool) -> List[CodeType]:
+    """Per function, the compiled code of one variant: built on first use
+    and cached with the analysed form."""
+    codes = predecoded.recording if recording else predecoded.plain
+    if codes is None:
+        codes = [
+            _compile_function(predecoded, index, recording)
+            for index in range(len(predecoded.functions))
+        ]
+        if recording:
+            predecoded.recording = codes
+        else:
+            predecoded.plain = codes
     return codes
 
 
-# -- execution loop ------------------------------------------------------------
+# -- running -------------------------------------------------------------------
 
 
 def run_fast(
@@ -562,10 +645,9 @@ def run_fast(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """Run the decoded form, with superblocks and no monitors."""
-    return _run(
-        predecoded, superblocks(predecoded), input_data,
-        max_instructions, max_call_depth, (),
+    """Run the plain variant: no monitors."""
+    return _call_main(
+        predecoded, False, input_data, max_instructions, max_call_depth, ()
     )
 
 
@@ -576,296 +658,144 @@ def run_monitored(
     max_instructions: int,
     max_call_depth: int,
 ) -> RunResult:
-    """Run the decoded form, replaying every conditional-branch outcome to
-    ``monitors`` in chunks and then calling each monitor's ``on_run_end``
-    once."""
-    codes = [func.code for func in predecoded.functions]
-    result = _run(
-        predecoded, codes, input_data, max_instructions, max_call_depth, monitors
+    """Run the recording variant, replaying every conditional-branch
+    outcome to ``monitors`` in chunks and then calling each monitor's
+    ``on_run_end`` once."""
+    result = _call_main(
+        predecoded, True, input_data, max_instructions, max_call_depth, monitors
     )
     for monitor in monitors:
         monitor.on_run_end(result.instructions)
     return result
 
 
-def _run(
+def _stack_depth() -> int:
+    """How many Python frames are active below this call."""
+    depth = 0
+    frame: Any = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def _call_main(
     predecoded: PredecodedProgram,
-    codes: List[List[Tuple[Any, ...]]],
+    recording: bool,
     input_data: bytes,
     max_instructions: int,
     max_call_depth: int,
     monitors: Sequence[BranchMonitor],
 ) -> RunResult:
-    """The one dispatch loop over the decoded form, ``codes`` per function.
+    """Bind one variant's functions to a fresh run's cells and call main.
 
-    An ``OP_SUPERBLOCK`` head runs its chain only when the chain's longest
-    path fits under the instruction limit, and otherwise falls back to
-    the element it replaced, so the limit trips at the same element.
-    With ``monitors``, both ``BR`` arms append each event to the chunk
+    In the recording variant each ``BR`` appends its event to the chunk
     (see :mod:`repro.vm.monitors`) with the exact executed-instruction
     count the legacy interpreter would report, and every full chunk is
     replayed to the monitors with ``in_monitor`` raised, so a monitor's
-    own ``IndexError``/``ZeroDivisionError`` is re-raised unchanged
+    own ``ZeroDivisionError`` or ``VMError`` is re-raised unchanged
     instead of being blamed on the guest program.  The tail is replayed
     before the run returns, or before a guest fault propagates.
+
+    Each guest call is one Python frame, so the recursion limit is raised
+    for the run to cover ``max_call_depth`` guest frames above the
+    caller's own, and restored after it.
     """
     program = predecoded.program
-    functions = predecoded.functions
-    main = functions[predecoded.main_index]
-
-    memory = list(program.memory_init)
-    mem_size = len(memory)
-    num_branches = len(program.branch_table)
-    branch_exec = [0] * num_branches
-    branch_taken = [0] * num_branches
+    codes = compiled(predecoded, recording)
+    depth_limit = max(max_call_depth, 0)
     output = bytearray()
-    in_pos = 0
-    in_len = len(input_data)
-
-    direct_calls = direct_returns = 0
-    indirect_calls = indirect_returns = 0
-    jumps = selects = 0
-    icount = 0
-    limit = max_instructions
-    depth_limit = max_call_depth
-
-    regs = [0] * main.num_regs
-    code = codes[predecoded.main_index]
-    pc = 0
-    stack: List[Tuple[Any, ...]] = []
-    exit_code: Optional[int] = None
-    in_monitor = False
-    fault: Optional[VMError] = None
-
-    recording = bool(monitors)
     events: List[int] = []
-    chunk_events = room = vm_monitors.CHUNK_EVENTS
+    chunk_events = vm_monitors.CHUNK_EVENTS
+    room = CellType(chunk_events)
+    in_monitor = False
 
+    def flush() -> None:
+        nonlocal in_monitor
+        in_monitor = True
+        deliver(monitors, events)
+        in_monitor = False
+        room.cell_contents = chunk_events
+
+    functions: List[Any] = []
+    num_branches = len(program.branch_table)
+    cells = {
+        "icount": CellType(0),
+        "limit": CellType(max_instructions),
+        "memory": CellType(list(program.memory_init)),
+        "btaken": CellType([0] * num_branches),
+        "bnot": CellType([0] * num_branches),
+        "jumps": CellType(0),
+        "selects": CellType(0),
+        "direct_calls": CellType(0),
+        "direct_returns": CellType(0),
+        "indirect_calls": CellType(0),
+        "indirect_returns": CellType(0),
+        "stdin": CellType(iter(input_data)),
+        "putc": CellType(output.append),
+        "functions": CellType(functions),
+        "record": CellType(events.append),
+        "room": room,
+        "flush": CellType(flush),
+    }
+    function_cells = [CellType() for _ in codes]
+    cells.update((f"f{index}", cell) for index, cell in enumerate(function_cells))
+    namespace = predecoded.namespace
+    for code in codes:
+        closure = tuple(cells[name] for name in code.co_freevars)
+        functions.append(FunctionType(code, namespace, code.co_name, None, closure))
+    for cell, function in zip(function_cells, functions):
+        cell.cell_contents = function
+
+    exit_code: Optional[int] = None
+    fault: Optional[VMError] = None
+    recursion_limit = sys.getrecursionlimit()
+    needed = _stack_depth() + depth_limit + _RECURSION_HEADROOM
+    if needed > recursion_limit:
+        sys.setrecursionlimit(needed)
     try:
-        while True:
-            ins = code[pc]
-            pc += 1
-            op = ins[0]
-            if op == OP_SUPERBLOCK:
-                if icount + ins[2] <= limit:
-                    pc, count, taken_jumps = ins[1](
-                        regs, memory, branch_exec, branch_taken
-                    )
-                    icount += count
-                    jumps += taken_jumps
-                    continue
-                ins = ins[3]
-                op = ins[0]
-            if op == OP_FUSED_BR:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                pc = ins[1](regs, memory, branch_exec, branch_taken)
-                if recording:
-                    # The run never writes past the branch read, so the
-                    # condition register still holds the branched-on value.
-                    events.append(ins[5] if regs[ins[3]] else ins[4])
-                    events.append(icount)
-                    room -= 1
-                    if not room:
-                        in_monitor = True
-                        deliver(monitors, events)
-                        in_monitor = False
-                        room = chunk_events
-                continue
-            if op == OP_FUSED:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                ins[1](regs, memory, branch_exec, branch_taken)
-                continue
-            if op == OP_FUSED_CALL:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                ins[1](regs, memory, branch_exec, branch_taken)
-                new_regs = [regs[src] for src in ins[5]]
-                new_regs += ins[6]
-                if len(stack) >= depth_limit:
-                    raise VMError(f"{program.name}: call depth limit exceeded")
-                stack.append((code, regs, pc, ins[4], False))
-                code = codes[ins[3]]
-                regs = new_regs
-                pc = 0
-                direct_calls += 1
-                continue
-            if op == OP_FUSED_RET:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                value = ins[1](regs, memory, branch_exec, branch_taken)
-                if not stack:
-                    exit_code = value
-                    break
-                code, regs, pc, dst, via_indirect = stack.pop()
-                if via_indirect:
-                    indirect_returns += 1
-                else:
-                    direct_returns += 1
-                if dst != -1:
-                    regs[dst] = value
-                continue
-            if op == OP_FUSED_JMP:
-                icount += ins[2]
-                if icount > limit:
-                    raise InstructionLimitExceeded(
-                        f"{program.name}: exceeded {limit} instructions"
-                    )
-                pc = ins[1](regs, memory, branch_exec, branch_taken)
-                jumps += 1
-                continue
-            icount += 1
-            if icount > limit:
-                raise InstructionLimitExceeded(
-                    f"{program.name}: exceeded {limit} instructions"
-                )
-            if op == _OP_BR:
-                bidx = ins[4]
-                branch_exec[bidx] += 1
-                if regs[ins[1]] != 0:
-                    branch_taken[bidx] += 1
-                    pc = ins[2]
-                else:
-                    pc = ins[3]
-                if recording:
-                    events.append(bidx << 1 | (regs[ins[1]] != 0))
-                    events.append(icount)
-                    room -= 1
-                    if not room:
-                        in_monitor = True
-                        deliver(monitors, events)
-                        in_monitor = False
-                        room = chunk_events
-            elif op == _OP_BIN:
-                regs[ins[2]] = ins[1](regs[ins[3]], regs[ins[4]])
-            elif op == _OP_LOAD:
-                addr = regs[ins[2]]
-                if addr < 0 or addr >= mem_size:
-                    raise VMError(
-                        f"{program.name}: load from bad address {addr}"
-                    )
-                regs[ins[1]] = memory[addr]
-            elif op == _OP_CONST:
-                regs[ins[1]] = ins[2]
-            elif op == _OP_STORE:
-                addr = regs[ins[1]]
-                if addr < 0 or addr >= mem_size:
-                    raise VMError(
-                        f"{program.name}: store to bad address {addr}"
-                    )
-                memory[addr] = regs[ins[2]]
-            elif op == _OP_MOV:
-                regs[ins[1]] = regs[ins[2]]
-            elif op == _OP_JMP:
-                pc = ins[1]
-                jumps += 1
-            elif op == _OP_CALL:
-                new_regs = [regs[src] for src in ins[3]]
-                new_regs += ins[4]
-                if len(stack) >= depth_limit:
-                    raise VMError(f"{program.name}: call depth limit exceeded")
-                stack.append((code, regs, pc, ins[2], False))
-                code = codes[ins[1]]
-                regs = new_regs
-                pc = 0
-                direct_calls += 1
-            elif op == _OP_RET:
-                value = 0 if ins[1] == -1 else regs[ins[1]]
-                if not stack:
-                    exit_code = value
-                    break
-                code, regs, pc, dst, via_indirect = stack.pop()
-                if via_indirect:
-                    indirect_returns += 1
-                else:
-                    direct_returns += 1
-                if dst != -1:
-                    regs[dst] = value
-            elif op == _OP_SELECT:
-                regs[ins[1]] = regs[ins[3]] if regs[ins[2]] != 0 else regs[ins[4]]
-                selects += 1
-            elif op == _OP_UN:
-                regs[ins[2]] = ins[1](regs[ins[3]])
-            elif op == _OP_GETC:
-                if in_pos < in_len:
-                    regs[ins[1]] = input_data[in_pos]
-                    in_pos += 1
-                else:
-                    regs[ins[1]] = -1
-            elif op == _OP_PUTC:
-                output.append(regs[ins[1]] & 0xFF)
-            elif op == _OP_ICALL:
-                target = regs[ins[1]]
-                if target < 0 or target >= len(functions):
-                    raise VMError(
-                        f"{program.name}: indirect call to bad target {target}"
-                    )
-                callee = functions[target]
-                if len(ins[3]) != callee.num_params:
-                    raise VMError(
-                        f"{program.name}: indirect call to {callee.name} with "
-                        f"{len(ins[3])} args, expects {callee.num_params}"
-                    )
-                new_regs = [regs[src] for src in ins[3]]
-                new_regs += [0] * (callee.num_regs - len(new_regs))
-                if len(stack) >= depth_limit:
-                    raise VMError(f"{program.name}: call depth limit exceeded")
-                stack.append((code, regs, pc, ins[2], True))
-                code = codes[target]
-                regs = new_regs
-                pc = 0
-                indirect_calls += 1
-            elif op == _OP_HALT:
-                exit_code = 0
-                break
-            else:  # pragma: no cover - predecode emits only known opcodes
-                raise VMError(f"{program.name}: unknown opcode {op}")
+        exit_code = functions[predecoded.main_index](depth_limit)
+    except _Halt:
+        exit_code = 0
     except ZeroDivisionError:
         if in_monitor:
             raise
         fault = VMError(f"{program.name}: division by zero")
-    except IndexError:
-        if in_monitor:
-            raise
-        fault = VMError(
-            f"{program.name}: bad register or code reference at pc {pc - 1}"
-        )
     except VMError as error:
         if in_monitor:
             raise
         fault = error
+    finally:
+        if needed > recursion_limit:
+            sys.setrecursionlimit(recursion_limit)
+        # The functions reach each other through these cells; clearing
+        # them breaks the cycle that would keep ``memory`` alive.
+        for cell in function_cells:
+            cell.cell_contents = None
+        functions.clear()
     if events:
         deliver(monitors, events)
     if fault is not None:
         raise fault
 
+    def count(name: str) -> Any:
+        return cells[name].cell_contents
+
+    taken = count("btaken")
     control = ControlEvents(
-        direct_calls=direct_calls,
-        direct_returns=direct_returns,
-        indirect_calls=indirect_calls,
-        indirect_returns=indirect_returns,
-        jumps=jumps,
-        selects=selects,
+        direct_calls=count("direct_calls"),
+        direct_returns=count("direct_returns"),
+        indirect_calls=count("indirect_calls"),
+        indirect_returns=count("indirect_returns"),
+        jumps=count("jumps"),
+        selects=count("selects"),
     )
     return RunResult(
         program=program.name,
-        instructions=icount,
+        instructions=count("icount"),
         branch_table=list(program.branch_table),
-        branch_exec=branch_exec,
-        branch_taken=branch_taken,
+        branch_exec=[t + n for t, n in zip(taken, count("bnot"))],
+        branch_taken=taken,
         events=control,
         output=bytes(output),
         exit_code=exit_code,

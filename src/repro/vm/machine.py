@@ -6,12 +6,12 @@ and every other control-transfer event.  Execution starts at ``main`` (which
 takes no arguments); the program ends when ``main`` returns or a ``halt``
 executes, and ``main``'s return value is the exit code.
 
-:class:`Machine` predecodes the program once (operand pre-binding plus
-basic-block superinstruction fusion, see :mod:`repro.vm.engine`) and runs
-the engine's one dispatch loop: through ``run_fast``, which chains fused
-blocks into superblocks, or, when branch observers are attached, through
-``run_monitored``.  ``tests/legacy_vm.py`` keeps the original
-tuple-dispatch loop as the oracle; the differential harness in
+:class:`Machine` runs the engine in :mod:`repro.vm.engine`, which compiles
+each guest function once into one Python function (registers as locals,
+guest calls as Python calls): through ``run_fast`` and the plain variant,
+or, when branch observers are attached, through ``run_monitored`` and the
+variant that records branch events.  ``tests/legacy_vm.py`` keeps the
+original tuple-dispatch loop as the oracle; the differential harness in
 ``tests/test_vm_engine.py`` holds the engine to bit-identical
 :class:`RunResult`\\ s (instructions, per-branch exec/taken counts, control
 events, output, exit code) against it.

@@ -1,4 +1,7 @@
 """Virtual machine behaviour: counting, limits, monitors, events."""
+import gc
+import sys
+
 import pytest
 
 from repro.compiler import compile_source
@@ -12,6 +15,10 @@ from repro.vm import (
 )
 
 from tests.helpers import compile_and_run
+from tests.legacy_vm import LegacyMachine
+
+#: The engine and the legacy oracle, by the ids tests are parametrized with.
+MACHINES = {"fast": Machine, "legacy": LegacyMachine}
 
 COUNT_LOOP = """
 func main() {
@@ -44,6 +51,60 @@ def test_call_depth_limit_enforced():
     machine = Machine(max_call_depth=50)
     with pytest.raises(VMError, match="depth"):
         machine.run(program.lowered)
+
+
+#: Recurses to a call depth of 9,990 (main's frame is depth 0) at the
+#: default limit of 10,000.
+DEEP_RECURSION = """
+func down(n) { if (n == 0) { return 0; } return down(n - 1) + 1; }
+func main() { return down(9989); }
+"""
+
+
+@pytest.mark.parametrize("engine", MACHINES)
+def test_deep_recursion_at_the_default_depth_limit(engine):
+    limit = sys.getrecursionlimit()
+    result = MACHINES[engine]().run(compile_source(DEEP_RECURSION).lowered)
+    assert result.exit_code == 9989
+    assert result.events.direct_calls == result.events.direct_returns == 9990
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("engine", MACHINES)
+def test_unbounded_recursion_hits_the_default_depth_limit(engine):
+    program = compile_source(
+        "func f(n) { return f(n + 1); } func main() { return f(0); }",
+        name="deep",
+    )
+    limit = sys.getrecursionlimit()
+    with pytest.raises(VMError) as excinfo:
+        MACHINES[engine]().run(program.lowered)
+    assert str(excinfo.value) == "deep: call depth limit exceeded"
+    assert sys.getrecursionlimit() == limit
+
+
+def test_runs_leave_no_cyclic_garbage():
+    """Each run's memory copy is freed when the run ends, not when the
+    cyclic collector next runs: the run leaves no reference cycles, also
+    through a function that calls itself."""
+    program = compile_source(
+        """
+        arr big[200000];
+        func fill(i) { if (i < 3) { big[199999 - i] = 7; fill(i + 1); } return 0; }
+        func main() { fill(0); return big[199999]; }
+        """
+    ).lowered
+    run_program(program)
+    run_program(program, monitors=[OutcomeRecorder()])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert run_program(program).exit_code == 7
+            assert run_program(program, monitors=[OutcomeRecorder()]).exit_code == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_main_with_params_rejected_at_runtime():

@@ -1,13 +1,13 @@
-"""Differential harness for the predecoded engine.
+"""Differential harness for the compiled engine.
 
 The engine (repro.vm.engine) must be observably indistinguishable from
 the original dispatch loop in ``tests/legacy_vm.py``: bit-identical
 RunResults (instructions, per-branch exec/taken, events, output, exit
 code), identical monitor callback streams, the same instruction-limit
 trips and the same fault messages, over both generated programs and
-every bundled workload x dataset.  Anything the engine, its fusion or
-its superblocks get wrong shows up here as a disagreement with that
-loop, which is kept precisely to serve as this oracle.
+every bundled workload x dataset.  Anything the engine's generated
+functions get wrong shows up here as a disagreement with that loop,
+which is kept precisely to serve as this oracle.
 """
 import dataclasses
 
@@ -19,15 +19,7 @@ import repro.vm.monitors as vm_monitors
 from repro.compiler import compile_source
 import repro.vm as vm
 from repro.ir.opcodes import BinOp, Opcode
-from repro.vm.engine import (
-    FUSIBLE_OPS,
-    OP_FUSED,
-    OP_SUPERBLOCK,
-    PredecodedProgram,
-    predecode,
-    run_monitored,
-    superblocks,
-)
+from repro.vm.engine import compiled, predecode, run_monitored
 from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, Machine, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
@@ -46,14 +38,6 @@ def as_tuple(result):
 
 def lowered(source, name="test"):
     return compile_source(source, name=name).lowered
-
-
-def superblock_count(program):
-    return sum(
-        ins[0] == OP_SUPERBLOCK
-        for code in superblocks(predecode(program))
-        for ins in code
-    )
 
 
 LOOPY = """
@@ -85,7 +69,6 @@ def test_fast_matches_legacy_on_generated_modules(seed, data):
     fast = Machine().run(program, input_data=data)
     legacy = LegacyMachine().run(program, input_data=data)
     assert as_tuple(fast) == as_tuple(legacy)
-    assert superblock_count(program) > 0
 
 
 class EndCountingRecorder(OutcomeRecorder):
@@ -127,7 +110,6 @@ def test_fast_matches_legacy_on_workload(workload_name):
     program = lowered(workload.source, name=workload_name)
     fast = Machine()
     legacy = LegacyMachine()
-    assert superblock_count(program) > 0
     for dataset in workload.datasets:
         fast_result = fast.run(program, input_data=dataset.data)
         legacy_result = legacy.run(program, input_data=dataset.data)
@@ -179,31 +161,8 @@ def test_serial_and_parallel_runs_are_identical(tmp_path):
 def test_predecoded_form_is_cached_on_the_program():
     program = lowered(LOOPY)
     first = predecode(program)
-    assert isinstance(first, PredecodedProgram)
     assert predecode(program) is first
     assert program.predecoded is first
-
-
-def test_fusion_collapses_straight_line_runs():
-    program = lowered(LOOPY)
-    decoded = predecode(program)
-    total_fused = sum(func.fused_ops for func in decoded.functions)
-    assert total_fused > 0
-    for original, fast in zip(program.functions, decoded.functions):
-        assert len(fast.code) <= len(original.code)
-        # Decoded instruction counts must add back up to the original.
-        expanded = sum(
-            ins[2] if ins[0] > OP_FUSED - 1 else 1 for ins in fast.code
-        )
-        assert expanded == len(original.code)
-
-
-def test_fusible_ops_have_no_control_flow():
-    from repro.ir.opcodes import Opcode
-
-    control = {Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.ICALL,
-               Opcode.RET, Opcode.HALT}
-    assert not FUSIBLE_OPS & {int(op) for op in control}
 
 
 def test_no_engine_selector_is_left():
@@ -249,7 +208,7 @@ def test_faults_are_identical_across_engines():
         LegacyMachine().run(div_zero)
 
 
-# -- superblocks ---------------------------------------------------------------
+# -- instruction limit and faults ----------------------------------------------
 
 #: Small programs for the instruction-limit sweep: loops in both branch
 #: directions, calls out of a loop, and a loop that exits early.
@@ -287,9 +246,8 @@ LIMIT_SWEEP = {
 }
 
 
-#: Each faults in a loop condition.  The loop body's superblock chains
-#: the condition's block onto the (fault-free) body block.
-FAULTS_IN_A_SUPERBLOCK = {
+#: Each faults in a loop condition, whose block is an arm of main's loop.
+FAULTS_IN_A_LOOP_CONDITION = {
     "load from bad address -1": """
         arr buf[8];
         func main() {
@@ -320,23 +278,20 @@ _LIMIT = InstructionLimitExceeded.__name__
 
 
 @pytest.mark.parametrize(
-    "name", sorted(LIMIT_SWEEP) + sorted(FAULTS_IN_A_SUPERBLOCK)
+    "name", sorted(LIMIT_SWEEP) + sorted(FAULTS_IN_A_LOOP_CONDITION)
 )
 def test_limit_sweep_matches_legacy(name):
     """At every limit up to the run's own count (or its fault), the fast
-    engine raises iff the legacy loop raises.  It also raises exactly
-    what the decoded code without superblocks raises (``run_monitored``
-    with no monitors): a superblock entered too close to the limit would
-    run past it, and in the faulting programs report the fault instead.
+    engine raises iff the legacy loop raises.  The plain variant also
+    raises exactly what the recording variant raises (``run_monitored``
+    with no monitors).
 
-    The decoded code checks the limit once per fused element, so where a
-    fault and the limit fall inside one element, the legacy loop reports
-    the fault and the engine the limit; only there do their errors
-    differ.
+    The engine checks the limit once per element, so where a fault and
+    the limit fall inside one element, the legacy loop reports the fault
+    and the engine the limit; only there do their errors differ.
     """
-    program = lowered(LIMIT_SWEEP.get(name) or FAULTS_IN_A_SUPERBLOCK[name])
+    program = lowered(LIMIT_SWEEP.get(name) or FAULTS_IN_A_LOOP_CONDITION[name])
     decoded = predecode(program)
-    assert superblock_count(program) > 0
     for limit in range(10_000):
         legacy = _outcome(LegacyMachine(max_instructions=limit).run, program)
         fast = _outcome(Machine(max_instructions=limit).run, program)
@@ -353,7 +308,7 @@ def test_limit_sweep_matches_legacy(name):
     assert 20 < limit < 10_000
 
 
-#: Opcodes that can fault inside a fused block.
+#: Opcodes that can fault inside an element.
 _FAULTING = {int(Opcode.LOAD), int(Opcode.STORE)}
 _FAULTING_BIN = {int(BinOp.DIV), int(BinOp.MOD)}
 
@@ -364,54 +319,47 @@ def _can_fault(ins):
     )
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS_IN_A_SUPERBLOCK))
-def test_fault_inside_a_superblocks_second_block(fault):
-    program = lowered(FAULTS_IN_A_SUPERBLOCK[fault])
-    decoded = predecode(program)
-    # Mark which superblock is running, so the fault can be placed.
-    running = []
-    for code in superblocks(decoded):
-        for index, ins in enumerate(code):
-            if ins[0] != OP_SUPERBLOCK:
-                continue
-
-            def traced(*args, _run=ins[1], _index=index):
-                running.append(_index)
-                result = _run(*args)
-                running.pop()
-                return result
-
-            code[index] = (OP_SUPERBLOCK, traced) + ins[2:]
+@pytest.mark.parametrize("fault", sorted(FAULTS_IN_A_LOOP_CONDITION))
+def test_fault_in_a_loop_condition_matches_legacy(fault):
+    program = lowered(FAULTS_IN_A_LOOP_CONDITION[fault])
+    # The only op that can fault sits in a block the loop jumps back to.
+    main = predecode(program).functions[program.main_index]
+    faulting = [
+        block.start
+        for block in main.blocks.values()
+        for element in block.elements
+        if any(_can_fault(ins) for ins in element)
+    ]
+    assert len(faulting) == 1
+    assert faulting[0] in program.functions[program.main_index].jump_targets
     with pytest.raises(VMError) as fast:
         Machine().run(program)
+    with pytest.raises(VMError) as monitored:
+        Machine().run(program, monitors=[OutcomeRecorder()])
     with pytest.raises(VMError) as legacy:
         LegacyMachine().run(program)
-    assert str(fast.value) == str(legacy.value) == f"test: {fault}"
-    # The fault left a superblock mid-flight, and that superblock's head
-    # block cannot fault, so the faulting op sat in a later block.
-    assert len(running) == 1
-    main = decoded.functions[decoded.main_index]
-    _, head_ops, _ = main.segments[running[0]]
-    assert not any(_can_fault(ins) for ins in head_ops)
+    assert str(fast.value) == str(monitored.value) == str(legacy.value)
+    assert str(legacy.value) == f"test: {fault}"
 
 
-def test_superblocks_are_built_once_and_only_for_unmonitored_runs():
+def test_each_variant_is_built_once_and_monitored_runs_never_build_the_plain_one():
     program = lowered(LOOPY)
     decoded = predecode(program)
-    assert decoded.superblock_codes is None
+    assert decoded.plain is None and decoded.recording is None
     Machine().run(program, monitors=[OutcomeRecorder()])
-    assert decoded.superblock_codes is None
+    recording = decoded.recording
+    assert recording is not None and decoded.plain is None
     Machine().run(program)
-    codes = decoded.superblock_codes
-    assert codes is not None and superblocks(decoded) is codes
-    for func, code in zip(decoded.functions, codes):
-        assert len(code) == len(func.code)
-        for base, ins in zip(func.code, code):
-            if ins[0] == OP_SUPERBLOCK:
-                # A head replaces its element and runs more than it alone.
-                assert ins[3] is base and ins[2] > base[2]
-            else:
-                assert ins is base
+    plain = decoded.plain
+    assert plain is not None
+    Machine().run(program)
+    Machine().run(program, monitors=[OutcomeRecorder()])
+    assert compiled(decoded, recording=False) is plain
+    assert compiled(decoded, recording=True) is recording
+    assert len(plain) == len(recording) == len(program.functions)
+    # Only the recording variant touches the event buffer.
+    assert not any("record" in code.co_freevars for code in plain)
+    assert any("record" in code.co_freevars for code in recording)
 
 
 # -- monitor contract regressions ---------------------------------------------
