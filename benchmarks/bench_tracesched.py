@@ -9,6 +9,7 @@ from repro.prediction import (
     LoopHeuristicPredictor,
     ProfilePredictor,
 )
+from repro.profiling import BranchProfile
 from repro.tracesched import compare_predictors
 
 FUNCTIONS = ["eval", "apply", "evlis", "read_expr"]
@@ -16,7 +17,7 @@ FUNCTIONS = ["eval", "apply", "evlis", "read_expr"]
 
 def _ablation(runner):
     compiled = runner.compiled("li")
-    profile = runner.profile("li", "6queens")
+    profile = BranchProfile.from_run(runner.run("li", "6queens"))
     predictors = {
         "profile": ProfilePredictor(profile),
         "loop-heuristic": LoopHeuristicPredictor(compiled.module),

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.compiler import compile_source
 from repro.vm.engine import compiled, predecode
-from repro.vm.machine import Machine
+from repro.vm.machine import run_program
 from repro.vm.monitors import BranchMonitor
 from repro.workloads import registry
 from tests.legacy_vm import LegacyMachine
@@ -58,10 +58,10 @@ def _compiled(workload_name):
     return workload, compile_source(workload.source, name=workload_name).lowered
 
 
-def _timed_run(machine, program, data, monitored):
+def _timed_run(run, program, data, monitored):
     monitors = [NoOpMonitor()] if monitored else []
     started = time.perf_counter()
-    result = machine.run(program, input_data=data, monitors=monitors)
+    result = run(program, input_data=data, monitors=monitors)
     return time.perf_counter() - started, result
 
 
@@ -69,8 +69,7 @@ def _measure(workload, program, dataset_names=None, monitored=False):
     """Per-workload (instructions, legacy_seconds, fast_seconds); the fast
     timing is the warm path (the compiled variant cached on the
     LoweredProgram), which is what every sweep after the first run pays."""
-    fast = Machine()
-    legacy = LegacyMachine()
+    legacy = LegacyMachine().run
     compiled(predecode(program), monitored)  # build outside the timed region
     instructions = 0
     legacy_seconds = fast_seconds = 0.0
@@ -80,7 +79,9 @@ def _measure(workload, program, dataset_names=None, monitored=False):
         legacy_time, legacy_result = _timed_run(
             legacy, program, dataset.data, monitored
         )
-        fast_time, fast_result = _timed_run(fast, program, dataset.data, monitored)
+        fast_time, fast_result = _timed_run(
+            run_program, program, dataset.data, monitored
+        )
         assert dataclasses.astuple(fast_result) == dataclasses.astuple(
             legacy_result
         ), (workload.name, dataset.name)

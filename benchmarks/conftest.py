@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.runner import RunConfig, WorkloadRunner
 from repro.experiments import table1
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get_workload
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,6 @@ def runner():
         for dataset in workload.dataset_names():
             warmed.run(workload.name, dataset)
     for program in table1.PAPER_DEAD_CODE:
-        for dataset in warmed.workload(program).dataset_names():
+        for dataset in get_workload(program).dataset_names():
             warmed.run(program, dataset, RunConfig(dce=True))
     return warmed

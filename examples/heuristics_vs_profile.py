@@ -19,6 +19,7 @@ from repro.prediction import (
     self_prediction,
 )
 from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
+from repro.profiling import BranchProfile
 
 CASES = [("li", "6queens", "5queens"), ("tomcatv", "default", "default")]
 
@@ -28,7 +29,9 @@ def main() -> None:
     for workload, target_name, training_name in CASES:
         compiled = runner.compiled(workload)
         target = runner.run(workload, target_name)
-        training_profile = runner.profile(workload, training_name)
+        training_profile = BranchProfile.from_run(
+            runner.run(workload, training_name)
+        )
 
         print(f"=== {workload} / {target_name} "
               f"({target.instructions} instructions)")

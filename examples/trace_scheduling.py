@@ -10,6 +10,7 @@ Run:  python examples/trace_scheduling.py
 """
 from repro.core import WorkloadRunner
 from repro.prediction import FixedPredictor, ProfilePredictor
+from repro.profiling import BranchProfile
 from repro.tracesched import candidate_set_report, select_traces
 
 FUNCTIONS = ["eval", "apply", "read_expr"]
@@ -18,7 +19,7 @@ FUNCTIONS = ["eval", "apply", "read_expr"]
 def main() -> None:
     runner = WorkloadRunner()
     compiled = runner.compiled("li")
-    profile = runner.profile("li", "6queens")
+    profile = BranchProfile.from_run(runner.run("li", "6queens"))
 
     print("expected useful instructions per selected trace, li/6queens\n")
     print(f"{'function':12s} {'traces':>7s} {'profile-guided':>15s} "

@@ -5,8 +5,8 @@ A generic worklist (MFP) solver plus the classic analyses layered on it:
 * :mod:`repro.analysis.dataflow` — direction-agnostic solver with edge
   transfers, widening, and unreachable (bottom) tracking.
 * :mod:`repro.analysis.liveness` — backward live-register analysis.
-* :mod:`repro.analysis.reachdefs` — reaching definitions and definite
-  assignment (the use-before-def lint's engine).
+* :mod:`repro.analysis.reachdefs` — definite assignment (the
+  use-before-def lint's engine).
 * :mod:`repro.analysis.constprop` — conditional constant propagation with
   infeasible-edge pruning.
 * :mod:`repro.analysis.ranges` — integer interval analysis with
@@ -30,7 +30,7 @@ from repro.analysis.lint import (
     lint_function,
     lint_module,
 )
-from repro.analysis.liveness import LivenessAnalysis, live_out, live_sets
+from repro.analysis.liveness import LivenessAnalysis, dead_instructions, live_sets
 from repro.analysis.prover import (
     BranchProof,
     ProofVerdict,
@@ -51,9 +51,7 @@ from repro.analysis.ranges import (
 )
 from repro.analysis.reachdefs import (
     DefiniteAssignment,
-    ReachingDefinitions,
     maybe_uninitialized_uses,
-    reaching_definitions,
 )
 
 __all__ = [
@@ -72,9 +70,9 @@ __all__ = [
     "LivenessAnalysis",
     "ProofVerdict",
     "RangeAnalysis",
-    "ReachingDefinitions",
     "compare_intervals",
     "constants",
+    "dead_instructions",
     "eval_instr",
     "format_findings",
     "hull",
@@ -82,13 +80,11 @@ __all__ = [
     "lint_errors",
     "lint_function",
     "lint_module",
-    "live_out",
     "live_sets",
     "maybe_uninitialized_uses",
     "proof_directions",
     "prove_function",
     "prove_module",
     "ranges",
-    "reaching_definitions",
     "solve",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List
 
-from repro.analysis.liveness import live_sets
+from repro.analysis.liveness import dead_instructions
 from repro.analysis.reachdefs import maybe_uninitialized_uses
 from repro.ir.analysis import cfg_edges, predecessor_map, reachable_from_entry
 from repro.ir.cfg import Function, Module
@@ -108,25 +108,9 @@ def _lint_register_width(func: Function) -> List[LintFinding]:
 
 def _lint_dead_stores(func: Function) -> List[LintFinding]:
     findings = []
-    _, live_out_sets = live_sets(func)
+    dead = dead_instructions(func)
     for block in func.blocks:
-        live = set(live_out_sets[block.label])
-        # Walk backwards, mirroring dead-code elimination's liveness walk.
-        dead: List[int] = []
-        for position in range(len(block.instrs) - 1, -1, -1):
-            instr = block.instrs[position]
-            dst = instr.dst
-            if (
-                dst is not None
-                and dst not in live
-                and not instr.has_side_effects()
-            ):
-                dead.append(position)
-                continue
-            if dst is not None:
-                live.discard(dst)
-            live.update(instr.uses())
-        for position in reversed(dead):
+        for position in dead.get(block.label, ()):
             instr = block.instrs[position]
             findings.append(
                 LintFinding(

@@ -1,12 +1,12 @@
 """Register liveness, as a backward may-analysis on the framework.
 
-This is the analysis the dead-instruction pass has always needed; it now
-lives here so the optimizer, the lint rules (dead stores) and any future
-register allocator share one implementation.
+The optimizer's dead-instruction pass and the dead-store lint share it
+through :func:`dead_instructions`: the pass deletes what it returns, the
+lint reports it.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.analysis.dataflow import BACKWARD, DataflowAnalysis, solve
 from repro.ir.cfg import BasicBlock, Function
@@ -64,6 +64,31 @@ def live_sets(func: Function) -> Tuple[Dict[str, Set[int]], Dict[str, Set[int]]]
     return live_in, live_out
 
 
-def live_out(func: Function) -> Dict[str, Set[int]]:
-    """Live-out register sets per block label."""
-    return live_sets(func)[1]
+def dead_instructions(func: Function) -> Dict[str, List[int]]:
+    """Block label -> ascending positions of side-effect-free instructions
+    whose result is not live afterwards; blocks without any are left out.
+
+    One backward walk per block from its live-out set: a dead instruction
+    neither kills its destination nor makes its operands live.
+    """
+    _, live_out_sets = live_sets(func)
+    dead: Dict[str, List[int]] = {}
+    for block in func.blocks:
+        live = set(live_out_sets[block.label])
+        positions: List[int] = []
+        for position in range(len(block.instrs) - 1, -1, -1):
+            instr = block.instrs[position]
+            dst = instr.dst
+            if (
+                dst is not None
+                and dst not in live
+                and not instr.has_side_effects()
+            ):
+                positions.append(position)
+                continue
+            if dst is not None:
+                live.discard(dst)
+            live.update(instr.uses())
+        if positions:
+            dead[block.label] = positions[::-1]
+    return dead

@@ -26,7 +26,7 @@ import dataclasses
 import os
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.runner import RunConfig, RunKey
+from repro.compiler import RunConfig
 from repro.workloads.base import Workload
 
 #: Environment variable consulted when no explicit job count is given.
@@ -58,15 +58,12 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class RunRequest:
-    """One (workload, dataset, configuration) triple of a sweep."""
+    """One (workload, dataset, configuration) triple of a sweep, and the
+    key ``WorkloadRunner`` memoizes its result under."""
 
     workload: str
     dataset: str
     config: RunConfig = RunConfig()
-
-    def key(self) -> RunKey:
-        """The WorkloadRunner memoization key for this request."""
-        return (self.workload, self.dataset, self.config)
 
     def describe(self) -> str:
         return f"{self.workload}/{self.dataset} [{self.config.tag()}]"

@@ -183,3 +183,28 @@ def if_conversion(
             )
         )
     return IfConversionResult(rows=rows)
+
+
+# --- both ablations ---------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class AblationsResult:
+    """Both ablations, one field per section, in report order."""
+
+    inlining: InliningResult
+    if_conversion: IfConversionResult
+
+    def format_text(self) -> str:
+        return "\n\n".join(
+            getattr(self, field.name).format_text()
+            for field in dataclasses.fields(self)
+        )
+
+
+def run(runner: Optional[WorkloadRunner] = None) -> AblationsResult:
+    if runner is None:
+        runner = WorkloadRunner()
+    return AblationsResult(
+        inlining=inlining(runner), if_conversion=if_conversion(runner)
+    )

@@ -15,58 +15,7 @@ import time
 from typing import List
 
 from repro.core.runner import WorkloadRunner
-from repro.experiments import (
-    ablations,
-    coverage,
-    dynamic_compare,
-    figure1,
-    figure2,
-    figure3,
-    informal,
-    overview,
-    proofs,
-    runlengths,
-    scaling,
-    table1,
-    table2,
-    table3,
-)
-
-_SIMPLE = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "figure1": figure1.run,
-    "figure2": figure2.run,
-    "figure3": figure3.run,
-    "runlengths": runlengths.run,
-    "coverage": coverage.run,
-    "scaling": scaling.run,
-    "dynamic": dynamic_compare.run,
-    "overview": overview.run,
-    "proofs": proofs.run,
-}
-
-
-def _run_informal(runner: WorkloadRunner) -> List[str]:
-    sections = [
-        informal.combine_modes(runner).format_text(),
-        informal.heuristics(runner).format_text(),
-        informal.percent_taken(runner).format_text(),
-        informal.compress_cross(runner).format_text(),
-        informal.wrong_measure(runner).format_text(),
-        informal.dynamic_comparison(
-            runner, programs=["li", "gcc", "compress", "tomcatv", "lfk", "doduc"]
-        ).format_text(),
-    ]
-    return sections
-
-
-def _run_ablations(runner: WorkloadRunner) -> List[str]:
-    return [
-        ablations.inlining(runner).format_text(),
-        ablations.if_conversion(runner).format_text(),
-    ]
+from repro.experiments import EXPERIMENTS
 
 
 def main(argv: List[str] = None) -> int:
@@ -77,7 +26,7 @@ def main(argv: List[str] = None) -> int:
         "experiment",
         nargs="?",
         default="all",
-        choices=sorted(_SIMPLE) + ["informal", "ablations", "export", "all"],
+        choices=list(EXPERIMENTS) + ["export", "all"],
     )
     parser.add_argument(
         "--no-cache",
@@ -113,30 +62,22 @@ def main(argv: List[str] = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    names = (
-        sorted(_SIMPLE) + ["informal", "ablations"] if args.experiment == "all"
-        else [args.experiment]
-    )
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         started = time.time()
-        if name == "informal":
-            sections = _run_informal(runner)
-        elif name == "ablations":
-            sections = _run_ablations(runner)
-        elif name == "export":
+        if name == "export":
             from repro.experiments.export import export_json
 
             export_json(args.out, runner)
-            sections = [f"wrote {args.out}"]
+            text = f"wrote {args.out}"
         else:
-            result = _SIMPLE[name](runner)
+            result = EXPERIMENTS[name].run(runner)
             if args.chart and hasattr(result, "format_chart"):
-                sections = [result.format_chart()]
+                text = result.format_chart()
             else:
-                sections = [result.format_text()]
-        for section in sections:
-            print(section)
-            print()
+                text = result.format_text()
+        print(text)
+        print()
         print(f"[{name} done in {time.time() - started:.1f}s]", file=sys.stderr)
     return 0
 

@@ -34,6 +34,7 @@ from repro.dynamic.score import DynamicScoreMonitor
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES, default_zoo
 from repro.experiments.charts import ascii_bars
 from repro.experiments.report import TextTable
+from repro.workloads.registry import get_workload
 
 #: Default program set: FORTRAN (doduc, fpppp) vs systems C (gcc,
 #: compress), all with 2+ datasets so the cross predictor exists.  The
@@ -155,7 +156,7 @@ def run(
     program_names = list(DEFAULT_PROGRAMS if programs is None else programs)
     sizes = tuple(sorted(table_sizes))
 
-    workloads = [runner.workload(name) for name in program_names]
+    workloads = [get_workload(name) for name in program_names]
     for workload in workloads:
         if len(workload.dataset_names()) < 2:
             raise ValueError(

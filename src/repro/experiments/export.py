@@ -1,8 +1,8 @@
 """Machine-readable export of every experiment result.
 
 Downstream users (plotting scripts, regression dashboards) get one JSON
-document containing all tables, figures and observations, keyed the same
-way EXPERIMENTS.md is organized.
+document containing all tables, figures and observations, keyed by the
+experiment names ``repro-experiments`` takes.
 """
 from __future__ import annotations
 
@@ -11,20 +11,7 @@ import json
 from typing import Optional
 
 from repro.core.runner import WorkloadRunner
-from repro.experiments import (
-    ablations,
-    coverage,
-    dynamic_compare,
-    figure1,
-    figure2,
-    figure3,
-    informal,
-    runlengths,
-    scaling,
-    table1,
-    table2,
-    table3,
-)
+from repro.experiments import EXPERIMENTS
 
 
 def _plain(value):
@@ -46,27 +33,7 @@ def collect(runner: Optional[WorkloadRunner] = None) -> dict:
     if runner is None:
         runner = WorkloadRunner()
     return {
-        "table1": _plain(table1.run(runner)),
-        "table2": _plain(table2.run(runner)),
-        "table3": _plain(table3.run(runner)),
-        "figure1": _plain(figure1.run(runner)),
-        "figure2": _plain(figure2.run(runner)),
-        "figure3": _plain(figure3.run(runner)),
-        "informal": {
-            "combine_modes": _plain(informal.combine_modes(runner)),
-            "heuristics": _plain(informal.heuristics(runner)),
-            "percent_taken": _plain(informal.percent_taken(runner)),
-            "compress_cross": _plain(informal.compress_cross(runner)),
-            "wrong_measure": _plain(informal.wrong_measure(runner)),
-        },
-        "runlengths": _plain(runlengths.run(runner)),
-        "scaling": _plain(scaling.run(runner)),
-        "dynamic": _plain(dynamic_compare.run(runner)),
-        "coverage": _plain(coverage.run(runner)),
-        "ablations": {
-            "inlining": _plain(ablations.inlining(runner)),
-            "if_conversion": _plain(ablations.if_conversion(runner)),
-        },
+        name: _plain(module.run(runner)) for name, module in EXPERIMENTS.items()
     }
 
 

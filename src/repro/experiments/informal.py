@@ -23,6 +23,7 @@ from repro.prediction.heuristics import (
     LoopHeuristicPredictor,
     OpcodeHeuristicPredictor,
 )
+from repro.profiling.branch_profile import BranchProfile
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.score import DynamicScoreMonitor
 from repro.workloads.registry import all_workloads, multi_dataset_workloads
@@ -254,7 +255,12 @@ def compress_cross(
         runner = WorkloadRunner()
     profiles = {
         mode: combine_profiles(
-            list(runner.profiles(mode).values()), mode="scaled", program=mode
+            [
+                BranchProfile.from_run(result)
+                for result in runner.run_all(mode).values()
+            ],
+            mode="scaled",
+            program=mode,
         )
         for mode in ("compress", "uncompress")
     }
@@ -439,3 +445,40 @@ def wrong_measure(
             )
         )
     return WrongMeasureResult(rows=rows)
+
+
+# --- the whole report -----------------------------------------------------------
+
+#: The programs of the report's dynamic 1-/2-bit comparison.
+DYNAMIC_PROGRAMS = ["li", "gcc", "compress", "tomcatv", "lfk", "doduc"]
+
+
+@dataclasses.dataclass
+class InformalResult:
+    """Every informal observation, one field per section, in report order."""
+
+    combine_modes: CombineModeResult
+    heuristics: HeuristicResult
+    percent_taken: PercentTakenResult
+    compress_cross: CompressCrossResult
+    wrong_measure: WrongMeasureResult
+    dynamic_comparison: DynamicResult
+
+    def format_text(self) -> str:
+        return "\n\n".join(
+            getattr(self, field.name).format_text()
+            for field in dataclasses.fields(self)
+        )
+
+
+def run(runner: Optional[WorkloadRunner] = None) -> InformalResult:
+    if runner is None:
+        runner = WorkloadRunner()
+    return InformalResult(
+        combine_modes=combine_modes(runner),
+        heuristics=heuristics(runner),
+        percent_taken=percent_taken(runner),
+        compress_cross=compress_cross(runner),
+        wrong_measure=wrong_measure(runner),
+        dynamic_comparison=dynamic_comparison(runner, programs=DYNAMIC_PROGRAMS),
+    )

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from repro.core.parallel import dataset_requests
 from repro.core.runner import RunConfig, WorkloadRunner
 from repro.experiments.report import TextTable
+from repro.workloads.registry import get_workload
 
 #: The paper's Table 1 values (percent dynamic dead code).
 PAPER_DEAD_CODE = {
@@ -77,7 +78,7 @@ def run(runner: Optional[WorkloadRunner] = None) -> Table1Result:
         runner = WorkloadRunner()
     runner.run_many(
         dataset_requests(
-            [runner.workload(program) for program in PAPER_DEAD_CODE],
+            [get_workload(program) for program in PAPER_DEAD_CODE],
             configs=(RunConfig(), RunConfig(dce=True)),
         )
     )

@@ -8,30 +8,19 @@ The liveness itself comes from the shared dataflow framework
 """
 from __future__ import annotations
 
-from repro.analysis.liveness import live_out
+from repro.analysis.liveness import dead_instructions
 from repro.ir.cfg import Function
 
 
 def eliminate_dead_instructions(func: Function) -> bool:
     """Remove pure instructions whose results are never used."""
-    liveness = live_out(func)
-    changed = False
+    dead = dead_instructions(func)
     for block in func.blocks:
-        live = set(liveness[block.label])
-        kept = []
-        for instr in reversed(block.instrs):
-            dst = instr.dst
-            if (
-                dst is not None
-                and dst not in live
-                and not instr.has_side_effects()
-            ):
-                changed = True
-                continue
-            if dst is not None:
-                live.discard(dst)
-            live.update(instr.uses())
-            kept.append(instr)
-        kept.reverse()
-        block.instrs = kept
-    return changed
+        if block.label in dead:
+            drop = set(dead[block.label])
+            block.instrs = [
+                instr
+                for position, instr in enumerate(block.instrs)
+                if position not in drop
+            ]
+    return bool(dead)

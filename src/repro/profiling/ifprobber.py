@@ -46,19 +46,23 @@ class IfProbber:
         return self.database.program_profile(self.name)
 
     def feedback_source(self, profile: Optional[BranchProfile] = None) -> str:
-        """Source text with IFPROB directives for the accumulated counts.
-
-        Fractional accumulated counts (from scaled combination) are rounded
-        to integers for the directive text; direction is what matters.
-        """
+        """Source text with IFPROB directives for the accumulated counts."""
         if profile is None:
             profile = self.accumulated_profile()
-        counts: Dict = {}
-        for branch_id, (executed, taken) in profile.counts.items():
-            executed_int = max(int(round(executed)), 1)
-            taken_int = min(int(round(taken)), executed_int)
-            counts[branch_id] = (executed_int, taken_int)
-        return apply_feedback(self.source, counts)
+        return annotate_source(self.source, profile)
+
+
+def annotate_source(source: str, profile: BranchProfile) -> str:
+    """``source`` with IFPROB directives for ``profile``'s counts.
+
+    Fractional accumulated counts (from scaled combination) are rounded
+    to integers for the directive text; direction is what matters.
+    """
+    counts: Dict = {}
+    for branch_id, (executed, taken) in profile.counts.items():
+        executed_int = max(int(round(executed)), 1)
+        counts[branch_id] = (executed_int, min(int(round(taken)), executed_int))
+    return apply_feedback(source, counts)
 
 
 def profile_from_feedback(compiled: CompiledProgram) -> BranchProfile:

@@ -9,9 +9,9 @@ Subcommands::
     repro-serve stats --server H:P [--metrics]
     repro-serve health --server H:P
 
-``upload-sweep`` runs bundled workloads locally (through the cached
-``WorkloadRunner``) and publishes every run's branch counters via the
-runner's publish hook.  ``predict --verify-offline`` recomputes the same
+``upload-sweep`` runs bundled workloads locally (one cached
+``WorkloadRunner.run_many`` batch) and then uploads every run's branch
+counters, in request order.  ``predict --verify-offline`` recomputes the same
 prediction through the offline ``combine_profiles`` path and fails unless
 the served bytes match exactly — the round-trip check CI runs.
 """
@@ -81,20 +81,15 @@ def cmd_upload_sweep(args) -> int:
     if not names:
         print("upload-sweep: no workloads named", file=sys.stderr)
         return 2
-    workloads = [get_workload(name) for name in names]
+    requests = dataset_requests([get_workload(name) for name in names])
+    results = WorkloadRunner(jobs=args.jobs).run_many(requests)
     with _client(args) as client:
-        uploaded: List[str] = []
-
-        def publish(run, dataset) -> None:
-            client.upload_run(run, dataset)
-            uploaded.append(f"{run.program}/{dataset}")
-
-        runner = WorkloadRunner(jobs=args.jobs, publish=publish)
-        runner.run_many(dataset_requests(workloads))
+        for request, result in zip(requests, results):
+            client.upload_run(result, request.dataset)
         epoch = client.health()["epoch"]
-    for entry in uploaded:
-        print(f"uploaded {entry}")
-    print(f"upload-sweep: {len(uploaded)} uploads, server epoch {epoch}")
+    for request in requests:
+        print(f"uploaded {request.workload}/{request.dataset}")
+    print(f"upload-sweep: {len(requests)} uploads, server epoch {epoch}")
     return 0
 
 

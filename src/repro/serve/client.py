@@ -225,11 +225,3 @@ class ProfileClient:
 
     def health(self) -> Dict[str, Any]:
         return self.request(protocol.request("health"))
-
-    def publisher(self) -> Callable[[RunResult, str], None]:
-        """A ``WorkloadRunner`` publish hook that uploads every run."""
-
-        def publish(run: RunResult, dataset: str) -> None:
-            self.upload_run(run, dataset)
-
-        return publish

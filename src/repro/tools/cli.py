@@ -20,10 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from repro.compiler import RunConfig, compile_source
-from repro.lang.directives import apply_feedback
+from repro.compiler import CompiledProgram, RunConfig, compile_source
 from repro.metrics.ipb import (
     branch_density,
     ipb_no_prediction,
@@ -32,13 +31,10 @@ from repro.metrics.ipb import (
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import evaluate_static
 from repro.profiling.database import ProfileDatabase
+from repro.profiling.ifprobber import annotate_source, profile_from_feedback
+from repro.vm.counters import RunResult
 from repro.vm.machine import run_program
-
-
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        dce=args.dce, inline=args.inline, if_conversion=args.ifconvert
-    )
+from repro.vm.monitors import BranchMonitor
 
 
 def _read_input(args) -> bytes:
@@ -65,15 +61,31 @@ def _load_db(path: str) -> ProfileDatabase:
     return ProfileDatabase()
 
 
+def _compile(args) -> CompiledProgram:
+    """Compile ``args.program`` under the subcommand's compile flags."""
+    return compile_source(
+        _load_source(args.program),
+        name=_program_name(args.program),
+        config=RunConfig(
+            dce=args.dce, inline=args.inline, if_conversion=args.ifconvert
+        ),
+    )
+
+
+def _run(
+    args, compiled: CompiledProgram, monitors: Sequence[BranchMonitor] = ()
+) -> RunResult:
+    """Run a compiled program over the subcommand's ``--input``."""
+    return run_program(
+        compiled.lowered, input_data=_read_input(args), monitors=monitors
+    )
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    source = _load_source(args.program)
-    compiled = compile_source(
-        source, name=_program_name(args.program), config=_run_config(args)
-    )
-    result = run_program(compiled.lowered, input_data=_read_input(args))
+    result = _run(args, _compile(args))
     sys.stdout.buffer.write(result.output)
     sys.stdout.flush()
     if args.stats:
@@ -93,15 +105,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    source = _load_source(args.program)
-    name = _program_name(args.program)
-    compiled = compile_source(source, name=name, config=_run_config(args))
-    result = run_program(compiled.lowered, input_data=_read_input(args))
+    result = _run(args, _compile(args))
     database = _load_db(args.db)
     database.record(result, args.dataset)
     database.save(args.db)
     print(
-        f"recorded {name}/{args.dataset}: {result.instructions} instructions, "
+        f"recorded {result.program}/{args.dataset}: "
+        f"{result.instructions} instructions, "
         f"{result.total_branch_execs} branch executions -> {args.db}"
     )
     return 0
@@ -116,33 +126,25 @@ def cmd_feedback(args) -> int:
         print(f"error: no counts recorded for {name!r} in {args.db}",
               file=sys.stderr)
         return 1
-    counts = {}
-    for branch_id, (executed, taken) in profile.counts.items():
-        executed_int = max(int(round(executed)), 1)
-        counts[branch_id] = (executed_int, min(int(round(taken)), executed_int))
-    feedback_text = apply_feedback(source, counts)
+    feedback_text = annotate_source(source, profile)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(feedback_text)
-        print(f"wrote {args.output} ({len(counts)} IFPROB directives)")
+        print(f"wrote {args.output} ({len(profile)} IFPROB directives)")
     else:
         sys.stdout.write(feedback_text)
     return 0
 
 
 def cmd_predict(args) -> int:
-    source = _load_source(args.program)
-    name = _program_name(args.program)
-    compiled = compile_source(source, name=name, config=_run_config(args))
-    result = run_program(compiled.lowered, input_data=_read_input(args))
+    compiled = _compile(args)
+    result = _run(args, compiled)
 
     if args.db:
         database = ProfileDatabase.load(args.db)
-        profile = database.program_profile(name)
+        profile = database.program_profile(compiled.name)
         predictor_label = f"database {args.db}"
     elif compiled.feedback:
-        from repro.profiling.ifprobber import profile_from_feedback
-
         profile = profile_from_feedback(compiled)
         predictor_label = "IFPROB directives in source"
     else:
@@ -165,15 +167,13 @@ def cmd_predict(args) -> int:
 def cmd_dynsim(args) -> int:
     from repro.dynamic import DynamicScoreMonitor, default_zoo
 
-    source = _load_source(args.program)
-    name = _program_name(args.program)
-    compiled = compile_source(source, name=name, config=_run_config(args))
+    compiled = _compile(args)
     profile = None
     if args.db:
         database = ProfileDatabase.load(args.db)
-        profile = database.program_profile(name)
+        profile = database.program_profile(compiled.name)
         if not len(profile):
-            print(f"error: no counts recorded for {name!r} in {args.db}",
+            print(f"error: no counts recorded for {compiled.name!r} in {args.db}",
                   file=sys.stderr)
             return 1
     try:
@@ -182,9 +182,7 @@ def cmd_dynsim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     monitor = DynamicScoreMonitor(models, compiled.lowered.branch_table)
-    result = run_program(
-        compiled.lowered, input_data=_read_input(args), monitors=[monitor]
-    )
+    result = _run(args, compiled, monitors=[monitor])
     scores = monitor.scores(result)
     if profile is not None:
         predictor = ProfilePredictor(profile, name="static-feedback")
@@ -204,11 +202,7 @@ def cmd_dynsim(args) -> int:
 def cmd_lint(args) -> int:
     from repro.analysis.lint import lint_module, severity_counts
 
-    source = _load_source(args.program)
-    compiled = compile_source(
-        source, name=_program_name(args.program), config=_run_config(args)
-    )
-    findings = lint_module(compiled.module, min_severity=args.min_severity)
+    findings = lint_module(_compile(args).module, min_severity=args.min_severity)
     for finding in findings:
         print(finding)
     counts = severity_counts(findings)
@@ -225,11 +219,7 @@ def cmd_lint(args) -> int:
 def cmd_disasm(args) -> int:
     from repro.ir.disasm import disassemble
 
-    source = _load_source(args.program)
-    compiled = compile_source(
-        source, name=_program_name(args.program), config=_run_config(args)
-    )
-    print(disassemble(compiled.lowered))
+    print(disassemble(_compile(args).lowered))
     return 0
 
 

@@ -4,7 +4,6 @@ from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import (
     DEFAULT_MAX_CALL_DEPTH,
     DEFAULT_MAX_INSTRUCTIONS,
-    Machine,
     run_program,
 )
 from repro.vm.monitors import (
@@ -19,7 +18,6 @@ __all__ = [
     "DEFAULT_MAX_CALL_DEPTH",
     "DEFAULT_MAX_INSTRUCTIONS",
     "InstructionLimitExceeded",
-    "Machine",
     "OutcomeRecorder",
     "RunLengthMonitor",
     "RunResult",

@@ -6,7 +6,7 @@ and every other control-transfer event.  Execution starts at ``main`` (which
 takes no arguments); the program ends when ``main`` returns or a ``halt``
 executes, and ``main``'s return value is the exit code.
 
-:class:`Machine` runs the engine in :mod:`repro.vm.engine`, which compiles
+:func:`run_program` runs the engine in :mod:`repro.vm.engine`, which compiles
 each guest function once into one Python function (registers as locals,
 guest calls as Python calls): through ``run_fast`` and the plain variant,
 or, when branch observers are attached, through ``run_monitored`` and the
@@ -34,47 +34,25 @@ DEFAULT_MAX_INSTRUCTIONS = 200_000_000
 DEFAULT_MAX_CALL_DEPTH = 10_000
 
 
-class Machine:
-    """Executes lowered programs and collects :class:`RunResult` counts."""
-
-    def __init__(
-        self,
-        max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-        max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
-    ) -> None:
-        self.max_instructions = max_instructions
-        self.max_call_depth = max_call_depth
-
-    def run(
-        self,
-        program: LoweredProgram,
-        input_data: bytes = b"",
-        monitors: Sequence[BranchMonitor] = (),
-    ) -> RunResult:
-        """Run ``program`` over ``input_data`` and return the measured counts."""
-        main = program.functions[program.main_index]
-        if main.num_params != 0:
-            raise VMError("main must take no parameters")
-        for monitor in monitors:
-            monitor.on_run_start(len(program.branch_table))
-
-        decoded = engine.predecode(program)
-        if monitors:
-            return engine.run_monitored(
-                decoded, input_data, monitors,
-                self.max_instructions, self.max_call_depth,
-            )
-        return engine.run_fast(
-            decoded, input_data, self.max_instructions, self.max_call_depth
-        )
-
-
 def run_program(
     program: LoweredProgram,
     input_data: bytes = b"",
     monitors: Sequence[BranchMonitor] = (),
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+    max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
 ) -> RunResult:
-    """Convenience wrapper: run a program on a fresh :class:`Machine`."""
-    machine = Machine(max_instructions=max_instructions)
-    return machine.run(program, input_data=input_data, monitors=monitors)
+    """Run ``program`` over ``input_data`` and return the measured counts."""
+    main = program.functions[program.main_index]
+    if main.num_params != 0:
+        raise VMError("main must take no parameters")
+    for monitor in monitors:
+        monitor.on_run_start(len(program.branch_table))
+
+    # The engine's names are looked up on the module at each call, so a
+    # wrapper installed on ``repro.vm.engine`` sees every run.
+    decoded = engine.predecode(program)
+    if monitors:
+        return engine.run_monitored(
+            decoded, input_data, monitors, max_instructions, max_call_depth
+        )
+    return engine.run_fast(decoded, input_data, max_instructions, max_call_depth)

@@ -3,11 +3,13 @@
 :class:`LegacyMachine` runs a :class:`~repro.ir.lower.LoweredProgram`
 straight off its flat instruction tuples: one dispatch, one instruction
 limit check and one ``elif`` opcode chain per executed operation, with no
-predecoding, fusion or superblocks.  ``tests/test_vm_engine.py`` holds
+predecoding and no generated code.  ``tests/test_vm_engine.py`` holds
 :mod:`repro.vm.engine` to bit-identical results against it (instruction
 counts, per-branch counts, control events, output, exit code, monitor
 streams and fault messages), and ``benchmarks/bench_vm.py`` measures the
-engine's speedup over it.  ``tests/reference_interp.py`` stays the
+engine's speedup over it.  :class:`FastEngine` puts
+:func:`repro.vm.machine.run_program` behind the same interface, so a test
+can drive either side the same way.  ``tests/reference_interp.py`` stays the
 semantic oracle at the source level.
 """
 from __future__ import annotations
@@ -19,7 +21,11 @@ from repro.ir.lower import LoweredProgram
 from repro.ir.opcodes import BINOP_FUNCS, UNOP_FUNCS, Opcode
 from repro.vm.counters import ControlEvents, RunResult
 from repro.vm.errors import InstructionLimitExceeded, VMError
-from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, DEFAULT_MAX_INSTRUCTIONS
+from repro.vm.machine import (
+    DEFAULT_MAX_CALL_DEPTH,
+    DEFAULT_MAX_INSTRUCTIONS,
+    run_program,
+)
 from repro.vm.monitors import BranchMonitor, deliver
 
 _OP_CONST = int(Opcode.CONST)
@@ -39,9 +45,33 @@ _OP_RET = int(Opcode.RET)
 _OP_HALT = int(Opcode.HALT)
 
 
+class FastEngine:
+    """:func:`repro.vm.machine.run_program` with its limits held, behind
+    :class:`LegacyMachine`'s interface."""
+
+    def __init__(
+        self,
+        max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+        max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
+    ) -> None:
+        self.max_instructions = max_instructions
+        self.max_call_depth = max_call_depth
+
+    def run(
+        self,
+        program: LoweredProgram,
+        input_data: bytes = b"",
+        monitors: Sequence[BranchMonitor] = (),
+    ) -> RunResult:
+        return run_program(
+            program, input_data, monitors,
+            self.max_instructions, self.max_call_depth,
+        )
+
+
 class LegacyMachine:
-    """The same interface as :class:`repro.vm.machine.Machine`, run by the
-    original dispatch loop."""
+    """The original dispatch loop: runs a program with the arguments and
+    limits :func:`repro.vm.machine.run_program` takes."""
 
     def __init__(
         self,

@@ -69,6 +69,17 @@ class TestExport:
         ):
             assert key in data
 
+    def test_keys_are_the_cli_experiment_names(self, document):
+        from repro.experiments.cli import EXPERIMENTS
+
+        data, _ = document
+        assert sorted(data) == sorted(EXPERIMENTS)
+        assert set(data["informal"]) == {
+            "combine_modes", "heuristics", "percent_taken", "compress_cross",
+            "wrong_measure", "dynamic_comparison",
+        }
+        assert set(data["ablations"]) == {"inlining", "if_conversion"}
+
     def test_file_is_valid_json(self, document):
         _, path = document
         with open(path) as handle:

@@ -90,6 +90,15 @@ def test_jobs_run_the_advertised_commands(workflow):
         "upload-sweep" in line and "predict" in line for line in serve_lines
     ), "the serve-smoke job must round-trip upload-sweep and predict"
     assert any(
+        "--workloads doduc,fpppp" in line
+        and 'grep -qx "upload-sweep: 5 uploads, server epoch 5"' in line
+        and "exit 1" in line.split("upload-sweep: 5 uploads", 1)[1]
+        for line in serve_lines
+    ), (
+        "the serve-smoke job must fail unless upload-sweep uploads the 3 + 2 "
+        "datasets of doduc and fpppp exactly once each"
+    )
+    assert any(
         "--verify-offline" in line for line in serve_lines
     ), "served predictions must be checked byte-for-byte against offline"
     assert any(

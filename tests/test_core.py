@@ -9,6 +9,8 @@ from repro.core.cache import (
 )
 from repro.core.experiment import CrossDatasetExperiment
 from repro.core.runner import WorkloadRunner
+from repro.profiling.branch_profile import BranchProfile
+from repro.workloads.registry import get_workload
 
 
 def test_run_results_are_memoized_in_process(runner):
@@ -138,8 +140,8 @@ def test_disk_cache_used_across_runner_instances(tmp_path):
     from repro.core.runner import RunConfig
 
     digest = run_digest(
-        second.workload("lfk").source,
-        second.workload("lfk").dataset("default").data,
+        get_workload("lfk").source,
+        get_workload("lfk").dataset("default").data,
         RunConfig().tag(),
     )
     assert second._disk.load(digest) is not None
@@ -149,7 +151,7 @@ def test_disk_cache_used_across_runner_instances(tmp_path):
 
 def test_runner_profile_matches_run(runner):
     result = runner.run("doduc", "tiny")
-    profile = runner.profile("doduc", "tiny")
+    profile = BranchProfile.from_run(result)
     assert profile.total_executed == float(result.total_branch_execs)
     assert profile.total_taken == float(result.total_branch_taken)
 

@@ -9,14 +9,16 @@ from repro.analysis import (
     hull,
     intersect,
     live_sets,
+    dead_instructions,
+    lint_function,
     maybe_uninitialized_uses,
     ranges,
-    reaching_definitions,
 )
 from repro.analysis.ranges import compare_intervals
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import BranchId, Instr
 from repro.ir.opcodes import BinOp, Opcode
+from repro.opt.deadcode import eliminate_dead_instructions
 
 from tests.helpers import compile_reference
 
@@ -112,25 +114,35 @@ def test_liveness_keeps_infinite_loop_blocks_at_boundary():
     assert live_out["loop"] == {0}
 
 
-# -- reaching definitions / definite assignment ---------------------------------
+def test_dead_instructions_are_what_the_pass_deletes_and_the_lint_reports():
+    def add(dst, a):
+        return Instr(Opcode.BIN, dst=dst, a=a, b=a, subop=int(BinOp.ADD))
+
+    func = Function(name="main", num_params=0, num_regs=4)
+    func.blocks = [
+        BasicBlock("entry", [
+            Instr(Opcode.CONST, dst=1, imm=5),  # overwritten before any use
+            Instr(Opcode.CONST, dst=1, imm=7),
+            add(2, 1),  # read only by the dead add below
+            add(3, 2),  # never read
+            Instr(Opcode.RET, a=1),
+        ]),
+    ]
+    assert dead_instructions(func) == {"entry": [0, 2, 3]}
+    reported = [
+        finding.message.split(" (")[0]
+        for finding in lint_function(func) if finding.rule == "dead-store"
+    ]
+    assert reported == ["instruction 0", "instruction 2", "instruction 3"]
+    assert eliminate_dead_instructions(func)
+    assert [instr.op for instr in func.blocks[0].instrs] == [
+        Opcode.CONST, Opcode.RET,
+    ]
+    assert dead_instructions(func) == {}
+    assert not eliminate_dead_instructions(func)
 
 
-def test_reaching_definitions_params_and_kills():
-    func = function_of(
-        """
-        func f(a) {
-            var x = a + 1;
-            x = x * 2;
-            return x;
-        }
-        func main() { return f(3); }
-        """,
-        name="f",
-    )
-    reaching = reaching_definitions(func)
-    entry = func.blocks[0].label
-    # At function entry only the parameter definition reaches.
-    assert all(fact[1:] == ("<entry>", -1) for fact in reaching[entry])
+# -- definite assignment ---------------------------------------------------------
 
 
 def test_maybe_uninitialized_uses_detects_one_armed_init():

@@ -15,7 +15,7 @@ from repro.ir.lower import lower_module
 from repro.opt import pipeline
 from repro.opt.globalconst import constant_globals
 from repro.vm.errors import VMError
-from repro.vm.machine import Machine
+from repro.vm.machine import run_program
 
 from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_reference, compile_with
 from tests.reference_interp import ReferenceFault, ReferenceInterpreter
@@ -163,9 +163,8 @@ def run_reference(source, data):
 
 
 def run_lowered(lowered, data):
-    machine = Machine(max_instructions=5_000_000)
     try:
-        result = machine.run(lowered, input_data=data)
+        result = run_program(lowered, input_data=data, max_instructions=5_000_000)
         return result.exit_code, result.output
     except VMError:
         return ("fault", "vm")
@@ -242,13 +241,12 @@ def test_branch_counts_agree_across_scalar_configs(source, data):
     """
     default = compile_with(source, SELECT_OFF)
     unopt = compile_with(source, UNOPTIMIZED)
-    machine = Machine(max_instructions=5_000_000)
     try:
-        counts_default = machine.run(
-            default.lowered, input_data=data
+        counts_default = run_program(
+            default.lowered, input_data=data, max_instructions=5_000_000
         ).branch_counts()
-        counts_unopt = machine.run(
-            unopt.lowered, input_data=data
+        counts_unopt = run_program(
+            unopt.lowered, input_data=data, max_instructions=5_000_000
         ).branch_counts()
     except VMError:
         return  # fault paths are covered by the other property

@@ -19,6 +19,7 @@ from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import PredictionReport, evaluate_static
+from repro.profiling.branch_profile import BranchProfile
 from repro.vm.machine import run_program
 from repro.vm.monitors import BranchMonitor
 
@@ -447,7 +448,7 @@ class TestStaticFromCounters:
         """Scoring a static predictor event by event on the live stream
         must agree exactly with the counter arithmetic of evaluate_static."""
         runner, branch_table = doduc_run
-        profile = runner.profile("doduc", predictor_dataset)
+        profile = BranchProfile.from_run(runner.run("doduc", predictor_dataset))
         predictor = ProfilePredictor(profile, name=predictor_dataset)
         live = StaticDirections(predictor, branch_table)
         result = runner.run("doduc", "ref", monitors=[live])
@@ -466,10 +467,11 @@ class TestStaticFromCounters:
         runner, _ = doduc_run
         target = runner.run("doduc", "tiny")
         self_report = evaluate_static(
-            target, ProfilePredictor(runner.profile("doduc", "tiny"))
+            target, ProfilePredictor(BranchProfile.from_run(target))
         )
         cross_report = evaluate_static(
-            target, ProfilePredictor(runner.profile("doduc", "ref"))
+            target,
+            ProfilePredictor(BranchProfile.from_run(runner.run("doduc", "ref"))),
         )
         assert self_report.mispredicted <= cross_report.mispredicted
 

@@ -14,6 +14,7 @@ from repro.core.parallel import (
     resolve_jobs,
 )
 from repro.core.runner import RunConfig, WorkloadRunner
+from repro.workloads.registry import get_workload
 
 #: A small sweep spanning three workloads (fast to simulate cold).
 SWEEP = [
@@ -59,7 +60,7 @@ def test_error_isolation_bad_triple_does_not_poison_batch(tmp_path):
     assert len(info.value.failures) == 1
     # The good triples completed and were memoized despite the failure.
     for request in SWEEP:
-        assert request.key() in runner._runs
+        assert request in runner._runs
 
 
 def test_error_capture_mode_returns_failures_in_place(tmp_path):
@@ -87,11 +88,11 @@ def test_disabled_disk_cache_falls_back_to_in_process():
 _REAL_WORKER = runner_module._worker_execute
 
 
-def _worker_dies_on_doduc_small(key, digest):
+def _worker_dies_on_doduc_small(request, digest):
     """A pool worker entry that kills its own process on one triple."""
-    if key[:2] == ("doduc", "small"):
+    if (request.workload, request.dataset) == ("doduc", "small"):
         os._exit(1)
-    return _REAL_WORKER(key, digest)
+    return _REAL_WORKER(request, digest)
 
 
 def _refuse_to_start(*args, **kwargs):
@@ -124,9 +125,41 @@ def test_cold_run_many_looks_up_and_stores_once(tmp_path, monkeypatch):
             return _real(cache, *args)
 
         monkeypatch.setattr(DiskCache, name, counted)
-    runner = WorkloadRunner(cache_dir=str(tmp_path))
+    runner = WorkloadRunner(cache_dir=str(tmp_path / "batch"))
     runner.run_many([RunRequest("doduc", "tiny")])
     assert calls == {"load": 1, "store": 1}
+    calls.clear()
+    runner = WorkloadRunner(cache_dir=str(tmp_path / "single"))
+    runner.run("doduc", "tiny")
+    runner.run("doduc", "tiny")  # memoized: no second lookup
+    assert calls == {"load": 1, "store": 1}
+
+
+def test_run_and_run_all_go_through_run_many(tmp_path, monkeypatch):
+    batches = []
+    real_run_many = WorkloadRunner.run_many
+
+    def spy(self, requests, *args, **kwargs):
+        batches.append(list(requests))
+        return real_run_many(self, requests, *args, **kwargs)
+
+    monkeypatch.setattr(WorkloadRunner, "run_many", spy)
+    runner = WorkloadRunner(cache_dir=str(tmp_path))
+    result = runner.run("doduc", "tiny")
+    assert batches == [[RunRequest("doduc", "tiny")]]
+    batches.clear()
+    runs = runner.run_all("doduc")
+    assert batches == [
+        [RunRequest("doduc", name) for name in ("tiny", "small", "ref")]
+    ]
+    assert list(runs) == ["tiny", "small", "ref"]
+    assert runs["tiny"] is result
+
+
+def test_run_of_a_bad_triple_names_it(tmp_path):
+    runner = WorkloadRunner(cache_dir=str(tmp_path))
+    with pytest.raises(ParallelExecutionError, match="doduc/nope"):
+        runner.run("doduc", "nope")
 
 
 def test_run_all_routes_through_batch_when_parallel(tmp_path):
@@ -138,8 +171,8 @@ def test_run_all_routes_through_batch_when_parallel(tmp_path):
     assert _dicts(serial_runs.values()) == _dicts(fanout_runs.values())
 
 
-def test_dataset_requests_expands_configs(runner):
-    workload = runner.workload("doduc")
+def test_dataset_requests_expands_configs():
+    workload = get_workload("doduc")
     configs = (RunConfig(), RunConfig(dce=True))
     requests = dataset_requests([workload], configs=configs)
     assert len(requests) == 2 * len(workload.dataset_names())

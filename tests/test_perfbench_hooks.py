@@ -4,7 +4,7 @@ the VM entry points.
 ``perfbench/layers.py`` wraps the stage functions ``compile_source``
 calls through the ``repro.compiler`` namespace, every ``PASSES`` entry,
 and ``repro.vm.engine.run_fast`` and ``run_monitored``, all by name;
-``Machine.run`` must look the VM names up on the module at call time for
+``run_program`` must look the VM names up on the module at call time for
 the wrappers to see any calls.  It also reads the optimizer's iteration
 cap off each ``optimize_module`` call.  A refactor that renames or
 bypasses one of these names, or changes how the cap reaches the
@@ -17,7 +17,7 @@ import pytest
 import repro.vm.engine as engine
 from repro.compiler import RunConfig, compile_source
 from repro.opt import pipeline
-from repro.vm.machine import Machine
+from repro.vm.machine import run_program
 from repro.vm.monitors import OutcomeRecorder
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
@@ -43,8 +43,8 @@ def test_run_fast_and_run_monitored_spans_see_one_call_each(perfbench_modules):
     tracer = spans.Tracer()
     layers.install(tracer)
     try:
-        Machine().run(program)
-        Machine().run(program, monitors=[OutcomeRecorder()])
+        run_program(program)
+        run_program(program, monitors=[OutcomeRecorder()])
         totals = tracer.totals()
     finally:
         tracer.uninstall()
@@ -64,7 +64,7 @@ def test_compile_records_every_stage_and_paper_pass(perfbench_modules):
     layers.install(tracer)
     try:
         for config in (RunConfig(), RunConfig(dce=True)):
-            Machine().run(compile_source(source, config=config).lowered)
+            run_program(compile_source(source, config=config).lowered)
         totals = tracer.totals()
     finally:
         tracer.uninstall()

@@ -579,60 +579,14 @@ def test_fallback_mirror_does_not_alias_uploaded_profiles():
 # -- runner integration --------------------------------------------------------
 
 
-def test_runner_publish_hook_fires_once_per_triple(runner):
-    published = []
-    from repro.core.runner import WorkloadRunner
-
-    publishing = WorkloadRunner(
-        publish=lambda run, dataset: published.append((run.program, dataset))
-    )
-    publishing.run("doduc", "tiny")
-    publishing.run("doduc", "tiny")  # memoized: no second publish
-    publishing.run("doduc", "small")
-    assert published == [("doduc", "tiny"), ("doduc", "small")]
-
-
-def test_runner_publish_hook_covers_run_many(runner):
-    from repro.core.parallel import RunRequest
-    from repro.core.runner import WorkloadRunner
-
-    published = []
-    publishing = WorkloadRunner(
-        publish=lambda run, dataset: published.append((run.program, dataset))
-    )
-    requests = [
-        RunRequest("doduc", name) for name in ("tiny", "small", "ref")
-    ]
-    publishing.run_many(requests)
-    publishing.run_many(requests)  # second sweep is fully memoized
-    publishing.run("doduc", "ref")
-    assert sorted(published) == [
-        ("doduc", "ref"), ("doduc", "small"), ("doduc", "tiny"),
-    ]
-
-
-def test_runner_monitored_runs_are_not_published(runner):
-    from repro.core.runner import WorkloadRunner
-    from repro.vm.monitors import OutcomeRecorder
-
-    published = []
-    publishing = WorkloadRunner(
-        publish=lambda run, dataset: published.append(dataset)
-    )
-    publishing.run("doduc", "tiny", monitors=(OutcomeRecorder(),))
-    assert published == []
-
-
 def test_server_aggregation_matches_offline_database(runner):
-    """Publishing runs through the hook accumulates exactly what an
-    offline ProfileDatabase would."""
+    """Uploading a workload's runs accumulates exactly what an offline
+    ProfileDatabase would."""
     offline = ProfileDatabase()
     with ProfileServer() as server:
         with ProfileClient(server.host, server.port) as client:
-            from repro.core.runner import WorkloadRunner
-
-            publishing = WorkloadRunner(publish=client.publisher())
-            for dataset, result in publishing.run_all("doduc").items():
+            for dataset, result in runner.run_all("doduc").items():
+                client.upload_run(result, dataset)
                 offline.record(result, dataset)
             for mode in ("scaled", "unscaled", "polling"):
                 served = client.predict("doduc", mode=mode).profile
@@ -682,6 +636,35 @@ def test_cli_round_trip_against_live_server(runner, capsys):
         assert main(["health", "--server", address]) == 0
         health = json.loads(capsys.readouterr().out)
         assert health["status"] == "ok"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_upload_sweep_uploads_each_dataset_once(
+    tmp_path, monkeypatch, capsys, jobs
+):
+    """Cold (a pool of two workers with ``--jobs 2``) and then warm, every
+    dataset reaches the server exactly once, in request order."""
+    from repro.serve.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    expected = [
+        f"uploaded {program}/{dataset}"
+        for program, datasets in (
+            ("doduc", ("tiny", "small", "ref")), ("fpppp", ("4atoms", "8atoms")),
+        )
+        for dataset in datasets
+    ]
+    for cache in ("cold", "warm"):
+        with ProfileServer() as server:
+            assert main([
+                "upload-sweep", "--server", f"{server.host}:{server.port}",
+                "--workloads", "doduc,fpppp", "--jobs", jobs,
+            ]) == 0, cache
+            metrics = server.metrics.snapshot()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == expected + ["upload-sweep: 5 uploads, server epoch 5"]
+        assert metrics["requests"]["upload"] == 5, cache
+    assert len(os.listdir(tmp_path / "cache")) == 5
 
 
 def test_cli_serve_lifecycle(tmp_path):

@@ -23,7 +23,7 @@ from repro.profiling.database import ProfileDatabase
 from repro.serve.client import ProfileClient, RetryPolicy
 from repro.serve.protocol import canonical_profile_bytes
 from repro.serve.server import ProfileServer
-from repro.workloads.registry import all_workloads
+from repro.workloads.registry import all_workloads, get_workload
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -135,7 +135,7 @@ def test_unreachable_server_degrades_to_identical_bytes(runner):
     workload = "doduc"
     runs = {
         name: runner.run(workload, name)
-        for name in sorted(runner.workload(workload).dataset_names())
+        for name in sorted(get_workload(workload).dataset_names())
     }
 
     served = {}

@@ -6,6 +6,7 @@ import pytest
 
 import repro.tools.cli as cli
 from repro.compiler import RunConfig
+from repro.profiling import IfProbber, ProfileDatabase
 from repro.tools.cli import main
 
 PROGRAM = """
@@ -85,6 +86,19 @@ def test_feedback_and_predict_round_trip(workdir, capsys):
     out = capsys.readouterr().out
     assert "predicted correctly" in out
     assert "IFPROB directives in source" in out
+
+
+def test_feedback_prints_what_ifprobber_writes(workdir, capsys):
+    # Two profiled datasets accumulate into one program profile.
+    for dataset in ("d1", "d2"):
+        main(["profile", "histogram.mf", "--dataset", dataset,
+              "--input", f"{dataset}.txt", "--db", "prof.json"])
+    capsys.readouterr()
+    assert main(["feedback", "histogram.mf", "--db", "prof.json"]) == 0
+    probber = IfProbber(
+        PROGRAM, name="histogram", database=ProfileDatabase.load("prof.json")
+    )
+    assert capsys.readouterr().out == probber.feedback_source()
 
 
 def test_predict_from_database(workdir, capsys):

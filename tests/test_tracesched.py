@@ -100,7 +100,7 @@ def test_candidate_sets_on_real_workload(runner):
     """Trace selection over the lisp interpreter's eval function."""
     compiled = runner.compiled("li")
     func = compiled.module.function("eval")
-    profile = runner.profile("li", "6queens")
+    profile = BranchProfile.from_run(runner.run("li", "6queens"))
     traces = select_traces(func, ProfilePredictor(profile))
     report = candidate_set_report(func, traces, profile)
     assert len(traces) >= 2

@@ -8,17 +8,16 @@ from repro.compiler import compile_source
 from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
 from repro.vm import (
     InstructionLimitExceeded,
-    Machine,
     OutcomeRecorder,
     VMError,
     run_program,
 )
 
 from tests.helpers import compile_and_run
-from tests.legacy_vm import LegacyMachine
+from tests.legacy_vm import FastEngine, LegacyMachine
 
 #: The engine and the legacy oracle, by the ids tests are parametrized with.
-MACHINES = {"fast": Machine, "legacy": LegacyMachine}
+MACHINES = {"fast": FastEngine, "legacy": LegacyMachine}
 
 COUNT_LOOP = """
 func main() {
@@ -39,18 +38,16 @@ def test_instruction_count_is_exact_for_straight_line():
 
 def test_instruction_limit_enforced():
     program = compile_source("func main() { while (1) { } }")
-    machine = Machine(max_instructions=1000)
     with pytest.raises(InstructionLimitExceeded):
-        machine.run(program.lowered)
+        run_program(program.lowered, max_instructions=1000)
 
 
 def test_call_depth_limit_enforced():
     program = compile_source(
         "func f(n) { return f(n + 1); } func main() { return f(0); }"
     )
-    machine = Machine(max_call_depth=50)
     with pytest.raises(VMError, match="depth"):
-        machine.run(program.lowered)
+        run_program(program.lowered, max_call_depth=50)
 
 
 #: Recurses to a call depth of 9,990 (main's frame is depth 0) at the

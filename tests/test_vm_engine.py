@@ -21,15 +21,15 @@ import repro.vm as vm
 from repro.ir.opcodes import BinOp, Opcode
 from repro.vm.engine import compiled, predecode, run_monitored
 from repro.vm.errors import InstructionLimitExceeded, VMError
-from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, Machine, run_program
+from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
 from repro.workloads import registry
 from repro.workloads.sourcegen import mf_module
-from tests.legacy_vm import LegacyMachine
+from tests.legacy_vm import FastEngine, LegacyMachine
 
 #: The engine under test and the oracle, by the ids the tests are
 #: parametrized with.
-ENGINES = {"fast": Machine, "legacy": LegacyMachine}
+ENGINES = {"fast": FastEngine, "legacy": LegacyMachine}
 
 
 def as_tuple(result):
@@ -66,7 +66,7 @@ func main() {
 @settings(max_examples=60, deadline=None)
 def test_fast_matches_legacy_on_generated_modules(seed, data):
     program = lowered(mf_module(seed), name=f"p{seed}")
-    fast = Machine().run(program, input_data=data)
+    fast = run_program(program, input_data=data)
     legacy = LegacyMachine().run(program, input_data=data)
     assert as_tuple(fast) == as_tuple(legacy)
 
@@ -108,10 +108,9 @@ def test_fast_matches_legacy_on_workload(workload_name):
     """Bit-identical RunResults for every dataset of every bundled workload."""
     workload = registry.get_workload(workload_name)
     program = lowered(workload.source, name=workload_name)
-    fast = Machine()
     legacy = LegacyMachine()
     for dataset in workload.datasets:
-        fast_result = fast.run(program, input_data=dataset.data)
+        fast_result = run_program(program, input_data=dataset.data)
         legacy_result = legacy.run(program, input_data=dataset.data)
         assert as_tuple(fast_result) == as_tuple(legacy_result), (
             workload_name, dataset.name,
@@ -126,7 +125,7 @@ def test_monitored_fast_matches_legacy_on_smallest_workload_runs():
         program = lowered(workload.source, name=workload_name)
         dataset = min(workload.datasets, key=lambda ds: len(ds.data))
         recorder_fast, recorder_legacy = OutcomeRecorder(), OutcomeRecorder()
-        fast = Machine().run(
+        fast = run_program(
             program, input_data=dataset.data, monitors=[recorder_fast]
         )
         legacy = LegacyMachine().run(
@@ -168,12 +167,9 @@ def test_predecoded_form_is_cached_on_the_program():
 def test_no_engine_selector_is_left():
     """One engine: no selector, no alias for it."""
     program = lowered("func main() { return 41; }")
-    assert Machine().run(program).exit_code == 41
     assert run_program(program).exit_code == 41
     assert not hasattr(vm, "ENGINES")
     assert not hasattr(vm.machine, "ENGINES")
-    with pytest.raises(TypeError):
-        Machine(engine="fast")
     with pytest.raises(TypeError):
         run_program(program, engine="fast")
 
@@ -190,7 +186,7 @@ def test_faults_are_identical_across_engines():
         """
     )
     with pytest.raises(VMError, match="store to bad address"):
-        Machine().run(bad_store)
+        run_program(bad_store)
     with pytest.raises(VMError, match="store to bad address"):
         LegacyMachine().run(bad_store)
 
@@ -203,7 +199,7 @@ def test_faults_are_identical_across_engines():
         """
     )
     with pytest.raises(VMError, match="division by zero"):
-        Machine().run(div_zero)
+        run_program(div_zero)
     with pytest.raises(VMError, match="division by zero"):
         LegacyMachine().run(div_zero)
 
@@ -294,7 +290,7 @@ def test_limit_sweep_matches_legacy(name):
     decoded = predecode(program)
     for limit in range(10_000):
         legacy = _outcome(LegacyMachine(max_instructions=limit).run, program)
-        fast = _outcome(Machine(max_instructions=limit).run, program)
+        fast = _outcome(FastEngine(max_instructions=limit).run, program)
         base = _outcome(
             run_monitored, decoded, b"", (), limit, DEFAULT_MAX_CALL_DEPTH
         )
@@ -333,9 +329,9 @@ def test_fault_in_a_loop_condition_matches_legacy(fault):
     assert len(faulting) == 1
     assert faulting[0] in program.functions[program.main_index].jump_targets
     with pytest.raises(VMError) as fast:
-        Machine().run(program)
+        run_program(program)
     with pytest.raises(VMError) as monitored:
-        Machine().run(program, monitors=[OutcomeRecorder()])
+        run_program(program, monitors=[OutcomeRecorder()])
     with pytest.raises(VMError) as legacy:
         LegacyMachine().run(program)
     assert str(fast.value) == str(monitored.value) == str(legacy.value)
@@ -346,14 +342,14 @@ def test_each_variant_is_built_once_and_monitored_runs_never_build_the_plain_one
     program = lowered(LOOPY)
     decoded = predecode(program)
     assert decoded.plain is None and decoded.recording is None
-    Machine().run(program, monitors=[OutcomeRecorder()])
+    run_program(program, monitors=[OutcomeRecorder()])
     recording = decoded.recording
     assert recording is not None and decoded.plain is None
-    Machine().run(program)
+    run_program(program)
     plain = decoded.plain
     assert plain is not None
-    Machine().run(program)
-    Machine().run(program, monitors=[OutcomeRecorder()])
+    run_program(program)
+    run_program(program, monitors=[OutcomeRecorder()])
     assert compiled(decoded, recording=False) is plain
     assert compiled(decoded, recording=True) is recording
     assert len(plain) == len(recording) == len(program.functions)
@@ -506,7 +502,7 @@ def test_run_length_tail_covers_a_fully_predicted_run():
         """
     )
     recorder = OutcomeRecorder()
-    result = Machine().run(program, monitors=[recorder])
+    result = run_program(program, monitors=[recorder])
     directions = [None] * len(program.branch_table)
     for index, taken in recorder.outcomes:
         directions[index] = taken
@@ -516,5 +512,5 @@ def test_run_length_tail_covers_a_fully_predicted_run():
     monitor = RunLengthMonitor(
         [bool(direction) for direction in directions]
     )
-    rerun = Machine().run(program, monitors=[monitor])
+    rerun = run_program(program, monitors=[monitor])
     assert sum(monitor.run_lengths) == rerun.instructions
