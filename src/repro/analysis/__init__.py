@@ -3,14 +3,12 @@
 A generic worklist (MFP) solver plus the classic analyses layered on it:
 
 * :mod:`repro.analysis.dataflow` — direction-agnostic solver with edge
-  transfers, widening, and unreachable (bottom) tracking.
+  transfers and unreachable (bottom) tracking, for finite-height lattices.
 * :mod:`repro.analysis.liveness` — backward live-register analysis.
 * :mod:`repro.analysis.reachdefs` — definite assignment (the
   use-before-def lint's engine).
 * :mod:`repro.analysis.constprop` — conditional constant propagation with
   infeasible-edge pruning.
-* :mod:`repro.analysis.ranges` — integer interval analysis with
-  comparison-driven edge refinement.
 
 Consumers: the static branch-direction prover (:mod:`repro.analysis.prover`)
 and the IR lint suite (:mod:`repro.analysis.lint`).
@@ -38,17 +36,6 @@ from repro.analysis.prover import (
     prove_function,
     prove_module,
 )
-from repro.analysis.ranges import (
-    BOOL,
-    GETC_RANGE,
-    TOP,
-    Interval,
-    RangeAnalysis,
-    compare_intervals,
-    hull,
-    intersect,
-    ranges,
-)
 from repro.analysis.reachdefs import (
     DefiniteAssignment,
     maybe_uninitialized_uses,
@@ -56,27 +43,19 @@ from repro.analysis.reachdefs import (
 
 __all__ = [
     "BACKWARD",
-    "BOOL",
     "FORWARD",
-    "GETC_RANGE",
-    "TOP",
     "BranchProof",
     "ConstantPropagation",
     "DataflowAnalysis",
     "DataflowResult",
     "DefiniteAssignment",
-    "Interval",
     "LintFinding",
     "LivenessAnalysis",
     "ProofVerdict",
-    "RangeAnalysis",
-    "compare_intervals",
     "constants",
     "dead_instructions",
     "eval_instr",
     "format_findings",
-    "hull",
-    "intersect",
     "lint_errors",
     "lint_function",
     "lint_module",
@@ -85,6 +64,5 @@ __all__ = [
     "proof_directions",
     "prove_function",
     "prove_module",
-    "ranges",
     "solve",
 ]

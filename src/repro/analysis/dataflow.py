@@ -17,16 +17,15 @@ States are named by *program position*, not by dataflow direction:
 The bottom element is ``None`` and means "no execution reaches this
 position".  ``meet(None, x) == x`` is enforced by the solver, so analyses
 only ever see two non-``None`` states.  Edge-level precision (branch
-feasibility, comparison-driven range refinement) is expressed through
-:meth:`DataflowAnalysis.edge_transfer`, which may return ``None`` to mark
-an edge infeasible — this is how conditional constant propagation prunes
-never-taken branches.
+feasibility) is expressed through :meth:`DataflowAnalysis.edge_transfer`,
+which may return ``None`` to mark an edge infeasible — this is how
+conditional constant propagation prunes never-taken branches.
 
-Termination over infinite-height lattices (the interval lattice) is
-guaranteed two ways: analyses declare widening points (natural-loop
-headers), and the solver force-widens any block whose entry state keeps
-changing past a visit budget — a safety net for irreducible flow graphs
-the header detection would miss.
+Termination rests on the lattices: every analysis here has finite height
+(a register is unreached, one constant, or not constant; a register set
+is bounded by the function's registers), and its transfer and meet are
+monotone, so each block's state changes a bounded number of times.  The
+solver has no widening, so it accepts only finite-height analyses.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from typing import Dict, Generic, List, Optional, Set, TypeVar
 
 from repro.ir.analysis import (
     exit_labels,
-    loop_headers,
     predecessor_map,
     reachable_labels,
     successor_map,
@@ -46,9 +44,6 @@ S = TypeVar("S")
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-#: Entry-state recomputations per block before the solver force-widens.
-VISIT_BUDGET = 64
 
 
 class DataflowAnalysis(Generic[S]):
@@ -86,17 +81,6 @@ class DataflowAnalysis(Generic[S]):
         (forward analyses only).  Returning ``None`` marks the edge
         infeasible.  The default is the identity."""
         return state
-
-    def widen(self, old: S, new: S) -> S:
-        """Accelerate convergence at widening points.  Must over-approximate
-        ``new``; the default (return ``new``) is correct for finite-height
-        lattices."""
-        return new
-
-    def widening_points(self, func: Function) -> Set[str]:
-        """Labels where :meth:`widen` applies (default: natural-loop
-        headers, the classic choice for interval analysis)."""
-        return loop_headers(func)
 
 
 @dataclasses.dataclass
@@ -136,11 +120,10 @@ def _solve_forward(
     order = reachable_labels(func)
     position = {label: index for index, label in enumerate(order)}
     entry = order[0]
-    widen_at = analysis.widening_points(func)
 
     before: Dict[str, Optional[S]] = {b.label: None for b in func.blocks}
     after: Dict[str, Optional[S]] = {b.label: None for b in func.blocks}
-    visits: Dict[str, int] = {b.label: 0 for b in func.blocks}
+    seen: Set[str] = set()
 
     pending: Set[str] = set(order)
     worklist: List[str] = list(reversed(order))  # pop() yields RPO
@@ -148,8 +131,8 @@ def _solve_forward(
         label = worklist.pop()
         pending.discard(label)
         block = block_map[label]
-        visits[label] += 1
-        first = visits[label] == 1
+        first = label not in seen
+        seen.add(label)
 
         incoming: Optional[S] = analysis.boundary(func) if label == entry else None
         for pred in preds[label]:
@@ -165,14 +148,7 @@ def _solve_forward(
         if incoming is None and analysis.bottom_is_boundary:
             incoming = analysis.boundary(func)
 
-        old = before[label]
-        if (
-            incoming is not None
-            and old is not None
-            and (label in widen_at or visits[label] > VISIT_BUDGET)
-        ):
-            incoming = analysis.widen(old, incoming)
-        if incoming == old and not first:
+        if incoming == before[label] and not first:
             continue
         before[label] = incoming
         new_after = (
@@ -198,7 +174,7 @@ def _solve_backward(
 
     before: Dict[str, Optional[S]] = {b.label: None for b in func.blocks}
     after: Dict[str, Optional[S]] = {b.label: None for b in func.blocks}
-    visits: Dict[str, int] = {b.label: 0 for b in func.blocks}
+    seen: Set[str] = set()
 
     # Layout-unreachable blocks are solved too (queued first, popped last):
     # under the paper's no-DCE configuration they stay in the module, and
@@ -212,8 +188,8 @@ def _solve_backward(
         label = worklist.pop()
         pending.discard(label)
         block = block_map[label]
-        visits[label] += 1
-        first = visits[label] == 1
+        first = label not in seen
+        seen.add(label)
 
         outgoing: Optional[S] = analysis.boundary(func) if label in exits else None
         for succ in succs[label]:

@@ -17,6 +17,7 @@ from repro.core.parallel import (
 from repro.vm.counters import RunResult
 from repro.vm.machine import run_program
 from repro.vm.monitors import BranchMonitor
+from repro.workloads.costs import PAPER_INSTRUCTIONS
 from repro.workloads.registry import get_workload
 
 #: Default on-disk cache location (override with the REPRO_CACHE_DIR
@@ -176,10 +177,17 @@ class WorkloadRunner:
         self, misses: Dict[RunRequest, str], workers: int
     ) -> Dict[RunRequest, Optional[str]]:
         """Execute misses in worker processes that publish through the
-        disk cache.  Returns each finished triple's error slot (``None``
-        once published); a triple missing from the answer — its worker
-        was killed, or the pool never started — is left to the caller."""
+        disk cache, submitting the longest expected runs first.  Returns
+        each finished triple's error slot (``None`` once published); a
+        triple missing from the answer — its worker was killed, or the
+        pool never started — is left to the caller."""
         outcomes: Dict[RunRequest, Optional[str]] = {}
+        longest_first = sorted(
+            misses.items(),
+            key=lambda item: -PAPER_INSTRUCTIONS.get(
+                (item[0].workload, item[0].dataset), 0
+            ),
+        )
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,
@@ -188,7 +196,7 @@ class WorkloadRunner:
             ) as pool:
                 futures = {
                     pool.submit(_worker_execute, request, digest): request
-                    for request, digest in misses.items()
+                    for request, digest in longest_first
                 }
                 for future in as_completed(futures):
                     if future.exception() is None:

@@ -1,4 +1,4 @@
-"""CFG analyses: edges, dominators, post-dominators, natural loops.
+"""CFG analyses: edges, dominators, natural loops.
 
 Used by the heuristic predictors (loop/non-loop distinction), the
 trace-selection extension, the optimization passes (shared successor /
@@ -113,30 +113,25 @@ def reachable_labels(func: Function) -> List[str]:
     return order
 
 
-def _iterative_dominators(
-    order: List[str],
-    entries: List[str],
-    preds: Dict[str, List[str]],
-) -> Dict[str, Set[str]]:
-    """The classic iterative dominator dataflow over an explicit edge map.
+def dominators(func: Function) -> Dict[str, Set[str]]:
+    """Label -> set of labels that dominate it (including itself).
 
-    ``order`` lists the nodes to solve over (ideally topologically sorted
-    for fast convergence); ``entries`` are the boundary nodes that dominate
-    only themselves; ``preds`` gives the in-edges used for the meet.
-    Shared by :func:`dominators` and :func:`postdominators`, which differ
-    only in edge direction and boundary.
+    Only reachable blocks are included.  The classic iterative dataflow,
+    solved in reverse postorder for fast convergence.
     """
+    order = reachable_labels(func)
+    entry = order[0]
     all_labels = set(order)
-    entry_set = set(entries)
+    preds = predecessor_map(func)
     dom: Dict[str, Set[str]] = {
-        label: ({label} if label in entry_set else set(all_labels))
+        label: ({label} if label == entry else set(all_labels))
         for label in order
     }
     changed = True
     while changed:
         changed = False
         for label in order:
-            if label in entry_set:
+            if label == entry:
                 continue
             pred_doms = [dom[p] for p in preds[label] if p in dom]
             if pred_doms:
@@ -150,21 +145,6 @@ def _iterative_dominators(
     return dom
 
 
-def dominators(func: Function) -> Dict[str, Set[str]]:
-    """Label -> set of labels that dominate it (including itself).
-
-    Only reachable blocks are included.
-    """
-    order = reachable_labels(func)
-    order_set = set(order)
-    preds = {
-        label: [p for p in pred_list if p in order_set]
-        for label, pred_list in predecessor_map(func).items()
-        if label in order_set
-    }
-    return _iterative_dominators(order, [order[0]], preds)
-
-
 def exit_labels(func: Function) -> List[str]:
     """Labels of blocks that leave the function (``ret`` or ``halt``)."""
     exits: List[str] = []
@@ -173,25 +153,6 @@ def exit_labels(func: Function) -> List[str]:
         if term is not None and term.op in (Opcode.RET, Opcode.HALT):
             exits.append(block.label)
     return exits
-
-
-def postdominators(func: Function) -> Dict[str, Set[str]]:
-    """Label -> set of labels that post-dominate it (including itself).
-
-    Computed over the reverse CFG with every exit block (``ret``/``halt``)
-    as a boundary node.  A block from which no exit is reachable (an
-    infinite loop) keeps the vacuous "everything post-dominates it" set;
-    blocks unreachable from the entry are still included, since
-    post-domination is a property of paths *to* the exit.
-    """
-    if not func.blocks:
-        return {}
-    succs = successor_map(func)
-    order = [block.label for block in func.blocks]
-    # Solve in reverse layout order: exits tend to come last, so walking
-    # the block list backwards approximates a reverse-CFG RPO.
-    order = list(reversed(order))
-    return _iterative_dominators(order, exit_labels(func), succs)
 
 
 def back_edges(func: Function) -> Set[Tuple[str, str]]:
@@ -205,11 +166,6 @@ def back_edges(func: Function) -> Set[Tuple[str, str]]:
             if succ in dom.get(label, set()):
                 edges.add((label, succ))
     return edges
-
-
-def loop_headers(func: Function) -> Set[str]:
-    """Labels that are natural-loop headers."""
-    return {header for _, header in back_edges(func)}
 
 
 def natural_loop_bodies(func: Function) -> Dict[str, Set[str]]:
@@ -233,11 +189,3 @@ def natural_loop_bodies(func: Function) -> Dict[str, Set[str]]:
                     loop.add(pred)
                     worklist.append(pred)
     return bodies
-
-
-def natural_loop_blocks(func: Function) -> Set[str]:
-    """All labels that belong to some natural loop body."""
-    members: Set[str] = set()
-    for body in natural_loop_bodies(func).values():
-        members |= body
-    return members

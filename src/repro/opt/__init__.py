@@ -5,7 +5,7 @@ from repro.opt.copy_propagation import propagate_function
 from repro.opt.cse import cse_function
 from repro.opt.deadcode import eliminate_dead_instructions
 from repro.opt.globalconst import constant_globals, written_symbols
-from repro.opt.ifconvert import if_convert_function, if_convert_module
+from repro.opt.ifconvert import if_convert_function
 from repro.opt.inline import inline_function, inline_module
 from repro.opt.jump_threading import thread_jumps
 from repro.opt.pipeline import optimize_module
@@ -18,7 +18,6 @@ __all__ = [
     "fold_branches",
     "fold_function",
     "if_convert_function",
-    "if_convert_module",
     "inline_function",
     "inline_module",
     "optimize_module",

@@ -166,11 +166,3 @@ def _apply_conversion(
     if else_block is not None:
         dead_labels.add(else_block.label)
     func.blocks = [b for b in func.blocks if b.label not in dead_labels]
-
-
-def if_convert_module(module, max_arm_instrs: int = DEFAULT_MAX_ARM_INSTRS) -> bool:
-    """If-convert every function of a module, in place."""
-    changed = False
-    for func in module.functions:
-        changed |= if_convert_function(func, max_arm_instrs)
-    return changed

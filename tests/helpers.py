@@ -62,6 +62,15 @@ SELECT_OFF = Reference(select=False, optimize=True)
 Config = Union[RunConfig, Reference]
 
 
+#: Every compiler configuration the experiments run.
+EXPERIMENT_CONFIGS = [
+    RunConfig(),
+    RunConfig(dce=True),
+    RunConfig(inline=True),
+    RunConfig(if_conversion=True),
+]
+
+
 def compile_with(
     source: str, config: Config = RunConfig(), name: str = "test"
 ) -> CompiledProgram:

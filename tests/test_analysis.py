@@ -4,10 +4,7 @@ from repro.ir.analysis import (
     cfg_edges,
     dominators,
     exit_labels,
-    loop_headers,
     natural_loop_bodies,
-    natural_loop_blocks,
-    postdominators,
     predecessor_map,
     reachable_labels,
     successor_map,
@@ -61,10 +58,9 @@ def test_entry_dominates_everything():
 def test_loop_header_dominates_body():
     func = function_of(SIMPLE_LOOP)
     dom = dominators(func)
-    headers = loop_headers(func)
-    assert len(headers) == 1
-    header = next(iter(headers))
-    members = natural_loop_blocks(func)
+    bodies = natural_loop_bodies(func)
+    assert len(bodies) == 1
+    header, members = next(iter(bodies.items()))
     for label in members:
         assert header in dom[label]
 
@@ -73,30 +69,33 @@ def test_back_edges_point_at_headers():
     func = function_of(SIMPLE_LOOP)
     edges = back_edges(func)
     assert len(edges) == 1
-    headers = loop_headers(func)
-    for _, header in edges:
-        assert header in headers
+    dom = dominators(func)
+    for source, header in edges:
+        assert header in natural_loop_bodies(func)
+        assert header in dom[source]
 
 
 def test_nested_loops_have_two_headers():
     func = function_of(NESTED_LOOPS)
-    assert len(loop_headers(func)) == 2
+    bodies = natural_loop_bodies(func)
+    assert len(bodies) == 2
     # The inner loop's blocks are inside the outer loop's body set too.
-    assert len(natural_loop_blocks(func)) >= 5
+    inner, outer = sorted(bodies.values(), key=len)
+    assert inner < outer
+    assert len(outer) >= 5
 
 
 def test_straight_line_has_no_loops():
     func = function_of("func main() { return 3; }")
     assert back_edges(func) == set()
-    assert loop_headers(func) == set()
-    assert natural_loop_blocks(func) == set()
+    assert natural_loop_bodies(func) == {}
 
 
 def test_do_while_loop_detected():
     func = function_of(
         "func main() { var i = 0; do { i += 1; } while (i < 5); return i; }"
     )
-    assert len(loop_headers(func)) == 1
+    assert len(natural_loop_bodies(func)) == 1
 
 
 def test_unreachable_blocks_excluded_from_order():
@@ -133,46 +132,10 @@ def test_exit_labels_are_return_blocks():
         assert not block.successors()
 
 
-def test_exit_postdominates_everything():
-    func = function_of(SIMPLE_LOOP)
-    pdom = postdominators(func)
-    exits = exit_labels(func)
-    # Every reachable block is postdominated by itself, and blocks on the
-    # path to the single exit are postdominated by it.
-    for label, pdoms in pdom.items():
-        assert label in pdoms
-    if len(exits) == 1:
-        exit_label = next(iter(exits))
-        for label in reachable_labels(func):
-            assert exit_label in pdom[label]
-
-
-def test_postdominators_of_diamond_join():
-    source = """
-    func main() {
-        var x = 1; var y;
-        if (x) { y = 2; } else { y = 3; }
-        return y;
-    }
-    """
-    func = function_of(source)
-    pdom = postdominators(func)
-    entry = func.blocks[0].label
-    # The join (and the exit) postdominate the entry; the two arms do not.
-    arms = [
-        block.label
-        for block in func.blocks
-        if len(predecessor_map(func).get(block.label, [])) == 1
-        and block.label != entry
-    ]
-    for arm in arms:
-        assert arm not in pdom[entry]
-
-
 def test_natural_loop_bodies_keyed_by_header():
     func = function_of(NESTED_LOOPS)
     bodies = natural_loop_bodies(func)
-    assert set(bodies) == loop_headers(func)
-    for header, body in bodies.items():
-        assert header in body
-    assert natural_loop_blocks(func) == set().union(*bodies.values())
+    assert set(bodies) == {header for _, header in back_edges(func)}
+    for source, header in back_edges(func):
+        assert header in bodies[header]
+        assert source in bodies[header]

@@ -1,20 +1,11 @@
 """Dataflow framework tests: solver behavior and the concrete analyses."""
-import pytest
-
 from repro.analysis import (
-    GETC_RANGE,
-    TOP,
-    Interval,
     constants,
-    hull,
-    intersect,
     live_sets,
     dead_instructions,
     lint_function,
     maybe_uninitialized_uses,
-    ranges,
 )
-from repro.analysis.ranges import compare_intervals
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import BranchId, Instr
 from repro.ir.opcodes import BinOp, Opcode
@@ -74,6 +65,31 @@ def test_forward_reachability_via_constant_branch_pruning():
         if result.before[block.label] is None
     ]
     assert len(unreachable) == 1
+
+
+def test_solver_terminates_on_loop_without_widening():
+    # The counter gets a new value on every trip; the constant lattice
+    # drops it to "not constant" at the header after one round, so the
+    # forward solver converges with no widening.
+    func = function_of(
+        """
+        func main() {
+            var i = 0; var n = 0;
+            while (i < 10) { n = n + i; i = i + 1; }
+            return i;
+        }
+        """
+    )
+    result = constants(func)
+    branches = [
+        b for b in func.blocks
+        if b.terminator is not None and b.terminator.op == Opcode.BR
+    ]
+    assert branches
+    for block in branches:
+        state = result.after[block.label]
+        assert state is not None
+        assert block.terminator.a not in state
 
 
 # -- liveness -------------------------------------------------------------------
@@ -208,86 +224,3 @@ def test_constprop_folds_constant_global_loads():
     state = result.after[branch_block.label]
     assert state is not None
     assert state.get(branch_block.terminator.a) == 0
-
-
-# -- ranges ---------------------------------------------------------------------
-
-
-def test_interval_helpers():
-    assert hull(Interval(0, 1), Interval(5, 9)) == Interval(0, 9)
-    assert intersect(Interval(0, 10), Interval(5, 20)) == Interval(5, 10)
-    assert intersect(Interval(0, 1), Interval(5, 9)) is None
-    assert Interval(1, 5).excludes_zero()
-    assert Interval(-3, -1).excludes_zero()
-    assert not Interval(0, 1).excludes_zero()
-    with pytest.raises(ValueError):
-        Interval(2, 1)
-
-
-def test_compare_intervals_decides_disjoint():
-    assert compare_intervals(BinOp.LT, Interval(0, 4), Interval(5, 9)) is True
-    assert compare_intervals(BinOp.GE, Interval(0, 4), Interval(5, 9)) is False
-    assert compare_intervals(BinOp.LT, Interval(0, 5), Interval(5, 9)) is None
-    assert compare_intervals(BinOp.EQ, Interval(1, 1), Interval(1, 1)) is True
-    assert compare_intervals(BinOp.NE, Interval(0, 0), Interval(1, 5)) is True
-
-
-def test_getc_result_is_bounded():
-    func = Function(name="main", num_params=0, num_regs=1)
-    func.blocks = [
-        BasicBlock("entry", [Instr(Opcode.GETC, dst=0),
-                             Instr(Opcode.RET, a=0)]),
-    ]
-    result = ranges(func)
-    assert result.after["entry"][0] == GETC_RANGE
-
-
-def test_range_widening_terminates_and_keeps_lower_bound():
-    func = function_of(
-        """
-        func main() {
-            var i = 0; var n = 0;
-            while (i < 10) { n = n + i; i = i + 1; }
-            return i;
-        }
-        """
-    )
-    result = ranges(func)  # must terminate despite the increasing counter
-    for block in func.blocks:
-        state = result.after[block.label]
-        if state is None:
-            continue
-        for interval in state.values():
-            assert interval != TOP
-
-
-def test_comparison_refinement_proves_second_guard():
-    # The first guard pins x > 5 on the taken path; the second x > 0 test
-    # in that region is then range-decided.
-    func = function_of(
-        """
-        func main() {
-            var x = getc();
-            if (x > 5) {
-                if (x > 0) { return 1; }
-                return 2;
-            }
-            return 0;
-        }
-        """
-    )
-    result = ranges(func)
-    branches = [
-        b for b in func.blocks
-        if b.terminator is not None and b.terminator.op == Opcode.BR
-        and b.terminator.then_label != b.terminator.else_label
-    ]
-    decided = []
-    for block in branches:
-        state = result.after[block.label]
-        if state is None:
-            continue
-        interval = state.get(block.terminator.a, TOP)
-        if interval.excludes_zero() or interval == Interval(0, 0):
-            decided.append(block.label)
-    assert decided  # the inner guard is proven by refinement

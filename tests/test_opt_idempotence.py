@@ -35,7 +35,7 @@ from repro.opt.pipeline import MAX_ITERATIONS, PASSES, optimize_module
 from repro.workloads.registry import all_workloads
 from repro.workloads.sourcegen import mf_module
 
-from tests.helpers import compile_reference
+from tests.helpers import EXPERIMENT_CONFIGS, compile_reference
 
 
 @pytest.mark.parametrize("dce", [False, True], ids=["paper", "dce"])
@@ -49,15 +49,6 @@ def test_optimize_module_twice_is_byte_identical(runner, dce):
         assert after == before, (
             f"{workload.name}: second optimize_module run changed the IR"
         )
-
-
-#: Every compiler configuration the experiments run.
-EXPERIMENT_CONFIGS = [
-    RunConfig(),
-    RunConfig(dce=True),
-    RunConfig(inline=True),
-    RunConfig(if_conversion=True),
-]
 
 
 @pytest.mark.parametrize(

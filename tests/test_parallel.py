@@ -1,6 +1,7 @@
 """Parallel runner tests: equivalence, error isolation, jobs resolution."""
 import collections
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -14,7 +15,8 @@ from repro.core.parallel import (
     resolve_jobs,
 )
 from repro.core.runner import RunConfig, WorkloadRunner
-from repro.workloads.registry import get_workload
+from repro.workloads.costs import PAPER_INSTRUCTIONS
+from repro.workloads.registry import all_workloads, get_workload
 
 #: A small sweep spanning three workloads (fast to simulate cold).
 SWEEP = [
@@ -115,6 +117,54 @@ def test_broken_pool_falls_back_to_the_serial_loop(tmp_path, monkeypatch, patch)
     results = fanout.run_many(SWEEP, on_error="capture")
     assert not any(isinstance(result, RunFailure) for result in results)
     assert _dicts(results) == expected
+
+
+def test_pool_submits_the_longest_run_first(tmp_path, monkeypatch):
+    submitted = []
+
+    class RecordingPool:
+        """Records submissions in order and runs none of them, so the
+        serial loop executes the whole batch."""
+
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, request, digest):
+            submitted.append(request)
+            future = Future()
+            future.set_exception(RuntimeError("not run"))
+            return future
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", RecordingPool)
+    # Unbalanced: the longest run (doduc/ref) comes last in request order.
+    batch = [
+        RunRequest("spice2g6", "circuit2"),
+        RunRequest("doduc", "tiny"),
+        RunRequest("lfk", "default"),
+        RunRequest("doduc", "ref"),
+    ]
+    runner = WorkloadRunner(cache_dir=str(tmp_path), jobs=2)
+    results = runner.run_many(batch)
+    assert submitted == [batch[3], batch[2], batch[1], batch[0]]
+    assert [result.instructions for result in results] == [
+        PAPER_INSTRUCTIONS[(request.workload, request.dataset)]
+        for request in batch
+    ]
+
+
+def test_paper_instruction_counts_match_the_runs(runner):
+    expected = {
+        (workload.name, dataset): runner.run(workload.name, dataset).instructions
+        for workload in all_workloads()
+        for dataset in workload.dataset_names()
+    }
+    assert PAPER_INSTRUCTIONS == expected
 
 
 def test_cold_run_many_looks_up_and_stores_once(tmp_path, monkeypatch):

@@ -2,10 +2,15 @@
 
 Unit tests pin the prover's verdicts on small programs; the gate tests at
 the bottom are the soundness contract: across every workload and dataset,
-no branch the prover marks PROVEN_* ever goes the other way — checked
+and across generated programs under every experiment configuration, no
+branch the prover marks PROVEN_* ever goes the other way — checked
 against every run's aggregate branch counters: a proven-taken branch must
 be taken on every execution, a proven fall-through branch never.
 """
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.prover import (
     ProofVerdict,
@@ -13,11 +18,14 @@ from repro.analysis.prover import (
     prove_function,
     prove_module,
 )
+from repro.compiler import RunConfig, compile_source
 from repro.opt.globalconst import constant_globals
 from repro.prediction import StaticProofPredictor
+from repro.vm.machine import run_program
 from repro.workloads.registry import all_workloads
+from repro.workloads.sourcegen import mf_module
 
-from tests.helpers import compile_reference
+from tests.helpers import EXPERIMENT_CONFIGS, compile_reference
 
 
 def compiled_program(source):
@@ -93,71 +101,6 @@ def test_data_dependent_branch_stays_unknown():
     )
     assert verdicts(proofs) == [ProofVerdict.UNKNOWN]
     assert proofs[0].direction is None
-
-
-def test_redundant_guard_proven_by_range_refinement():
-    # x > 5 on the taken path makes the inner x > 0 test a tautology.
-    proofs = proofs_of(
-        """
-        func main() {
-            var x = getc();
-            if (x > 5) {
-                if (x > 0) { return 1; }
-                return 2;
-            }
-            return 0;
-        }
-        """
-    )
-    by_verdict = {p.verdict: p for p in proofs}
-    assert ProofVerdict.PROVEN_TAKEN in by_verdict
-    assert ProofVerdict.UNKNOWN in by_verdict  # the outer guard
-
-
-def test_repeated_truthiness_guard_proven_by_sign_facts():
-    # Inside `if (x)`, a second `if (x)` must go the same way unless x is
-    # redefined: the sign-facts layer pins the condition register nonzero.
-    proofs = proofs_of(
-        """
-        func main() {
-            var x = getc();
-            if (x) {
-                if (x) { return 1; }
-                return 2;
-            }
-            return 0;
-        }
-        """
-    )
-    assert ProofVerdict.PROVEN_TAKEN in verdicts(proofs)
-
-
-def test_getc_range_discharges_bounds_check():
-    # getc() yields [-1, 255]; a < 4096 guard on it can never fail.
-    proofs = proofs_of(
-        """
-        func main() {
-            var c = getc();
-            if (c < 4096) { return 1; }
-            return 0;
-        }
-        """
-    )
-    assert verdicts(proofs) == [ProofVerdict.PROVEN_TAKEN]
-
-
-def test_proofs_carry_loop_context():
-    proofs = proofs_of(
-        """
-        func main() {
-            var i = 0; var n = 0;
-            while (getc() >= 0) { n = n + 1; }
-            return n;
-        }
-        """
-    )
-    exits = [p for p in proofs if p.is_loop_exit]
-    assert exits and all(p.loop_depth >= 1 for p in exits)
 
 
 def test_proof_directions_keeps_only_proven():
@@ -238,3 +181,62 @@ def test_no_proven_branch_mispredicts_in_aggregate_counts(runner):
     assert checked > 0  # the gate must actually be exercising proofs
 
 
+@pytest.mark.parametrize(
+    "config, proven, sites",
+    [(RunConfig(), 18, 677), (RunConfig(dce=True), 0, 659)],
+    ids=["paper", "dce"],
+)
+def test_proof_counts_over_all_workloads(runner, config, proven, sites):
+    """The ``proofs`` table's note: every proof is a constant condition."""
+    proofs = []
+    for workload in all_workloads():
+        module = runner.compiled(workload.name, config).module
+        proofs.extend(prove_module(module, constant_globals(module)))
+    assert len(proofs) == sites
+    assert sum(proof.verdict.proven for proof in proofs) == proven
+    assert all(
+        proof.reason.startswith("condition is constant")
+        for proof in proofs
+        if proof.verdict.proven
+    )
+
+
+def _checked_proven_executions(seed, config, data):
+    """Compile, prove and run one generated program; fail on any proven
+    branch the run contradicts, else return the executions checked."""
+    compiled = compile_source(mf_module(seed), name=f"p{seed}", config=config)
+    directions = proof_directions(
+        prove_module(compiled.module, constant_globals(compiled.module))
+    )
+    result = run_program(compiled.lowered, input_data=data)
+    checked = 0
+    for branch_id, (executed, taken) in result.branch_counts().items():
+        expected = directions.get(branch_id)
+        if expected is None:
+            continue
+        mispredicts = (executed - taken) if expected else taken
+        assert mispredicts == 0, (
+            f"seed {seed} {config.tag()}: proven branch {branch_id} "
+            f"mispredicted {mispredicts}/{executed} times"
+        )
+        checked += executed
+    return checked
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    config=st.sampled_from(EXPERIMENT_CONFIGS),
+    data=st.binary(max_size=8),
+)
+@example(seed=0, config=RunConfig(inline=True), data=b"")
+@settings(max_examples=25, deadline=None)
+def test_no_proven_branch_mispredicts_on_generated_programs(seed, config, data):
+    _checked_proven_executions(seed, config, data)
+
+
+def test_generated_program_example_exercises_proofs():
+    # The pinned example above is not vacuous: inlining gen0_4(6, 2) makes
+    # its probe loop's guards constant, and the run executes them.  (The
+    # generator's ``knob`` guard never reaches the prover: branch folding
+    # removes it under every configuration.)
+    assert _checked_proven_executions(0, RunConfig(inline=True), b"") > 0
