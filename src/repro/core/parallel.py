@@ -1,4 +1,4 @@
-"""The vocabulary of batched runs, and the job-count setting.
+"""The vocabulary of batched runs, and the job-count check.
 
 Every experiment sweep is arithmetic over many independent
 (workload, dataset, RunConfig) triples, and simulating a triple takes
@@ -13,42 +13,25 @@ the long form):
 * ``RunFailure`` and ``ParallelExecutionError`` — a failing triple is
   reported by name and never poisons the rest of the batch, which
   completes and is cached normally;
-* ``resolve_jobs`` — an explicit count, else ``REPRO_JOBS``, else 1.
+* ``resolve_jobs`` — a job count, with ``0`` meaning all cores.
 
-Workers publish results through the on-disk run cache and the parent
-loads them back, so a result computed in a worker is indistinguishable
-from one computed in-process: serial and parallel execution are
-byte-identical.
+Workers return each result through the pool, and the parent stores and
+memoizes it exactly as it does a result it computed itself, so serial
+and parallel execution are byte-identical.
 """
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.compiler import RunConfig
 from repro.workloads.base import Workload
 
-#: Environment variable consulted when no explicit job count is given.
-ENV_JOBS = "REPRO_JOBS"
 
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit value, else ``REPRO_JOBS``, else 1.
-
-    ``0`` means "all cores" (``os.cpu_count()``); negative values and
-    non-integer environment values raise ``ValueError``.
-    """
-    if jobs is None:
-        raw = os.environ.get(ENV_JOBS)
-        if raw is None or not raw.strip():
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_JOBS} must be an integer, got {raw!r}"
-            ) from None
+def resolve_jobs(jobs: int) -> int:
+    """Resolve a worker count: ``0`` means "all cores"
+    (``os.cpu_count()``); negative values raise ``ValueError``."""
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:

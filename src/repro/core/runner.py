@@ -20,6 +20,9 @@ from repro.vm.monitors import BranchMonitor
 from repro.workloads.costs import PAPER_INSTRUCTIONS
 from repro.workloads.registry import get_workload
 
+#: One unmonitored run's outcome: ``(result, None)`` or ``(None, traceback)``.
+_Outcome = Tuple[Optional[RunResult], Optional[str]]
+
 #: Default on-disk cache location (override with the REPRO_CACHE_DIR
 #: environment variable; set it to empty to disable).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -35,15 +38,12 @@ def _default_cache_dir() -> Optional[str]:
 class WorkloadRunner:
     """Compiles and executes workloads, memoizing runs in memory and on disk.
 
-    ``jobs`` sets the default fan-out of ``run_many`` (``None`` consults
-    the ``REPRO_JOBS`` environment variable, ``0`` means all cores).
+    ``jobs`` sets the fan-out of ``run_many`` (``0`` means all cores).
     ``run_many`` is the one path that looks a run up, executes it and
     stores it; ``run`` and ``run_all`` are batches of one workload.
     """
 
-    def __init__(
-        self, cache_dir: Optional[str] = "auto", jobs: Optional[int] = None
-    ):
+    def __init__(self, cache_dir: Optional[str] = "auto", jobs: int = 1):
         if cache_dir == "auto":
             cache_dir = _default_cache_dir()
         self._disk = DiskCache(cache_dir)
@@ -108,28 +108,25 @@ class WorkloadRunner:
     def run_many(
         self,
         requests: Sequence[RunRequest],
-        jobs: Optional[int] = None,
         on_error: str = "raise",
     ) -> List[Union[RunResult, RunFailure]]:
         """Run a batch of ``RunRequest`` triples; results come back in
         request order and are memoized per triple.
 
         Each unique triple is checked against the memo, digested and
-        looked up on disk once.  With more than one miss, ``jobs > 1``
-        (``None`` means this runner's ``jobs``) and a disk cache, the
-        misses go to a process pool whose workers publish results through
-        the cache; one serial loop then executes and stores every miss the
-        pool did not publish, so serial and parallel execution are
-        byte-identical.  ``on_error="raise"`` raises
-        ``ParallelExecutionError`` after the whole batch has been
-        attempted; ``on_error="capture"`` returns ``RunFailure`` objects
-        in the failed slots instead.
+        looked up on disk once.  With more than one miss and ``jobs > 1``
+        the misses go to a process pool whose workers return their
+        results; one serial loop then takes each pool result, or executes
+        the miss itself when the pool did not return it, and stores it:
+        this runner is the only reader and writer of its disk cache.
+        ``on_error="raise"`` raises ``ParallelExecutionError`` after the
+        whole batch has been attempted; ``on_error="capture"`` returns
+        ``RunFailure`` objects in the failed slots instead.
         """
         if on_error not in ("raise", "capture"):
             raise ValueError(
                 f"on_error must be 'raise' or 'capture', got {on_error!r}"
             )
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
         failures: Dict[RunRequest, RunFailure] = {}
         misses: Dict[RunRequest, str] = {}
         for request in requests:
@@ -146,24 +143,17 @@ class WorkloadRunner:
             else:
                 self._runs[request] = cached
 
-        published: Dict[RunRequest, Optional[str]] = {}
-        if jobs > 1 and len(misses) > 1 and self._disk.directory:
-            published = self._run_pool(misses, min(jobs, len(misses)))
+        pooled: Dict[RunRequest, _Outcome] = {}
+        if self.jobs > 1 and len(misses) > 1:
+            pooled = self._run_pool(list(misses), min(self.jobs, len(misses)))
         for request, digest in misses.items():
-            error = published.get(request)
-            if error is not None:
-                failures[request] = RunFailure(request, error)
-                continue
-            result = self._disk.load(digest) if request in published else None
+            result, error = pooled.get(request) or _execute_captured(
+                self, request
+            )
             if result is None:
-                try:
-                    result = self._execute(request, ())
-                except Exception:
-                    failures[request] = RunFailure(
-                        request, traceback.format_exc()
-                    )
-                    continue
-                self._disk.store(digest, result)
+                failures[request] = RunFailure(request, error or "")
+                continue
+            self._disk.store(digest, result)
             self._runs[request] = result
 
         if failures and on_error == "raise":
@@ -174,29 +164,27 @@ class WorkloadRunner:
         ]
 
     def _run_pool(
-        self, misses: Dict[RunRequest, str], workers: int
-    ) -> Dict[RunRequest, Optional[str]]:
-        """Execute misses in worker processes that publish through the
-        disk cache, submitting the longest expected runs first.  Returns
-        each finished triple's error slot (``None`` once published); a
-        triple missing from the answer — its worker was killed, or the
-        pool never started — is left to the caller."""
-        outcomes: Dict[RunRequest, Optional[str]] = {}
+        self, misses: List[RunRequest], workers: int
+    ) -> Dict[RunRequest, _Outcome]:
+        """Execute misses in worker processes, submitting the longest
+        expected runs first.  Returns each returned triple's
+        ``(result, traceback)`` pair; a triple missing from the answer —
+        its worker was killed, or the pool never started — is left to
+        the caller."""
+        outcomes: Dict[RunRequest, _Outcome] = {}
         longest_first = sorted(
-            misses.items(),
-            key=lambda item: -PAPER_INSTRUCTIONS.get(
-                (item[0].workload, item[0].dataset), 0
+            misses,
+            key=lambda request: -PAPER_INSTRUCTIONS.get(
+                (request.workload, request.dataset), 0
             ),
         )
         try:
             with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(self._disk.directory,),
+                max_workers=workers, initializer=_worker_init
             ) as pool:
                 futures = {
-                    pool.submit(_worker_execute, request, digest): request
-                    for request, digest in longest_first
+                    pool.submit(_worker_execute, request): request
+                    for request in longest_first
                 }
                 for future in as_completed(futures):
                     if future.exception() is None:
@@ -219,22 +207,24 @@ class WorkloadRunner:
 _WORKER_RUNNER: Optional[WorkloadRunner] = None
 
 
-def _worker_init(cache_dir: str) -> None:
-    """Build one runner per worker process so compiled programs — and the
-    engine's generated functions cached on them — are reused across the
-    runs a worker executes."""
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = WorkloadRunner(cache_dir=cache_dir)
-
-
-def _worker_execute(request: RunRequest, digest: str) -> Optional[str]:
-    """Execute one miss and publish it under its digest.
-
-    Returns ``None`` on success or a formatted traceback on failure —
-    never raises, so one bad triple cannot poison the pool.
-    """
+def _execute_captured(runner: WorkloadRunner, request: RunRequest) -> _Outcome:
+    """Execute one unmonitored run: ``(result, None)`` on success or
+    ``(None, traceback)`` on failure — never raises, so one bad triple
+    cannot poison the batch or the pool."""
     try:
-        _WORKER_RUNNER._disk.store(digest, _WORKER_RUNNER._execute(request, ()))
-        return None
+        return runner._execute(request, ()), None
     except Exception:
-        return traceback.format_exc()
+        return None, traceback.format_exc()
+
+
+def _worker_init() -> None:
+    """Build one cache-less runner per worker process so compiled
+    programs — and the engine's generated functions cached on them — are
+    reused across the runs a worker executes."""
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = WorkloadRunner(cache_dir=None)
+
+
+def _worker_execute(request: RunRequest) -> _Outcome:
+    """Execute one miss in a worker and return its outcome to the parent."""
+    return _execute_captured(_WORKER_RUNNER, request)

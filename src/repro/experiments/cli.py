@@ -37,12 +37,10 @@ def main(argv: List[str] = None) -> int:
         "--jobs",
         "-j",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help="fan independent runs across N worker processes "
-        "(0 = all cores; default: the REPRO_JOBS env var, else 1; "
-        "parallel fan-out needs the on-disk cache, so it is "
-        "disabled by --no-cache)",
+        "(0 = all cores; default: 1)",
     )
     parser.add_argument(
         "--chart",

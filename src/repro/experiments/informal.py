@@ -184,9 +184,6 @@ class PercentTakenRow:
 class PercentTakenResult:
     rows: List[PercentTakenRow]
 
-    def max_spread_program(self) -> str:
-        return max(self.rows, key=lambda row: row.spread).program
-
     def format_text(self) -> str:
         table = TextTable(
             "Branch percent-taken per dataset (a 'program constant')",

@@ -45,9 +45,9 @@ def successor_map(func: Function) -> Dict[str, List[str]]:
 def predecessor_map(func: Function) -> Dict[str, List[str]]:
     """Label -> predecessor labels, for every block (reachable or not).
 
-    Unlike :meth:`repro.ir.cfg.Function.predecessors` this does not raise on
-    edges to unknown labels; malformed modules are the validator's business,
-    and analyses should be runnable on anything the validator accepts.
+    Edges to unknown labels are skipped, not raised on: malformed modules
+    are the validator's business, and analyses should be runnable on
+    anything the validator accepts.
     """
     preds: Dict[str, List[str]] = {block.label: [] for block in func.blocks}
     for block in func.blocks:

@@ -79,18 +79,6 @@ class Function:
             if instr.op == Opcode.BR
         ]
 
-    def predecessors(self) -> Dict[str, List[str]]:
-        """Label -> list of predecessor labels."""
-        preds: Dict[str, List[str]] = {block.label: [] for block in self.blocks}
-        for block in self.blocks:
-            for succ in block.successors():
-                if succ not in preds:
-                    raise IRError(
-                        f"{self.name}/{block.label}: branch to unknown block {succ!r}"
-                    )
-                preds[succ].append(block.label)
-        return preds
-
 
 @dataclasses.dataclass
 class GlobalVar:
@@ -127,13 +115,6 @@ class Module:
     def has_function(self, name: str) -> bool:
         """Whether a function with the given name exists."""
         return any(func.name == name for func in self.functions)
-
-    def global_var(self, name: str) -> GlobalVar:
-        """Look up a global by name."""
-        for var in self.globals:
-            if var.name == name:
-                return var
-        raise IRError(f"module {self.name!r} has no global {name!r}")
 
     def branch_ids(self) -> List[BranchId]:
         """Identities of all conditional branches in the module."""

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.ir.analysis import predecessor_map
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import Instr
 from repro.ir.opcodes import BinOp, Opcode
 
 #: Maximum instructions per converted arm (excluding the terminator).
-DEFAULT_MAX_ARM_INSTRS = 8
+MAX_ARM_INSTRS = 8
 
 _PURE_OPS = (
     Opcode.CONST,
@@ -33,9 +34,9 @@ _PURE_OPS = (
 )
 
 
-def _convertible_body(block: BasicBlock, max_instrs: int) -> bool:
+def _convertible_body(block: BasicBlock) -> bool:
     body = block.body()
-    if len(body) > max_instrs:
+    if len(body) > MAX_ARM_INSTRS:
         return False
     term = block.terminator
     if term is None or term.op != Opcode.JMP:
@@ -83,19 +84,17 @@ def _rename_body(
     return cloned, mapping
 
 
-def if_convert_function(
-    func: Function, max_arm_instrs: int = DEFAULT_MAX_ARM_INSTRS
-) -> bool:
+def if_convert_function(func: Function) -> bool:
     """Convert eligible hammocks in one function; returns whether any were."""
     changed = False
-    while _convert_one(func, max_arm_instrs):
+    while _convert_one(func):
         changed = True
     return changed
 
 
-def _convert_one(func: Function, max_arm_instrs: int) -> bool:
+def _convert_one(func: Function) -> bool:
     block_map = func.block_map()
-    preds = func.predecessors()
+    preds = predecessor_map(func)
     for block in func.blocks:
         term = block.terminator
         if term is None or term.op != Opcode.BR:
@@ -104,7 +103,7 @@ def _convert_one(func: Function, max_arm_instrs: int) -> bool:
         if then_label == else_label:
             continue
         then_block = block_map[then_label]
-        if not _is_arm(then_block, block.label, preds, max_arm_instrs):
+        if not _is_arm(then_block, block.label, preds):
             continue
         join_label = then_block.terminator.then_label
         else_block: Optional[BasicBlock] = None
@@ -112,7 +111,7 @@ def _convert_one(func: Function, max_arm_instrs: int) -> bool:
             pass  # one-sided hammock: empty else arm
         else:
             candidate = block_map[else_label]
-            if not _is_arm(candidate, block.label, preds, max_arm_instrs):
+            if not _is_arm(candidate, block.label, preds):
                 continue
             if candidate.terminator.then_label != join_label:
                 continue
@@ -126,12 +125,9 @@ def _convert_one(func: Function, max_arm_instrs: int) -> bool:
 
 
 def _is_arm(
-    block: BasicBlock, only_pred: str, preds: Dict[str, List[str]], limit: int
+    block: BasicBlock, only_pred: str, preds: Dict[str, List[str]]
 ) -> bool:
-    return (
-        preds.get(block.label) == [only_pred]
-        and _convertible_body(block, limit)
-    )
+    return preds.get(block.label) == [only_pred] and _convertible_body(block)
 
 
 def _apply_conversion(

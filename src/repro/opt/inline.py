@@ -23,8 +23,11 @@ from repro.ir.cfg import BasicBlock, Function, Module
 from repro.ir.instructions import BranchId, Instr
 from repro.ir.opcodes import Opcode
 
-#: Default ceiling on callee size (instructions) for inlining.
-DEFAULT_MAX_CALLEE_INSTRS = 24
+#: Ceiling on callee size (instructions) for inlining.
+MAX_CALLEE_INSTRS = 24
+
+#: Ceiling on inlined call sites per caller, which bounds code growth.
+MAX_INLINES_PER_CALLER = 200
 
 
 def _is_leaf(func: Function) -> bool:
@@ -37,15 +40,13 @@ def _instr_count(func: Function) -> int:
     return sum(len(block.instrs) for block in func.blocks)
 
 
-def _inline_candidates(
-    module: Module, max_callee_instrs: int
-) -> Dict[str, Function]:
+def _inline_candidates(module: Module) -> Dict[str, Function]:
     return {
         func.name: func
         for func in module.functions
         if func.name != "main"
         and _is_leaf(func)
-        and _instr_count(func) <= max_callee_instrs
+        and _instr_count(func) <= MAX_CALLEE_INSTRS
     }
 
 
@@ -134,18 +135,14 @@ def _inline_one_call(
     caller.blocks[insert_at:insert_at] = cloned_blocks + [cont]
 
 
-def inline_function(
-    caller: Function,
-    candidates: Dict[str, Function],
-    max_inlines: int = 200,
-) -> bool:
+def inline_function(caller: Function, candidates: Dict[str, Function]) -> bool:
     """Inline eligible calls in one function; returns whether any were.
 
-    ``max_inlines`` bounds code growth per caller.
+    At most ``MAX_INLINES_PER_CALLER`` call sites are inlined.
     """
     changed = False
     serial = 0
-    for _ in range(max_inlines):
+    for _ in range(MAX_INLINES_PER_CALLER):
         did_inline = False
         for block_index, block in enumerate(caller.blocks):
             for instr_index, instr in enumerate(block.instrs):
@@ -170,18 +167,12 @@ def inline_function(
     return changed
 
 
-def inline_module(
-    module: Module,
-    max_callee_instrs: int = DEFAULT_MAX_CALLEE_INSTRS,
-    max_inlines_per_caller: int = 200,
-) -> bool:
+def inline_module(module: Module) -> bool:
     """Inline small leaf functions throughout the module, in place."""
-    candidates = _inline_candidates(module, max_callee_instrs)
+    candidates = _inline_candidates(module)
     if not candidates:
         return False
     changed = False
     for func in module.functions:
-        changed |= inline_function(
-            func, candidates, max_inlines=max_inlines_per_caller
-        )
+        changed |= inline_function(func, candidates)
     return changed

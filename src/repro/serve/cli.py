@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workloads", required=True,
         help="comma-separated bundled workload names",
     )
-    sweep.add_argument("--jobs", "-j", type=int, default=None)
+    sweep.add_argument("--jobs", "-j", type=int, default=1)
     sweep.set_defaults(func=cmd_upload_sweep)
 
     predict = sub.add_parser(
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-offline", action="store_true",
         help="recompute offline and fail unless the bytes match",
     )
-    predict.add_argument("--jobs", "-j", type=int, default=None)
+    predict.add_argument("--jobs", "-j", type=int, default=1)
     predict.set_defaults(func=cmd_predict)
 
     stats = sub.add_parser("stats", help="dump aggregator contents")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List
+from typing import List
 
 #: Directory holding the .mf program sources.
 PROGRAMS_DIR = os.path.join(os.path.dirname(__file__), "programs")
@@ -63,9 +63,6 @@ class Workload:
             if dataset.name == name:
                 return dataset
         raise KeyError(f"workload {self.name!r} has no dataset {name!r}")
-
-    def dataset_map(self) -> Dict[str, Dataset]:
-        return {dataset.name: dataset for dataset in self.datasets}
 
 
 def encode_ints(*values: int) -> bytes:

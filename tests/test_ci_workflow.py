@@ -144,6 +144,25 @@ def test_dynamic_equivalence_runs_each_side_on_its_own_cache(workflow):
     assert caches[0].group(1) != caches[1].group(1)
 
 
+def test_cacheless_all_runs_serial_and_jobs2_and_compares(workflow):
+    """Workers return their results through the pool, so --no-cache still
+    fans out; CI checks that batch against the serial one."""
+    steps = [
+        run for run in _run_lines(workflow["jobs"]["examples"])
+        if "repro-experiments all" in run
+    ]
+    assert len(steps) == 1
+    commands = [
+        line for line in steps[0].splitlines()
+        if "repro-experiments all" in line
+    ]
+    assert len(commands) == 2
+    assert all("--no-cache" in line for line in commands)
+    assert ["--jobs 2" in line for line in commands] == [False, True]
+    outputs = [line.split(">")[1].strip() for line in commands]
+    assert f"cmp {outputs[0]} {outputs[1]}" in steps[0]
+
+
 def test_setup_python_uses_pip_caching(workflow):
     for name, job in workflow["jobs"].items():
         setup_steps = [

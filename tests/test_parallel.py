@@ -80,21 +80,60 @@ def test_run_many_rejects_unknown_on_error_mode(tmp_path):
         runner.run_many(SWEEP, on_error="ignore")
 
 
-def test_disabled_disk_cache_falls_back_to_in_process():
-    runner = WorkloadRunner(cache_dir=None, jobs=2)
-    results = runner.run_many(SWEEP[:2])
-    assert results[0].instructions > 0
-    assert results[1].instructions > 0
+def _spy_on_pool(monkeypatch):
+    """Record what each ``_run_pool`` call returns to the parent."""
+    returned = []
+    real_run_pool = WorkloadRunner._run_pool
+
+    def spy(self, *args):
+        outcomes = real_run_pool(self, *args)
+        returned.append(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(WorkloadRunner, "_run_pool", spy)
+    return returned
+
+
+def test_cacheless_batch_fans_out_and_matches_serial(monkeypatch):
+    expected = _dicts(WorkloadRunner(cache_dir=None).run_many(SWEEP))
+    returned = _spy_on_pool(monkeypatch)
+    fanout = WorkloadRunner(cache_dir=None, jobs=2)
+    assert _dicts(fanout.run_many(SWEEP)) == expected
+    assert len(returned) == 1
+    assert set(returned[0]) == set(SWEEP)
+    assert all(error is None for _, error in returned[0].values())
+
+
+def test_parent_is_the_only_cache_reader_and_writer(tmp_path, monkeypatch):
+    """Every lookup and store of a fanned-out batch happens in the parent:
+    the log is a file, so a call made in a forked worker would show up
+    under the worker's pid."""
+    log = tmp_path / "calls.log"
+    for name in ("load", "store"):
+        def logged(cache, *args, _real=getattr(DiskCache, name), _name=name):
+            with open(log, "a") as handle:
+                handle.write(f"{_name} {os.getpid()}\n")
+            return _real(cache, *args)
+
+        monkeypatch.setattr(DiskCache, name, logged)
+    returned = _spy_on_pool(monkeypatch)
+    cache_dir = tmp_path / "cache"
+    WorkloadRunner(cache_dir=str(cache_dir), jobs=2).run_many(SWEEP)
+    assert [set(outcomes) for outcomes in returned] == [set(SWEEP)]
+    calls = collections.Counter(log.read_text().splitlines())
+    parent = os.getpid()
+    assert calls == {f"load {parent}": len(SWEEP), f"store {parent}": len(SWEEP)}
+    assert len(list(cache_dir.iterdir())) == len(SWEEP)
 
 
 _REAL_WORKER = runner_module._worker_execute
 
 
-def _worker_dies_on_doduc_small(request, digest):
+def _worker_dies_on_doduc_small(request):
     """A pool worker entry that kills its own process on one triple."""
     if (request.workload, request.dataset) == ("doduc", "small"):
         os._exit(1)
-    return _REAL_WORKER(request, digest)
+    return _REAL_WORKER(request)
 
 
 def _refuse_to_start(*args, **kwargs):
@@ -135,7 +174,7 @@ def test_pool_submits_the_longest_run_first(tmp_path, monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def submit(self, fn, request, digest):
+        def submit(self, fn, request):
             submitted.append(request)
             future = Future()
             future.set_exception(RuntimeError("not run"))
@@ -230,41 +269,23 @@ def test_dataset_requests_expands_configs():
 
 
 class TestResolveJobs:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert resolve_jobs(3) == 3
-
-    def test_env_var_parsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_jobs(None) == 4
-        assert WorkloadRunner(cache_dir=None).jobs == 4
-
-    def test_blank_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "  ")
-        assert resolve_jobs(None) == 1
+    def test_default_is_one(self):
+        assert WorkloadRunner(cache_dir=None).jobs == 1
 
     def test_zero_means_all_cores(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
 
-    def test_invalid_values_raise(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "two")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            resolve_jobs(None)
+    def test_invalid_values_raise(self):
         with pytest.raises(ValueError, match=">= 0"):
             resolve_jobs(-1)
 
 
-def test_cli_jobs_output_matches_serial(tmp_path, capsys, monkeypatch):
+def test_cli_jobs_output_matches_serial(capsys):
     from repro.experiments.cli import main
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
-    assert main(["table3", "--jobs", "2"]) == 0
+    assert main(["table3", "--no-cache", "--jobs", "2"]) == 0
     parallel_out = capsys.readouterr().out
-    assert main(["table3"]) == 0
+    assert main(["table3", "--no-cache"]) == 0
     serial_out = capsys.readouterr().out
     assert parallel_out == serial_out
     assert "Table 3" in parallel_out
