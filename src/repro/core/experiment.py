@@ -13,9 +13,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.runner import WorkloadRunner
 from repro.metrics.ipb import ipb_no_prediction, ipb_with_predictor
 from repro.prediction.base import ProfilePredictor, StaticPredictor
-from repro.prediction.combine import combine_profiles
+from repro.prediction.combine import database_predict
 from repro.prediction.evaluate import PredictionReport, evaluate_static
 from repro.profiling.branch_profile import BranchProfile
+from repro.profiling.database import ProfileDatabase
 from repro.vm.counters import RunResult
 
 
@@ -56,7 +57,7 @@ class CrossDatasetExperiment:
         self.runner = runner
         self.workload_name = workload_name
         self._runs: Optional[Dict[str, RunResult]] = None
-        self._profiles: Optional[Dict[str, BranchProfile]] = None
+        self._database: Optional[ProfileDatabase] = None
 
     @property
     def runs(self) -> Dict[str, RunResult]:
@@ -65,43 +66,50 @@ class CrossDatasetExperiment:
         return self._runs
 
     @property
-    def profiles(self) -> Dict[str, BranchProfile]:
-        if self._profiles is None:
-            self._profiles = {
-                name: BranchProfile.from_run(run)
-                for name, run in self.runs.items()
-            }
-        return self._profiles
+    def database(self) -> ProfileDatabase:
+        """One profile per dataset, recorded from that dataset's run."""
+        if self._database is None:
+            self._database = ProfileDatabase()
+            for name, run in self.runs.items():
+                self._database.record(run, name)
+        return self._database
 
     def dataset_names(self) -> List[str]:
         return list(self.runs.keys())
 
+    def profile(self, dataset: str) -> BranchProfile:
+        return self.database.dataset_profile(self.workload_name, dataset)
+
     # -- predictors ---------------------------------------------------------
 
     def self_predictor(self, dataset: str) -> StaticPredictor:
-        return ProfilePredictor(self.profiles[dataset], name="self")
+        return ProfilePredictor(self.profile(dataset), name="self")
 
     def single_predictor(self, predictor_dataset: str) -> StaticPredictor:
         return ProfilePredictor(
-            self.profiles[predictor_dataset], name=predictor_dataset
+            self.profile(predictor_dataset), name=predictor_dataset
         )
 
     def combined_predictor(
-        self, exclude: str, mode: str = "scaled"
+        self, exclude: Optional[str] = None, mode: str = "scaled"
     ) -> StaticPredictor:
-        """The leave-one-out summary predictor (Figure 2 white bars)."""
-        rest = [
-            profile
-            for name, profile in self.profiles.items()
-            if name != exclude
-        ]
-        combined = combine_profiles(rest, mode=mode, program=self.workload_name)
+        """The summary predictor over every dataset but ``exclude``
+        (Figure 2 white bars); ``None`` combines them all."""
+        combined, _ = database_predict(
+            self.database, self.workload_name, mode=mode, exclude=exclude
+        )
         return ProfilePredictor(combined, name=f"sum-others({mode})")
 
     # -- measurements ---------------------------------------------------------
 
     def ipb(self, target: str, predictor: StaticPredictor) -> float:
         return ipb_with_predictor(self.runs[target], predictor)
+
+    def quality(self, target: str, predictor: StaticPredictor) -> float:
+        """``predictor``'s IPB on ``target`` as a fraction of the
+        self-prediction bound; 0.0 when the bound is 0."""
+        bound = self.ipb(target, self.self_predictor(target))
+        return self.ipb(target, predictor) / bound if bound else 0.0
 
     def report(self, target: str, predictor: StaticPredictor) -> PredictionReport:
         return evaluate_static(self.runs[target], predictor)

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.core.parallel import RunRequest
 from repro.core.runner import RunConfig, WorkloadRunner
@@ -20,7 +20,7 @@ from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_no_prediction, ipb_self_prediction
 
 #: Call-heavy programs where the ablations are most interesting.
-DEFAULT_PROGRAMS = [
+PROGRAMS = [
     ("li", "sieve1"),
     ("gcc", "module6"),
     ("spice2g6", "greybig"),
@@ -29,12 +29,12 @@ DEFAULT_PROGRAMS = [
 ]
 
 
-def _prewarm(runner: WorkloadRunner, programs, variant: RunConfig) -> None:
+def _prewarm(runner: WorkloadRunner, variant: RunConfig) -> None:
     """Batch the base and variant runs of every ablated triple."""
     runner.run_many(
         [
             RunRequest(program, dataset, config)
-            for program, dataset in programs
+            for program, dataset in PROGRAMS
             for config in (RunConfig(), variant)
         ]
     )
@@ -79,16 +79,11 @@ class InliningResult:
         return table.format_text()
 
 
-def inlining(
-    runner: Optional[WorkloadRunner] = None,
-    programs=DEFAULT_PROGRAMS,
-) -> InliningResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def inlining(runner: WorkloadRunner) -> InliningResult:
     inline_config = RunConfig(inline=True)
-    _prewarm(runner, programs, inline_config)
+    _prewarm(runner, inline_config)
     rows: List[InliningRow] = []
-    for program, dataset in programs:
+    for program, dataset in PROGRAMS:
         base = runner.run(program, dataset)
         inlined = runner.run(program, dataset, config=inline_config)
         rows.append(
@@ -158,16 +153,11 @@ class IfConversionResult:
         return table.format_text()
 
 
-def if_conversion(
-    runner: Optional[WorkloadRunner] = None,
-    programs=DEFAULT_PROGRAMS,
-) -> IfConversionResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def if_conversion(runner: WorkloadRunner) -> IfConversionResult:
     converted_config = RunConfig(if_conversion=True)
-    _prewarm(runner, programs, converted_config)
+    _prewarm(runner, converted_config)
     rows: List[IfConversionRow] = []
-    for program, dataset in programs:
+    for program, dataset in PROGRAMS:
         base = runner.run(program, dataset)
         converted = runner.run(program, dataset, config=converted_config)
         rows.append(
@@ -202,9 +192,7 @@ class AblationsResult:
         )
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> AblationsResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> AblationsResult:
     return AblationsResult(
         inlining=inlining(runner), if_conversion=if_conversion(runner)
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.experiment import CrossDatasetExperiment
 from repro.core.parallel import dataset_requests
@@ -52,17 +52,18 @@ def weighted_coverage(
     return covered / total
 
 
-def threshold_coverage(
-    predictor: BranchProfile,
-    target: BranchProfile,
-    relative_threshold: float = 1e-4,
-) -> float:
+#: The share of its own branch executions a predictor branch must exceed
+#: to count toward thresholded coverage.
+RELATIVE_THRESHOLD = 1e-4
+
+
+def threshold_coverage(predictor: BranchProfile, target: BranchProfile) -> float:
     """Like weighted coverage, but the predictor must have executed the
-    branch more than ``relative_threshold`` of its own total."""
+    branch more than ``RELATIVE_THRESHOLD`` of its own total."""
     total = target.total_executed
     if not total:
         return 1.0
-    floor = predictor.total_executed * relative_threshold
+    floor = predictor.total_executed * RELATIVE_THRESHOLD
     covered = sum(
         executed
         for branch_id, (executed, _) in target.counts.items()
@@ -137,36 +138,26 @@ class CoverageResult:
         return table.format_text()
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> CoverageResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> CoverageResult:
     runner.run_many(dataset_requests(multi_dataset_workloads()))
     pairs: List[CoveragePair] = []
     for workload in multi_dataset_workloads():
         experiment = CrossDatasetExperiment(runner, workload.name)
         names = experiment.dataset_names()
-        profiles = experiment.profiles
         for target in names:
-            self_ipb = experiment.ipb(target, experiment.self_predictor(target))
+            target_profile = experiment.profile(target)
             for predictor_name in names:
                 if predictor_name == target:
                     continue
-                quality = (
-                    experiment.ipb(
-                        target, experiment.single_predictor(predictor_name)
-                    )
-                    / self_ipb
-                    if self_ipb
-                    else 0.0
-                )
-                predictor_profile = profiles[predictor_name]
-                target_profile = profiles[target]
+                predictor_profile = experiment.profile(predictor_name)
                 pairs.append(
                     CoveragePair(
                         workload=workload.name,
                         predictor=predictor_name,
                         target=target,
-                        quality=quality,
+                        quality=experiment.quality(
+                            target, experiment.single_predictor(predictor_name)
+                        ),
                         measures={
                             "weighted_coverage": weighted_coverage(
                                 predictor_profile, target_profile

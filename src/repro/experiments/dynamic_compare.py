@@ -146,13 +146,11 @@ class DynamicCompareResult:
 
 
 def run(
-    runner: Optional[WorkloadRunner] = None,
+    runner: WorkloadRunner,
     programs: Optional[Sequence[str]] = None,
     table_sizes: Sequence[int] = DEFAULT_TABLE_SIZES,
 ) -> DynamicCompareResult:
     """Sweep programs x datasets x predictors x table sizes."""
-    if runner is None:
-        runner = WorkloadRunner()
     program_names = list(DEFAULT_PROGRAMS if programs is None else programs)
     sizes = tuple(sorted(table_sizes))
 

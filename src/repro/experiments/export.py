@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Optional
 
 from repro.core.runner import WorkloadRunner
 from repro.experiments import EXPERIMENTS
@@ -28,16 +27,14 @@ def _plain(value):
     return value
 
 
-def collect(runner: Optional[WorkloadRunner] = None) -> dict:
+def collect(runner: WorkloadRunner) -> dict:
     """Run every experiment and return one JSON-compatible document."""
-    if runner is None:
-        runner = WorkloadRunner()
     return {
         name: _plain(module.run(runner)) for name, module in EXPERIMENTS.items()
     }
 
 
-def export_json(path: str, runner: Optional[WorkloadRunner] = None) -> dict:
+def export_json(path: str, runner: WorkloadRunner) -> dict:
     """Write the full results document to ``path``; returns it too."""
     document = collect(runner)
     with open(path, "w") as handle:

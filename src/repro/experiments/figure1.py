@@ -8,7 +8,7 @@ assumes an ILP compiler eliminates them by code layout.)
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
@@ -72,9 +72,7 @@ class Figure1Result:
         return "\n\n".join(sections)
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> Figure1Result:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> Figure1Result:
     runner.run_many(dataset_requests(all_workloads()))
     fortran_bars: List[Figure1Bar] = []
     c_bars: List[Figure1Bar] = []

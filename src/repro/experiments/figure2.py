@@ -8,7 +8,7 @@ mispredicted branches plus indirect calls and their returns.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Callable, List, Tuple, TypeVar
 
 from repro.core.experiment import CrossDatasetExperiment, DatasetPrediction
 from repro.core.parallel import dataset_requests
@@ -20,15 +20,32 @@ from repro.workloads.registry import all_workloads
 SPICE = "spice2g6"
 
 
-def _studied_workloads():
-    """The multi-dataset workloads Figures 2 and 3 measure (spice plus
-    the C/integer programs; stable-dataset FORTRAN programs are Table 3)."""
-    return [
+Bar = TypeVar("Bar")
+
+
+def studied_panels(
+    runner: WorkloadRunner,
+    bar: Callable[[CrossDatasetExperiment, str], Bar],
+) -> Tuple[List[Bar], List[Bar]]:
+    """One ``bar(experiment, dataset)`` per dataset of the multi-dataset
+    workloads Figures 2 and 3 measure, as (spice2g6 panel, C/integer
+    panel); stable-dataset FORTRAN programs are Table 3.  Every run is
+    fetched in one batch first."""
+    studied = [
         workload
         for workload in all_workloads()
         if len(workload.datasets) >= 2
         and (workload.name == SPICE or workload.category == C)
     ]
+    runner.run_many(dataset_requests(studied))
+    spice_bars: List[Bar] = []
+    c_bars: List[Bar] = []
+    for workload in studied:
+        experiment = CrossDatasetExperiment(runner, workload.name)
+        bucket = spice_bars if workload.name == SPICE else c_bars
+        for dataset in experiment.dataset_names():
+            bucket.append(bar(experiment, dataset))
+    return spice_bars, c_bars
 
 
 @dataclasses.dataclass
@@ -87,24 +104,11 @@ class Figure2Result:
         return "\n\n".join(sections)
 
 
-def run(
-    runner: Optional[WorkloadRunner] = None, mode: str = "scaled"
-) -> Figure2Result:
-    if runner is None:
-        runner = WorkloadRunner()
-    runner.run_many(dataset_requests(_studied_workloads()))
-    spice_bars: List[DatasetPrediction] = []
-    c_bars: List[DatasetPrediction] = []
-    for workload in all_workloads():
-        if len(workload.datasets) < 2:
-            continue
-        if workload.name == SPICE:
-            bucket = spice_bars
-        elif workload.category == C:
-            bucket = c_bars
-        else:
-            continue  # FORTRAN programs with stable datasets are Table 3
-        experiment = CrossDatasetExperiment(runner, workload.name)
-        for dataset in experiment.dataset_names():
-            bucket.append(experiment.dataset_prediction(dataset, mode=mode))
+def run(runner: WorkloadRunner, mode: str = "scaled") -> Figure2Result:
+    spice_bars, c_bars = studied_panels(
+        runner,
+        lambda experiment, dataset: experiment.dataset_prediction(
+            dataset, mode=mode
+        ),
+    )
     return Figure2Result(spice_bars=spice_bars, c_bars=c_bars)

@@ -7,15 +7,12 @@ dataset, and how close we come with the worst."
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.core.experiment import BestWorstPrediction, CrossDatasetExperiment
-from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
-from repro.experiments.figure2 import SPICE, _studied_workloads
+from repro.experiments.figure2 import studied_panels
 from repro.experiments.report import TextTable
-from repro.workloads.base import C
-from repro.workloads.registry import all_workloads
 
 
 @dataclasses.dataclass
@@ -77,22 +74,6 @@ class Figure3Result:
         return "\n\n".join(sections)
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> Figure3Result:
-    if runner is None:
-        runner = WorkloadRunner()
-    runner.run_many(dataset_requests(_studied_workloads()))
-    spice_bars: List[BestWorstPrediction] = []
-    c_bars: List[BestWorstPrediction] = []
-    for workload in all_workloads():
-        if len(workload.datasets) < 2:
-            continue
-        if workload.name == SPICE:
-            bucket = spice_bars
-        elif workload.category == C:
-            bucket = c_bars
-        else:
-            continue
-        experiment = CrossDatasetExperiment(runner, workload.name)
-        for dataset in experiment.dataset_names():
-            bucket.append(experiment.best_worst(dataset))
+def run(runner: WorkloadRunner) -> Figure3Result:
+    spice_bars, c_bars = studied_panels(runner, CrossDatasetExperiment.best_worst)
     return Figure3Result(spice_bars=spice_bars, c_bars=c_bars)

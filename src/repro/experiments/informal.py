@@ -16,14 +16,12 @@ from repro.core.experiment import CrossDatasetExperiment
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_self_prediction, ipb_with_predictor
-from repro.prediction.base import ProfilePredictor
-from repro.prediction.combine import COMBINE_MODES, combine_profiles
+from repro.prediction.combine import COMBINE_MODES
 from repro.prediction.evaluate import self_prediction
 from repro.prediction.heuristics import (
     LoopHeuristicPredictor,
     OpcodeHeuristicPredictor,
 )
-from repro.profiling.branch_profile import BranchProfile
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.score import DynamicScoreMonitor
 from repro.workloads.registry import all_workloads, multi_dataset_workloads
@@ -69,19 +67,18 @@ class CombineModeResult:
         return table.format_text()
 
 
-def combine_modes(runner: Optional[WorkloadRunner] = None) -> CombineModeResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def combine_modes(runner: WorkloadRunner) -> CombineModeResult:
     rows: List[CombineModeRow] = []
     for workload in multi_dataset_workloads():
         experiment = CrossDatasetExperiment(runner, workload.name)
         fractions = {mode: [] for mode in COMBINE_MODES}
         for target in experiment.dataset_names():
-            self_ipb = experiment.ipb(target, experiment.self_predictor(target))
             for mode in COMBINE_MODES:
-                predictor = experiment.combined_predictor(target, mode=mode)
-                value = experiment.ipb(target, predictor)
-                fractions[mode].append(value / self_ipb if self_ipb else 0.0)
+                fractions[mode].append(
+                    experiment.quality(
+                        target, experiment.combined_predictor(target, mode=mode)
+                    )
+                )
         rows.append(
             CombineModeRow(
                 program=workload.name,
@@ -142,9 +139,7 @@ class HeuristicResult:
         return table.format_text()
 
 
-def heuristics(runner: Optional[WorkloadRunner] = None) -> HeuristicResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def heuristics(runner: WorkloadRunner) -> HeuristicResult:
     rows: List[HeuristicRow] = []
     for workload in all_workloads():
         compiled = runner.compiled(workload.name)
@@ -203,9 +198,7 @@ class PercentTakenResult:
         return table.format_text()
 
 
-def percent_taken(runner: Optional[WorkloadRunner] = None) -> PercentTakenResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def percent_taken(runner: WorkloadRunner) -> PercentTakenResult:
     rows: List[PercentTakenRow] = []
     for workload in multi_dataset_workloads():
         per_dataset = {
@@ -245,20 +238,9 @@ class CompressCrossResult:
         return table.format_text()
 
 
-def compress_cross(
-    runner: Optional[WorkloadRunner] = None,
-) -> CompressCrossResult:
-    if runner is None:
-        runner = WorkloadRunner()
-    profiles = {
-        mode: combine_profiles(
-            [
-                BranchProfile.from_run(result)
-                for result in runner.run_all(mode).values()
-            ],
-            mode="scaled",
-            program=mode,
-        )
+def compress_cross(runner: WorkloadRunner) -> CompressCrossResult:
+    experiments = {
+        mode: CrossDatasetExperiment(runner, mode)
         for mode in ("compress", "uncompress")
     }
     fraction_by_target: Dict[str, float] = {}
@@ -267,20 +249,14 @@ def compress_cross(
         ("compress", "uncompress"),
         ("uncompress", "compress"),
     ):
-        experiment = CrossDatasetExperiment(runner, target_mode)
+        experiment = experiments[target_mode]
+        other_predictor = experiments[other_mode].combined_predictor()
         cross_fractions = []
         same_fractions = []
         for dataset in experiment.dataset_names():
-            self_ipb = experiment.ipb(dataset, experiment.self_predictor(dataset))
-            other_predictor = ProfilePredictor(
-                profiles[other_mode], name=other_mode
-            )
-            cross_fractions.append(
-                experiment.ipb(dataset, other_predictor) / self_ipb
-            )
+            cross_fractions.append(experiment.quality(dataset, other_predictor))
             same_fractions.append(
-                experiment.ipb(dataset, experiment.combined_predictor(dataset))
-                / self_ipb
+                experiment.quality(dataset, experiment.combined_predictor(dataset))
             )
         fraction_by_target[target_mode] = sum(cross_fractions) / len(cross_fractions)
         same_mode_fraction[target_mode] = sum(same_fractions) / len(same_fractions)
@@ -336,11 +312,9 @@ class DynamicResult:
 
 
 def dynamic_comparison(
-    runner: Optional[WorkloadRunner] = None,
+    runner: WorkloadRunner,
     programs: Optional[List[str]] = None,
 ) -> DynamicResult:
-    if runner is None:
-        runner = WorkloadRunner()
     rows: List[DynamicRow] = []
     for workload in all_workloads():
         if programs is not None and workload.name not in programs:
@@ -416,11 +390,7 @@ class WrongMeasureResult:
         return table.format_text()
 
 
-def wrong_measure(
-    runner: Optional[WorkloadRunner] = None,
-) -> WrongMeasureResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def wrong_measure(runner: WorkloadRunner) -> WrongMeasureResult:
     rows: List[WrongMeasureRow] = []
     for program, dataset in (
         ("fpppp", "4atoms"),
@@ -468,9 +438,7 @@ class InformalResult:
         )
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> InformalResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> InformalResult:
     return InformalResult(
         combine_modes=combine_modes(runner),
         heuristics=heuristics(runner),

@@ -7,7 +7,7 @@ one place.  EXPERIMENTS.md quotes from it.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
@@ -54,9 +54,7 @@ class OverviewResult:
         return table.format_text()
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> OverviewResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> OverviewResult:
     rows: List[RunSummary] = []
     categories = {}
     for workload in all_workloads():

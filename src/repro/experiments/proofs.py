@@ -107,9 +107,7 @@ class ProofsResult:
         return table.format_text()
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> ProofsResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> ProofsResult:
     workloads = all_workloads()
     runner.run_many(
         [

@@ -14,7 +14,7 @@ process would sit near 0; a memoryless one near 1) quantifies the claim.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
@@ -77,11 +77,9 @@ def _self_directions(run) -> List[bool]:
 
 
 def run(
-    runner: Optional[WorkloadRunner] = None,
+    runner: WorkloadRunner,
     programs=DEFAULT_PROGRAMS,
 ) -> RunLengthResult:
-    if runner is None:
-        runner = WorkloadRunner()
     rows: List[RunLengthRow] = []
     for program, dataset in programs:
         baseline = runner.run(program, dataset)

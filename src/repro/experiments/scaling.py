@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional
+from typing import List
 
 from repro.core.experiment import CrossDatasetExperiment
 from repro.core.parallel import dataset_requests
@@ -63,9 +63,7 @@ class ScalingResult:
         return table.format_text()
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> ScalingResult:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> ScalingResult:
     runner.run_many(dataset_requests(multi_dataset_workloads()))
     pairs: List[ScalingPair] = []
     for workload in multi_dataset_workloads():
@@ -75,25 +73,18 @@ def run(runner: Optional[WorkloadRunner] = None) -> ScalingResult:
             name: experiment.runs[name].instructions for name in names
         }
         for target in names:
-            self_ipb = experiment.ipb(target, experiment.self_predictor(target))
             for predictor_name in names:
                 if predictor_name == target:
                     continue
-                quality = (
-                    experiment.ipb(
-                        target, experiment.single_predictor(predictor_name)
-                    )
-                    / self_ipb
-                    if self_ipb
-                    else 0.0
-                )
                 pairs.append(
                     ScalingPair(
                         workload=workload.name,
                         predictor=predictor_name,
                         target=target,
                         length_ratio=lengths[target] / lengths[predictor_name],
-                        quality=quality,
+                        quality=experiment.quality(
+                            target, experiment.single_predictor(predictor_name)
+                        ),
                     )
                 )
     correlation = pearson(

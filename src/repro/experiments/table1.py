@@ -72,10 +72,8 @@ class Table1Result:
         return table.format_text()
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> Table1Result:
+def run(runner: WorkloadRunner) -> Table1Result:
     """Measure Table 1 over every SPEC-analog program."""
-    if runner is None:
-        runner = WorkloadRunner()
     runner.run_many(
         dataset_requests(
             [get_workload(program) for program in PAPER_DEAD_CODE],

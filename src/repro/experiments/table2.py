@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
+from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.workloads.base import FORTRAN
 from repro.workloads.registry import all_workloads
@@ -31,7 +32,7 @@ class Table2Result:
         return table.format_text()
 
 
-def run(runner: Optional[object] = None) -> Table2Result:
+def run(runner: WorkloadRunner) -> Table2Result:
     """Produce the inventory (runner accepted for interface uniformity)."""
     rows = [
         Table2Row(

@@ -8,7 +8,7 @@ almost perfectly."
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.parallel import RunRequest
 from repro.core.runner import WorkloadRunner
@@ -76,9 +76,7 @@ class Table3Result:
         return table.format_text()
 
 
-def run(runner: Optional[WorkloadRunner] = None) -> Table3Result:
-    if runner is None:
-        runner = WorkloadRunner()
+def run(runner: WorkloadRunner) -> Table3Result:
     runner.run_many(
         [RunRequest(program, dataset) for program, dataset, _ in PAPER_TABLE3]
     )

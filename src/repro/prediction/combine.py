@@ -15,12 +15,18 @@ mode (scaled weighting would even divide by zero), so they are skipped:
 they add neither counts nor runs.  In every mode the combined profile's
 ``runs`` is the total number of underlying runs of the profiles that
 actually contributed.
+
+``database_predict`` is the one summary predictor over a
+``ProfileDatabase``: the experiments (through ``CrossDatasetExperiment``),
+the profile server and the client's offline fallback all call it, so
+they combine the same profiles in the same order and get the same floats.
 """
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Tuple
 
 from repro.profiling.branch_profile import BranchProfile
+from repro.profiling.database import ProfileDatabase
 
 COMBINE_MODES = ("scaled", "unscaled", "polling")
 
@@ -62,6 +68,39 @@ def combine_profiles(
             combined.add_profile(votes)
     combined.runs = sum(profile.runs for profile in used)
     return combined
+
+
+def database_predict(
+    database: ProfileDatabase,
+    program: str,
+    mode: str = "scaled",
+    exclude: Optional[str] = None,
+) -> Tuple[BranchProfile, List[str]]:
+    """The summary prediction over one database.
+
+    Dataset profiles are combined in sorted dataset-name order (the order
+    ``ProfileDatabase.datasets`` already guarantees); ``exclude`` drops
+    one dataset first — exactly ``leave_one_out`` over the sorted profile
+    list — and ``None`` combines them all.  Returns the combined profile
+    and the dataset names that fed it.
+    """
+    if mode not in COMBINE_MODES:
+        raise ValueError(f"unknown combine mode {mode!r}; use one of {COMBINE_MODES}")
+    datasets = database.datasets(program)
+    if not datasets:
+        raise KeyError(f"no profiles recorded for program {program!r}")
+    if exclude is not None:
+        if exclude not in datasets:
+            raise KeyError(
+                f"program {program!r} has no dataset {exclude!r} to exclude"
+            )
+        datasets = [name for name in datasets if name != exclude]
+        if not datasets:
+            raise ValueError(
+                f"excluding {exclude!r} leaves no datasets for {program!r}"
+            )
+    profiles = [database.dataset_profile(program, name) for name in datasets]
+    return combine_profiles(profiles, mode=mode), datasets
 
 
 def leave_one_out(

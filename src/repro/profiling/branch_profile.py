@@ -33,17 +33,6 @@ class BranchProfile:
             profile.counts[branch_id] = (float(executed), float(taken))
         return profile
 
-    def add_run(self, run: RunResult) -> None:
-        """Accumulate another run (the paper's database semantics)."""
-        if run.program != self.program:
-            raise ValueError(
-                f"profile is for {self.program!r}, run is for {run.program!r}"
-            )
-        for branch_id, (executed, taken) in run.branch_counts().items():
-            old_exec, old_taken = self.counts.get(branch_id, (0.0, 0.0))
-            self.counts[branch_id] = (old_exec + executed, old_taken + taken)
-        self.runs += 1
-
     def add_profile(self, other: "BranchProfile", weight: float = 1.0) -> None:
         """Accumulate another profile, optionally weighted."""
         for branch_id, (executed, taken) in other.counts.items():

@@ -6,15 +6,15 @@ a database for that counter during previous runs."
 
 We keep two granularities: an accumulated per-program profile (the paper's
 database) and individual per-(program, dataset) profiles, which the
-experiments need in order to form leave-one-out and single-dataset
-predictors.
+experiments and the profile server need in order to form leave-one-out
+and single-dataset predictors.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import RunResult
@@ -56,22 +56,17 @@ class ProfileDatabase:
 
     def record(self, run: RunResult, dataset: str) -> None:
         """Add one run's counters to the database."""
-        key = (run.program, dataset)
-        profile = self._by_dataset.get(key)
-        if profile is None:
-            profile = BranchProfile(program=run.program)
-            self._by_dataset[key] = profile
-        profile.add_run(run)
+        self.record_profile(run.program, dataset, BranchProfile.from_run(run))
 
     def record_profile(
         self, program: str, dataset: str, profile: BranchProfile
     ) -> None:
-        """Accumulate an already-aggregated per-run profile.
+        """Accumulate one profile into ``(program, dataset)``.
 
-        This is the profile-feedback service's upload path: clients ship a
+        Every recording goes through here: ``record`` with a run's own
+        profile, and the profile-feedback service's uploads, which ship a
         run's branch counters as a ``BranchProfile`` rather than the whole
-        ``RunResult``.  Accumulating ``BranchProfile.from_run(run)`` here is
-        float-for-float identical to ``record(run, ...)``.
+        ``RunResult``.
         """
         if profile.program != program:
             raise ValueError(
@@ -103,20 +98,15 @@ class ProfileDatabase:
         except KeyError:
             raise KeyError(f"no profile recorded for {program!r}/{dataset!r}")
 
-    def program_profile(
-        self, program: str, exclude: Optional[str] = None
-    ) -> BranchProfile:
-        """Unscaled sum of a program's dataset profiles.
-
-        ``exclude`` omits one dataset — the leave-one-out predictor the
-        paper's Figure 2 white bars use (there combined with scaling; see
-        :func:`repro.prediction.combine.combine_profiles`).
+    def program_profile(self, program: str) -> BranchProfile:
+        """Unscaled sum of a program's dataset profiles (the paper's
+        accumulated database counts).  Summary predictors over some or
+        all datasets are :func:`repro.prediction.combine.database_predict`.
         """
         merged = BranchProfile(program=program)
-        for (prog, dataset), profile in sorted(self._by_dataset.items()):
-            if prog != program or dataset == exclude:
-                continue
-            merged.add_profile(profile)
+        for (prog, _), profile in sorted(self._by_dataset.items()):
+            if prog == program:
+                merged.add_profile(profile)
         return merged
 
     # -- persistence -------------------------------------------------------------

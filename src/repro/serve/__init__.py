@@ -9,8 +9,10 @@ predictions back.  This package is that service: a threaded TCP server
 epoch-stamped aggregator over one profile database with write-behind
 persistence (`aggregator`), a resilient blocking client with offline
 degradation (`client`), and observability (`metrics`).  Served predictions are
-byte-identical to the offline ``combine_profiles``/``leave_one_out``
-path — see docs/SERVE.md for the equivalence argument.
+byte-identical to the experiments' summary predictors: the server, the
+client's fallback and ``CrossDatasetExperiment`` all combine through
+``repro.prediction.combine.database_predict`` — see docs/SERVE.md for the
+equivalence argument.
 """
 from repro.serve.aggregator import Aggregator, database_predict
 from repro.serve.client import (

@@ -7,10 +7,11 @@ persister takes the database's JSON form under the lock but does the
 disk write outside it (through ``write_json_atomic``'s atomic rename),
 so uploads are never blocked on the filesystem.
 
-``database_predict`` is the single implementation of summary prediction
-over a database — the server and the client's offline fallback both call
-it, which is what makes "served bytes == offline bytes" true by
-construction rather than by coincidence.
+Predictions go through ``repro.prediction.combine.database_predict``,
+the one summary predictor over a database: the experiments, the server
+and the client's offline fallback all call it, which is what makes
+"served bytes == offline bytes" true by construction rather than by
+coincidence.  It is re-exported here for the service's callers.
 """
 from __future__ import annotations
 
@@ -18,41 +19,9 @@ import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.prediction.combine import COMBINE_MODES, combine_profiles
+from repro.prediction.combine import database_predict
 from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase, write_json_atomic
-
-
-def database_predict(
-    database: ProfileDatabase,
-    program: str,
-    mode: str = "scaled",
-    exclude: Optional[str] = None,
-) -> Tuple[BranchProfile, List[str]]:
-    """The summary prediction contract over one database.
-
-    Dataset profiles are combined in sorted dataset-name order (the order
-    ``ProfileDatabase.datasets`` already guarantees); ``exclude`` drops
-    one dataset first — exactly ``leave_one_out`` over the sorted profile
-    list.  Returns the combined profile and the dataset names that fed it.
-    """
-    if mode not in COMBINE_MODES:
-        raise ValueError(f"unknown combine mode {mode!r}; use one of {COMBINE_MODES}")
-    datasets = database.datasets(program)
-    if not datasets:
-        raise KeyError(f"no profiles recorded for program {program!r}")
-    if exclude is not None:
-        if exclude not in datasets:
-            raise KeyError(
-                f"program {program!r} has no dataset {exclude!r} to exclude"
-            )
-        datasets = [name for name in datasets if name != exclude]
-        if not datasets:
-            raise ValueError(
-                f"excluding {exclude!r} leaves no datasets for {program!r}"
-            )
-    profiles = [database.dataset_profile(program, name) for name in datasets]
-    return combine_profiles(profiles, mode=mode), datasets
 
 
 class Aggregator:

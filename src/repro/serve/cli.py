@@ -12,8 +12,9 @@ Subcommands::
 ``upload-sweep`` runs bundled workloads locally (one cached
 ``WorkloadRunner.run_many`` batch) and then uploads every run's branch
 counters, in request order.  ``predict --verify-offline`` recomputes the same
-prediction through the offline ``combine_profiles`` path and fails unless
-the served bytes match exactly — the round-trip check CI runs.
+prediction offline from the profile database the experiments predict
+from and fails unless the served bytes match exactly — the round-trip
+check CI runs.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from repro.prediction.combine import COMBINE_MODES
 from repro.serve import protocol
-from repro.serve.aggregator import Aggregator, database_predict
+from repro.serve.aggregator import Aggregator
 from repro.serve.client import ProfileClient, RetryPolicy
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, ProfileServer
 
@@ -97,19 +98,15 @@ def cmd_upload_sweep(args) -> int:
 
 
 def _offline_profile_bytes(args) -> bytes:
-    """The offline path: rebuild the same per-dataset profiles locally and
-    combine them with the library code the experiments use."""
+    """The offline path: the summary predictor of the program's
+    ``CrossDatasetExperiment``, the one Figure 2 predicts with."""
+    from repro.core.experiment import CrossDatasetExperiment
     from repro.core.runner import WorkloadRunner
-    from repro.profiling.database import ProfileDatabase
 
     runner = WorkloadRunner(jobs=args.jobs)
-    database = ProfileDatabase()
-    for dataset, result in runner.run_all(args.program).items():
-        database.record(result, dataset)
-    profile, _ = database_predict(
-        database, args.program, mode=args.mode, exclude=args.exclude
-    )
-    return protocol.canonical_profile_bytes(profile)
+    experiment = CrossDatasetExperiment(runner, args.program)
+    predictor = experiment.combined_predictor(args.exclude, mode=args.mode)
+    return protocol.canonical_profile_bytes(predictor.profile)
 
 
 def cmd_predict(args) -> int:
@@ -130,7 +127,7 @@ def cmd_predict(args) -> int:
         if served != offline:
             print(
                 "predict: MISMATCH — served bytes differ from the offline "
-                "combine_profiles path",
+                "summary predictor",
                 file=sys.stderr,
             )
             return 1

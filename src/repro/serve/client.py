@@ -23,10 +23,10 @@ import socket
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.prediction.combine import database_predict
 from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase
 from repro.serve import protocol
-from repro.serve.aggregator import database_predict
 from repro.vm.counters import RunResult
 
 
@@ -43,13 +43,11 @@ class RetryPolicy:
     """How transport failures are retried.
 
     ``attempts`` counts total tries (first one included); the delay before
-    retry ``k`` is ``backoff * multiplier**(k-1)``, capped at
-    ``max_backoff``.
+    retry ``k`` is ``backoff * 2**(k-1)``, capped at ``max_backoff``.
     """
 
     attempts: int = 4
     backoff: float = 0.05
-    multiplier: float = 2.0
     max_backoff: float = 1.0
 
     def __post_init__(self) -> None:
@@ -61,7 +59,7 @@ class RetryPolicy:
         delay = self.backoff
         for _ in range(self.attempts - 1):
             yield min(delay, self.max_backoff)
-            delay *= self.multiplier
+            delay *= 2
 
 
 @dataclasses.dataclass

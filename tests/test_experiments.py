@@ -67,13 +67,13 @@ class TestTable1:
 
 
 class TestTable2:
-    def test_inventory_matches_registry(self):
-        result = table2.run()
+    def test_inventory_matches_registry(self, runner):
+        result = table2.run(runner)
         names = [row.program for row in result.rows]
         assert names[0] == "spice2g6" and "li" in names and len(names) == 15
 
-    def test_formatting(self):
-        text = table2.run().format_text()
+    def test_formatting(self, runner):
+        text = table2.run(runner).format_text()
         assert "greybig" in text and "fortran_metric" in text
 
 

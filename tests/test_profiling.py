@@ -2,6 +2,7 @@
 import pytest
 
 from repro.ir.instructions import BranchId
+from repro.prediction.combine import database_predict
 from repro.profiling import BranchProfile, IfProbber, ProfileDatabase
 
 from tests.helpers import compile_and_run
@@ -41,20 +42,24 @@ def test_direction_tie_predicts_not_taken():
     assert profile.direction(BranchId("f", 0)) is False
 
 
-def test_add_run_accumulates():
+def test_database_record_accumulates_runs():
     run = compile_and_run(BIASED_LOOP)
-    profile = BranchProfile.from_run(run)
-    profile.add_run(run)
+    database = ProfileDatabase()
+    database.record(run, "d1")
+    database.record(run, "d1")
+    profile = database.dataset_profile(run.program, "d1")
     assert profile.runs == 2
     assert profile.counts[BranchId("main", 0)] == (42.0, 40.0)
 
 
-def test_add_run_program_mismatch_raises():
+def test_database_record_profile_into_other_program_raises():
     run = compile_and_run(BIASED_LOOP, name="a")
     other = compile_and_run(BIASED_LOOP, name="b")
-    profile = BranchProfile.from_run(run)
+    database = ProfileDatabase()
+    database.record(run, "d1")
     with pytest.raises(ValueError):
-        profile.add_run(other)
+        database.record_profile("a", "d1", BranchProfile.from_run(other))
+    assert database.dataset_profile("a", "d1").runs == 1
 
 
 def test_weighted_add_profile():
@@ -98,7 +103,8 @@ def test_database_leave_one_out():
     run = compile_and_run(BIASED_LOOP, name="prog")
     database.record(run, "d1")
     database.record(run, "d2")
-    loo = database.program_profile("prog", exclude="d2")
+    loo, datasets = database_predict(database, "prog", "unscaled", exclude="d2")
+    assert datasets == ["d1"]
     assert loo.counts[BranchId("main", 0)] == (21.0, 20.0)
 
 

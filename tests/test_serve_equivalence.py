@@ -16,6 +16,7 @@ sorts), and float summation is order-sensitive, so the gate pins it.
 """
 import pytest
 
+from repro.core.experiment import CrossDatasetExperiment
 from repro.ir.instructions import BranchId
 from repro.prediction.combine import combine_profiles, leave_one_out
 from repro.profiling.branch_profile import BranchProfile
@@ -100,6 +101,7 @@ def test_every_bundled_workload_round_trips_bit_for_bit(runner, live):
     """The acceptance gate: every workload x dataset x combine mode,
     served over the socket == offline combine_profiles/leave_one_out."""
     for workload in all_workloads():
+        experiment = CrossDatasetExperiment(runner, workload.name)
         names = sorted(workload.dataset_names())
         profiles = []
         for name in names:
@@ -114,6 +116,11 @@ def test_every_bundled_workload_round_trips_bit_for_bit(runner, live):
             assert canonical_profile_bytes(
                 served.profile
             ) == canonical_profile_bytes(offline), (workload.name, mode)
+            assert canonical_profile_bytes(
+                served.profile
+            ) == canonical_profile_bytes(
+                experiment.combined_predictor(mode=mode).profile
+            ), (workload.name, mode)
             if len(names) < 2:
                 continue
             for index, name in enumerate(names):
@@ -126,6 +133,11 @@ def test_every_bundled_workload_round_trips_bit_for_bit(runner, live):
                 ) == canonical_profile_bytes(offline_loo), (
                     workload.name, mode, name,
                 )
+                assert canonical_profile_bytes(
+                    served_loo
+                ) == canonical_profile_bytes(
+                    experiment.combined_predictor(name, mode=mode).profile
+                ), (workload.name, mode, name)
 
 
 def test_unreachable_server_degrades_to_identical_bytes(runner):
