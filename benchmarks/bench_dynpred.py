@@ -3,14 +3,14 @@
 Two measurements:
 
 * raw model throughput on a synthetic outcome stream — the per-event
-  Python cost of each predictor family's ``replay`` loop, which bounds
+  Python cost of each predictor family's ``simulate`` loop, which bounds
   how large a sweep stays practical;
 * the ``dynamic_compare`` experiment on one workload — the monitored
   re-simulation plus 12-model scoring pass end to end.
 """
 import time
 
-from repro.dynamic import DynamicScoreMonitor, default_zoo
+from repro.dynamic import default_zoo
 from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
 
@@ -39,7 +39,7 @@ def test_smoke_predictor_throughput():
     for model in default_zoo(table_sizes=(1024,)):
         model.reset(branch_table)
         started = time.perf_counter()
-        model.replay(stream)
+        model.simulate(stream)
         elapsed = time.perf_counter() - started
         rate = STREAM_EVENTS / elapsed
         print(f"{model.name:16s} {rate / 1e6:6.2f} M events/s")
@@ -48,16 +48,15 @@ def test_smoke_predictor_throughput():
 
 def test_smoke_monitored_scoring_overhead(runner):
     """One monitored doduc/tiny run scoring the full default zoo."""
-    branch_table = runner.compiled("doduc").lowered.branch_table
-    monitor = DynamicScoreMonitor(default_zoo(), branch_table)
+    models = default_zoo()
     started = time.perf_counter()
-    result = runner.run("doduc", "tiny", monitors=[monitor])
+    result = runner.run("doduc", "tiny", monitors=models)
     elapsed = time.perf_counter() - started
     events = result.total_branch_execs
-    print(f"\n{events} branch events x {len(monitor.models)} models "
+    print(f"\n{events} branch events x {len(models)} models "
           f"in {elapsed:.2f}s "
-          f"({events * len(monitor.models) / elapsed / 1e6:.2f} M scores/s)")
-    assert monitor.scores(result)[0].branch_execs == events
+          f"({events * len(models) / elapsed / 1e6:.2f} M scores/s)")
+    assert models[0].score(result).branch_execs == events
 
 
 def test_smoke_dynamic_sweep(runner):

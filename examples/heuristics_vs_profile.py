@@ -18,7 +18,7 @@ from repro.prediction import (
     evaluate_static,
     self_prediction,
 )
-from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
+from repro.dynamic import BimodalPredictor
 from repro.profiling import BranchProfile
 
 CASES = [("li", "6queens", "5queens"), ("tomcatv", "default", "default")]
@@ -54,16 +54,14 @@ def main() -> None:
               f"{ipb_self_prediction(target):8.1f} instrs/break")
 
         # Dynamic predictors observe the run live (infinite-table 1-bit
-        # and 2-bit counters, scored in a single monitored pass).
-        monitor = DynamicScoreMonitor(
-            [
-                BimodalPredictor(table_size=None, num_bits=1),
-                BimodalPredictor(table_size=None, num_bits=2),
-            ],
-            compiled.lowered.branch_table,
-        )
-        runner.run(workload, target_name, monitors=[monitor])
-        one_bit, two_bit = monitor.scores(target)
+        # and 2-bit counters, both monitors of one pass) and score
+        # themselves against it.
+        models = [
+            BimodalPredictor(table_size=None, num_bits=1),
+            BimodalPredictor(table_size=None, num_bits=2),
+        ]
+        runner.run(workload, target_name, monitors=models)
+        one_bit, two_bit = (model.score(target) for model in models)
         static_correct = self_prediction(target).percent_correct
         print(f"  dynamic 1-bit {100 * one_bit.percent_correct:5.1f}% correct, "
               f"2-bit {100 * two_bit.percent_correct:5.1f}%, "

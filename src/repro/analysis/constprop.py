@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional
 from repro.analysis.dataflow import DataflowAnalysis, DataflowResult, solve
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import Instr
-from repro.ir.opcodes import BINOP_FUNCS, UNOP_FUNCS, Opcode
+from repro.ir.opcodes import UNOP_FUNCS, Opcode, fold_binop
 
 #: Abstract state: register -> known constant.  A register absent from the
 #: map is not known to be constant.  (``None`` at the framework level means
@@ -46,10 +46,7 @@ def eval_instr(instr: Instr, state: Mapping[int, int]) -> Optional[int]:
         right = state.get(instr.b)
         if left is None or right is None:
             return None
-        try:
-            return BINOP_FUNCS[instr.subop](left, right)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return None
+        return fold_binop(instr.subop, left, right)
     if op == Opcode.UN:
         if instr.a is None or instr.subop is None:
             return None

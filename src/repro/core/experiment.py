@@ -114,10 +114,8 @@ class CrossDatasetExperiment:
     def report(self, target: str, predictor: StaticPredictor) -> PredictionReport:
         return evaluate_static(self.runs[target], predictor)
 
-    def dataset_prediction(
-        self, target: str, mode: str = "scaled"
-    ) -> DatasetPrediction:
-        """Figure 2: self vs leave-one-out combined, for one dataset."""
+    def dataset_prediction(self, target: str) -> DatasetPrediction:
+        """Figure 2: self vs leave-one-out scaled summary, for one dataset."""
         run = self.runs[target]
         return DatasetPrediction(
             workload=self.workload_name,
@@ -125,7 +123,7 @@ class CrossDatasetExperiment:
             instructions=run.instructions,
             ipb_unpredicted=ipb_no_prediction(run),
             ipb_self=self.ipb(target, self.self_predictor(target)),
-            ipb_combined=self.ipb(target, self.combined_predictor(target, mode)),
+            ipb_combined=self.ipb(target, self.combined_predictor(target)),
         )
 
     def best_worst(self, target: str) -> BestWorstPrediction:

@@ -6,10 +6,15 @@ goes — the [Smith 81] / [Lee and Smith 84] schemes the paper compares its
 static profile prediction against.  Unlike the static predictors in
 ``repro.prediction``, a dynamic predictor cannot be scored from aggregate
 (executed, taken) counters: its behaviour depends on outcome *order*, so
-it replays the run's outcome stream, which the VM buffers in bounded
-chunks and hands over through the ``BranchMonitor`` hook (see
-``repro.dynamic.score``).  Only the current chunk is held; no trace of a
-whole run is stored.
+it is itself a ``BranchMonitor``: attached to a VM run, it is bound to
+the run's static branch table at start, replays the outcome stream the
+VM buffers in bounded chunks, and counts its own executions and
+mispredicts, so ``score(run)`` gives the same
+:class:`~repro.prediction.evaluate.PredictionReport` that
+``evaluate_static`` gives a static predictor: percent correct *and*
+instructions per break, where breaks are mispredicted branches plus the
+run's unavoidable breaks (indirect calls and their returns).  Only the
+current chunk is held; no trace of a whole run is stored.
 
 Realism constraints the model zoo honors:
 
@@ -32,6 +37,10 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.instructions import BranchId
+from repro.metrics.breaks import unavoidable_breaks
+from repro.prediction.evaluate import PredictionReport
+from repro.vm.counters import RunResult
+from repro.vm.monitors import BranchMonitor
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -62,7 +71,7 @@ def check_table_size(table_size: int) -> int:
 
 def outcome_slots(slots: Iterable[int]) -> List[int]:
     """Per-branch table slots spread over outcomes: entry ``index << 1 |
-    taken`` holds branch ``index``'s slot, so a replay loop indexes by the
+    taken`` holds branch ``index``'s slot, so a simulation loop indexes by the
     outcome itself instead of shifting the direction out first."""
     return [slot for slot in slots for _ in (False, True)]
 
@@ -70,7 +79,7 @@ def outcome_slots(slots: Iterable[int]) -> List[int]:
 def history_shifts(history_bits: int) -> Tuple[List[int], List[int]]:
     """Next-state tables of a ``history_bits``-wide outcome shift register:
     ``(after_not_taken, after_taken)``, each indexed by the current
-    history.  A replay loop then spends one list index per event on its
+    history.  A simulation loop then spends one list index per event on its
     history update instead of a shift, an or and a mask."""
     mask = (1 << history_bits) - 1
     return (
@@ -79,14 +88,15 @@ def history_shifts(history_bits: int) -> Tuple[List[int], List[int]]:
     )
 
 
-class DynamicPredictor:
+class DynamicPredictor(BranchMonitor):
     """Interface: predict each branch execution from online state.
 
-    Lifecycle: ``reset(branch_table)`` once per run, then ``replay`` over
-    the run's outcomes in order, in chunks of any size.  An *outcome* is
-    the int ``index << 1 | taken``, where ``index`` is the position in the
-    run's static branch table: the form the VM records it in (see
-    :mod:`repro.vm.monitors`).
+    As a monitor, ``on_run_start(branch_table)`` resets the model on the
+    run's static branch table and its tallies, each ``replay(chunk)``
+    simulates the chunk's outcomes, and ``score(run)`` reports the tallies
+    against the observed run.  An *outcome* is the int ``index << 1 |
+    taken``, where ``index`` is the position in the run's static branch
+    table: the form the VM records it in (see :mod:`repro.vm.monitors`).
     """
 
     #: Human-readable name for reports (e.g. ``bimodal@1024``).
@@ -95,20 +105,46 @@ class DynamicPredictor:
     #: Table entries, or ``None`` for an idealized infinite table.
     table_size: Optional[int] = None
 
+    #: Branch executions and mispredicts replayed since the run started.
+    executions = 0
+    mispredicts = 0
+
     def reset(self, branch_table: Sequence[BranchId]) -> None:
-        """Clear all state and bind the run's static branch table."""
+        """Clear all model state and bind the run's static branch table."""
         raise NotImplementedError
 
-    def replay(self, outcomes: Iterable[int]) -> int:
+    def simulate(self, outcomes: Iterable[int]) -> int:
         """Predict each outcome, then train on it, in order; returns how
         many were mispredicted.  This loop is the model's only copy of its
         predict-then-train step and the hottest path in a simulation."""
         raise NotImplementedError
 
     def observe(self, index: int, taken: bool) -> bool:
-        """Replay one branch execution; returns the direction that was
+        """Simulate one branch execution; returns the direction that was
         predicted before the outcome was seen."""
-        return taken != bool(self.replay((index << 1 | taken,)))
+        return taken != bool(self.simulate((index << 1 | taken,)))
+
+    def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
+        self.reset(branch_table)
+        self.executions = self.mispredicts = 0
+
+    def replay(self, chunk: List[int]) -> None:
+        outcomes = chunk[0::2]
+        self.executions += len(outcomes)
+        self.mispredicts += self.simulate(outcomes)
+
+    def score(self, run: RunResult) -> PredictionReport:
+        """This model's score against the run it observed."""
+        return PredictionReport(
+            program=run.program,
+            predictor=self.name,
+            instructions=run.instructions,
+            branch_execs=self.executions,
+            mispredicted=self.mispredicts,
+            unavoidable_breaks=unavoidable_breaks(run),
+            table_size=self.table_size,
+            budget_bits=self.budget_bits(),
+        )
 
     def budget_bits(self) -> Optional[int]:
         """Hardware state in bits, or ``None`` when not meaningfully

@@ -50,7 +50,7 @@ class BimodalPredictor(DynamicPredictor):
             )
             self._table = [0] * self.table_size
 
-    def replay(self, outcomes: Iterable[int]) -> int:
+    def simulate(self, outcomes: Iterable[int]) -> int:
         table = self._table
         slots = self._slots
         top = self.max_state

@@ -49,7 +49,7 @@ class GSharePredictor(DynamicPredictor):
         self._table = [0] * self.table_size
         self._history = 0
 
-    def replay(self, outcomes: Iterable[int]) -> int:
+    def simulate(self, outcomes: Iterable[int]) -> int:
         table = self._table
         slots = self._slots
         mask = self._mask

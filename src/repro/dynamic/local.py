@@ -50,7 +50,7 @@ class TwoLevelLocalPredictor(DynamicPredictor):
         self._histories = [0] * self.table_size
         self._patterns = [0] * self.table_size
 
-    def replay(self, outcomes: Iterable[int]) -> int:
+    def simulate(self, outcomes: Iterable[int]) -> int:
         slots = self._slots
         histories = self._histories
         patterns = self._patterns

@@ -40,9 +40,9 @@ class TournamentPredictor(DynamicPredictor):
         self._slots = self.bimodal._slots
         self._chooser = [1] * self.table_size
 
-    def replay(self, outcomes: Iterable[int]) -> int:
+    def simulate(self, outcomes: Iterable[int]) -> int:
         # The bimodal and gshare steps are inlined on the components' own
-        # state, which ends exactly where their standalone replays would.
+        # state, which ends exactly where their standalone simulations would.
         bimodal = self.bimodal._table
         gshare = self.gshare._table
         after_not_taken = self.gshare._after_not_taken

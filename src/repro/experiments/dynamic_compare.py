@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.experiment import CrossDatasetExperiment
 from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
-from repro.dynamic.score import DynamicScoreMonitor
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES, default_zoo
 from repro.experiments.charts import ascii_bars
 from repro.experiments.report import TextTable
@@ -170,7 +169,6 @@ def run(
     predictor_order.extend(model.name for model in default_zoo(sizes))
     for workload in workloads:
         experiment = CrossDatasetExperiment(runner, workload.name)
-        branch_table = runner.compiled(workload.name).lowered.branch_table
         for dataset in workload.dataset_names():
             static_reports = [
                 experiment.report(dataset, experiment.self_predictor(dataset)),
@@ -178,11 +176,11 @@ def run(
                     dataset, experiment.combined_predictor(dataset)
                 ),
             ]
-            monitor = DynamicScoreMonitor(default_zoo(sizes), branch_table)
-            run_result = runner.run(
-                workload.name, dataset, monitors=[monitor]
-            )
-            reports = static_reports + monitor.scores(run_result)
+            models = default_zoo(sizes)
+            run_result = runner.run(workload.name, dataset, monitors=models)
+            reports = static_reports + [
+                model.score(run_result) for model in models
+            ]
             for predictor, report in zip(predictor_order, reports):
                 rows.append(
                     DynamicCompareRow(

@@ -104,11 +104,8 @@ class Figure2Result:
         return "\n\n".join(sections)
 
 
-def run(runner: WorkloadRunner, mode: str = "scaled") -> Figure2Result:
+def run(runner: WorkloadRunner) -> Figure2Result:
     spice_bars, c_bars = studied_panels(
-        runner,
-        lambda experiment, dataset: experiment.dataset_prediction(
-            dataset, mode=mode
-        ),
+        runner, CrossDatasetExperiment.dataset_prediction
     )
     return Figure2Result(spice_bars=spice_bars, c_bars=c_bars)

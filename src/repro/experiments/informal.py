@@ -13,6 +13,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.core.experiment import CrossDatasetExperiment
+from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_self_prediction, ipb_with_predictor
@@ -23,7 +24,6 @@ from repro.prediction.heuristics import (
     OpcodeHeuristicPredictor,
 )
 from repro.dynamic.bimodal import BimodalPredictor
-from repro.dynamic.score import DynamicScoreMonitor
 from repro.workloads.registry import all_workloads, multi_dataset_workloads
 
 
@@ -320,18 +320,15 @@ def dynamic_comparison(
         if programs is not None and workload.name not in programs:
             continue
         # The paper's cited schemes: infinite-table (unaliased) 1-bit and
-        # 2-bit counters, one per static branch.  The monitor resets its
-        # models at every run start, so one monitor serves all datasets.
-        monitor = DynamicScoreMonitor(
-            [
-                BimodalPredictor(table_size=None, num_bits=1),
-                BimodalPredictor(table_size=None, num_bits=2),
-            ],
-            runner.compiled(workload.name).lowered.branch_table,
-        )
+        # 2-bit counters, one per static branch.  Each model resets at every
+        # run start, so one pair serves all datasets.
+        models = [
+            BimodalPredictor(table_size=None, num_bits=1),
+            BimodalPredictor(table_size=None, num_bits=2),
+        ]
         for dataset in workload.dataset_names():
-            result = runner.run(workload.name, dataset, monitors=[monitor])
-            one_bit, two_bit = monitor.scores(result)
+            result = runner.run(workload.name, dataset, monitors=models)
+            one_bit, two_bit = (model.score(result) for model in models)
             rows.append(
                 DynamicRow(
                     program=workload.name,
@@ -439,6 +436,9 @@ class InformalResult:
 
 
 def run(runner: WorkloadRunner) -> InformalResult:
+    # Every section's unmonitored runs in one batch, so --jobs fans them
+    # all out; the sections then find them memoized.
+    runner.run_many(dataset_requests(all_workloads()))
     return InformalResult(
         combine_modes=combine_modes(runner),
         heuristics=heuristics(runner),

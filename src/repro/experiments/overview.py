@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
+from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.summary import RunSummary
@@ -55,14 +56,15 @@ class OverviewResult:
 
 
 def run(runner: WorkloadRunner) -> OverviewResult:
-    rows: List[RunSummary] = []
-    categories = {}
-    for workload in all_workloads():
-        categories[workload.name] = (
-            "fortran" if workload.category == FORTRAN else "c"
-        )
-        for dataset in workload.dataset_names():
-            rows.append(
-                RunSummary.from_run(runner.run(workload.name, dataset), dataset)
-            )
+    workloads = all_workloads()
+    requests = dataset_requests(workloads)
+    results = runner.run_many(requests)
+    rows = [
+        RunSummary.from_run(result, request.dataset)
+        for request, result in zip(requests, results)
+    ]
+    categories = {
+        workload.name: "fortran" if workload.category == FORTRAN else "c"
+        for workload in workloads
+    }
     return OverviewResult(rows=rows, categories=categories)

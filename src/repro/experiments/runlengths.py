@@ -7,17 +7,21 @@ instructions, a mispredicted branch.  Branches in real programs are not
 evenly spaced."
 
 For each program we attach a :class:`RunLengthMonitor` carrying the
-self-prediction directions and record the actual gaps between mispredicted
-branches.  A coefficient of variation well above 0 (an evenly-spaced
-process would sit near 0; a memoryless one near 1) quantifies the claim.
+run's own profile predictor (self-prediction) and record the actual gaps
+between mispredicted branches.  A coefficient of variation well above 0
+(an evenly-spaced process would sit near 0; a memoryless one near 1)
+quantifies the claim.
 """
 from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Tuple
 
+from repro.core.parallel import RunRequest
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
+from repro.prediction.base import ProfilePredictor
+from repro.profiling.branch_profile import BranchProfile
 from repro.vm.monitors import RunLengthMonitor
 
 DEFAULT_PROGRAMS: List[Tuple[str, str]] = [
@@ -68,22 +72,18 @@ class RunLengthResult:
         return table.format_text()
 
 
-def _self_directions(run) -> List[bool]:
-    """Per-static-branch majority direction for the run (True = taken)."""
-    directions = []
-    for executed, taken in zip(run.branch_exec, run.branch_taken):
-        directions.append(taken > executed - taken)
-    return directions
-
-
 def run(
     runner: WorkloadRunner,
     programs=DEFAULT_PROGRAMS,
 ) -> RunLengthResult:
+    baselines = runner.run_many(
+        [RunRequest(program, dataset) for program, dataset in programs]
+    )
     rows: List[RunLengthRow] = []
-    for program, dataset in programs:
-        baseline = runner.run(program, dataset)
-        monitor = RunLengthMonitor(_self_directions(baseline))
+    for (program, dataset), baseline in zip(programs, baselines):
+        monitor = RunLengthMonitor(
+            ProfilePredictor(BranchProfile.from_run(baseline), name="self")
+        )
         runner.run(program, dataset, monitors=[monitor])
         rows.append(
             RunLengthRow(program=program, dataset=dataset, stats=monitor.stats())

@@ -9,6 +9,7 @@ instruction in the virtual machine.
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 
 class Opcode(enum.IntEnum):
@@ -108,6 +109,18 @@ BINOP_FUNCS = [
     lambda a, b: 1 if a > b else 0,
     lambda a, b: 1 if a >= b else 0,
 ]
+
+
+def fold_binop(subop: int, left: int, right: int) -> Optional[int]:
+    """``BINOP_FUNCS[subop](left, right)`` at compile time, or ``None``
+    when it faults (division by zero, a negative shift count, overflow):
+    the fault must stay a run-time event.  The constant folder and
+    constant propagation both evaluate through this."""
+    try:
+        return BINOP_FUNCS[subop](left, right)
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return None
+
 
 #: Evaluation functions indexed by :class:`UnOp` value.
 UNOP_FUNCS = [

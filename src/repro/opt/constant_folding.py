@@ -5,7 +5,7 @@ from typing import Dict, Optional
 
 from repro.ir.cfg import Function
 from repro.ir.instructions import Instr
-from repro.ir.opcodes import BINOP_FUNCS, UNOP_FUNCS, Opcode
+from repro.ir.opcodes import UNOP_FUNCS, Opcode, fold_binop
 from repro.opt.local_values import BlockValues
 
 
@@ -30,9 +30,8 @@ def _try_fold(instr: Instr, values: BlockValues) -> Optional[Instr]:
         left = values.const_of(instr.a)
         right = values.const_of(instr.b)
         if left is not None and right is not None:
-            try:
-                result = BINOP_FUNCS[instr.subop](left, right)
-            except ZeroDivisionError:
+            result = fold_binop(instr.subop, left, right)
+            if result is None:
                 return None  # preserve the run-time fault
             return Instr(Opcode.CONST, dst=instr.dst, imm=result)
         return None

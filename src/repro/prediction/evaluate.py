@@ -21,8 +21,9 @@ class PredictionReport:
     """How one predictor did against one run.
 
     Static predictors are scored from counters by ``evaluate_static``;
-    dynamic models are scored live by ``DynamicScoreMonitor``, which also
-    fills in the model's table size and hardware budget.
+    a dynamic model scores itself from the run it observed
+    (``DynamicPredictor.score``), filling in its table size and hardware
+    budget too.
     """
 
     program: str

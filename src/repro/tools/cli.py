@@ -165,7 +165,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_dynsim(args) -> int:
-    from repro.dynamic import DynamicScoreMonitor, default_zoo
+    from repro.dynamic import default_zoo
 
     compiled = _compile(args)
     profile = None
@@ -181,9 +181,8 @@ def cmd_dynsim(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    monitor = DynamicScoreMonitor(models, compiled.lowered.branch_table)
-    result = _run(args, compiled, monitors=[monitor])
-    scores = monitor.scores(result)
+    result = _run(args, compiled, monitors=models)
+    scores = [model.score(result) for model in models]
     if profile is not None:
         predictor = ProfilePredictor(profile, name="static-feedback")
         scores.insert(0, evaluate_static(result, predictor))

@@ -693,9 +693,9 @@ def _call_main(
     (see :mod:`repro.vm.monitors`) with the exact executed-instruction
     count the legacy interpreter would report, and every full chunk is
     replayed to the monitors with ``in_monitor`` raised, so a monitor's
-    own ``ZeroDivisionError`` or ``VMError`` is re-raised unchanged
-    instead of being blamed on the guest program.  The tail is replayed
-    before the run returns, or before a guest fault propagates.
+    own ``ZeroDivisionError``, ``ValueError`` or ``VMError`` is re-raised
+    unchanged instead of being blamed on the guest program.  The tail is
+    replayed before the run returns, or before a guest fault propagates.
 
     Each guest call is one Python frame, so the recursion limit is raised
     for the run to cover ``max_call_depth`` guest frames above the
@@ -761,6 +761,10 @@ def _call_main(
         if in_monitor:
             raise
         fault = VMError(f"{program.name}: division by zero")
+    except ValueError:
+        if in_monitor:
+            raise
+        fault = VMError(f"{program.name}: negative shift count")
     except VMError as error:
         if in_monitor:
             raise

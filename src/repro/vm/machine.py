@@ -46,7 +46,7 @@ def run_program(
     if main.num_params != 0:
         raise VMError("main must take no parameters")
     for monitor in monitors:
-        monitor.on_run_start(len(program.branch_table))
+        monitor.on_run_start(program.branch_table)
 
     # The engine's names are looked up on the module at each call, so a
     # wrapper installed on ``repro.vm.engine`` sees every run.

@@ -21,7 +21,12 @@ building a record object, or packing both fields into one int, would.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
+
+from repro.ir.instructions import BranchId
+
+if TYPE_CHECKING:
+    from repro.prediction.base import StaticPredictor
 
 #: Events buffered before the dispatch loop hands them to the monitors.
 #: Bounds the buffer's memory whatever the length of the run.
@@ -44,8 +49,9 @@ class BranchMonitor:
     aborts), and ``on_run_end`` once after a normal termination.
     """
 
-    def on_run_start(self, num_branches: int) -> None:
-        """Called once before execution with the static branch count."""
+    def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
+        """Called once before execution with the run's static branch
+        table: an event's branch index is its position in this list."""
 
     def replay(self, chunk: List[int]) -> None:
         """Consume a chunk of ``outcome, icount`` pairs (see the module
@@ -65,7 +71,7 @@ class OutcomeRecorder(BranchMonitor):
     def __init__(self) -> None:
         self.outcomes: List[tuple] = []
 
-    def on_run_start(self, num_branches: int) -> None:
+    def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
         self.outcomes = []
 
     def replay(self, chunk: List[int]) -> None:
@@ -77,32 +83,27 @@ class OutcomeRecorder(BranchMonitor):
 class RunLengthMonitor(BranchMonitor):
     """Records instruction run lengths between mispredicted branches.
 
-    Takes the per-branch static directions (index -> predicted taken) of
-    some static predictor; each time a branch goes against its prediction,
-    the number of instructions executed since the previous misprediction is
-    recorded.  The paper's §3 point is that these runs are *not* evenly
-    spaced — "far more ILP will be available if one has 80 instructions
-    followed by two mispredicted branches than if one has 40 instructions,
-    a mispredicted branch".
+    Takes any static predictor; each time a branch goes against the
+    direction it predicts, the number of instructions executed since the
+    previous misprediction is recorded.  The paper's §3 point is that these
+    runs are *not* evenly spaced — "far more ILP will be available if one
+    has 80 instructions followed by two mispredicted branches than if one
+    has 40 instructions, a mispredicted branch".
     """
 
-    def __init__(self, directions: Sequence[bool]):
-        self.directions = list(directions)
+    def __init__(self, predictor: StaticPredictor):
+        self.predictor = predictor
         self.run_lengths: List[int] = []
         self._last_break_icount = 0
         self._breaks: List[bool] = []
 
-    def on_run_start(self, num_branches: int) -> None:
-        if len(self.directions) < num_branches:
-            self.directions = self.directions + [False] * (
-                num_branches - len(self.directions)
-            )
+    def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
         self.run_lengths = []
         self._last_break_icount = 0
         # Indexed by outcome: does it go against the static direction?
         self._breaks = [
             taken != predicted
-            for predicted in self.directions[:num_branches]
+            for predicted in map(self.predictor.predict, branch_table)
             for taken in (False, True)
         ]
 

@@ -91,7 +91,7 @@ class LegacyMachine:
         if main.num_params != 0:
             raise VMError("main must take no parameters")
         for monitor in monitors:
-            monitor.on_run_start(len(program.branch_table))
+            monitor.on_run_start(program.branch_table)
         return self._run_legacy(program, input_data, monitors)
 
     def _run_legacy(
@@ -254,6 +254,10 @@ class LegacyMachine:
             if in_monitor:
                 raise  # a monitor's own bug, not a guest division fault
             fault = VMError(f"{program.name}: division by zero")
+        except ValueError:
+            if in_monitor:
+                raise  # a monitor's own bug, not a guest shift fault
+            fault = VMError(f"{program.name}: negative shift count")
         except IndexError:
             if in_monitor:
                 raise  # a monitor's own bug, not a guest memory fault

@@ -16,7 +16,8 @@ from repro.lang.sema import BUILTINS, analyze
 
 
 class ReferenceFault(Exception):
-    """Raised for the faults the VM also traps (bad address, div by 0)."""
+    """Raised for the faults the VM also traps (bad address, div by 0,
+    negative shift count)."""
 
 
 class _Break(Exception):
@@ -47,6 +48,12 @@ def _c_mod(a: int, b: int) -> int:
     return a - _c_div(a, b) * b
 
 
+def _shift(a: int, b: int, shift) -> int:
+    if b < 0:
+        raise ReferenceFault("negative shift count")
+    return shift(a, b)
+
+
 _BINOPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -56,8 +63,8 @@ _BINOPS = {
     "&": lambda a, b: a & b,
     "|": lambda a, b: a | b,
     "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
+    "<<": lambda a, b: _shift(a, b, int.__lshift__),
+    ">>": lambda a, b: _shift(a, b, int.__rshift__),
     "==": lambda a, b: int(a == b),
     "!=": lambda a, b: int(a != b),
     "<": lambda a, b: int(a < b),

@@ -163,6 +163,28 @@ def test_cacheless_all_runs_serial_and_jobs2_and_compares(workflow):
     assert f"cmp {outputs[0]} {outputs[1]}" in steps[0]
 
 
+def test_overview_and_informal_run_alone_serial_and_jobs2_and_compare(
+    workflow,
+):
+    """Run on their own, overview and informal issue their own run_many
+    batches; inside ``all`` the memo is already full and the pool never
+    sees them."""
+    steps = [
+        run for run in _run_lines(workflow["jobs"]["examples"])
+        if "for experiment in overview informal" in run
+    ]
+    assert len(steps) == 1
+    commands = [
+        line.strip() for line in steps[0].splitlines()
+        if "repro-experiments" in line
+    ]
+    assert len(commands) == 2
+    assert all('"${experiment}" --no-cache' in line for line in commands)
+    assert ["--jobs 2" in line for line in commands] == [False, True]
+    outputs = [line.split(">")[1].strip() for line in commands]
+    assert f"cmp {outputs[0]} {outputs[1]}" in steps[0]
+
+
 def test_setup_python_uses_pip_caching(workflow):
     for name, job in workflow["jobs"].items():
         setup_steps = [

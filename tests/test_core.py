@@ -157,14 +157,11 @@ def test_runner_profile_matches_run(runner):
 
 
 def test_monitored_runs_bypass_cache(runner):
-    from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
+    from repro.dynamic import BimodalPredictor
 
-    monitor = DynamicScoreMonitor(
-        [BimodalPredictor(table_size=None, num_bits=2)],
-        runner.compiled("lfk").lowered.branch_table,
-    )
-    result = runner.run("lfk", "default", monitors=[monitor])
-    assert monitor.hits[0] + monitor.mispredicts[0] == result.total_branch_execs
+    model = BimodalPredictor(table_size=None, num_bits=2)
+    result = runner.run("lfk", "default", monitors=[model])
+    assert model.executions == result.total_branch_execs
 
 
 class TestCrossDatasetExperiment:

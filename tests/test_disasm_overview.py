@@ -49,3 +49,19 @@ def test_overview_covers_every_run(runner):
     li = result.find("li", "6queens")
     assert li.branch_density < 15
     assert "Suite overview" in result.format_text()
+
+
+def test_overview_fetches_every_run_in_one_batch(runner, monkeypatch):
+    """One ``run_many`` batch of all 51 runs, so ``--jobs`` fans them
+    out; fetching them one ``runner.run`` at a time issued 51 batches of
+    one, which a pool cannot spread."""
+    batches = []
+    run_many = runner.run_many
+
+    def spy(requests, *args, **kwargs):
+        batches.append(len(requests))
+        return run_many(requests, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_many", spy)
+    overview.run(runner)
+    assert batches == [51]

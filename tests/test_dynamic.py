@@ -7,7 +7,6 @@ import repro.vm.monitors as vm_monitors
 from repro.dynamic import (
     MODEL_FAMILIES,
     BimodalPredictor,
-    DynamicScoreMonitor,
     GSharePredictor,
     TournamentPredictor,
     TwoLevelLocalPredictor,
@@ -376,16 +375,19 @@ def test_replay_matches_longhand_in_any_chunking(
 
     whole = make_model()
     whole.reset(branch_table)
-    assert whole.replay(outcomes) == expected
+    assert whole.simulate(outcomes) == expected
     assert whole.snapshot() == longhand.snapshot()
 
+    # As a monitor: bound at run start, handed chunks of (outcome, icount)
+    # pairs cut anywhere, tallying its own executions and mispredicts.
     split = make_model()
-    split.reset(branch_table)
+    split.on_run_start(branch_table)
     bounds = [0] + cuts + [len(outcomes)]
-    assert sum(
-        split.replay(outcomes[start:end])
-        for start, end in zip(bounds, bounds[1:])
-    ) == expected
+    for start, end in zip(bounds, bounds[1:]):
+        split.replay(
+            [item for outcome in outcomes[start:end] for item in (outcome, 0)]
+        )
+    assert (split.executions, split.mispredicts) == (len(events), expected)
     assert split.snapshot() == longhand.snapshot()
 
     stepped = make_model()
@@ -408,7 +410,7 @@ def test_tournament_leaves_components_where_standalone_replays_would(
     gshare = GSharePredictor(table_size=size)
     for model in (tournament, bimodal, gshare):
         model.reset(branch_table)
-        model.replay(outcomes)
+        model.simulate(outcomes)
     assert tournament.bimodal.snapshot() == bimodal.snapshot()
     assert tournament.gshare.snapshot() == gshare.snapshot()
 
@@ -416,20 +418,15 @@ def test_tournament_leaves_components_where_standalone_replays_would(
 # -- scoring against real runs -------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def doduc_run(runner):
-    branch_table = runner.compiled("doduc").lowered.branch_table
-    return runner, branch_table
-
-
 class StaticDirections(BranchMonitor):
     """A static predictor scored event by event on the live stream: one
-    fixed direction per static branch, resolved at construction."""
+    fixed direction per static branch, resolved at run start."""
 
-    def __init__(self, predictor, branch_table):
-        self.directions = [predictor.predict(bid) for bid in branch_table]
+    def __init__(self, predictor):
+        self.predictor = predictor
 
-    def on_run_start(self, num_branches):
+    def on_run_start(self, branch_table):
+        self.directions = [self.predictor.predict(bid) for bid in branch_table]
         self.branch_execs = self.mispredicted = 0
 
     def replay(self, chunk):
@@ -442,15 +439,12 @@ class StaticDirections(BranchMonitor):
 
 class TestStaticFromCounters:
     @pytest.mark.parametrize("predictor_dataset", ["tiny", "small"])
-    def test_mispredicts_match_evaluate_static(
-        self, doduc_run, predictor_dataset
-    ):
+    def test_mispredicts_match_evaluate_static(self, runner, predictor_dataset):
         """Scoring a static predictor event by event on the live stream
         must agree exactly with the counter arithmetic of evaluate_static."""
-        runner, branch_table = doduc_run
         profile = BranchProfile.from_run(runner.run("doduc", predictor_dataset))
         predictor = ProfilePredictor(profile, name=predictor_dataset)
-        live = StaticDirections(predictor, branch_table)
+        live = StaticDirections(predictor)
         result = runner.run("doduc", "ref", monitors=[live])
         assert evaluate_static(result, predictor) == PredictionReport(
             program=result.program,
@@ -463,8 +457,7 @@ class TestStaticFromCounters:
             ),
         )
 
-    def test_self_prediction_is_static_optimum(self, doduc_run):
-        runner, _ = doduc_run
+    def test_self_prediction_is_static_optimum(self, runner):
         target = runner.run("doduc", "tiny")
         self_report = evaluate_static(
             target, ProfilePredictor(BranchProfile.from_run(target))
@@ -485,8 +478,8 @@ class LonghandCounters(BranchMonitor):
         self.max_state = (1 << num_bits) - 1
         self.threshold = 1 << (num_bits - 1)
 
-    def on_run_start(self, num_branches):
-        self.states = [0] * num_branches
+    def on_run_start(self, branch_table):
+        self.states = [0] * len(branch_table)
         self.hits = self.misses = 0
 
     def replay(self, chunk):
@@ -504,22 +497,18 @@ class LonghandCounters(BranchMonitor):
 
 
 class TestInfiniteBimodalMatchesLegacyMonitor:
-    def test_same_numbers_as_online_predictor_monitor(self, doduc_run):
+    def test_same_numbers_as_online_predictor_monitor(self, runner):
         """BimodalPredictor(table_size=None) must reproduce the per-branch
         counters exactly (the informal experiment depends on it)."""
-        runner, branch_table = doduc_run
         longhand_one, longhand_two = LonghandCounters(1), LonghandCounters(2)
-        monitor = DynamicScoreMonitor(
-            [
-                BimodalPredictor(table_size=None, num_bits=1),
-                BimodalPredictor(table_size=None, num_bits=2),
-            ],
-            branch_table,
-        )
+        models = [
+            BimodalPredictor(table_size=None, num_bits=1),
+            BimodalPredictor(table_size=None, num_bits=2),
+        ]
         result = runner.run(
-            "doduc", "small", monitors=[longhand_one, longhand_two, monitor]
+            "doduc", "small", monitors=[longhand_one, longhand_two, *models]
         )
-        one, two = monitor.scores(result)
+        one, two = (model.score(result) for model in models)
         assert one.mispredicted == longhand_one.misses
         assert two.mispredicted == longhand_two.misses
         for score, longhand in ((one, longhand_one), (two, longhand_two)):
@@ -528,12 +517,10 @@ class TestInfiniteBimodalMatchesLegacyMonitor:
 
     def test_infinite_bimodal_exposes_states(self):
         model = BimodalPredictor(table_size=None, num_bits=2)
-        monitor = DynamicScoreMonitor(
-            [model], [BranchId("main", index) for index in range(3)]
-        )
-        monitor.on_run_start(3)
-        monitor.replay([1 << 1 | 1, 10])  # branch 1 taken at icount 10
+        model.on_run_start([BranchId("main", index) for index in range(3)])
+        model.replay([1 << 1 | 1, 10])  # branch 1 taken at icount 10
         assert model.snapshot() == ((0, 1, 0),)
+        assert (model.executions, model.mispredicts) == (1, 1)
 
 
 class TestVacuousAccuracy:
@@ -541,48 +528,47 @@ class TestVacuousAccuracy:
         from repro.compiler import compile_source
 
         lowered = compile_source("func main() { return 0; }").lowered
-        monitor = DynamicScoreMonitor(
-            [BimodalPredictor(table_size=None)], lowered.branch_table
-        )
-        result = run_program(lowered, monitors=[monitor])
+        model = BimodalPredictor(table_size=None)
+        result = run_program(lowered, monitors=[model])
         report = PredictionReport(
             program="p", predictor="q", instructions=10,
             branch_execs=0, mispredicted=0, unavoidable_breaks=0,
         )
-        assert monitor.score(0, result).percent_correct == 1.0
+        assert model.score(result).percent_correct == 1.0
         assert report.percent_correct == 1.0
 
     def test_dynamic_score_agrees(self):
-        """The monitor's reports carry each model's table and budget."""
+        """Each model's report carries its table and budget."""
         from repro.compiler import compile_source
 
         lowered = compile_source("func main() { return 0; }").lowered
-        monitor = DynamicScoreMonitor(
-            [BimodalPredictor(table_size=64), BimodalPredictor(table_size=None)],
-            lowered.branch_table,
-        )
-        result = run_program(lowered, monitors=[monitor])
-        finite, infinite = monitor.scores(result)
+        models = [BimodalPredictor(table_size=64), BimodalPredictor(table_size=None)]
+        result = run_program(lowered, monitors=models)
+        finite, infinite = (model.score(result) for model in models)
         assert (finite.table_size, finite.budget_bits) == (64, 128)
         assert (infinite.table_size, infinite.budget_bits) == (None, None)
         assert finite.percent_correct == infinite.percent_correct == 1.0
 
 
 class TestScoreMonitor:
-    def test_rejects_mismatched_branch_table(self):
-        monitor = DynamicScoreMonitor([BimodalPredictor()], ONE_BRANCH)
-        with pytest.raises(ValueError, match="built for 1"):
-            monitor.on_run_start(7)
-
-    def test_counts_every_branch_event(self, doduc_run):
-        runner, branch_table = doduc_run
-        monitor = DynamicScoreMonitor([BimodalPredictor()], branch_table)
-        result = runner.run("doduc", "tiny", monitors=[monitor])
-        score = monitor.scores(result)[0]
+    def test_counts_every_branch_event(self, runner):
+        model = BimodalPredictor()
+        result = runner.run("doduc", "tiny", monitors=[model])
+        score = model.score(result)
         assert score.branch_execs == result.total_branch_execs
         assert score.unavoidable_breaks == (
             result.events.indirect_calls + result.events.indirect_returns
         )
+
+    def test_rebinds_to_each_run_it_observes(self, runner):
+        """One model attached to two runs scores each from scratch, bound
+        to that run's branch table."""
+        model = build_model("gshare", 64)
+        first = runner.run("doduc", "tiny", monitors=[model])
+        first_score = model.score(first)
+        runner.run("compress", "cmprss", monitors=[model])
+        again = runner.run("doduc", "tiny", monitors=[model])
+        assert model.score(again) == first_score
 
 
 # -- the comparison experiment -------------------------------------------------

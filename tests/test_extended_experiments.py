@@ -3,6 +3,9 @@ import pytest
 
 import repro.vm.monitors as vm_monitors
 from repro.experiments import ablations, coverage, runlengths
+from repro.ir.instructions import BranchId
+from repro.prediction.base import FixedPredictor, ProfilePredictor
+from repro.profiling.branch_profile import BranchProfile
 from repro.vm.monitors import RunLengthMonitor
 
 
@@ -89,6 +92,9 @@ class TestRunLengths:
         assert runlengths.run(runner).format_text() == result.format_text()
 
 
+TWO_BRANCHES = [BranchId("main", 0), BranchId("main", 1)]
+
+
 def chunk(*events):
     """The chunk of (branch_index, taken, icount) events."""
     return [
@@ -100,8 +106,12 @@ def chunk(*events):
 
 class TestRunLengthMonitor:
     def test_records_gaps(self):
-        monitor = RunLengthMonitor([True, False])
-        monitor.on_run_start(2)
+        # Branch 0 is predicted taken, branch 1 not taken.
+        profile = BranchProfile(
+            "main", {TWO_BRANCHES[0]: (1.0, 1.0), TWO_BRANCHES[1]: (1.0, 0.0)}
+        )
+        monitor = RunLengthMonitor(ProfilePredictor(profile))
+        monitor.on_run_start(TWO_BRANCHES)
         monitor.replay(chunk((0, True, 10)))  # predicted: no break
         monitor.replay(chunk(
             (1, True, 25),    # mispredicted: gap 25
@@ -112,15 +122,18 @@ class TestRunLengthMonitor:
         assert stats["count"] == 2
         assert stats["mean"] == 20.0
 
-    def test_direction_list_extension(self):
-        monitor = RunLengthMonitor([True])
-        monitor.on_run_start(3)  # grows with default not-taken
-        monitor.replay(chunk((2, True, 5)))
-        assert monitor.run_lengths == [5]
+    def test_ties_and_unexecuted_branches_break_when_taken(self):
+        # The self-prediction rule: taken > executed - taken, so a tie and
+        # a branch the profile never saw are both predicted not taken.
+        profile = BranchProfile("main", {TWO_BRANCHES[0]: (2.0, 1.0)})
+        monitor = RunLengthMonitor(ProfilePredictor(profile))
+        monitor.on_run_start(TWO_BRANCHES)
+        monitor.replay(chunk((0, True, 10), (1, True, 15), (1, False, 30)))
+        assert monitor.run_lengths == [10, 5]
 
     def test_empty_stats(self):
-        monitor = RunLengthMonitor([])
-        monitor.on_run_start(0)
+        monitor = RunLengthMonitor(FixedPredictor(False))
+        monitor.on_run_start([])
         assert monitor.stats()["count"] == 0
 
 

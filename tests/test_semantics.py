@@ -8,7 +8,13 @@ import pytest
 from repro.compiler import RunConfig
 from repro.vm.errors import VMError
 
-from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_and_run, run_main
+from tests.helpers import (
+    EXPERIMENT_CONFIGS,
+    SELECT_OFF,
+    UNOPTIMIZED,
+    compile_and_run,
+    run_main,
+)
 
 ALL_CONFIGS = [RunConfig(), RunConfig(dce=True), UNOPTIMIZED]
 
@@ -326,6 +332,31 @@ def test_statements_after_return_are_dead(config):
 def test_division_by_zero_raises_vmerror(config):
     with pytest.raises(VMError, match="division by zero"):
         run_main("func main() { var z = 0; return 5 / z; }", config=config)
+
+
+@pytest.mark.parametrize(
+    "config", EXPERIMENT_CONFIGS, ids=[config.tag() for config in EXPERIMENT_CONFIGS]
+)
+def test_dead_negative_shift_compiles(config):
+    # Constant folding once raised Python's ValueError on the dead shift.
+    source = """
+    var DEBUG = 0;
+    func main() { var x = 7; if (DEBUG) { x = 1 << -1; } return x; }
+    """
+    assert run_main(source, config=config) == 7
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "return 1 << -1;",
+        "var s = -1; return 1 << s;",
+        "var s = -2; return 64 >> s;",
+    ],
+)
+def test_negative_shift_count_raises_vmerror(config, body):
+    with pytest.raises(VMError, match="negative shift count"):
+        run_main(f"func main() {{ {body} }}", config=config)
 
 
 def test_out_of_bounds_store_raises_vmerror(config):

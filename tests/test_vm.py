@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.compiler import compile_source
-from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
+from repro.dynamic import BimodalPredictor
 from repro.vm import (
     InstructionLimitExceeded,
     OutcomeRecorder,
@@ -155,30 +155,27 @@ def test_outcome_recorder_sees_every_branch():
 def bimodal_run(num_bits):
     """Run COUNT_LOOP under one infinite-table bimodal counter scheme."""
     lowered = compile_source(COUNT_LOOP).lowered
-    monitor = DynamicScoreMonitor(
-        [BimodalPredictor(table_size=None, num_bits=num_bits)],
-        lowered.branch_table,
-    )
-    result = run_program(lowered, monitors=[monitor])
-    return monitor, result
+    model = BimodalPredictor(table_size=None, num_bits=num_bits)
+    result = run_program(lowered, monitors=[model])
+    return model, result
 
 
 def test_online_two_bit_predictor_learns_a_loop():
-    monitor, _ = bimodal_run(num_bits=2)
+    model, _ = bimodal_run(num_bits=2)
     # Mispredicts while warming up (2) and at the final not-taken exit (1).
-    assert monitor.mispredicts == [3]
-    assert monitor.hits == [98]
+    assert model.mispredicts == 3
+    assert model.executions - model.mispredicts == 98
 
 
 def test_online_one_bit_predictor():
-    monitor, _ = bimodal_run(num_bits=1)
+    model, _ = bimodal_run(num_bits=1)
     # 1-bit: one warm-up miss, one miss at exit.
-    assert monitor.mispredicts == [2]
+    assert model.mispredicts == 2
 
 
 def test_monitor_accuracy_property():
-    monitor, result = bimodal_run(num_bits=2)
-    assert 0 < monitor.score(0, result).percent_correct < 1
+    model, result = bimodal_run(num_bits=2)
+    assert 0 < model.score(result).percent_correct < 1
 
 
 def test_output_and_percent_taken():

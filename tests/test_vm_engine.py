@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 import repro.vm.monitors as vm_monitors
 from repro.compiler import compile_source
 import repro.vm as vm
+from repro.ir.instructions import BranchId
 from repro.ir.opcodes import BinOp, Opcode
+from repro.prediction.base import FixedPredictor, ProfilePredictor
+from repro.profiling.branch_profile import BranchProfile
 from repro.vm.engine import compiled, predecode, run_monitored
 from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, run_program
@@ -74,8 +77,8 @@ def test_fast_matches_legacy_on_generated_modules(seed, data):
 class EndCountingRecorder(OutcomeRecorder):
     """Records the outcome stream and every ``on_run_end`` call."""
 
-    def on_run_start(self, num_branches):
-        super().on_run_start(num_branches)
+    def on_run_start(self, branch_table):
+        super().on_run_start(branch_table)
         self.ends = []
 
     def on_run_end(self, icount):
@@ -371,6 +374,8 @@ class _ExplodingMonitor(BranchMonitor):
     def replay(self, chunk):
         if self.exc_type is ZeroDivisionError:
             _ = 1 // 0
+        elif self.exc_type is ValueError:
+            _ = 1 << -1
         else:
             _ = [][1]
 
@@ -381,6 +386,7 @@ class _ExplodingMonitor(BranchMonitor):
     [
         pytest.param(ZeroDivisionError, False, id="ZeroDivisionError"),
         pytest.param(IndexError, False, id="IndexError"),
+        pytest.param(ValueError, False, id="ValueError"),
         pytest.param(ZeroDivisionError, True, id="ZeroDivisionError-fan-out"),
         pytest.param(IndexError, True, id="IndexError-fan-out"),
     ],
@@ -424,6 +430,13 @@ FAULTS_AFTER_BRANCHES = {
             return 7 / (j - 7);
         }
         """,
+    "negative shift count": """
+        func main() {
+            var i; var j = 0;
+            for (i = 0; i < 20; i += 1) { if (i % 3 == 0) { j += 1; } }
+            return 1 << (j - 8);
+        }
+        """,
     "exceeded 5000 instructions": """
         func main() {
             var i; var j = 0;
@@ -455,10 +468,31 @@ def test_events_before_a_guest_fault_reach_the_monitors(fault, monkeypatch):
     assert len(streams[0]) >= 20
 
 
+class BranchTableSpy(BranchMonitor):
+    """Keeps the branch table ``on_run_start`` hands it."""
+
+    def on_run_start(self, branch_table):
+        self.branch_table = branch_table
+
+    def replay(self, chunk):
+        pass
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_monitors_are_handed_the_run_branch_table(engine):
+    program = lowered(LOOPY)
+    spy = BranchTableSpy()
+    ENGINES[engine]().run(program, monitors=[spy])
+    assert spy.branch_table == program.branch_table
+    assert spy.branch_table and all(
+        isinstance(branch_id, BranchId) for branch_id in spy.branch_table
+    )
+
+
 class ChunkLengths(BranchMonitor):
     """Records how many events every chunk it is handed holds."""
 
-    def on_run_start(self, num_branches):
+    def on_run_start(self, branch_table):
         self.lengths = []
 
     def replay(self, chunk):
@@ -482,8 +516,7 @@ def test_run_length_monitor_flushes_the_tail_run(engine):
     # were silently dropped, so run lengths never summed to the run's
     # instruction count.
     program = lowered(LOOPY)
-    num_branches = len(program.branch_table)
-    monitor = RunLengthMonitor([False] * num_branches)
+    monitor = RunLengthMonitor(FixedPredictor(False))
     result = ENGINES[engine]().run(program, monitors=[monitor])
     assert monitor.run_lengths
     assert all(length > 0 for length in monitor.run_lengths)
@@ -501,16 +534,11 @@ def test_run_length_tail_covers_a_fully_predicted_run():
         }
         """
     )
-    recorder = OutcomeRecorder()
-    result = run_program(program, monitors=[recorder])
-    directions = [None] * len(program.branch_table)
-    for index, taken in recorder.outcomes:
-        directions[index] = taken
-    # Only valid if each branch is monotone in this toy program; the loop
-    # branch flips on exit, so predict the majority (taken) and accept
-    # one break plus the tail.
+    result = run_program(program)
+    # The loop branch flips on exit, so predicting each branch's majority
+    # direction gives one break plus the tail.
     monitor = RunLengthMonitor(
-        [bool(direction) for direction in directions]
+        ProfilePredictor(BranchProfile.from_run(result))
     )
     rerun = run_program(program, monitors=[monitor])
     assert sum(monitor.run_lengths) == rerun.instructions
