@@ -6,7 +6,12 @@ itself online against the live VM run it observes — the
 "other side" of the paper's static-vs-dynamic comparison.  See
 docs/PREDICTORS.md.
 """
-from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
+from repro.dynamic.base import (
+    DynamicPredictor,
+    branch_pc,
+    check_table_size,
+    monitors_for,
+)
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.gshare import GSharePredictor
 from repro.dynamic.local import TwoLevelLocalPredictor
@@ -30,4 +35,5 @@ __all__ = [
     "build_model",
     "check_table_size",
     "default_zoo",
+    "monitors_for",
 ]

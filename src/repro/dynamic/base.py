@@ -109,6 +109,11 @@ class DynamicPredictor(BranchMonitor):
     executions = 0
     mispredicts = 0
 
+    #: The model whose pass also advances and tallies this one (a
+    #: tournament's components), or ``None`` for a model that is its own
+    #: monitor.  See :func:`monitors_for`.
+    fed_by: Optional["DynamicPredictor"] = None
+
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         """Clear all model state and bind the run's static branch table."""
         raise NotImplementedError
@@ -125,6 +130,11 @@ class DynamicPredictor(BranchMonitor):
         return taken != bool(self.simulate((index << 1 | taken,)))
 
     def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
+        if self.fed_by is not None:
+            raise ValueError(
+                f"{self.name} is advanced by {self.fed_by.name}'s pass; "
+                "attach monitors_for(models), not the model itself"
+            )
         self.reset(branch_table)
         self.executions = self.mispredicts = 0
 
@@ -154,3 +164,11 @@ class DynamicPredictor(BranchMonitor):
     def snapshot(self) -> Tuple:
         """The complete mutable state, as nested plain tuples."""
         raise NotImplementedError
+
+
+def monitors_for(models: Sequence[DynamicPredictor]) -> List[DynamicPredictor]:
+    """The monitors to attach to a run so that each of ``models`` is
+    advanced exactly once: every model's feeder in its place (see
+    ``DynamicPredictor.fed_by``), each listed once, in first-use order.
+    Score the models themselves after the run."""
+    return list(dict.fromkeys(model.fed_by or model for model in models))

@@ -4,6 +4,11 @@ McFarling's combining scheme (the Alpha 21264 shape): both component
 predictors run on every branch; a table of 2-bit chooser counters,
 indexed by branch address, learns per-address which component to trust.
 The chooser only trains when the components disagree.
+
+The components are a real ``bimodal@N`` and ``gshare@N``: one pass of the
+tournament advances them exactly as their standalone simulations would
+and, as a monitor, also counts their mispredicts, so a zoo scores all
+three models from that one pass (see :func:`repro.dynamic.base.monitors_for`).
 """
 from __future__ import annotations
 
@@ -13,6 +18,46 @@ from repro.dynamic.base import DynamicPredictor, check_table_size
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.gshare import GSharePredictor
 from repro.ir.instructions import BranchId
+
+#: Width of each mispredict tally in the loop's one packed count: the
+#: tournament's in the low field, then bimodal's, then gshare's.
+_FIELD = 40
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _counter_step(state: int, taken: bool) -> int:
+    """A 2-bit saturating counter's next state."""
+    return min(state + 1, 3) if taken else max(state - 1, 0)
+
+
+def _step_table() -> List[Tuple[int, int, int]]:
+    """The whole predict-then-train step, for every state it can meet.
+
+    The simulation loop keeps one *entry* ``(bimodal << 2 | choice) << 3``
+    per slot and one ``gshare << 1`` per gshare counter, so an event's key
+    is ``entry | gshare | taken``.  Item ``key`` holds the next entry, the
+    next gshare value and the event's packed mispredicts (tournament,
+    bimodal, gshare; see ``_FIELD``).
+    """
+    table = []
+    for key in range(1 << 7):
+        bimodal, choice, gshare = key >> 5, key >> 3 & 3, key >> 1 & 3
+        taken = key & 1
+        from_bimodal, from_gshare = bimodal >= 2, gshare >= 2
+        predicted = from_gshare if choice >= 2 else from_bimodal
+        if from_bimodal != from_gshare:
+            choice = _counter_step(choice, from_gshare == taken)
+        table.append((
+            (_counter_step(bimodal, taken) << 2 | choice) << 3,
+            _counter_step(gshare, taken) << 1,
+            (predicted != taken)
+            | (from_bimodal != taken) << _FIELD
+            | (from_gshare != taken) << 2 * _FIELD,
+        ))
+    return table
+
+
+_STEP = _step_table()
 
 
 class TournamentPredictor(DynamicPredictor):
@@ -28,8 +73,15 @@ class TournamentPredictor(DynamicPredictor):
         self.table_size = table_size
         self.bimodal = BimodalPredictor(table_size=table_size)
         self.gshare = GSharePredictor(table_size=table_size)
+        self.bimodal.fed_by = self.gshare.fed_by = self
         self.name = f"tournament@{table_size}"
         self._mask = table_size - 1
+        history_mask = (1 << self.gshare.history_bits) - 1
+        # Item ``history << 1 | taken`` is the next gshare history.
+        self._next_history = [
+            index & history_mask
+            for index in range(2 << self.gshare.history_bits)
+        ]
         self._chooser: List[int] = []
         self._slots: List[int] = []
 
@@ -40,55 +92,55 @@ class TournamentPredictor(DynamicPredictor):
         self._slots = self.bimodal._slots
         self._chooser = [1] * self.table_size
 
+    def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
+        super().on_run_start(branch_table)
+        for component in (self.bimodal, self.gshare):
+            component.executions = component.mispredicts = 0
+
+    def replay(self, chunk: List[int]) -> None:
+        outcomes = chunk[0::2]
+        packed = self._simulate_all(outcomes)
+        for model, shift in (
+            (self, 0), (self.bimodal, _FIELD), (self.gshare, 2 * _FIELD)
+        ):
+            model.executions += len(outcomes)
+            model.mispredicts += packed >> shift & _FIELD_MASK
+
     def simulate(self, outcomes: Iterable[int]) -> int:
-        # The bimodal and gshare steps are inlined on the components' own
-        # state, which ends exactly where their standalone simulations would.
+        return self._simulate_all(outcomes) & _FIELD_MASK
+
+    def _simulate_all(self, outcomes: Iterable[int]) -> int:
+        """Simulate the tournament and its components; returns the three
+        mispredict counts packed as in ``_step_table``."""
+        # The components' tables and the chooser hold the state between
+        # calls; the loop works on packed copies and writes them back.
         bimodal = self.bimodal._table
-        gshare = self.gshare._table
-        after_not_taken = self.gshare._after_not_taken
-        after_taken = self.gshare._after_taken
-        history = self.gshare._history
         chooser = self._chooser
+        gshare = self.gshare._table
+        entries = [
+            state << 5 | choice << 3 for state, choice in zip(bimodal, chooser)
+        ]
+        global_states = [state << 1 for state in gshare]
         slots = self._slots
         mask = self._mask
-        mispredicts = 0
+        next_history = self._next_history
+        step = _STEP
+        history = self.gshare._history
+        packed = 0
         for outcome in outcomes:
             slot = slots[outcome]
             global_slot = (slot ^ history) & mask
-            local_state = bimodal[slot]
-            global_state = gshare[global_slot]
-            from_bimodal = local_state >= 2
-            from_gshare = global_state >= 2
             taken = outcome & 1
-            if taken:
-                if local_state < 3:
-                    bimodal[slot] = local_state + 1
-                if global_state < 3:
-                    gshare[global_slot] = global_state + 1
-                history = after_taken[history]
-            else:
-                if local_state:
-                    bimodal[slot] = local_state - 1
-                if global_state:
-                    gshare[global_slot] = global_state - 1
-                history = after_not_taken[history]
-            if from_bimodal == from_gshare:
-                if from_bimodal != taken:
-                    mispredicts += 1
-            else:
-                choice = chooser[slot]
-                if from_gshare == taken:
-                    if choice < 2:
-                        mispredicts += 1
-                    if choice < 3:
-                        chooser[slot] = choice + 1
-                else:
-                    if choice >= 2:
-                        mispredicts += 1
-                    if choice:
-                        chooser[slot] = choice - 1
+            entries[slot], global_states[global_slot], missed = step[
+                entries[slot] | global_states[global_slot] | taken
+            ]
+            packed += missed
+            history = next_history[history << 1 | taken]
         self.gshare._history = history
-        return mispredicts
+        bimodal[:] = [entry >> 5 for entry in entries]
+        chooser[:] = [entry >> 3 & 3 for entry in entries]
+        gshare[:] = [state >> 1 for state in global_states]
+        return packed
 
     def budget_bits(self) -> Optional[int]:
         return (

@@ -37,9 +37,17 @@ def build_model(family: str, table_size: Optional[int]) -> DynamicPredictor:
 def default_zoo(
     table_sizes: Sequence[int] = DEFAULT_TABLE_SIZES,
 ) -> List[DynamicPredictor]:
-    """Every family at every table size, family-major."""
+    """Every family at every table size, family-major.
+
+    Each size's bimodal and gshare models are its tournament's
+    components, so the 12 default models take 6 passes: attach
+    ``monitors_for(models)`` to the run, then score every model.
+    """
+    sizes = sorted(table_sizes)
+    tournaments = [TournamentPredictor(table_size=size) for size in sizes]
     return [
-        build_model(family, size)
-        for family in MODEL_FAMILIES
-        for size in sorted(table_sizes)
+        *(tournament.bimodal for tournament in tournaments),
+        *(tournament.gshare for tournament in tournaments),
+        *(TwoLevelLocalPredictor(table_size=size) for size in sizes),
+        *tournaments,
     ]

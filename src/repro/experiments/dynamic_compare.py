@@ -16,11 +16,14 @@ cross-run profile prediction hold up against hardware, and where does it
 lose?* — is answerable per program and per hardware budget.
 
 The static rows are scored from the run's counters, as the paper did;
-only the hardware models need the live outcome stream.  The plain
-(monitor-free) runs are prewarmed through ``run_many``, so ``--jobs N``
-fans the simulations across processes; the monitored scoring passes are
-deterministic re-executions and happen in-process, which keeps serial
-and parallel output byte-identical.
+only the hardware models need the live outcome stream.  The 12 zoo
+models of a dataset are scored in one monitored re-execution that
+carries 6 passes (each size's tournament also advances its bimodal and
+gshare components; see ``monitors_for``).  The plain (monitor-free)
+runs are prewarmed through ``run_many``, so ``--jobs N`` fans the
+simulations across processes; the monitored re-executions are
+deterministic and happen in-process, which keeps serial and parallel
+output byte-identical.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.experiment import CrossDatasetExperiment
 from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
+from repro.dynamic.base import monitors_for
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES, default_zoo
 from repro.experiments.charts import ascii_bars
 from repro.experiments.report import TextTable
@@ -177,7 +181,9 @@ def run(
                 ),
             ]
             models = default_zoo(sizes)
-            run_result = runner.run(workload.name, dataset, monitors=models)
+            run_result = runner.run(
+                workload.name, dataset, monitors=monitors_for(models)
+            )
             reports = static_reports + [
                 model.score(run_result) for model in models
             ]

@@ -111,11 +111,20 @@ BINOP_FUNCS = [
 ]
 
 
+#: The widest left-shift result, in bits, that is folded at compile time.
+#: A wider one stays a run-time op, so ``1 << s`` with a large constant
+#: ``s`` costs the compiler nothing instead of a huge int.
+FOLD_SHIFT_BITS = 64
+
+
 def fold_binop(subop: int, left: int, right: int) -> Optional[int]:
     """``BINOP_FUNCS[subop](left, right)`` at compile time, or ``None``
-    when it faults (division by zero, a negative shift count, overflow):
-    the fault must stay a run-time event.  The constant folder and
-    constant propagation both evaluate through this."""
+    when it faults (division by zero, a negative shift count, overflow)
+    or is a left shift wider than ``FOLD_SHIFT_BITS``: either stays a
+    run-time op.  The constant folder and constant propagation both
+    evaluate through this."""
+    if subop == BinOp.SHL and left.bit_length() + right > FOLD_SHIFT_BITS:
+        return None
     try:
         return BINOP_FUNCS[subop](left, right)
     except (ZeroDivisionError, ValueError, OverflowError):

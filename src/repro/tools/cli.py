@@ -165,7 +165,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_dynsim(args) -> int:
-    from repro.dynamic import default_zoo
+    from repro.dynamic import default_zoo, monitors_for
 
     compiled = _compile(args)
     profile = None
@@ -181,7 +181,7 @@ def cmd_dynsim(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = _run(args, compiled, monitors=models)
+    result = _run(args, compiled, monitors=monitors_for(models))
     scores = [model.score(result) for model in models]
     if profile is not None:
         predictor = ProfilePredictor(profile, name="static-feedback")

@@ -201,10 +201,20 @@ NEGATIVE_SHIFT = (
 )
 
 
+# A left shift by a large constant count stays a run-time op: the
+# constant folder once built the whole int, 128 KB for the dead shift.
+LARGE_SHIFT = (
+    "var DEBUG = 0;\n"
+    "func main() { var x = (1 << 200) >> 197; if (DEBUG) { x = 1 << 1048576; }\n"
+    "    return x + (getc() << 100 >> 99); }\n"
+)
+
+
 @given(programs(), st.binary(max_size=6))
 @example(CSE_SELF_OPERAND, b"\x03\x05")
 @example(NEGATIVE_SHIFT, b"\x01")
 @example(NEGATIVE_SHIFT, b"")
+@example(LARGE_SHIFT, b"\x03")
 @settings(max_examples=120, deadline=None)
 def test_pipeline_matches_reference_interpreter(source, data):
     expected = run_reference(source, data)

@@ -13,6 +13,7 @@ from repro.dynamic import (
     branch_pc,
     build_model,
     default_zoo,
+    monitors_for,
 )
 from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
@@ -20,7 +21,7 @@ from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import PredictionReport, evaluate_static
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.machine import run_program
-from repro.vm.monitors import BranchMonitor
+from repro.vm.monitors import BranchMonitor, deliver
 
 ONE_BRANCH = [BranchId("main", 0)]
 
@@ -208,6 +209,18 @@ class TestBudgets:
         ]
         with pytest.raises(ValueError, match="unknown predictor family"):
             build_model("neural", 64)
+
+    def test_zoo_models_at_a_size_share_its_tournament_pass(self):
+        zoo = default_zoo(table_sizes=(16, 64))
+        bimodals, gshares, locals_, tournaments = (
+            zoo[index:index + 2] for index in range(0, 8, 2)
+        )
+        for bimodal, gshare, tournament in zip(bimodals, gshares, tournaments):
+            assert tournament.bimodal is bimodal and tournament.gshare is gshare
+            assert bimodal.fed_by is gshare.fed_by is tournament
+        assert monitors_for(zoo) == tournaments + locals_
+        # A component alone is still fed, by its tournament.
+        assert monitors_for([zoo[0]]) == [tournaments[0]]
 
 
 # -- replay against a longhand per-event oracle --------------------------------
@@ -413,6 +426,68 @@ def test_tournament_leaves_components_where_standalone_replays_would(
         model.simulate(outcomes)
     assert tournament.bimodal.snapshot() == bimodal.snapshot()
     assert tournament.gshare.snapshot() == gshare.snapshot()
+
+
+def _chunks(outcomes, cuts):
+    """The stream cut at ``cuts`` into monitor chunks of (outcome, icount)
+    pairs."""
+    bounds = [0] + cuts + [len(outcomes)]
+    return [
+        [item for outcome in outcomes[start:end] for item in (outcome, 0)]
+        for start, end in zip(bounds, bounds[1:])
+    ]
+
+
+@given(split_streams())
+@settings(max_examples=60, deadline=None)
+def test_zoo_passes_score_each_model_as_its_own_replay_would(stream):
+    """Attached as the zoo hands them out, 6 passes leave each of the 12
+    models with the tallies and state of that model replayed alone and of
+    its longhand oracle."""
+    branch_table, events, cuts = stream
+    outcomes = [index << 1 | taken for index, taken in events]
+    sizes = (1, 4, 64)
+    models = default_zoo(table_sizes=sizes)
+    monitors = monitors_for(models)
+    assert len(monitors) == 2 * len(sizes)
+    for monitor in monitors:
+        monitor.on_run_start(branch_table)
+    for chunk in _chunks(outcomes, cuts):
+        deliver(monitors, chunk)
+
+    grid = [(family, size) for family in MODEL_FAMILIES for size in sizes]
+    assert len(models) == len(grid) == 12
+    for model, (family, size) in zip(models, grid):
+        alone = build_model(family, size)
+        alone.on_run_start(branch_table)
+        for chunk in _chunks(outcomes, cuts):
+            alone.replay(chunk)
+        longhand = LONGHAND[family](size)
+        longhand.reset(branch_table)
+        expected = sum(
+            longhand.step(index, taken) != taken for index, taken in events
+        )
+        assert model.name == alone.name
+        assert (model.executions, model.mispredicts) == (
+            alone.executions, alone.mispredicts
+        ) == (len(events), expected)
+        assert model.snapshot() == alone.snapshot() == longhand.snapshot()
+
+
+def test_a_component_attached_beside_its_tournament_is_refused():
+    """Attaching the 12 models themselves would feed bimodal@N and
+    gshare@N twice, once by tournament@N's pass and once as their own
+    monitors; the run refuses before it starts."""
+    from repro.compiler import compile_source
+
+    lowered = compile_source(
+        "func main() { var i = 0; while (i < 5) { i += 1; } return i; }"
+    ).lowered
+    models = default_zoo(table_sizes=(4,))
+    with pytest.raises(ValueError, match="bimodal@4 is advanced by tournament@4"):
+        run_program(lowered, monitors=models)
+    result = run_program(lowered, monitors=monitors_for(models))
+    assert [model.score(result).branch_execs for model in models] == [6] * 4
 
 
 # -- scoring against real runs -------------------------------------------------

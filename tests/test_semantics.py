@@ -6,6 +6,7 @@ optimizer (default configuration) and virtual machine together.
 import pytest
 
 from repro.compiler import RunConfig
+from repro.ir.opcodes import FOLD_SHIFT_BITS, BinOp, fold_binop
 from repro.vm.errors import VMError
 
 from tests.helpers import (
@@ -344,6 +345,22 @@ def test_dead_negative_shift_compiles(config):
     func main() { var x = 7; if (DEBUG) { x = 1 << -1; } return x; }
     """
     assert run_main(source, config=config) == 7
+
+
+def test_wide_constant_shift_is_not_folded():
+    # The folder once built the whole int: 128 KB for this one.
+    assert fold_binop(BinOp.SHL, 1, 1 << 20) is None
+    assert fold_binop(BinOp.SHL, 3, FOLD_SHIFT_BITS - 2) == 3 << FOLD_SHIFT_BITS - 2
+    assert fold_binop(BinOp.SHL, 3, FOLD_SHIFT_BITS - 1) is None
+
+
+def test_wide_shift_stays_a_run_time_op(config):
+    source = """
+    var DEBUG = 0;
+    func main() { var x = (1 << 200) >> 197; if (DEBUG) { x = 1 << 1048576; }
+        return x; }
+    """
+    assert run_main(source, config=config) == 8
 
 
 @pytest.mark.parametrize(
