@@ -20,6 +20,12 @@ from repro.profiling.database import ProfileDatabase
 from repro.vm.counters import RunResult
 
 
+def fraction_of_bound(ipb: float, bound: float) -> float:
+    """An IPB as a fraction of the self-prediction bound; 0.0 when the
+    bound is 0."""
+    return ipb / bound if bound else 0.0
+
+
 @dataclasses.dataclass
 class DatasetPrediction:
     """Figure 2 numbers for one target dataset."""
@@ -34,7 +40,7 @@ class DatasetPrediction:
     @property
     def combined_fraction_of_self(self) -> float:
         """How much of the best-possible IPB the summary predictor achieves."""
-        return self.ipb_combined / self.ipb_self if self.ipb_self else 0.0
+        return fraction_of_bound(self.ipb_combined, self.ipb_self)
 
 
 @dataclasses.dataclass
@@ -107,9 +113,9 @@ class CrossDatasetExperiment:
 
     def quality(self, target: str, predictor: StaticPredictor) -> float:
         """``predictor``'s IPB on ``target`` as a fraction of the
-        self-prediction bound; 0.0 when the bound is 0."""
+        self-prediction bound (see :func:`fraction_of_bound`)."""
         bound = self.ipb(target, self.self_predictor(target))
-        return self.ipb(target, predictor) / bound if bound else 0.0
+        return fraction_of_bound(self.ipb(target, predictor), bound)
 
     def report(self, target: str, predictor: StaticPredictor) -> PredictionReport:
         return evaluate_static(self.runs[target], predictor)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from typing import Any, Dict
 
 from repro.core.runner import WorkloadRunner
 from repro.experiments import EXPERIMENTS
@@ -27,16 +28,26 @@ def _plain(value):
     return value
 
 
+def document_of(results: Dict[str, Any]) -> dict:
+    """The JSON-compatible document of experiment results, keyed by name."""
+    return {name: _plain(result) for name, result in results.items()}
+
+
 def collect(runner: WorkloadRunner) -> dict:
     """Run every experiment and return one JSON-compatible document."""
-    return {
-        name: _plain(module.run(runner)) for name, module in EXPERIMENTS.items()
-    }
+    return document_of(
+        {name: module.run(runner) for name, module in EXPERIMENTS.items()}
+    )
+
+
+def dumps(document: dict) -> str:
+    """The text :func:`export_json` writes for ``document``."""
+    return json.dumps(document, indent=1, sort_keys=True)
 
 
 def export_json(path: str, runner: WorkloadRunner) -> dict:
     """Write the full results document to ``path``; returns it too."""
     document = collect(runner)
     with open(path, "w") as handle:
-        json.dump(document, handle, indent=1, sort_keys=True)
+        handle.write(dumps(document))
     return document

@@ -31,6 +31,13 @@ executes it:
   after it becomes the ``if`` test itself, and its 0/1 result is stored
   only if a successor reads it.  ``LOAD``/``STORE`` keep their bounds
   checks, with the memory size inlined.
+* **Constants and copies are folded** into their uses within an element
+  (see :func:`_fold`): a use of a register a ``CONST`` or ``MOV`` set
+  reads the literal or the copied register, and the store is left out
+  when its register is dead after the element.  A ``LOAD``/``STORE``
+  whose address folds to a literal has its bounds check decided when the
+  code is generated.  Registers are not observable and a fault ends the
+  run, so no counter can tell a dropped store was ever there.
 * **The instruction limit** is checked once per *element*, before its
   body: an element is a run of straight-line ops plus the ``BR``,
   ``JMP``, ``RET`` or ``CALL`` that follows it, or one other instruction
@@ -63,7 +70,7 @@ import builtins
 import sys
 from collections import Counter
 from types import CellType, CodeType, FunctionType
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import repro.vm.monitors as vm_monitors
 from repro.ir.lower import LoweredFunction, LoweredProgram
@@ -226,6 +233,87 @@ def _live_in(
     return live
 
 
+def _live_outs(block: Block, live: Dict[int, int], length: int) -> List[int]:
+    """Per element of ``block``, the registers live after it (a bit set),
+    from the live sets of the block's exits backwards."""
+    out = 0
+    for target in _exits(block, length):
+        out |= live.get(target, 0)
+    outs: List[int] = []
+    for element in reversed(block.elements):
+        outs.append(out)
+        for ins in reversed(element):
+            uses, dst = _uses_and_def(ins)
+            if dst >= 0:
+                out &= ~(1 << dst)
+            for reg in uses:
+                out |= 1 << reg
+    outs.reverse()
+    return outs
+
+
+def _literal(text: str) -> Optional[int]:
+    """The value of an operand text that is a literal, else ``None``."""
+    return None if text[0] == "r" else int(text)
+
+
+def _fold(
+    element: List[Instruction], live_out: int
+) -> Tuple[List[Dict[int, str]], Set[int]]:
+    """Fold the ``CONST``s and ``MOV``s of one element into their uses.
+
+    Returns, per instruction, the text each register it reads is emitted
+    as: the literal a ``CONST`` set, the register a ``MOV`` copied (while
+    that register still holds the copied value), or the register itself.
+    Also returns the positions of the ``CONST``/``MOV`` stores to leave
+    out: those whose register is dead after the element and never read
+    raw within it (a read is raw when the copy's source was redefined
+    first, so the copy must really have been made).
+    """
+    known: Dict[int, str] = {}
+    #: Per register, the registers that may be known as copies of it.
+    copies: Dict[int, List[int]] = {}
+    #: Per register, the position of the ``CONST``/``MOV`` that set it.
+    stores: Dict[int, int] = {}
+    kept: Set[int] = set()
+    operands: List[Dict[int, str]] = []
+    for pos, ins in enumerate(element):
+        uses, dst = _uses_and_def(ins)
+        texts: Dict[int, str] = {}
+        for reg in uses:
+            text = known.get(reg)
+            if text is None:
+                text = f"r{reg}"
+                if reg in stores:
+                    kept.add(stores[reg])
+            texts[reg] = text
+        operands.append(texts)
+        op = ins[0]
+        if dst < 0 or op == _OP_MOV and texts[ins[2]] == f"r{dst}":
+            continue  # a copy of itself changes nothing
+        stores.pop(dst, None)
+        known.pop(dst, None)
+        for reg in copies.pop(dst, ()):
+            if known.get(reg) == f"r{dst}":
+                del known[reg]
+        if op == _OP_CONST:
+            known[dst] = repr(ins[2])
+        elif op == _OP_MOV:
+            text = known[dst] = texts[ins[2]]
+            if _literal(text) is None:
+                copies.setdefault(int(text[1:]), []).append(dst)
+        else:
+            continue
+        stores[dst] = pos
+    kept.update(pos for reg, pos in stores.items() if live_out >> reg & 1)
+    dropped = {
+        pos
+        for pos, ins in enumerate(element)
+        if (ins[0] == _OP_CONST or ins[0] == _OP_MOV) and pos not in kept
+    }
+    return operands, dropped
+
+
 class PredecodedFunction:
     """One function, analysed for code generation."""
 
@@ -328,26 +416,22 @@ def _namespace(program: LoweredProgram) -> Dict[str, Any]:
 #: ``//`` and ``%`` when the dividend is non-negative and the divisor
 #: positive; otherwise (including division by zero) they call out.
 _BIN_STMTS = {
-    int(BinOp.ADD): "r{d} = r{a} + r{b}",
-    int(BinOp.SUB): "r{d} = r{a} - r{b}",
-    int(BinOp.MUL): "r{d} = r{a} * r{b}",
-    int(BinOp.DIV): (
-        "r{d} = r{a} // r{b} if r{a} >= 0 and r{b} > 0 else _div(r{a}, r{b})"
-    ),
-    int(BinOp.MOD): (
-        "r{d} = r{a} % r{b} if r{a} >= 0 and r{b} > 0 else _mod(r{a}, r{b})"
-    ),
-    int(BinOp.AND): "r{d} = r{a} & r{b}",
-    int(BinOp.OR): "r{d} = r{a} | r{b}",
-    int(BinOp.XOR): "r{d} = r{a} ^ r{b}",
-    int(BinOp.SHL): "r{d} = r{a} << r{b}",
-    int(BinOp.SHR): "r{d} = r{a} >> r{b}",
-    int(BinOp.EQ): "r{d} = 1 if r{a} == r{b} else 0",
-    int(BinOp.NE): "r{d} = 1 if r{a} != r{b} else 0",
-    int(BinOp.LT): "r{d} = 1 if r{a} < r{b} else 0",
-    int(BinOp.LE): "r{d} = 1 if r{a} <= r{b} else 0",
-    int(BinOp.GT): "r{d} = 1 if r{a} > r{b} else 0",
-    int(BinOp.GE): "r{d} = 1 if r{a} >= r{b} else 0",
+    int(BinOp.ADD): "r{d} = {a} + {b}",
+    int(BinOp.SUB): "r{d} = {a} - {b}",
+    int(BinOp.MUL): "r{d} = {a} * {b}",
+    int(BinOp.DIV): "r{d} = {a} // {b} if {a} >= 0 and {b} > 0 else _div({a}, {b})",
+    int(BinOp.MOD): "r{d} = {a} % {b} if {a} >= 0 and {b} > 0 else _mod({a}, {b})",
+    int(BinOp.AND): "r{d} = {a} & {b}",
+    int(BinOp.OR): "r{d} = {a} | {b}",
+    int(BinOp.XOR): "r{d} = {a} ^ {b}",
+    int(BinOp.SHL): "r{d} = {a} << {b}",
+    int(BinOp.SHR): "r{d} = {a} >> {b}",
+    int(BinOp.EQ): "r{d} = 1 if {a} == {b} else 0",
+    int(BinOp.NE): "r{d} = 1 if {a} != {b} else 0",
+    int(BinOp.LT): "r{d} = 1 if {a} < {b} else 0",
+    int(BinOp.LE): "r{d} = 1 if {a} <= {b} else 0",
+    int(BinOp.GT): "r{d} = 1 if {a} > {b} else 0",
+    int(BinOp.GE): "r{d} = 1 if {a} >= {b} else 0",
 }
 
 #: Comparisons a ``BR`` right after them can test directly.
@@ -361,9 +445,9 @@ _TESTS = {
 }
 
 _UN_STMTS = {
-    int(UnOp.NEG): "r{d} = -r{a}",
-    int(UnOp.NOT): "r{d} = 1 if r{a} == 0 else 0",
-    int(UnOp.BNOT): "r{d} = ~r{a}",
+    int(UnOp.NEG): "r{d} = -{a}",
+    int(UnOp.NOT): "r{d} = 1 if {a} == 0 else 0",
+    int(UnOp.BNOT): "r{d} = ~{a}",
 }
 
 _LIMIT_CHECK = ["if icount > limit:", "    raise _exceeded(limit)"]
@@ -371,8 +455,8 @@ _LIMIT_CHECK = ["if icount > limit:", "    raise _exceeded(limit)"]
 _DEPTH_CHECK = ["if not depth:", "    raise _fault('call depth limit exceeded')"]
 
 
-def _call(dst: int, callee: str, args: Sequence[int]) -> str:
-    call = f"{callee}({', '.join(['depth - 1'] + [f'r{a}' for a in args])})"
+def _call(dst: int, callee: str, args: Sequence[str]) -> str:
+    call = f"{callee}({', '.join(['depth - 1', *args])})"
     return call if dst == -1 else f"r{dst} = {call}"
 
 
@@ -418,18 +502,9 @@ class _Writer:
         """A block's statements: each element's limit check and body, then
         its transfer."""
         lines: List[str] = []
-        for element in block.elements:
-            lines += [f"icount += {len(element)}"] + _LIMIT_CHECK
-            last = element[-1]
-            test = None
-            if last[0] == _OP_BR and len(element) > 1:
-                test = self.test(element[-2], last)
-            for ins in element[:-2] if test else element[:-1]:
-                lines += self.op(ins, nesting, head)
-            if last[0] == _OP_BR:
-                lines += self.branch(last, test, nesting, head)
-            else:
-                lines += self.op(last, nesting, head)
+        live_outs = _live_outs(block, self.func.live, self.func.length)
+        for element, live_out in zip(block.elements, live_outs):
+            lines += self.element(element, live_out, nesting, head)
         if block.elements and block.elements[-1][-1][0] in _TRANSFERS:
             return lines
         if block.end < self.func.length:
@@ -439,6 +514,31 @@ class _Writer:
         return lines + [
             f"raise _fault('bad register or code reference at pc {fetch}')"
         ]
+
+    def element(
+        self,
+        element: List[Instruction],
+        live_out: int,
+        nesting: int,
+        head: Optional[int],
+    ) -> List[str]:
+        """An element's limit check and body, with its ``CONST``s and
+        ``MOV``s folded into their uses (see :func:`_fold`)."""
+        operands, skipped = _fold(element, live_out)
+        lines = [f"icount += {len(element)}"] + _LIMIT_CHECK
+        test = None
+        if element[-1][0] == _OP_BR and len(element) > 1:
+            test = self.test(element[-2], operands[-2], element[-1])
+            if test is not None:
+                skipped.add(len(element) - 2)
+        for pos, ins in enumerate(element):
+            if pos in skipped:
+                continue
+            if ins[0] == _OP_BR:
+                lines += self.branch(ins, operands[pos], test, nesting, head)
+            else:
+                lines += self.op(ins, operands[pos], nesting, head)
+        return lines
 
     def event(self, outcome: int) -> List[str]:
         if not self.recording:
@@ -452,7 +552,9 @@ class _Writer:
             "    flush()",
         ]
 
-    def test(self, ins: Instruction, br: Instruction) -> Optional[Tuple[str, bool]]:
+    def test(
+        self, ins: Instruction, operands: Dict[int, str], br: Instruction
+    ) -> Optional[Tuple[str, bool]]:
         """When ``ins`` is a comparison whose result ``br`` branches on,
         the expression to test instead, and whether a successor reads the
         result (so each arm still stores it)."""
@@ -460,11 +562,12 @@ class _Writer:
             return None
         live = self.func.live
         stored = any(live.get(target, 0) >> ins[2] & 1 for target in br[2:4])
-        return f"r{ins[3]} {_TESTS[ins[1]]} r{ins[4]}", stored
+        return f"{operands[ins[3]]} {_TESTS[ins[1]]} {operands[ins[4]]}", stored
 
     def branch(
         self,
         ins: Instruction,
+        operands: Dict[int, str],
         test: Optional[Tuple[str, bool]],
         nesting: int,
         head: Optional[int],
@@ -473,7 +576,7 @@ class _Writer:
         bidx = ins[4]
         taken = [f"btaken[{bidx}] += 1"] + self.event(bidx << 1 | 1)
         not_taken = [f"bnot[{bidx}] += 1"] + self.event(bidx << 1)
-        condition = f"r{ins[1]}"
+        condition = operands[ins[1]]
         if test is not None:
             condition, stored = test
             if stored:
@@ -486,43 +589,52 @@ class _Writer:
             + _indent(not_taken + self.goto(ins[3], nesting + 1, head))
         )
 
-    def op(self, ins: Instruction, nesting: int, head: Optional[int]) -> List[str]:
-        """The statements of one instruction other than ``BR``."""
+    def op(
+        self,
+        ins: Instruction,
+        operands: Dict[int, str],
+        nesting: int,
+        head: Optional[int],
+    ) -> List[str]:
+        """The statements of one instruction other than ``BR``, reading
+        each register as the text ``operands`` gives for it."""
         op = ins[0]
         if op == _OP_CONST:
             return [f"r{ins[1]} = {ins[2]!r}"]
         if op == _OP_MOV:
-            return [f"r{ins[1]} = r{ins[2]}"]
+            return [f"r{ins[1]} = {operands[ins[2]]}"]
         if op == _OP_BIN:
-            return [_BIN_STMTS[ins[1]].format(d=ins[2], a=ins[3], b=ins[4])]
-        if op == _OP_UN:
-            return [_UN_STMTS[ins[1]].format(d=ins[2], a=ins[3])]
-        if op == _OP_LOAD or op == _OP_STORE:
-            addr = ins[2] if op == _OP_LOAD else ins[1]
-            kind = "load from" if op == _OP_LOAD else "store to"
-            access = (
-                f"r{ins[1]} = memory[r{addr}]" if op == _OP_LOAD
-                else f"memory[r{addr}] = r{ins[2]}"
-            )
             return [
-                f"if r{addr} < 0 or r{addr} >= {self.program.memory_size}:",
-                f"    raise _fault('{kind} bad address %d' % r{addr})",
-                access,
+                _BIN_STMTS[ins[1]].format(
+                    d=ins[2], a=operands[ins[3]], b=operands[ins[4]]
+                )
+            ]
+        if op == _OP_UN:
+            return [_UN_STMTS[ins[1]].format(d=ins[2], a=operands[ins[3]])]
+        if op == _OP_LOAD:
+            address = operands[ins[2]]
+            return self.bounds(address, "load from") + [
+                f"r{ins[1]} = memory[{address}]"
+            ]
+        if op == _OP_STORE:
+            address = operands[ins[1]]
+            return self.bounds(address, "store to") + [
+                f"memory[{address}] = {operands[ins[2]]}"
             ]
         if op == _OP_JMP:
             self.assigned.add("jumps")
             return ["jumps += 1"] + self.goto(ins[1], nesting, head)
         if op == _OP_RET:
-            return ["return 0" if ins[1] == -1 else f"return r{ins[1]}"]
+            return ["return 0" if ins[1] == -1 else f"return {operands[ins[1]]}"]
         if op == _OP_CALL:
             self.assigned.update(("direct_calls", "direct_returns"))
             return _DEPTH_CHECK + [
                 "direct_calls += 1",
-                _call(ins[2], f"f{ins[1]}", ins[3]),
+                _call(ins[2], f"f{ins[1]}", [operands[a] for a in ins[3]]),
                 "direct_returns += 1",
             ]
         if op == _OP_ICALL:
-            target = f"r{ins[1]}"
+            target = operands[ins[1]]
             self.assigned.update(("indirect_calls", "indirect_returns"))
             return [
                 f"if {target} < 0 or {target} >= {len(self.program.functions)}:",
@@ -531,22 +643,35 @@ class _Writer:
                 f"    raise _arity_error({target}, {len(ins[3])})",
             ] + _DEPTH_CHECK + [
                 "indirect_calls += 1",
-                _call(ins[2], f"functions[{target}]", ins[3]),
+                _call(
+                    ins[2], f"functions[{target}]", [operands[a] for a in ins[3]]
+                ),
                 "indirect_returns += 1",
             ]
         if op == _OP_SELECT:
             self.assigned.add("selects")
             return [
-                f"r{ins[1]} = r{ins[3]} if r{ins[2]} else r{ins[4]}",
+                f"r{ins[1]} = {operands[ins[3]]} if {operands[ins[2]]} "
+                f"else {operands[ins[4]]}",
                 "selects += 1",
             ]
         if op == _OP_GETC:
             return [f"r{ins[1]} = next(stdin, -1)"]
         if op == _OP_PUTC:
-            return [f"putc(r{ins[1]} & 255)"]
+            return [f"putc({operands[ins[1]]} & 255)"]
         if op == _OP_HALT:
             return ["raise _Halt"]
         raise AssertionError(f"unknown opcode {op}")  # pragma: no cover
+
+    def bounds(self, address: str, kind: str) -> List[str]:
+        """The bounds check of a ``LOAD``/``STORE`` address, decided here
+        when the address is a literal."""
+        fault = f"raise _fault('{kind} bad address %d' % {address})"
+        size = self.program.memory_size
+        value = _literal(address)
+        if value is not None:
+            return [] if 0 <= value < size else [fault]
+        return [f"if {address} < 0 or {address} >= {size}:", "    " + fault]
 
     def arm(self, start: int) -> List[str]:
         """The arm for ``start``, looping on itself if it can reach it."""

@@ -7,7 +7,7 @@ from repro.core.cache import (
     run_result_from_dict,
     run_result_to_dict,
 )
-from repro.core.experiment import CrossDatasetExperiment
+from repro.core.experiment import CrossDatasetExperiment, fraction_of_bound
 from repro.core.runner import WorkloadRunner
 from repro.profiling.branch_profile import BranchProfile
 from repro.workloads.registry import get_workload
@@ -193,6 +193,16 @@ class TestCrossDatasetExperiment:
         assert prediction.ipb_self >= prediction.ipb_combined > 0
         assert 0 < prediction.combined_fraction_of_self <= 1.0
         assert prediction.ipb_unpredicted < prediction.ipb_combined
+
+    def test_figure2_fraction_is_the_quality_ratio(self, doduc):
+        # One IPB / self-IPB ratio: Figure 2's "% of best" is quality()
+        # of the same leave-one-out summary predictor.
+        for target in doduc.dataset_names():
+            prediction = doduc.dataset_prediction(target)
+            assert prediction.combined_fraction_of_self == doduc.quality(
+                target, doduc.combined_predictor(target)
+            )
+        assert fraction_of_bound(5.0, 0.0) == 0.0
 
     def test_best_worst_bounds(self, doduc):
         for target in doduc.dataset_names():

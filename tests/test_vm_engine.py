@@ -19,10 +19,11 @@ import repro.vm.monitors as vm_monitors
 from repro.compiler import compile_source
 import repro.vm as vm
 from repro.ir.instructions import BranchId
-from repro.ir.opcodes import BinOp, Opcode
+from repro.ir.lower import LoweredFunction, LoweredProgram
+from repro.ir.opcodes import BinOp, Opcode, UnOp
 from repro.prediction.base import FixedPredictor, ProfilePredictor
 from repro.profiling.branch_profile import BranchProfile
-from repro.vm.engine import compiled, predecode, run_monitored
+from repro.vm.engine import _function_source, compiled, predecode, run_monitored
 from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
@@ -209,8 +210,70 @@ def test_faults_are_identical_across_engines():
 
 # -- instruction limit and faults ----------------------------------------------
 
+CONST, MOV, BIN, UN, LOAD, STORE, GETC, CALL, BR, JMP, RET = (
+    int(op) for op in (
+        Opcode.CONST, Opcode.MOV, Opcode.BIN, Opcode.UN, Opcode.LOAD,
+        Opcode.STORE, Opcode.GETC, Opcode.CALL, Opcode.BR, Opcode.JMP, Opcode.RET,
+    )
+)
+
+
+def hand_built(*functions, memory_size=8):
+    """A program straight from lowered code, for shapes the compiler does
+    not emit on demand.  Each function is ``(num_params, num_regs, code)``;
+    the first is ``main``.  Memory starts as 10, 11, ..."""
+    lowered_functions = []
+    branches = 0
+    for index, (num_params, num_regs, code) in enumerate(functions):
+        targets = set()
+        for ins in code:
+            if ins[0] == BR:
+                targets.update(ins[2:4])
+                branches = max(branches, ins[4] + 1)
+            elif ins[0] == JMP:
+                targets.add(ins[1])
+        name = f"f{index}" if index else "main"
+        lowered_functions.append(
+            LoweredFunction(name, num_params, num_regs, list(code), frozenset(targets))
+        )
+    return LoweredProgram(
+        name="test",
+        functions=lowered_functions,
+        function_index={func.name: i for i, func in enumerate(lowered_functions)},
+        main_index=0,
+        memory_size=memory_size,
+        memory_init=list(range(10, 10 + memory_size)),
+        symbols={},
+        branch_table=[BranchId("main", i) for i in range(branches)],
+    )
+
+
+def literal_address_fault(access):
+    """A loop that loads and stores through in-range literal addresses,
+    then ``access``es an out-of-range literal address mid-element."""
+    return hand_built((0, 6, [
+        (CONST, 0, 0),
+        (CONST, 1, 6),
+        (BIN, int(BinOp.LT), 2, 0, 1),        # 2: loop head
+        (BR, 2, 4, 11, 0),
+        (CONST, 3, 2),                        # 4: loop body
+        (LOAD, 4, 3),
+        (BIN, int(BinOp.ADD), 4, 4, 0),
+        (STORE, 3, 4),
+        (CONST, 5, 1),
+        (BIN, int(BinOp.ADD), 0, 0, 5),
+        (JMP, 2),
+        (CONST, 3, 3),                        # 11: loop exit
+        (LOAD, 4, 3),
+        *access,
+        (RET, 4),
+    ]))
+
+
 #: Small programs for the instruction-limit sweep: loops in both branch
-#: directions, calls out of a loop, and a loop that exits early.
+#: directions, calls out of a loop, a loop that exits early, and loops
+#: followed by a load from and a store to an out-of-range literal address
+#: (whose bounds checks the engine decides when it generates the code).
 LIMIT_SWEEP = {
     "nested": """
         func main() {
@@ -242,6 +305,12 @@ LIMIT_SWEEP = {
             return found;
         }
         """,
+    "literal load from bad address": literal_address_fault(
+        [(CONST, 5, -2), (LOAD, 4, 5)]
+    ),
+    "literal store to bad address": literal_address_fault(
+        [(CONST, 5, 8), (STORE, 5, 4)]
+    ),
 }
 
 
@@ -289,7 +358,8 @@ def test_limit_sweep_matches_legacy(name):
     the limit fall inside one element, the legacy loop reports the fault
     and the engine the limit; only there do their errors differ.
     """
-    program = lowered(LIMIT_SWEEP.get(name) or FAULTS_IN_A_LOOP_CONDITION[name])
+    source = LIMIT_SWEEP.get(name) or FAULTS_IN_A_LOOP_CONDITION[name]
+    program = source if isinstance(source, LoweredProgram) else lowered(source)
     decoded = predecode(program)
     for limit in range(10_000):
         legacy = _outcome(LegacyMachine(max_instructions=limit).run, program)
@@ -542,3 +612,176 @@ def test_run_length_tail_covers_a_fully_predicted_run():
     )
     rerun = run_program(program, monitors=[monitor])
     assert sum(monitor.run_lengths) == rerun.instructions
+
+
+# -- operand folding ------------------------------------------------------------
+
+
+class ChunkRecorder(BranchMonitor):
+    """Keeps every chunk item: each event's outcome and instruction count."""
+
+    def on_run_start(self, branch_table):
+        self.items = []
+
+    def replay(self, chunk):
+        self.items.extend(chunk)
+
+
+def assert_agrees_with_legacy(program, data=b""):
+    """Both variants return the legacy loop's result (or raise its fault),
+    and the recording variant hands a monitor the legacy event stream."""
+    outcomes = []
+    for engine in ENGINES.values():
+        recorder = ChunkRecorder()
+        plain = _outcome(engine().run, program, data)
+        monitored = _outcome(engine().run, program, data, [recorder])
+        assert plain == monitored
+        outcomes.append((plain, recorder.items))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0]
+
+
+#: Where the operands of a binary op come from: a literal, or a register
+#: set in an earlier block, which the element reads as it is.
+SHAPES = ["literal, literal", "literal, register", "register, literal"]
+
+
+def _binop_code(binop, shape, a, b):
+    """Code that leaves ``a <binop> b`` in r2, its operands in ``shape``."""
+    if shape == "literal, literal":
+        code = [(CONST, 0, a), (CONST, 1, b)]
+    elif shape == "literal, register":
+        code = [(CONST, 1, b), (JMP, 2), (CONST, 0, a)]
+    else:
+        code = [(CONST, 0, a), (JMP, 2), (CONST, 1, b)]
+    return code + [(BIN, binop, 2, 0, 1)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("a, b", [(-5, 3), (7, -2), (-6, -4), (9, 0)])
+@pytest.mark.parametrize("binop", list(BinOp), ids=lambda op: op.name)
+def test_negative_literals_in_every_binop_position_match_legacy(binop, a, b, shape):
+    # Covers -5 << 3, x - -2, a negative count's fault, and DIV/MOD with a
+    # negative literal on either side or a zero divisor (the _div/_mod path).
+    code = _binop_code(int(binop), shape, a, b) + [(RET, 2)]
+    assert_agrees_with_legacy(hand_built((0, 3, code)))
+
+
+@pytest.mark.parametrize("folded", [True, False], ids=["literal", "register"])
+@pytest.mark.parametrize("value", [-5, 0, 5])
+@pytest.mark.parametrize("unop", list(UnOp), ids=lambda op: op.name)
+def test_negative_literals_in_every_unop_position_match_legacy(unop, value, folded):
+    # ~-5 and the negation of a negative literal among them.
+    code = [(CONST, 0, value)] + ([] if folded else [(JMP, 2)])
+    program = hand_built((0, 2, code + [(UN, int(unop), 1, 0), (RET, 1)]))
+    assert assert_agrees_with_legacy(program)[0] == "ok"
+
+
+ADD, SUB = int(BinOp.ADD), int(BinOp.SUB)
+
+#: Element shapes the folding must get right, each checked against the
+#: legacy loop (the name says what the program's exit code shows).
+FOLDING_EDGE_CASES = {
+    "copy read after its source was redefined": hand_built((0, 4, [
+        (CONST, 0, 5),
+        (JMP, 2),
+        (MOV, 1, 0),                  # 2: a copy of a register
+        (CONST, 0, 7),
+        (MOV, 2, 1),                  # reads the copy raw: 5
+        (BIN, SUB, 3, 1, 0),          # 5 - 7
+        (BIN, ADD, 3, 3, 2),          # -2 + 5 = 3
+        (RET, 3),
+    ])),
+    "copy tested by its branch after its source was redefined": hand_built((0, 2, [
+        (CONST, 0, 5),
+        (JMP, 2),
+        (MOV, 1, 0),                  # 2: a copy of a register
+        (CONST, 0, 0),
+        (BR, 1, 5, 6, 0),
+        (RET, 1),
+        (RET, 0),
+    ])),
+    "self-copies": hand_built((0, 6, [
+        (GETC, 0),
+        (MOV, 0, 0),                  # of a register
+        (CONST, 1, 3),
+        (MOV, 1, 1),                  # of a literal
+        (MOV, 2, 1),
+        (MOV, 2, 2),
+        (MOV, 4, 0),
+        (CONST, 0, 1),
+        (MOV, 4, 4),                  # of a copy whose source changed
+        (BIN, ADD, 3, 0, 2),
+        (BIN, ADD, 5, 3, 4),
+        (RET, 5),
+    ])),
+    "dead constant next to one live into a successor": hand_built((0, 4, [
+        (CONST, 0, 4),                # dead after the element
+        (CONST, 1, 6),                # read by the next block
+        (BIN, int(BinOp.MUL), 2, 0, 1),
+        (JMP, 4),
+        (BIN, ADD, 3, 1, 2),          # 6 + 24
+        (RET, 3),
+    ])),
+    "literal and copied call arguments": hand_built(
+        (0, 4, [
+            (CONST, 0, -3),
+            (MOV, 1, 0),
+            (CONST, 2, 10),
+            (CALL, 1, 3, (1, 2)),     # f1(-3, 10)
+            (RET, 3),
+        ]),
+        (2, 3, [(BIN, SUB, 2, 0, 1), (RET, 2)]),
+    ),
+    "literal store value and addresses": hand_built((0, 3, [
+        (CONST, 0, 2),
+        (CONST, 1, -9),
+        (STORE, 0, 1),
+        (LOAD, 2, 0),
+        (RET, 2),
+    ])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDING_EDGE_CASES))
+def test_folding_edge_cases_match_legacy(name):
+    assert assert_agrees_with_legacy(FOLDING_EDGE_CASES[name], b"A")[0] == "ok"
+
+
+COMPARES = [BinOp.EQ, BinOp.NE, BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE]
+
+
+@pytest.mark.parametrize("b", [4, 3, 2])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("compare", COMPARES, ids=lambda op: op.name)
+def test_fused_compare_with_a_literal_read_by_a_successor_matches_legacy(
+    compare, shape, b
+):
+    # The compare becomes the branch's if test; each arm stores its 0/1
+    # result because both successors read it.
+    code = _binop_code(int(compare), shape, 3, b)
+    end = len(code) + 1
+    code += [(BR, 2, end, end + 2, 0), (BIN, ADD, 1, 2, 2), (RET, 1), (RET, 2)]
+    program = hand_built((0, 3, code))
+    source = _function_source(predecode(program), 0, False)
+    assert "if r2:" not in source and "r2 = 1" in source
+    assert assert_agrees_with_legacy(program)[0] == "ok"
+
+
+def test_generator_folds_constants_and_drops_literal_address_checks():
+    program = hand_built(
+        (0, 1, [(RET, -1)]),
+        (2, 11, [(CONST, 9, 3), (BIN, ADD, 10, 9, 1), (RET, 10)]),
+        (0, 4, [(CONST, 2, 5), (LOAD, 3, 2), (RET, 3)]),
+    )
+    decoded = predecode(program)
+    add = _function_source(decoded, 1, False)
+    assert "r10 = 3 + r1" in add
+    assert "r9 =" not in add
+    load = _function_source(decoded, 2, False)
+    assert "r3 = memory[5]" in load
+    assert "bad address" not in load
+    # The constant that is live into a successor keeps its store.
+    edge_case = FOLDING_EDGE_CASES["dead constant next to one live into a successor"]
+    dead_and_live = _function_source(predecode(edge_case), 0, False)
+    assert "r1 = 6" in dead_and_live and "r0 =" not in dead_and_live
