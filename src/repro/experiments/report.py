@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 @dataclasses.dataclass
@@ -47,13 +47,6 @@ def _format_cell(cell: object) -> str:
     if cell is None:
         return "-"
     return str(cell)
-
-
-def format_number(value: Optional[float], digits: int = 1) -> str:
-    """Render a float with fixed digits, or '-' for missing values."""
-    if value is None:
-        return "-"
-    return f"{value:.{digits}f}"
 
 
 def percent(value: float) -> str:

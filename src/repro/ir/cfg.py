@@ -122,15 +122,3 @@ class Module:
         for func in self.functions:
             ids.extend(func.branch_ids())
         return ids
-
-    def static_counts(self) -> Dict[str, int]:
-        """Static instruction statistics (for reports and tests)."""
-        counts = {"instructions": 0, "branches": 0, "blocks": 0, "functions": 0}
-        for func in self.functions:
-            counts["functions"] += 1
-            counts["blocks"] += len(func.blocks)
-            for instr in func.instructions():
-                counts["instructions"] += 1
-                if instr.op == Opcode.BR:
-                    counts["branches"] += 1
-        return counts

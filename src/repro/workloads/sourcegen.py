@@ -163,107 +163,6 @@ def fortran_module(seed: int, functions: int = 28) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-_MF_FRAGMENTS = [
-    # Scan-accumulate with a clamp guard (the C fragment family 0).
-    """func {name}(n) {{
-    var i = 0; var acc = {m1};
-    while (i < n) {{
-        acc = acc + getc() * {m2};
-        if (acc > {lim}) {{ acc = acc % {mod}; }}
-        i = i + 1;
-    }}
-    return acc;
-}}""",
-    # Nested regular loops (the FORTRAN family).
-    """func {name}(n, m) {{
-    var i; var j; var acc = 0;
-    for (i = 0; i < n; i += 1) {{
-        for (j = 0; j < m; j += 1) {{
-            acc = acc + (i * {m1} + j) % {mod};
-        }}
-    }}
-    return acc;
-}}""",
-    # Self-recursion with a max-of-children shape (C family 3).
-    """func {name}(node) {{
-    if (node <= 0) {{ return 0; }}
-    var left = {name}(node - {m1});
-    var right = {name}(node - {m2});
-    if (left > right) {{ return left + 1; }}
-    return right + 1;
-}}""",
-    # Character-driven state machine with an if/else ladder (C family 4).
-    """func {name}(len) {{
-    var state = {m1}; var i = 0;
-    while (i < len) {{
-        var c = getc();
-        if (c == {m3}) {{ state = state * 2 + 1; }}
-        else {{ if (c > {m2}) {{ state = state + c; }}
-                else {{ state = state - 1; }} }}
-        i = i + 1;
-    }}
-    return state;
-}}""",
-    # Bounded probe loop with wraparound (C family 1).
-    """func {name}(key, size) {{
-    var idx = key % {mod};
-    var steps = 0;
-    while (steps < size) {{
-        if (idx == key) {{ return idx; }}
-        idx = idx + 1;
-        if (idx >= size) {{ idx = 0; }}
-        steps = steps + 1;
-    }}
-    return idx;
-}}""",
-]
-
-#: Parameter counts of the fragments above, used to synthesize call sites.
-_MF_ARITY = [1, 2, 1, 1, 2]
-
-
-def mf_module(seed: int, functions: int = 5) -> str:
-    """A seeded, always-valid MF module for compiler property tests.
-
-    Exercises the same control shapes as the C/FORTRAN dataset fragments
-    (scan loops, clamps, nested loops, recursion, if/else ladders, probe
-    loops with wraparound) but in MF syntax, so the optimizer and the
-    analysis framework can be property-tested over realistic CFGs rather
-    than hand-picked examples.
-    """
-    rng = random.Random(seed)
-    parts: List[str] = [f"// module p{seed}: generated MF control-flow shapes"]
-    knob = rng.randint(0, 3)
-    parts.append(f"var knob = {knob};")
-    calls: List[str] = []
-    for index in range(functions):
-        which = rng.randrange(len(_MF_FRAGMENTS))
-        name = f"gen{seed % 1000}_{index}"
-        parts.append(
-            _MF_FRAGMENTS[which].format(
-                name=name,
-                m1=rng.randint(2, 9),
-                m2=rng.randint(1, 90),
-                m3=rng.randint(91, 200),
-                lim=rng.randint(100, 4000),
-                mod=rng.randint(7, 97),
-            )
-        )
-        args = ", ".join(
-            str(rng.randint(1, 6)) for _ in range(_MF_ARITY[which])
-        )
-        calls.append(f"    total = total + {name}({args});")
-    parts.append(
-        "func main() {\n"
-        "    var total = 0;\n"
-        + "\n".join(calls)
-        + "\n    if (knob) { total = total + 1; }\n"
-        "    return total;\n"
-        "}"
-    )
-    return "\n\n".join(parts) + "\n"
-
-
 def english_text(seed: int, words: int) -> str:
     """English-like filler text (the compress 'reference data' analog)."""
     rng = random.Random(seed)

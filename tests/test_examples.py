@@ -12,7 +12,6 @@ CASES = [
     ("profile_feedback_loop.py", ["IFPROB", "best possible"]),
     ("cross_dataset_prediction.py", ["leave-one-out", "self"]),
     ("heuristics_vs_profile.py", ["loop-heuristic", "dynamic 1-bit"]),
-    ("trace_scheduling.py", ["profile-guided", "eval"]),
 ]
 
 

@@ -198,11 +198,3 @@ def test_printer_output_mentions_everything():
     assert "global g[4]" in text
     assert "func main" in text
     assert "ret" in text
-
-
-def test_static_counts():
-    module = build_simple_module()
-    counts = module.static_counts()
-    assert counts == {
-        "instructions": 4, "branches": 0, "blocks": 1, "functions": 1,
-    }

@@ -10,7 +10,7 @@ Four contracts:
    there gives the same module as running every iteration.
 3. Every individual pass preserves ``validate_module`` cleanliness (and
    freedom from error-severity lint findings), property-tested over seeded
-   ``sourcegen.mf_module`` programs rather than hand-picked examples.
+   ``tests.helpers.mf_module`` programs rather than hand-picked examples.
 4. Every pass is honest: it reports ``changed`` exactly when it changed
    the printed function, on every workload and on seeded ``mf_module``
    programs under every experiment configuration.
@@ -33,9 +33,8 @@ from repro.opt.globalconst import constant_globals
 from repro.opt.inline import inline_module
 from repro.opt.pipeline import MAX_ITERATIONS, PASSES, optimize_module
 from repro.workloads.registry import all_workloads
-from repro.workloads.sourcegen import mf_module
 
-from tests.helpers import EXPERIMENT_CONFIGS, compile_reference
+from tests.helpers import EXPERIMENT_CONFIGS, compile_reference, mf_module
 
 
 @pytest.mark.parametrize("dce", [False, True], ids=["paper", "dce"])

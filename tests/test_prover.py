@@ -23,9 +23,8 @@ from repro.opt.globalconst import constant_globals
 from repro.prediction import StaticProofPredictor
 from repro.vm.machine import run_program
 from repro.workloads.registry import all_workloads
-from repro.workloads.sourcegen import mf_module
 
-from tests.helpers import EXPERIMENT_CONFIGS, compile_reference
+from tests.helpers import EXPERIMENT_CONFIGS, compile_reference, mf_module
 
 
 def compiled_program(source):

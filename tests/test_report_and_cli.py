@@ -2,7 +2,7 @@
 import pytest
 
 from repro.experiments.cli import main as cli_main
-from repro.experiments.report import TextTable, format_number, percent
+from repro.experiments.report import TextTable, percent
 
 
 class TestTextTable:
@@ -40,12 +40,6 @@ class TestTextTable:
         header_line = table.format_text().splitlines()[2]
         row_line = table.format_text().splitlines()[4]
         assert len(header_line) <= len(row_line)
-
-
-def test_format_number():
-    assert format_number(1.234) == "1.2"
-    assert format_number(1.234, digits=3) == "1.234"
-    assert format_number(None) == "-"
 
 
 def test_percent():

@@ -28,7 +28,7 @@ from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
 from repro.workloads import registry
-from repro.workloads.sourcegen import mf_module
+from tests.helpers import mf_module
 from tests.legacy_vm import FastEngine, LegacyMachine
 
 #: The engine under test and the oracle, by the ids the tests are
