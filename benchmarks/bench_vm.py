@@ -15,8 +15,9 @@ replaces as its ``before`` half, so each refresh is a before/after pair;
 it also records how many functions the engine generates, how long
 generating and compiling them takes and the resident memory they add.  A
 second smoke test holds monitored runs (a no-op monitor) to the same
-floor, and a third pins two deterministic counts of the generated plain
-source: its lines and its run-time bounds checks.
+floor, and a third pins three deterministic counts of the generated plain
+source: its lines, its run-time bounds checks and its instruction-limit
+checks.
 """
 import dataclasses
 import gc
@@ -47,11 +48,13 @@ SMOKE_RUNS = [("nasa7", None), ("espresso", None)]
 #: The monitored smoke check adds the call-heavy li.
 MONITORED_SMOKE_RUNS = ["nasa7", "espresso", "li"]
 
-#: Lines of generated plain source over the 15 workloads, and the
-#: ``LOAD``/``STORE`` bounds checks left in it for run time.  Exact: a
-#: change to the code generator that moves either must update them.
-GENERATED_LINES = 20934
-BOUNDS_CHECKS = 559
+#: Lines of generated plain source over the 15 workloads, the
+#: ``LOAD``/``STORE`` bounds checks left in it for run time, and its
+#: instruction-limit checks (one per function and one per arm).  Exact:
+#: a change to the code generator that moves any of them must update them.
+GENERATED_LINES = 20740
+BOUNDS_CHECKS = 693
+LIMIT_CHECKS = 367
 
 
 class NoOpMonitor(BranchMonitor):
@@ -139,10 +142,10 @@ def test_smoke_vm_monitored_speedup():
 
 
 def _generated_code(programs):
-    """Lines of plain source the engine generates for ``programs``, and
-    the run-time bounds checks among them (an ``if`` whose body raises a
-    bad-address fault)."""
-    lines = checks = 0
+    """Lines of plain source the engine generates for ``programs``, the
+    run-time bounds checks among them (an ``if`` whose body raises a
+    bad-address fault) and the instruction-limit checks."""
+    lines = checks = limit_checks = 0
     for program in programs:
         decoded = predecode(program)
         for index in range(len(decoded.functions)):
@@ -152,14 +155,21 @@ def _generated_code(programs):
                 line.lstrip().startswith("if ") and "bad address" in body
                 for line, body in zip(source, source[1:])
             )
-    return {"lines": lines, "bounds_checks": checks}
+            limit_checks += sum(
+                line.strip() == "if icount > limit:" for line in source
+            )
+    return {"lines": lines, "bounds_checks": checks, "limit_checks": limit_checks}
 
 
 def test_smoke_generated_code_counts():
     programs = [_compiled(name)[1] for name in registry.workload_names()]
     counts = _generated_code(programs)
     print(f"\nVM engine generated code: {counts}")
-    assert counts == {"lines": GENERATED_LINES, "bounds_checks": BOUNDS_CHECKS}
+    assert counts == {
+        "lines": GENERATED_LINES,
+        "bounds_checks": BOUNDS_CHECKS,
+        "limit_checks": LIMIT_CHECKS,
+    }
 
 
 def _resident_mb():

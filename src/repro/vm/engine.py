@@ -14,14 +14,17 @@ executes it:
   arguments.  The registers a backward liveness pass finds live at entry
   start at zero, as every register of a legacy frame does; every other
   register is written before it is read on every path.
-* **Basic blocks are arms** of one ``while True`` loop, which picks the
-  arm for ``pc`` in a binary tree of ``if pc < k`` tests; a ``BR`` or
-  ``JMP`` sets ``pc``.  A block with one way in is not an arm: it is
-  emitted where control comes from (the entry block before the loop, a
-  branch's target inside its ``if``).  An arm that reaches its own start
-  runs in a ``while True`` of its own, so a loop whose body has one way
-  in spins there without going back through the tree (see
-  :class:`_Writer`).
+* **Loop headers are arms** of one ``while True`` loop, which picks the
+  arm for ``pc`` in a binary tree of ``if pc < k`` tests; control reaches
+  another arm by setting ``pc``.  The arms are the targets of retreating
+  edges in a depth-first search from pc 0, so every cycle passes one,
+  and each arm that reaches its own start runs in a ``while True`` of its
+  own.  Every other block is emitted where control comes from (the entry
+  block at the top, a branch's target inside its ``if``), once per way
+  in: a join's tail is copied into each predecessor, as a superblock
+  compiler duplicates it, unless it is longer than :data:`_MAX_TAIL`
+  instructions, in which case the join is an arm too (see :func:`_arms`
+  and :class:`_Writer`).  A function with one arm sets no ``pc``.
 * **A guest call is a Python call** (``r3 = f7(depth - 1, r1, r2)``) that
   returns the callee's value; ``RET`` returns it, and ``halt`` raises
   :class:`_Halt`, which unwinds every guest frame.
@@ -38,10 +41,21 @@ executes it:
   whose address folds to a literal has its bounds check decided when the
   code is generated.  Registers are not observable and a fault ends the
   run, so no counter can tell a dropped store was ever there.
-* **The instruction limit** is checked once per *element*, before its
-  body: an element is a run of straight-line ops plus the ``BR``,
-  ``JMP``, ``RET`` or ``CALL`` that follows it, or one other instruction
-  (see :func:`_blocks`).
+* **The instruction count** is added to ``icount`` only where it can be
+  observed: before an op that can fault (a ``LOAD``/``STORE`` checked at
+  run time or at an out-of-range literal address, ``DIV``, ``MOD``,
+  ``SHL``, ``SHR``), a call, a return, a ``halt``, control reaching an
+  arm, and, in the recording variant, a branch event.  Elsewhere an
+  *element* (a run of straight-line ops plus the ``BR``, ``JMP``, ``RET``
+  or ``CALL`` that follows it, or one other instruction; see
+  :func:`_blocks`) carries its count forward along its path, and the
+  next settling adds it in one step.
+* **The instruction limit** is checked only where control can come
+  back: at the head of each arm and at function entry.  When the run
+  ends, with a return, a ``halt`` or a guest fault, a count over the
+  limit raises the limit error in place of the result or fault, and
+  the branch events counted past the limit are dropped.  ``icount`` only
+  grows, so this is the verdict a check before every element would give.
 
 The shared per-run state (the instruction count, the counters,
 ``memory``, the event buffer and the function table) lives in closure
@@ -107,9 +121,17 @@ _CLOSES_RUN = frozenset({_OP_BR, _OP_JMP, _OP_RET, _OP_CALL})
 #: Ops after which control never reaches the next instruction.
 _TRANSFERS = frozenset({_OP_BR, _OP_JMP, _OP_RET, _OP_HALT})
 
-#: How deep blocks with one way in are nested where control comes from;
-#: deeper ones become arms of the dispatch loop instead.
+#: Ops that call or end a function or the run, so ``icount`` must be exact
+#: before them (see :meth:`_Writer.observes`).
+_OBSERVERS = frozenset({_OP_CALL, _OP_ICALL, _OP_RET, _OP_HALT})
+
+#: How deep blocks are nested where control comes from; deeper ones
+#: become arms of the dispatch loop instead.
 _MAX_NESTING = 24
+
+#: The longest tail (see :func:`_arms`) a join may have to be emitted once
+#: per way in; a join with a longer one is an arm of the dispatch loop.
+_MAX_TAIL = 64
 
 #: Python frames allowed above the deepest guest frame: the run's own
 #: frames and, in a monitored run, a monitor replaying a chunk.
@@ -314,11 +336,57 @@ def _fold(
     return operands, dropped
 
 
+def _depth_first(exits: Dict[int, List[int]]) -> Tuple[List[int], Set[int]]:
+    """The blocks reachable from pc 0 in depth-first postorder, and the
+    loop headers among them: the targets of retreating edges (edges to a
+    block whose search is still open).  Every cycle holds such an edge."""
+    order: List[int] = []
+    headers: Set[int] = set()
+    seen = {0}
+    open_blocks = {0}
+    stack = [(0, iter(exits[0]))]
+    while stack:
+        start, successors = stack[-1]
+        for succ in successors:
+            if succ in open_blocks:
+                headers.add(succ)
+            elif succ not in seen:
+                seen.add(succ)
+                open_blocks.add(succ)
+                stack.append((succ, iter(exits[succ])))
+                break
+        else:
+            stack.pop()
+            open_blocks.remove(start)
+            order.append(start)
+    return order, headers
+
+
+def _arms(blocks: Dict[int, Block], exits: Dict[int, List[int]]) -> Set[int]:
+    """The blocks that head arms of the dispatch loop: the loop headers,
+    and the joins (blocks with more than one way in) whose tail is longer
+    than :data:`_MAX_TAIL`.  A block's tail is its own instructions plus
+    those of the non-arm blocks it reaches inline, so it is computed in
+    postorder, once every successor's tail and arm status is known."""
+    order, arms = _depth_first(exits)
+    # The function's entry counts as one way into pc 0.
+    entries = Counter(succ for start in order for succ in exits[start])
+    entries[0] += 1
+    tails: Dict[int, int] = {}
+    for start in order:
+        tail = sum(len(element) for element in blocks[start].elements)
+        tail += sum(tails[succ] for succ in exits[start] if succ not in arms)
+        tails[start] = tail
+        if entries[start] > 1 and tail > _MAX_TAIL:
+            arms.add(start)
+    return arms
+
+
 class PredecodedFunction:
     """One function, analysed for code generation."""
 
     __slots__ = (
-        "name", "num_params", "length", "blocks", "inlined", "live", "zeros",
+        "name", "num_params", "length", "blocks", "arms", "live", "zeros",
     )
 
     def __init__(self, func: LoweredFunction) -> None:
@@ -330,13 +398,9 @@ class PredecodedFunction:
         exits = {
             start: _exits(block, self.length) for start, block in self.blocks.items()
         }
-        # The function's entry counts as one way into pc 0.
-        entries = Counter(pc for targets in exits.values() for pc in targets)
-        entries[0] += 1
-        #: Blocks with one way in, emitted where control comes from.
-        self.inlined = frozenset(
-            start for start in self.blocks if entries[start] == 1
-        )
+        #: Blocks that head arms of the dispatch loop; every other block
+        #: is emitted where control comes from, once per way in.
+        self.arms = frozenset(_arms(self.blocks, exits))
         #: Per block, the registers live at its start (a bit set).
         self.live = _live_in(self.blocks, exits)
         #: Registers the generated function sets to zero on entry.
@@ -450,6 +514,12 @@ _UN_STMTS = {
     int(UnOp.BNOT): "r{d} = ~{a}",
 }
 
+#: ``BinOp``\\ s that can raise: ``DIV``/``MOD`` by zero, shifts by a
+#: negative count.
+_FAULTING_BINOPS = frozenset(
+    {int(BinOp.DIV), int(BinOp.MOD), int(BinOp.SHL), int(BinOp.SHR)}
+)
+
 _LIMIT_CHECK = ["if icount > limit:", "    raise _exceeded(limit)"]
 
 _DEPTH_CHECK = ["if not depth:", "    raise _fault('call depth limit exceeded')"]
@@ -464,54 +534,84 @@ def _indent(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
 
 
+def _settle(count: int) -> List[str]:
+    """Add the instructions counted along the path so far to ``icount``."""
+    return [f"icount += {count}"] if count else []
+
+
 class _Writer:
     """Emits the source of one function for one variant.
 
-    Blocks with more than one way in are the arms of the dispatch loop; a
-    block with one way in is emitted where control comes from, nested in
-    the ``if`` of a branch, up to :data:`_MAX_NESTING` levels deep.  An
+    The blocks in :attr:`PredecodedFunction.arms` are the arms of the
+    dispatch loop; every other block is emitted where control comes from,
+    nested in the ``if`` of a branch, once per way in, up to
+    :data:`_MAX_NESTING` levels deep (deeper ones become arms too).  An
     arm that can reach its own start runs in a ``while True`` of its own,
     so a loop body that stays within one arm never goes through the tree.
+    With ``single``, the function is written for at most one arm: control
+    that leaves the entry code can only go there, so no ``pc`` is set and
+    no tree picks it.
+
+    Each element adds its instructions to ``count``, the instructions
+    executed on the path since ``icount`` was last settled.  The count is
+    settled before an element that can observe ``icount`` (see
+    :meth:`observes`) and before control goes to an arm, so ``icount`` is
+    exact wherever it is read: at a fault, a call, a return, the limit
+    check at each arm's head and at entry, and, in the recording variant,
+    each branch event.
     """
 
     def __init__(
-        self, program: LoweredProgram, func: PredecodedFunction, recording: bool
+        self,
+        program: LoweredProgram,
+        func: PredecodedFunction,
+        recording: bool,
+        single: bool,
     ) -> None:
         self.program = program
         self.func = func
         self.recording = recording
+        self.single = single
         #: Shared state the function writes (its ``nonlocal`` names).
         self.assigned = {"icount"}
         self.arms: Dict[int, List[str]] = {}
         self.pending: List[int] = []
         self.looped = False
 
-    def goto(self, target: int, nesting: int, head: Optional[int]) -> List[str]:
+    def goto(
+        self, target: int, nesting: int, head: Optional[int], count: int
+    ) -> List[str]:
         """Transfer control to ``target``, inside the arm headed by
-        ``head`` if it loops (else ``None``)."""
-        if target in self.func.inlined and nesting < _MAX_NESTING:
-            return self.block(self.func.blocks[target], nesting + 1, head)
+        ``head`` if it loops (else ``None``), ``count`` instructions after
+        ``icount`` was last settled."""
+        if target not in self.func.arms and nesting < _MAX_NESTING:
+            return self.block(self.func.blocks[target], nesting + 1, head, count)
+        lines = _settle(count)
         if target == head:
             self.looped = True
-            return ["continue"]
+            return lines + ["continue"]
         if target not in self.arms and target not in self.pending:
             self.pending.append(target)
-        return [f"pc = {target}"] + (["break"] if head is not None else [])
+        if self.single:
+            return lines
+        return lines + [f"pc = {target}"] + (["break"] if head is not None else [])
 
-    def block(self, block: Block, nesting: int, head: Optional[int]) -> List[str]:
-        """A block's statements: each element's limit check and body, then
-        its transfer."""
+    def block(
+        self, block: Block, nesting: int, head: Optional[int], count: int
+    ) -> List[str]:
+        """A block's statements: each element's body, then its transfer."""
         lines: List[str] = []
         live_outs = _live_outs(block, self.func.live, self.func.length)
         for element, live_out in zip(block.elements, live_outs):
-            lines += self.element(element, live_out, nesting, head)
+            body, count = self.element(element, live_out, nesting, head, count)
+            lines += body
         if block.elements and block.elements[-1][-1][0] in _TRANSFERS:
             return lines
         if block.end < self.func.length:
-            return lines + self.goto(block.end, nesting, head)
+            return lines + self.goto(block.end, nesting, head, count)
         # Only malformed (unvalidated) code runs off the end of a function.
         fetch = block.end if block.elements else block.start
-        return lines + [
+        return lines + _settle(count) + [
             f"raise _fault('bad register or code reference at pc {fetch}')"
         ]
 
@@ -521,11 +621,17 @@ class _Writer:
         live_out: int,
         nesting: int,
         head: Optional[int],
-    ) -> List[str]:
-        """An element's limit check and body, with its ``CONST``s and
-        ``MOV``s folded into their uses (see :func:`_fold`)."""
+        count: int,
+    ) -> Tuple[List[str], int]:
+        """An element's body, with its ``CONST``s and ``MOV``s folded into
+        their uses (see :func:`_fold`), and the count it leaves unsettled.
+        The count is settled first if the element can observe it."""
         operands, skipped = _fold(element, live_out)
-        lines = [f"icount += {len(element)}"] + _LIMIT_CHECK
+        count += len(element)
+        lines: List[str] = []
+        if any(self.observes(ins, operands[pos]) for pos, ins in enumerate(element)):
+            lines = _settle(count)
+            count = 0
         test = None
         if element[-1][0] == _OP_BR and len(element) > 1:
             test = self.test(element[-2], operands[-2], element[-1])
@@ -535,10 +641,24 @@ class _Writer:
             if pos in skipped:
                 continue
             if ins[0] == _OP_BR:
-                lines += self.branch(ins, operands[pos], test, nesting, head)
+                lines += self.branch(ins, operands[pos], test, nesting, head, count)
             else:
-                lines += self.op(ins, operands[pos], nesting, head)
-        return lines
+                lines += self.op(ins, operands[pos], nesting, head, count)
+        return lines, count
+
+    def observes(self, ins: Instruction, operands: Dict[int, str]) -> bool:
+        """Whether ``icount`` must be exact before ``ins``: it may fault,
+        it calls or ends a function or the run, or, in the recording
+        variant, it records a branch event."""
+        op = ins[0]
+        if op == _OP_LOAD or op == _OP_STORE:
+            value = _literal(operands[ins[2] if op == _OP_LOAD else ins[1]])
+            return value is None or not 0 <= value < self.program.memory_size
+        if op == _OP_BIN:
+            return ins[1] in _FAULTING_BINOPS
+        if op == _OP_BR:
+            return self.recording
+        return op in _OBSERVERS
 
     def event(self, outcome: int) -> List[str]:
         if not self.recording:
@@ -571,6 +691,7 @@ class _Writer:
         test: Optional[Tuple[str, bool]],
         nesting: int,
         head: Optional[int],
+        count: int,
     ) -> List[str]:
         """A ``BR``: count the outcome, record it, and go on."""
         bidx = ins[4]
@@ -584,9 +705,9 @@ class _Writer:
                 not_taken.insert(0, f"r{ins[1]} = 0")
         return (
             [f"if {condition}:"]
-            + _indent(taken + self.goto(ins[2], nesting + 1, head))
+            + _indent(taken + self.goto(ins[2], nesting + 1, head, count))
             + ["else:"]
-            + _indent(not_taken + self.goto(ins[3], nesting + 1, head))
+            + _indent(not_taken + self.goto(ins[3], nesting + 1, head, count))
         )
 
     def op(
@@ -595,6 +716,7 @@ class _Writer:
         operands: Dict[int, str],
         nesting: int,
         head: Optional[int],
+        count: int,
     ) -> List[str]:
         """The statements of one instruction other than ``BR``, reading
         each register as the text ``operands`` gives for it."""
@@ -623,7 +745,7 @@ class _Writer:
             ]
         if op == _OP_JMP:
             self.assigned.add("jumps")
-            return ["jumps += 1"] + self.goto(ins[1], nesting, head)
+            return ["jumps += 1"] + self.goto(ins[1], nesting, head, count)
         if op == _OP_RET:
             return ["return 0" if ins[1] == -1 else f"return {operands[ins[1]]}"]
         if op == _OP_CALL:
@@ -674,13 +796,14 @@ class _Writer:
         return [f"if {address} < 0 or {address} >= {size}:", "    " + fault]
 
     def arm(self, start: int) -> List[str]:
-        """The arm for ``start``, looping on itself if it can reach it."""
+        """The arm for ``start``: the limit check, then the block, looping
+        on itself if it can reach its own start."""
         self.arms[start] = []
         self.looped = False
-        lines = self.block(self.func.blocks[start], 0, start)
+        lines = _LIMIT_CHECK + self.block(self.func.blocks[start], 0, start, 0)
         if self.looped:
             return ["while True:"] + _indent(lines)
-        return self.block(self.func.blocks[start], 0, None)
+        return _LIMIT_CHECK + self.block(self.func.blocks[start], 0, None, 0)
 
     def tree(self, starts: List[int]) -> List[str]:
         """Select the arm for ``pc`` with a binary tree of ``if pc < k``."""
@@ -695,12 +818,17 @@ class _Writer:
         )
 
     def body(self) -> List[str]:
-        entry = self.goto(0, 0, None)
+        """The function's body: the limit check at entry, the entry code,
+        then the arms."""
+        lines = _LIMIT_CHECK + self.goto(0, 0, None, 0)
         while self.pending:
             start = self.pending.pop()
             self.arms[start] = self.arm(start)
-        lines = entry
-        if self.arms:
+        if self.single:
+            # At most one arm, unless :func:`_body` writes the function again.
+            for arm in self.arms.values():
+                lines += arm
+        elif self.arms:
             lines += ["while True:"] + _indent(self.tree(sorted(self.arms)))
         header = [f"nonlocal {', '.join(sorted(self.assigned))}"]
         if self.func.zeros:
@@ -708,11 +836,25 @@ class _Writer:
         return header + lines
 
 
+def _body(
+    program: LoweredProgram, func: PredecodedFunction, recording: bool
+) -> Tuple[List[str], int]:
+    """The body of ``func``'s generated function, and its number of arms.
+    A function with at most one arm is written without ``pc``, unless
+    blocks nested too deep become further arms."""
+    writer = _Writer(program, func, recording, single=len(func.arms) <= 1)
+    lines = writer.body()
+    if len(writer.arms) > 1 and writer.single:
+        writer = _Writer(program, func, recording, single=False)
+        lines = writer.body()
+    return lines, len(writer.arms)
+
+
 def _function_source(
     predecoded: PredecodedProgram, index: int, recording: bool
 ) -> str:
     func = predecoded.functions[index]
-    body = _Writer(predecoded.program, func, recording).body()
+    body, _ = _body(predecoded.program, func, recording)
     callees = {
         f"f{ins[1]}"
         for block in func.blocks.values()
@@ -804,6 +946,13 @@ def _stack_depth() -> int:
     return depth
 
 
+def _drop_past(events: List[int], limit: int) -> None:
+    """Drop the buffered events recorded past ``limit`` instructions: a
+    run that stops at the limit never reaches them."""
+    while events and events[-1] > limit:
+        del events[-2:]
+
+
 def _call_main(
     predecoded: PredecodedProgram,
     recording: bool,
@@ -821,6 +970,10 @@ def _call_main(
     own ``ZeroDivisionError``, ``ValueError`` or ``VMError`` is re-raised
     unchanged instead of being blamed on the guest program.  The tail is
     replayed before the run returns, or before a guest fault propagates.
+    The run can go on past the limit until its next check, so when the
+    count is over the limit, a flush and the tail drop the events
+    recorded past it, deliver the rest and end the run with the limit
+    error.
 
     Each guest call is one Python frame, so the recursion limit is raised
     for the run to cover ``max_call_depth`` guest frames above the
@@ -829,23 +982,33 @@ def _call_main(
     program = predecoded.program
     codes = compiled(predecoded, recording)
     depth_limit = max(max_call_depth, 0)
+    exceeded = predecoded.namespace["_exceeded"]
     output = bytearray()
     events: List[int] = []
     chunk_events = vm_monitors.CHUNK_EVENTS
+    # ``flush`` reads these two through their own cells, not through
+    # ``cells``: that dict holds ``flush`` itself, so a run would leave a
+    # reference cycle behind.
+    icount = CellType(0)
     room = CellType(chunk_events)
     in_monitor = False
 
     def flush() -> None:
         nonlocal in_monitor
+        over = icount.cell_contents > max_instructions
+        if over:
+            _drop_past(events, max_instructions)
         in_monitor = True
         deliver(monitors, events)
         in_monitor = False
+        if over:
+            raise exceeded(max_instructions)
         room.cell_contents = chunk_events
 
     functions: List[Any] = []
     num_branches = len(program.branch_table)
     cells = {
-        "icount": CellType(0),
+        "icount": icount,
         "limit": CellType(max_instructions),
         "memory": CellType(list(program.memory_init)),
         "btaken": CellType([0] * num_branches),
@@ -902,6 +1065,11 @@ def _call_main(
         for cell in function_cells:
             cell.cell_contents = None
         functions.clear()
+    # The limit is checked only where control can come back, so the run
+    # may have ended past it: then it ends with the limit instead.
+    if icount.cell_contents > max_instructions:
+        fault = exceeded(max_instructions)
+        _drop_past(events, max_instructions)
     if events:
         deliver(monitors, events)
     if fault is not None:

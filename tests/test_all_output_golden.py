@@ -31,7 +31,7 @@ import os
 import pytest
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.export import document_of, dumps
+from repro.experiments.export import document_of, dumps, export_json
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 # The experiments the CLI renders with ``--chart``, in ``charts.txt`` order.
@@ -118,3 +118,15 @@ def test_charts_match_golden(rendered):
 def test_export_matches_golden(results):
     exported = dumps(document_of(results)).encode()
     assert hashlib.sha256(exported).hexdigest() == _read("export.sha256").strip()
+
+
+def test_export_json_writes_the_document(results, runner, monkeypatch, tmp_path):
+    """``export_json`` writes ``dumps`` of the experiments' document, as
+    the golden hashes it.  Each experiment returns its shared result, so
+    none runs a second time."""
+    for name, module in EXPERIMENTS.items():
+        monkeypatch.setattr(module, "run", lambda _, result=results[name]: result)
+    path = tmp_path / "results.json"
+    document = export_json(str(path), runner)
+    assert document == document_of(results)
+    assert path.read_bytes() == dumps(document_of(results)).encode()

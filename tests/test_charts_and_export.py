@@ -1,9 +1,8 @@
-"""ASCII chart and JSON export tests."""
-import json
+"""ASCII chart tests.
 
-import pytest
-
-from repro.experiments import export, figure1, figure2, figure3
+The figure charts and the ``export`` document are pinned byte for byte by
+``tests/test_all_output_golden.py``, from results it computes once.
+"""
 from repro.experiments.charts import ascii_bars
 
 
@@ -45,62 +44,3 @@ class TestAsciiBars:
 
     def test_empty(self):
         assert ascii_bars("T", []) == "T"
-
-
-class TestFigureCharts:
-    def test_figure_charts_render(self, runner):
-        for module in (figure1, figure2, figure3):
-            chart = module.run(runner).format_chart()
-            assert "#" in chart and "-" in chart
-            assert "chart" in chart
-
-
-class TestExport:
-    @pytest.fixture(scope="class")
-    def document(self, runner, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("export") / "results.json")
-        return export.export_json(path, runner), path
-
-    def test_all_sections_present(self, document):
-        data, _ = document
-        for key in (
-            "table1", "table2", "table3", "figure1", "figure2", "figure3",
-            "informal", "runlengths", "coverage", "ablations",
-        ):
-            assert key in data
-
-    def test_keys_are_the_cli_experiment_names(self, document):
-        from repro.experiments.cli import EXPERIMENTS
-
-        data, _ = document
-        assert sorted(data) == sorted(EXPERIMENTS)
-        assert set(data["informal"]) == {
-            "combine_modes", "heuristics", "percent_taken", "compress_cross",
-            "wrong_measure", "dynamic_comparison",
-        }
-        assert set(data["ablations"]) == {"inlining", "if_conversion"}
-
-    def test_file_is_valid_json(self, document):
-        _, path = document
-        with open(path) as handle:
-            reloaded = json.load(handle)
-        assert reloaded["table1"]["rows"]
-
-    def test_values_match_experiment_objects(self, runner, document):
-        data, _ = document
-        from repro.experiments import table3
-
-        live = table3.run(runner)
-        exported = data["table3"]["rows"]
-        assert len(exported) == len(live.rows)
-        assert exported[0]["program"] == live.rows[0].program
-        assert exported[0]["instructions_per_break"] == pytest.approx(
-            live.rows[0].instructions_per_break
-        )
-
-    def test_dataclass_flattening_handles_nested_dicts(self, document):
-        data, _ = document
-        combine = data["informal"]["combine_modes"]["rows"][0]
-        assert set(combine["fraction_of_self"]) == {
-            "scaled", "unscaled", "polling",
-        }

@@ -10,6 +10,7 @@ functions get wrong shows up here as a disagreement with that loop,
 which is kept precisely to serve as this oracle.
 """
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,13 @@ from repro.ir.lower import LoweredFunction, LoweredProgram
 from repro.ir.opcodes import BinOp, Opcode, UnOp
 from repro.prediction.base import FixedPredictor, ProfilePredictor
 from repro.profiling.branch_profile import BranchProfile
-from repro.vm.engine import _function_source, compiled, predecode, run_monitored
+from repro.vm.engine import (
+    _body,
+    _function_source,
+    compiled,
+    predecode,
+    run_monitored,
+)
 from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
@@ -270,10 +277,20 @@ def literal_address_fault(access):
     ]))
 
 
+#: Twelve statements of six instructions each: a tail longer than the
+#: engine copies into each way into a join.
+LONG_TAIL = "\n".join(
+    f"            acc = (acc * 3 + {k}) & 4095;" for k in range(12)
+)
+
 #: Small programs for the instruction-limit sweep: loops in both branch
-#: directions, calls out of a loop, a loop that exits early, and loops
+#: directions, calls out of a loop, a loop that exits early, loops
 #: followed by a load from and a store to an out-of-range literal address
-#: (whose bounds checks the engine decides when it generates the code).
+#: (whose bounds checks the engine decides when it generates the code), a
+#: loop whose body is a diamond with a short join (copied into both ways
+#: in), one whose join has a tail too long to copy (it stays an arm), and
+#: a recursion without loops, which only the checks at function entry
+#: bound.
 LIMIT_SWEEP = {
     "nested": """
         func main() {
@@ -311,6 +328,33 @@ LIMIT_SWEEP = {
     "literal store to bad address": literal_address_fault(
         [(CONST, 5, 8), (STORE, 5, 4)]
     ),
+    "diamond with a short join": """
+        func main() {
+            var i; var acc = 1;
+            for (i = 0; i < 9; i += 1) {
+                if (i & 1) { acc += i; } else { acc = acc ^ 5; }
+                acc = acc * 3 & 1023;
+            }
+            return acc & 127;
+        }
+        """,
+    "diamond with a long join": f"""
+        func main() {{
+            var i; var acc = 1;
+            for (i = 0; i < 3; i += 1) {{
+                if (i & 1) {{ acc += i; }} else {{ acc = acc ^ 5; }}
+{LONG_TAIL}
+            }}
+            return acc & 127;
+        }}
+        """,
+    "tree recursion": """
+        func fib(n) {
+            if (n < 2) { return n; }
+            return fib(n - 1) + fib(n - 2);
+        }
+        func main() { return fib(7); }
+        """,
 }
 
 
@@ -331,6 +375,13 @@ FAULTS_IN_A_LOOP_CONDITION = {
             return j;
         }
         """,
+    "negative shift count": """
+        func main() {
+            var i = 0; var j = 0;
+            while ((1 << (5 - i)) != 0) { j += i; i += 1; }
+            return j;
+        }
+        """,
 }
 
 
@@ -345,6 +396,12 @@ def _outcome(run, *args):
 _LIMIT = InstructionLimitExceeded.__name__
 
 
+def sweep_program(name):
+    """The lowered program of a limit-sweep or loop-condition fault case."""
+    source = LIMIT_SWEEP.get(name) or FAULTS_IN_A_LOOP_CONDITION[name]
+    return source if isinstance(source, LoweredProgram) else lowered(source)
+
+
 @pytest.mark.parametrize(
     "name", sorted(LIMIT_SWEEP) + sorted(FAULTS_IN_A_LOOP_CONDITION)
 )
@@ -354,12 +411,16 @@ def test_limit_sweep_matches_legacy(name):
     raises exactly what the recording variant raises (``run_monitored``
     with no monitors).
 
-    The engine checks the limit once per element, so where a fault and
-    the limit fall inside one element, the legacy loop reports the fault
-    and the engine the limit; only there do their errors differ.
+    The engine checks the limit at the head of each arm and at function
+    entry, and once more when the run ends (a return, a ``halt`` or a
+    fault), so it may run on past the limit to the next check.  Its count
+    only grows and is exact there, so a run that passed the limit anywhere
+    ends with the limit error.  A fault's count includes the rest of its
+    element, so where a fault and the limit fall inside one element, the
+    legacy loop reports the fault and the engine the limit; only there do
+    their errors differ.
     """
-    source = LIMIT_SWEEP.get(name) or FAULTS_IN_A_LOOP_CONDITION[name]
-    program = source if isinstance(source, LoweredProgram) else lowered(source)
+    program = sweep_program(name)
     decoded = predecode(program)
     for limit in range(10_000):
         legacy = _outcome(LegacyMachine(max_instructions=limit).run, program)
@@ -377,9 +438,116 @@ def test_limit_sweep_matches_legacy(name):
     assert 20 < limit < 10_000
 
 
+@pytest.mark.parametrize(
+    "name", sorted(LIMIT_SWEEP) + sorted(FAULTS_IN_A_LOOP_CONDITION)
+)
+def test_limit_sweep_streams_match_legacy(name, monkeypatch):
+    """At every limit, monitors of a run in 7-event chunks are handed the
+    legacy loop's stream, instruction counts included.  The events the
+    engine records past the limit, before its next check, are dropped,
+    also by a flush in the middle of the run."""
+    monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", 7)
+    program = sweep_program(name)
+    for limit in range(10_000):
+        runs = []
+        for engine in ENGINES.values():
+            recorders = [OutcomeRecorder(), ChunkRecorder()]
+            outcome = _outcome(
+                engine(max_instructions=limit).run, program, b"", recorders
+            )
+            runs.append((outcome, recorders[0].outcomes, recorders[1].items))
+        fast, legacy = runs
+        assert fast[1:] == legacy[1:], (name, limit)
+        assert (fast[0][0] == "ok") == (legacy[0][0] == "ok"), (name, limit)
+        if legacy[0][0] != _LIMIT and fast[0][0] != _LIMIT:
+            break
+    assert fast == legacy
+    assert 20 < limit < 10_000
+
+
+def test_limit_sweep_shapes_compile_to_their_arms():
+    """The sweep's join shapes: a short join is copied into the loop
+    body's arm; a long one is an arm of its own; a recursion without
+    loops has no arms."""
+
+    def arms(name, function="main"):
+        program = sweep_program(name)
+        decoded = predecode(program)
+        func = decoded.functions[program.function_index[function]]
+        return len(func.arms), _body(program, func, False)[1]
+
+    assert arms("diamond with a short join") == (1, 1)
+    assert arms("diamond with a long join") == (2, 2)
+    assert arms("tree recursion", "fib") == (0, 0)
+
+
+@given(st.integers(0, 100_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_limits_match_legacy_on_generated_modules(seed, data):
+    """At a limit anywhere up to the full run's count, the plain and the
+    recording variant raise the limit error exactly when the legacy loop
+    does, and otherwise return its result; monitors of either see the
+    legacy stream."""
+    program = lowered(mf_module(seed), name=f"p{seed}")
+    full = LegacyMachine().run(program).instructions
+    limit = data.draw(st.integers(0, full), label="limit")
+    chunk_events = data.draw(
+        st.sampled_from([7, vm_monitors.CHUNK_EVENTS]), label="chunk_events"
+    )
+    runs = []
+    with mock.patch.object(vm_monitors, "CHUNK_EVENTS", chunk_events):
+        for engine in ENGINES.values():
+            recorder = ChunkRecorder()
+            plain = _outcome(engine(max_instructions=limit).run, program)
+            monitored = _outcome(
+                engine(max_instructions=limit).run, program, b"", [recorder]
+            )
+            runs.append((plain, monitored, recorder.items))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == ("ok" if limit == full else _LIMIT)
+
+
+_LIMIT_CHECK_LINE = "if icount > limit:"
+
+
+def test_espresso_distance_loops_in_one_arm():
+    """In the loop of espresso's ``distance``, the join after
+    ``if ((pa & pb) == 0)`` is copied into both ways in, so the whole
+    loop is one arm that loops on itself: no ``pc`` is set, and the limit
+    is checked at entry and once per iteration, at the arm's head."""
+    program = lowered(registry.get_workload("espresso").source, name="espresso")
+    func = predecode(program).functions[program.function_index["distance"]]
+    lines, arms = _body(program, func, False)
+    assert arms == len(func.arms) == 1
+    assert not any(line.lstrip().startswith("pc =") for line in lines)
+    checks = [
+        pos for pos, line in enumerate(lines) if line.strip() == _LIMIT_CHECK_LINE
+    ]
+    loops = [pos for pos, line in enumerate(lines) if line.strip() == "while True:"]
+    assert len(checks) == 2 and len(loops) == 1
+    assert lines[loops[0] + 1] == "    " + _LIMIT_CHECK_LINE
+    assert any(line.strip() == "continue" for line in lines)
+
+
+def test_limit_checks_are_the_arms_plus_one():
+    """Every generated function of every workload, in both variants,
+    checks the limit once at entry and once at the head of each arm, and
+    nowhere else."""
+    for name in registry.workload_names():
+        program = lowered(registry.get_workload(name).source, name=name)
+        for func in predecode(program).functions:
+            for recording in (False, True):
+                lines, arms = _body(program, func, recording)
+                checks = sum(line.strip() == _LIMIT_CHECK_LINE for line in lines)
+                assert checks == arms + 1, (name, func.name, recording)
+                assert arms >= len(func.arms), (name, func.name, recording)
+
+
 #: Opcodes that can fault inside an element.
 _FAULTING = {int(Opcode.LOAD), int(Opcode.STORE)}
-_FAULTING_BIN = {int(BinOp.DIV), int(BinOp.MOD)}
+_FAULTING_BIN = {
+    int(BinOp.DIV), int(BinOp.MOD), int(BinOp.SHL), int(BinOp.SHR),
+}
 
 
 def _can_fault(ins):
