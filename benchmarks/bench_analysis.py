@@ -1,7 +1,8 @@
-"""Benchmarks: the dataflow framework and its two consumers.
+"""Benchmarks: the static prover and the dataflow framework's consumers.
 
-The analyses run once per compiled module (prover, sanitizer, lint), so
-what matters is absolute cost over the full workload set: the prover must
+These run once per compiled module (prover, sanitizer, lint), so what
+matters is absolute cost over the full workload set: the prover (branch
+folding's block-local constant-condition rule, no dataflow solve) must
 stay cheap relative to a single VM simulation, and the sanitized pipeline
 must stay a small multiple of the plain one.
 """

@@ -2,18 +2,18 @@
 
 A generic worklist (MFP) solver plus the classic analyses layered on it:
 
-* :mod:`repro.analysis.dataflow` — direction-agnostic solver with edge
-  transfers and unreachable (bottom) tracking, for finite-height lattices.
+* :mod:`repro.analysis.dataflow` — direction-agnostic solver with
+  unreachable (bottom) tracking, for finite-height lattices.
 * :mod:`repro.analysis.liveness` — backward live-register analysis.
 * :mod:`repro.analysis.reachdefs` — definite assignment (the
   use-before-def lint's engine).
-* :mod:`repro.analysis.constprop` — conditional constant propagation with
-  infeasible-edge pruning.
 
-Consumers: the static branch-direction prover (:mod:`repro.analysis.prover`)
-and the IR lint suite (:mod:`repro.analysis.lint`).
+Consumers: the IR lint suite (:mod:`repro.analysis.lint`) and the
+dead-instruction pass.  The static branch-direction prover
+(:mod:`repro.analysis.prover`) needs no solve: it asks branch folding's
+block-local rule (:func:`repro.opt.branch_folding.constant_condition`)
+which conditions are constant.
 """
-from repro.analysis.constprop import ConstantPropagation, constants, eval_instr
 from repro.analysis.dataflow import (
     BACKWARD,
     FORWARD,
@@ -45,16 +45,13 @@ __all__ = [
     "BACKWARD",
     "FORWARD",
     "BranchProof",
-    "ConstantPropagation",
     "DataflowAnalysis",
     "DataflowResult",
     "DefiniteAssignment",
     "LintFinding",
     "LivenessAnalysis",
     "ProofVerdict",
-    "constants",
     "dead_instructions",
-    "eval_instr",
     "format_findings",
     "lint_errors",
     "lint_function",

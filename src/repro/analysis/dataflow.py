@@ -15,17 +15,15 @@ States are named by *program position*, not by dataflow direction:
 ``before = transfer(block, after)``.
 
 The bottom element is ``None`` and means "no execution reaches this
-position".  ``meet(None, x) == x`` is enforced by the solver, so analyses
-only ever see two non-``None`` states.  Edge-level precision (branch
-feasibility) is expressed through :meth:`DataflowAnalysis.edge_transfer`,
-which may return ``None`` to mark an edge infeasible — this is how
-conditional constant propagation prunes never-taken branches.
+position": a forward analysis gives it to every block that no path from
+the entry reaches.  ``meet(None, x) == x`` is enforced by the solver, so
+analyses only ever see two non-``None`` states.
 
 Termination rests on the lattices: every analysis here has finite height
-(a register is unreached, one constant, or not constant; a register set
-is bounded by the function's registers), and its transfer and meet are
-monotone, so each block's state changes a bounded number of times.  The
-solver has no widening, so it accepts only finite-height analyses.
+(a register set is bounded by the function's registers), and its transfer
+and meet are monotone, so each block's state changes a bounded number of
+times.  The solver has no widening, so it accepts only finite-height
+analyses.
 """
 from __future__ import annotations
 
@@ -74,30 +72,17 @@ class DataflowAnalysis(Generic[S]):
         state; backward: given its exit state, returning its entry state)."""
         raise NotImplementedError
 
-    def edge_transfer(
-        self, block: BasicBlock, target: str, state: S
-    ) -> Optional[S]:
-        """Refine the state flowing along one out-edge of ``block``
-        (forward analyses only).  Returning ``None`` marks the edge
-        infeasible.  The default is the identity."""
-        return state
-
 
 @dataclasses.dataclass
 class DataflowResult(Generic[S]):
     """The MFP solution: program-order entry/exit state per block label.
 
-    ``None`` means the position is unreachable according to the analysis
-    (only forward analyses with edge pruning produce it for reachable
-    code positions; layout-unreachable blocks get it in every analysis).
+    ``None`` means no execution reaches the position: a forward analysis
+    gives it to blocks no path from the entry reaches.
     """
 
     before: Dict[str, Optional[S]]
     after: Dict[str, Optional[S]]
-
-    def reachable(self, label: str) -> bool:
-        """Whether the analysis found any execution reaching the block."""
-        return self.before.get(label) is not None
 
 
 def solve(func: Function, analysis: DataflowAnalysis[S]) -> DataflowResult[S]:
@@ -139,11 +124,10 @@ def _solve_forward(
             pred_after = after[pred]
             if pred_after is None:
                 continue
-            flowed = analysis.edge_transfer(block_map[pred], label, pred_after)
-            if flowed is None:
-                continue
             incoming = (
-                flowed if incoming is None else analysis.meet(incoming, flowed)
+                pred_after
+                if incoming is None
+                else analysis.meet(incoming, pred_after)
             )
         if incoming is None and analysis.bottom_is_boundary:
             incoming = analysis.boundary(func)

@@ -7,15 +7,16 @@ on every execution, so a proven branch can never mispredict; the test
 suite's cross-check gate enforces exactly that against the aggregate
 branch counters of every workload run.
 
-Both proof layers read one solve of conditional constant propagation:
-
-1. **Unreachability** — the analysis marks the block bottom: the branch
-   never executes, so either direction is vacuously sound (we report
-   fall-through, matching the static default).
-2. **Constant conditions** — the condition register folds to a constant.
+A branch is proven when its condition is constant by the rule branch
+folding uses (:func:`repro.opt.branch_folding.constant_condition`): the
+block's own instructions, plus the never-written global scalars, fix the
+condition's value.  Under the ``dce`` configuration branch folding has
+already turned every such branch into a jump, so the prover finds none;
+under every other configuration it names exactly the branches that
+``dce`` would fold.
 
 Degenerate branches (identical targets) still read a condition, and
-prediction is scored on the condition's truth, so layer 2 applies to them
+prediction is scored on the condition's truth, so they are classified
 like any other branch.
 """
 from __future__ import annotations
@@ -24,10 +25,10 @@ import dataclasses
 import enum
 from typing import Dict, List, Mapping, Optional
 
-from repro.analysis.constprop import ConstState, constants
 from repro.ir.cfg import Function, Module
 from repro.ir.instructions import BranchId
 from repro.ir.opcodes import Opcode
+from repro.opt.branch_folding import constant_condition
 
 
 class ProofVerdict(enum.Enum):
@@ -66,8 +67,6 @@ def prove_function(
     func: Function, const_globals: Optional[Mapping[str, int]] = None
 ) -> List[BranchProof]:
     """Prove branch directions for one function."""
-    const_result = constants(func, const_globals)
-
     proofs: List[BranchProof] = []
     for block in func.blocks:
         term = block.terminator
@@ -75,7 +74,16 @@ def prove_function(
             continue
         if term.branch_id is None:
             continue
-        verdict, reason = _classify(term.a, const_result.after.get(block.label))
+        constant = constant_condition(block, const_globals)
+        if constant is None:
+            verdict, reason = ProofVerdict.UNKNOWN, "data-dependent"
+        else:
+            verdict = (
+                ProofVerdict.PROVEN_TAKEN
+                if constant != 0
+                else ProofVerdict.PROVEN_FALLTHROUGH
+            )
+            reason = f"condition is constant {constant}"
         proofs.append(
             BranchProof(
                 function=func.name,
@@ -86,26 +94,6 @@ def prove_function(
             )
         )
     return proofs
-
-
-def _classify(
-    cond: int, const_state: Optional[ConstState]
-) -> "tuple[ProofVerdict, str]":
-    # Layer 1: the block never executes.
-    if const_state is None:
-        return ProofVerdict.PROVEN_FALLTHROUGH, "unreachable"
-
-    # Layer 2: constant condition.
-    constant = const_state.get(cond)
-    if constant is not None:
-        verdict = (
-            ProofVerdict.PROVEN_TAKEN
-            if constant != 0
-            else ProofVerdict.PROVEN_FALLTHROUGH
-        )
-        return verdict, f"condition is constant {constant}"
-
-    return ProofVerdict.UNKNOWN, "data-dependent"
 
 
 def prove_module(

@@ -78,6 +78,13 @@ class LoweredProgram:
         default=None, repr=False, compare=False
     )
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The engine's generated functions close over modules, which do not
+        # pickle; a copy leaves the slot empty and predecodes on first run.
+        state = dict(self.__dict__)
+        state["predecoded"] = None
+        return state
+
 
 def lower_module(module: Module, validate: bool = True) -> LoweredProgram:
     """Lower a validated module to executable form."""

@@ -121,8 +121,7 @@ def fold_binop(subop: int, left: int, right: int) -> Optional[int]:
     """``BINOP_FUNCS[subop](left, right)`` at compile time, or ``None``
     when it faults (division by zero, a negative shift count, overflow)
     or is a left shift wider than ``FOLD_SHIFT_BITS``: either stays a
-    run-time op.  The constant folder and constant propagation both
-    evaluate through this."""
+    run-time op.  The constant folder evaluates through this."""
     if subop == BinOp.SHL and left.bit_length() + right > FOLD_SHIFT_BITS:
         return None
     try:

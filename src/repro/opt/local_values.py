@@ -9,7 +9,7 @@ facts are only used at program points after the in-block definition.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.ir.instructions import Instr
 from repro.ir.opcodes import BinOp, Opcode
@@ -30,7 +30,7 @@ class Value:
 class BlockValues:
     """Forward value tracker for one basic block."""
 
-    def __init__(self, const_globals: Optional[Dict[str, int]] = None):
+    def __init__(self, const_globals: Optional[Mapping[str, int]] = None):
         self.values: Dict[int, Value] = {}
         self.const_globals = const_globals or {}
 

@@ -8,6 +8,11 @@ against every run's aggregate branch counters: a proven-taken branch must
 be taken on every execution, a proven fall-through branch never.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,6 +43,31 @@ def proofs_of(source, name="main"):
 
 def verdicts(proofs):
     return [proof.verdict for proof in proofs]
+
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.analysis", "repro.opt", "repro.analysis.prover", "repro.compiler"],
+)
+def test_each_package_imports_first(module):
+    # The prover imports repro.opt and repro.opt's pipeline imports the
+    # lint suite in repro.analysis; whichever package a fresh interpreter
+    # imports first must still load.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # -- unit verdicts --------------------------------------------------------------
@@ -123,9 +153,8 @@ def test_proof_directions_keeps_only_proven():
 
 
 def test_static_proof_predictor_uses_fallback_for_unknown():
-    # The data-dependent branch comes first: were it after the proven-taken
-    # knob guard's early return, it would be unreachable (and thus proven
-    # fall-through) rather than UNKNOWN.
+    # One data-dependent branch (UNKNOWN) and one constant-global guard
+    # (PROVEN_TAKEN).
     program = compiled_program(
         """
         var knob = 3;
@@ -182,15 +211,39 @@ def test_no_proven_branch_mispredicts_in_aggregate_counts(runner):
 
 @pytest.mark.parametrize(
     "config, proven, sites",
-    [(RunConfig(), 18, 677), (RunConfig(dce=True), 0, 659)],
-    ids=["paper", "dce"],
+    [
+        (RunConfig(), 18, 677),
+        (RunConfig(if_conversion=True), 18, 675),
+        (RunConfig(inline=True), 22, 742),
+        (RunConfig(inline=True, if_conversion=True), 22, 736),
+        (RunConfig(dce=True), 0, 659),
+        (RunConfig(dce=True, if_conversion=True), 0, 657),
+        (RunConfig(dce=True, inline=True), 0, 720),
+        (RunConfig(dce=True, inline=True, if_conversion=True), 0, 714),
+    ],
+    ids=[
+        "paper",
+        "ifconv",
+        "inline",
+        "inline+ifconv",
+        "dce",
+        "dce+ifconv",
+        "dce+inline",
+        "dce+inline+ifconv",
+    ],
 )
 def test_proof_counts_over_all_workloads(runner, config, proven, sites):
-    """The ``proofs`` table's note: every proof is a constant condition."""
-    proofs = []
-    for workload in all_workloads():
-        module = runner.compiled(workload.name, config).module
-        proofs.extend(prove_module(module, constant_globals(module)))
+    """The ``proofs`` table's note: every proof is a constant condition,
+    and the proven branches are exactly the ones ``dce`` folds away."""
+
+    def proofs_under(config):
+        proofs = []
+        for workload in all_workloads():
+            module = runner.compiled(workload.name, config).module
+            proofs.extend(prove_module(module, constant_globals(module)))
+        return proofs
+
+    proofs = proofs_under(config)
     assert len(proofs) == sites
     assert sum(proof.verdict.proven for proof in proofs) == proven
     assert all(
@@ -198,12 +251,20 @@ def test_proof_counts_over_all_workloads(runner, config, proven, sites):
         for proof in proofs
         if proof.verdict.proven
     )
+    if not config.dce:
+        twin = dataclasses.replace(config, dce=True)
+        assert proven == sites - len(proofs_under(twin))
 
 
 def _checked_proven_executions(seed, config, data):
-    """Compile, prove and run one generated program; fail on any proven
-    branch the run contradicts, else return the executions checked."""
+    """:func:`_checked_executions` for generated program ``seed``."""
     compiled = compile_source(mf_module(seed), name=f"p{seed}", config=config)
+    return _checked_executions(compiled, data)
+
+
+def _checked_executions(compiled, data):
+    """Prove and run one compiled program; fail on any proven branch the
+    run contradicts, else return the executions checked."""
     directions = proof_directions(
         prove_module(compiled.module, constant_globals(compiled.module))
     )
@@ -215,8 +276,8 @@ def _checked_proven_executions(seed, config, data):
             continue
         mispredicts = (executed - taken) if expected else taken
         assert mispredicts == 0, (
-            f"seed {seed} {config.tag()}: proven branch {branch_id} "
-            f"mispredicted {mispredicts}/{executed} times"
+            f"{compiled.name} {compiled.config.tag()}: proven branch "
+            f"{branch_id} mispredicted {mispredicts}/{executed} times"
         )
         checked += executed
     return checked
@@ -233,9 +294,30 @@ def test_no_proven_branch_mispredicts_on_generated_programs(seed, config, data):
     _checked_proven_executions(seed, config, data)
 
 
-def test_generated_program_example_exercises_proofs():
-    # The pinned example above is not vacuous: inlining gen0_4(6, 2) makes
-    # its probe loop's guards constant, and the run executes them.  (The
-    # generator's ``knob`` guard never reaches the prover: branch folding
-    # removes it under every configuration.)
-    assert _checked_proven_executions(0, RunConfig(inline=True), b"") > 0
+#: A constant-global guard inside a loop: the shape of the workloads'
+#: generality knobs.  The ``putc`` keeps select conversion from replacing
+#: the guarded arm with a select, so the branch survives to the prover.
+KNOB_LOOP = """
+var knob = 1;
+func main() {
+    var i = 0; var n = 0;
+    while (i < 5) { if (knob) { putc(65); n = n + 1; } i = i + 1; }
+    return n;
+}
+"""
+
+
+@pytest.mark.parametrize("config", EXPERIMENT_CONFIGS, ids=RunConfig.tag)
+def test_generated_program_example_exercises_proofs(config):
+    # The property test above passes vacuously when no proven branch runs,
+    # and no generated program of seeds 0-399 runs one under these
+    # configurations: the generator's ``knob`` guard is folded away before
+    # the prover sees it.  This hand-written
+    # subject shows the check is live wherever the prover has work to do;
+    # under ``dce`` branch folding removes the guard first.
+    compiled = compile_source(KNOB_LOOP, name="knob_loop", config=config)
+    checked = _checked_executions(compiled, b"")
+    if config.dce:
+        assert checked == 0
+    else:
+        assert checked == 5

@@ -9,7 +9,9 @@ every bundled workload x dataset.  Anything the engine's generated
 functions get wrong shows up here as a disagreement with that loop,
 which is kept precisely to serve as this oracle.
 """
+import copy
 import dataclasses
+import pickle
 from unittest import mock
 
 import pytest
@@ -173,6 +175,21 @@ def test_predecoded_form_is_cached_on_the_program():
     first = predecode(program)
     assert predecode(program) is first
     assert program.predecoded is first
+
+
+def test_program_that_has_run_pickles_and_copies():
+    """The predecoded slot holds generated code, which does not pickle; a
+    copy drops it, predecodes again and runs to the same result."""
+    workload = registry.get_workload("lfk")
+    dataset = workload.datasets[0]
+    program = compile_source(workload.source, name=workload.name)
+    original = run_program(program.lowered, input_data=dataset.data)
+    assert program.lowered.predecoded is not None
+    for clone in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program)):
+        assert clone.lowered.predecoded is None
+        assert clone.lowered == program.lowered
+        assert run_program(clone.lowered, input_data=dataset.data) == original
+    assert program.lowered.predecoded is not None
 
 
 def test_no_engine_selector_is_left():
