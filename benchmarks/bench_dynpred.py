@@ -30,6 +30,7 @@ from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
 from repro.vm.monitors import BranchMonitor
 from repro.workloads.registry import get_workload
+from tests.helpers import run_with_monitors
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_DYNPRED.json"
 
@@ -97,7 +98,7 @@ class ChunkRecorder(BranchMonitor):
 
 def _trace(runner, workload, dataset):
     recorder = ChunkRecorder()
-    runner.run(workload, dataset, monitors=[recorder])
+    run_with_monitors(runner, workload, dataset, [recorder])
     return recorder.branch_table, recorder.chunks
 
 
@@ -204,7 +205,7 @@ def test_smoke_monitored_scoring_overhead(runner):
     models = default_zoo()
     monitors = monitors_for(models)
     started = time.perf_counter()
-    result = runner.run("doduc", "tiny", monitors=monitors)
+    result = run_with_monitors(runner, "doduc", "tiny", monitors)
     elapsed = time.perf_counter() - started
     events = result.total_branch_execs
     print(f"\n{events} branch events x {len(models)} models "

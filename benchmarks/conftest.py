@@ -8,18 +8,12 @@ cache on later invocations anyway.
 """
 import pytest
 
-from repro.core.runner import RunConfig, WorkloadRunner
-from repro.experiments import table1
-from repro.workloads import all_workloads, get_workload
+from repro.core.runner import WorkloadRunner
+from repro.experiments import figure1, table1
 
 
 @pytest.fixture(scope="session")
 def runner():
     warmed = WorkloadRunner()
-    for workload in all_workloads():
-        for dataset in workload.dataset_names():
-            warmed.run(workload.name, dataset)
-    for program in table1.PAPER_DEAD_CODE:
-        for dataset in get_workload(program).dataset_names():
-            warmed.run(program, dataset, RunConfig(dce=True))
+    warmed.run_many(table1.requests() + figure1.requests())
     return warmed

@@ -17,7 +17,7 @@ from repro.core import CrossDatasetExperiment, WorkloadRunner
 def main() -> None:
     workload_name = sys.argv[1] if len(sys.argv) > 1 else "li"
     runner = WorkloadRunner()
-    experiment = CrossDatasetExperiment(runner, workload_name)
+    experiment = CrossDatasetExperiment(workload_name, runner.run_all(workload_name))
     names = experiment.dataset_names()
     if len(names) < 2:
         raise SystemExit(f"{workload_name} has only one dataset")

@@ -8,7 +8,7 @@ Reproduces, on two contrasting workloads, the comparisons the paper makes:
 
 Run:  python examples/heuristics_vs_profile.py
 """
-from repro.core import WorkloadRunner
+from repro.core import RunRequest, WorkloadRunner
 from repro.metrics import ipb_no_prediction, ipb_self_prediction, ipb_with_predictor
 from repro.prediction import (
     FixedPredictor,
@@ -18,7 +18,6 @@ from repro.prediction import (
     evaluate_static,
     self_prediction,
 )
-from repro.dynamic import BimodalPredictor
 from repro.profiling import BranchProfile
 
 CASES = [("li", "6queens", "5queens"), ("tomcatv", "default", "default")]
@@ -53,15 +52,13 @@ def main() -> None:
         print(f"  {'self (upper bound)':24s} "
               f"{ipb_self_prediction(target):8.1f} instrs/break")
 
-        # Dynamic predictors observe the run live (infinite-table 1-bit
-        # and 2-bit counters, both monitors of one pass) and score
-        # themselves against it.
-        models = [
-            BimodalPredictor(table_size=None, num_bits=1),
-            BimodalPredictor(table_size=None, num_bits=2),
-        ]
-        runner.run(workload, target_name, monitors=models)
-        one_bit, two_bit = (model.score(target) for model in models)
+        # Dynamic predictors observe the run live: a request carrying the
+        # infinite-table 1-bit and 2-bit counters' specs answers with
+        # their scores, both from one monitored run.
+        counters = RunRequest(
+            workload, target_name, monitors=("1bit@inf", "2bit@inf")
+        )
+        one_bit, two_bit = runner.run_many([counters])[0]
         static_correct = self_prediction(target).percent_correct
         print(f"  dynamic 1-bit {100 * one_bit.percent_correct:5.1f}% correct, "
               f"2-bit {100 * two_bit.percent_correct:5.1f}%, "

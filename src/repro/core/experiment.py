@@ -8,9 +8,10 @@ predict as its own predictor" (§2, General Methodology).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.runner import WorkloadRunner
+from repro.compiler import RunConfig
+from repro.core.parallel import RunRequest
 from repro.metrics.ipb import ipb_no_prediction, ipb_with_predictor
 from repro.prediction.base import ProfilePredictor, StaticPredictor
 from repro.prediction.combine import database_predict
@@ -57,19 +58,13 @@ class BestWorstPrediction:
 
 
 class CrossDatasetExperiment:
-    """All predictor/target combinations for one workload."""
+    """All predictor/target combinations for one workload, over its
+    runs: dataset name -> result, such as ``runner.run_all(name)``."""
 
-    def __init__(self, runner: WorkloadRunner, workload_name: str):
-        self.runner = runner
+    def __init__(self, workload_name: str, runs: Mapping[str, RunResult]):
         self.workload_name = workload_name
-        self._runs: Optional[Dict[str, RunResult]] = None
+        self.runs = dict(runs)
         self._database: Optional[ProfileDatabase] = None
-
-    @property
-    def runs(self) -> Dict[str, RunResult]:
-        if self._runs is None:
-            self._runs = self.runner.run_all(self.workload_name)
-        return self._runs
 
     @property
     def database(self) -> ProfileDatabase:
@@ -172,3 +167,18 @@ class CrossDatasetExperiment:
                     predictor = self.single_predictor(predictor_name)
                 matrix[(predictor_name, target)] = self.ipb(target, predictor)
         return matrix
+
+
+def cross_dataset_experiments(
+    answers: Mapping[RunRequest, Any]
+) -> Dict[str, CrossDatasetExperiment]:
+    """One experiment per workload over a batch's answers: each takes the
+    plain paper-configuration runs of its workload, in batch order."""
+    runs: Dict[str, Dict[str, RunResult]] = {}
+    for request, answer in answers.items():
+        if not request.monitors and request.config == RunConfig():
+            runs.setdefault(request.workload, {})[request.dataset] = answer
+    return {
+        name: CrossDatasetExperiment(name, by_dataset)
+        for name, by_dataset in runs.items()
+    }

@@ -9,7 +9,8 @@ module holds what callers of ``run_many`` need (see docs/PARALLEL.md for
 the long form):
 
 * ``RunRequest`` — one triple, and ``dataset_requests`` to expand
-  workloads into them;
+  workloads into them; a request may also carry monitor specs
+  (:mod:`repro.core.specs`), and its answer is then one summary per spec;
 * ``RunFailure`` and ``ParallelExecutionError`` — a failing triple is
   reported by name and never poisons the rest of the batch, which
   completes and is cached normally;
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.compiler import RunConfig
 from repro.workloads.base import Workload
@@ -42,14 +43,24 @@ def resolve_jobs(jobs: int) -> int:
 @dataclasses.dataclass(frozen=True)
 class RunRequest:
     """One (workload, dataset, configuration) triple of a sweep, and the
-    key ``WorkloadRunner`` memoizes its result under."""
+    key ``WorkloadRunner`` memoizes its result under.  With ``monitors``,
+    a tuple of monitor specs (see :mod:`repro.core.specs`), the run is
+    made with those monitors attached and its result is their summaries."""
 
     workload: str
     dataset: str
     config: RunConfig = RunConfig()
+    monitors: Tuple[str, ...] = ()
+
+    def plain(self) -> "RunRequest":
+        """The same triple without monitors."""
+        return dataclasses.replace(self, monitors=())
 
     def describe(self) -> str:
-        return f"{self.workload}/{self.dataset} [{self.config.tag()}]"
+        text = f"{self.workload}/{self.dataset} [{self.config.tag()}]"
+        if self.monitors:
+            text += f" with {', '.join(self.monitors)}"
+        return text
 
 
 @dataclasses.dataclass

@@ -7,6 +7,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler import CompiledProgram, RunConfig, compile_source
+from repro.core import specs
 from repro.core.cache import DiskCache, run_digest
 from repro.core.parallel import (
     ParallelExecutionError,
@@ -16,12 +17,15 @@ from repro.core.parallel import (
 )
 from repro.vm.counters import RunResult
 from repro.vm.machine import run_program
-from repro.vm.monitors import BranchMonitor
 from repro.workloads.costs import PAPER_INSTRUCTIONS
 from repro.workloads.registry import get_workload
 
-#: One unmonitored run's outcome: ``(result, None)`` or ``(None, traceback)``.
-_Outcome = Tuple[Optional[RunResult], Optional[str]]
+#: What one request answers: a plain run's result, or a monitored run's
+#: summaries, one per spec.
+Answer = Union[RunResult, Tuple[specs.Summary, ...]]
+
+#: One run's outcome: ``(answer, None)`` or ``(None, traceback)``.
+_Outcome = Tuple[Optional[Answer], Optional[str]]
 
 #: Default on-disk cache location (override with the REPRO_CACHE_DIR
 #: environment variable; set it to empty to disable).
@@ -41,6 +45,8 @@ class WorkloadRunner:
     ``jobs`` sets the fan-out of ``run_many`` (``0`` means all cores).
     ``run_many`` is the one path that looks a run up, executes it and
     stores it; ``run`` and ``run_all`` are batches of one workload.
+    ``executions`` counts the runs executed so far, in the pool or here;
+    memo and disk hits do not count.
     """
 
     def __init__(self, cache_dir: Optional[str] = "auto", jobs: int = 1):
@@ -48,8 +54,9 @@ class WorkloadRunner:
             cache_dir = _default_cache_dir()
         self._disk = DiskCache(cache_dir)
         self._programs: Dict[Tuple[str, RunConfig], CompiledProgram] = {}
-        self._runs: Dict[RunRequest, RunResult] = {}
+        self._runs: Dict[RunRequest, Answer] = {}
         self.jobs = resolve_jobs(jobs)
+        self.executions = 0
 
     # -- compilation ----------------------------------------------------------
 
@@ -72,15 +79,9 @@ class WorkloadRunner:
         workload_name: str,
         dataset_name: str,
         config: RunConfig = RunConfig(),
-        monitors: Sequence[BranchMonitor] = (),
     ) -> RunResult:
-        """Run one (workload, dataset, configuration) through ``run_many``;
-        with monitors attached the run executes afresh and is never
-        cached, since monitors observe the live branch stream."""
-        request = RunRequest(workload_name, dataset_name, config)
-        if monitors:
-            return self._execute(request, monitors)
-        return self.run_many([request])[0]
+        """Run one (workload, dataset, configuration) through ``run_many``."""
+        return self.run_many([RunRequest(workload_name, dataset_name, config)])[0]
 
     def _digest(self, request: RunRequest) -> str:
         """The disk-cache digest of one triple; raises for an unknown
@@ -92,35 +93,46 @@ class WorkloadRunner:
             request.config.tag(),
         )
 
-    def _execute(
-        self, request: RunRequest, monitors: Sequence[BranchMonitor]
-    ) -> RunResult:
+    def _execute(self, request: RunRequest) -> Answer:
         # Compiled programs are memoized per (workload, config), and the
         # VM engine caches its generated Python functions on the
         # LoweredProgram itself — so a sweep over many datasets of one
         # workload compiles both exactly once per process.
         dataset = get_workload(request.workload).dataset(request.dataset)
-        compiled = self.compiled(request.workload, config=request.config)
-        return run_program(
-            compiled.lowered, input_data=dataset.data, monitors=monitors
+        lowered = self.compiled(request.workload, config=request.config).lowered
+        if not request.monitors:
+            return run_program(lowered, input_data=dataset.data)
+        monitors, summarize = specs.attach(
+            request.monitors, self._runs[request.plain()]
+        )
+        return summarize(
+            run_program(lowered, input_data=dataset.data, monitors=monitors)
         )
 
     def run_many(
         self,
         requests: Sequence[RunRequest],
         on_error: str = "raise",
-    ) -> List[Union[RunResult, RunFailure]]:
-        """Run a batch of ``RunRequest`` triples; results come back in
-        request order and are memoized per triple.
+    ) -> List[Union[Answer, RunFailure]]:
+        """Run a batch of requests; answers come back in request order and
+        are memoized per request.
 
-        Each unique triple is checked against the memo, digested and
+        Each unique plain triple is checked against the memo, digested and
         looked up on disk once.  With more than one miss and ``jobs > 1``
         the misses go to a process pool whose workers return their
         results; one serial loop then takes each pool result, or executes
         the miss itself when the pool did not return it, and stores it:
         this runner is the only reader and writer of its disk cache.
-        ``on_error="raise"`` raises ``ParallelExecutionError`` after the
-        whole batch has been attempted; ``on_error="capture"`` returns
+
+        A monitored request's plain triple is fetched with the rest, since
+        a spec may need its counters (``runlengths(self)``); the monitored
+        runs then execute here, in request order.  Their summaries are
+        memoized but never written to disk.  An unknown spec fails its
+        request as an unknown dataset does.
+
+        ``on_error="raise"`` raises ``ParallelExecutionError``, listing
+        the failed requests of the batch in request order, after the whole
+        batch has been attempted; ``on_error="capture"`` returns
         ``RunFailure`` objects in the failed slots instead.
         """
         if on_error not in ("raise", "capture"):
@@ -129,19 +141,31 @@ class WorkloadRunner:
             )
         failures: Dict[RunRequest, RunFailure] = {}
         misses: Dict[RunRequest, str] = {}
+        monitored: Dict[RunRequest, None] = {}
         for request in requests:
-            if request in self._runs or request in failures or request in misses:
+            if (
+                request in self._runs
+                or request in failures
+                or request in misses
+                or request in monitored
+            ):
                 continue
+            plain = request.plain()
             try:
-                digest = self._digest(request)
+                specs.check(request.monitors)
+                digest = self._digest(plain)
             except Exception:
                 failures[request] = RunFailure(request, traceback.format_exc())
                 continue
+            if request.monitors:
+                monitored[request] = None
+            if plain in self._runs or plain in misses:
+                continue
             cached = self._disk.load(digest)
             if cached is None:
-                misses[request] = digest
+                misses[plain] = digest
             else:
-                self._runs[request] = cached
+                self._runs[plain] = cached
 
         pooled: Dict[RunRequest, _Outcome] = {}
         if self.jobs > 1 and len(misses) > 1:
@@ -150,14 +174,30 @@ class WorkloadRunner:
             result, error = pooled.get(request) or _execute_captured(
                 self, request
             )
+            self.executions += 1
             if result is None:
                 failures[request] = RunFailure(request, error or "")
                 continue
             self._disk.store(digest, result)
             self._runs[request] = result
+        for request in monitored:
+            if request.plain() in failures:
+                error = failures[request.plain()].error
+            else:
+                summaries, error = _execute_captured(self, request)
+                self.executions += 1
+                if summaries is not None:
+                    self._runs[request] = summaries
+                    continue
+            failures[request] = RunFailure(request, error or "")
 
-        if failures and on_error == "raise":
-            raise ParallelExecutionError(list(failures.values()))
+        failed = [
+            failures[request]
+            for request in dict.fromkeys(requests)
+            if request in failures
+        ]
+        if failed and on_error == "raise":
+            raise ParallelExecutionError(failed)
         return [
             failures[request] if request in failures else self._runs[request]
             for request in requests
@@ -208,11 +248,11 @@ _WORKER_RUNNER: Optional[WorkloadRunner] = None
 
 
 def _execute_captured(runner: WorkloadRunner, request: RunRequest) -> _Outcome:
-    """Execute one unmonitored run: ``(result, None)`` on success or
+    """Execute one run: ``(answer, None)`` on success or
     ``(None, traceback)`` on failure — never raises, so one bad triple
     cannot poison the batch or the pool."""
     try:
-        return runner._execute(request, ()), None
+        return runner._execute(request), None
     except Exception:
         return None, traceback.format_exc()
 

@@ -2,10 +2,18 @@
 plus the informal observations and the extension experiments.
 
 ``EXPERIMENTS`` is their one registry: experiment name -> module, in the
-order ``repro-experiments all`` runs them.  Each module's
-``run(runner)`` returns a result whose ``format_text()`` is its report;
-the command line and ``export`` both iterate this table.
+order ``repro-experiments all`` runs them.  Each module declares every
+run it reads with ``requests()``, and its ``run(runner)`` reads them from
+one ``runner.run_many(requests())`` call and returns a result whose
+``format_text()`` is its report.  Both take the same keyword arguments.
+:func:`run_experiments` is the sweep the command line, ``export`` and
+the output golden share: the union of the chosen experiments' requests
+in one ``run_many``, then each result built from the runner's memo.
 """
+from typing import Any, Iterable, Iterator, List, Tuple
+
+from repro.core.parallel import RunRequest
+from repro.core.runner import WorkloadRunner
 from repro.experiments import (
     ablations,
     coverage,
@@ -39,3 +47,23 @@ EXPERIMENTS = {
     "informal": informal,
     "ablations": ablations,
 }
+
+
+def plan(names: Iterable[str]) -> List[RunRequest]:
+    """Every run the named experiments read, each once, in first-use
+    order."""
+    return list(
+        dict.fromkeys(
+            request for name in names for request in EXPERIMENTS[name].requests()
+        )
+    )
+
+
+def run_experiments(
+    runner: WorkloadRunner, names: Iterable[str] = tuple(EXPERIMENTS)
+) -> Iterator[Tuple[str, Any]]:
+    """Run the plan of ``names`` in one ``run_many`` now, then yield each
+    experiment's ``(name, result)`` as it is built from the memo."""
+    names = list(names)
+    runner.run_many(plan(names))
+    return ((name, EXPERIMENTS[name].run(runner)) for name in names)

@@ -12,12 +12,13 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from typing import List, Mapping
 
 from repro.core.parallel import RunRequest
 from repro.core.runner import RunConfig, WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_no_prediction, ipb_self_prediction
+from repro.vm.counters import RunResult
 
 #: Call-heavy programs where the ablations are most interesting.
 PROGRAMS = [
@@ -28,16 +29,20 @@ PROGRAMS = [
     ("lfk", "default"),
 ]
 
+INLINE = RunConfig(inline=True)
+IF_CONVERSION = RunConfig(if_conversion=True)
 
-def _prewarm(runner: WorkloadRunner, variant: RunConfig) -> None:
-    """Batch the base and variant runs of every ablated triple."""
-    runner.run_many(
-        [
-            RunRequest(program, dataset, config)
-            for program, dataset in PROGRAMS
-            for config in (RunConfig(), variant)
-        ]
-    )
+#: Each ablation's runs, by request.
+Runs = Mapping[RunRequest, RunResult]
+
+
+def requests() -> List[RunRequest]:
+    """The base, inlined and if-converted run of every ablated triple."""
+    return [
+        RunRequest(program, dataset, config)
+        for program, dataset in PROGRAMS
+        for config in (RunConfig(), INLINE, IF_CONVERSION)
+    ]
 
 
 # --- inlining ------------------------------------------------------------------
@@ -79,13 +84,11 @@ class InliningResult:
         return table.format_text()
 
 
-def inlining(runner: WorkloadRunner) -> InliningResult:
-    inline_config = RunConfig(inline=True)
-    _prewarm(runner, inline_config)
+def inlining(runs: Runs) -> InliningResult:
     rows: List[InliningRow] = []
     for program, dataset in PROGRAMS:
-        base = runner.run(program, dataset)
-        inlined = runner.run(program, dataset, config=inline_config)
+        base = runs[RunRequest(program, dataset)]
+        inlined = runs[RunRequest(program, dataset, INLINE)]
         rows.append(
             InliningRow(
                 program=program,
@@ -153,13 +156,11 @@ class IfConversionResult:
         return table.format_text()
 
 
-def if_conversion(runner: WorkloadRunner) -> IfConversionResult:
-    converted_config = RunConfig(if_conversion=True)
-    _prewarm(runner, converted_config)
+def if_conversion(runs: Runs) -> IfConversionResult:
     rows: List[IfConversionRow] = []
     for program, dataset in PROGRAMS:
-        base = runner.run(program, dataset)
-        converted = runner.run(program, dataset, config=converted_config)
+        base = runs[RunRequest(program, dataset)]
+        converted = runs[RunRequest(program, dataset, IF_CONVERSION)]
         rows.append(
             IfConversionRow(
                 program=program,
@@ -193,6 +194,6 @@ class AblationsResult:
 
 
 def run(runner: WorkloadRunner) -> AblationsResult:
-    return AblationsResult(
-        inlining=inlining(runner), if_conversion=if_conversion(runner)
-    )
+    batch = requests()
+    runs = dict(zip(batch, runner.run_many(batch)))
+    return AblationsResult(inlining=inlining(runs), if_conversion=if_conversion(runs))

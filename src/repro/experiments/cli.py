@@ -15,7 +15,8 @@ import time
 from typing import List
 
 from repro.core.runner import WorkloadRunner
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, plan, run_experiments
+from repro.experiments.export import export_json
 
 
 def main(argv: List[str] = None) -> int:
@@ -60,23 +61,29 @@ def main(argv: List[str] = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        started = time.time()
-        if name == "export":
-            from repro.experiments.export import export_json
-
-            export_json(args.out, runner)
-            text = f"wrote {args.out}"
+    # ``all`` and ``export`` plan every experiment.
+    names = [args.experiment] if args.experiment in EXPERIMENTS else list(EXPERIMENTS)
+    started = time.time()
+    results = run_experiments(runner, names)
+    print(
+        f"[plan: {len(plan(names))} requests, {runner.executions} executed "
+        f"in {time.time() - started:.1f}s]",
+        file=sys.stderr,
+    )
+    started = time.time()
+    if args.experiment == "export":
+        export_json(args.out, runner)  # builds each result from the memo
+        print(f"wrote {args.out}\n")
+        print(f"[export done in {time.time() - started:.1f}s]", file=sys.stderr)
+        return 0
+    for name, result in results:
+        if args.chart and hasattr(result, "format_chart"):
+            print(result.format_chart())
         else:
-            result = EXPERIMENTS[name].run(runner)
-            if args.chart and hasattr(result, "format_chart"):
-                text = result.format_chart()
-            else:
-                text = result.format_text()
-        print(text)
+            print(result.format_text())
         print()
         print(f"[{name} done in {time.time() - started:.1f}s]", file=sys.stderr)
+        started = time.time()
     return 0
 
 

@@ -27,8 +27,8 @@ import dataclasses
 import math
 from typing import Dict, List
 
-from repro.core.experiment import CrossDatasetExperiment
-from repro.core.parallel import dataset_requests
+from repro.core.experiment import cross_dataset_experiments
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.profiling.branch_profile import BranchProfile
@@ -138,11 +138,17 @@ class CoverageResult:
         return table.format_text()
 
 
+def requests() -> List[RunRequest]:
+    return dataset_requests(multi_dataset_workloads())
+
+
 def run(runner: WorkloadRunner) -> CoverageResult:
-    runner.run_many(dataset_requests(multi_dataset_workloads()))
+    batch = requests()
+    experiments = cross_dataset_experiments(
+        dict(zip(batch, runner.run_many(batch)))
+    )
     pairs: List[CoveragePair] = []
-    for workload in multi_dataset_workloads():
-        experiment = CrossDatasetExperiment(runner, workload.name)
+    for workload, experiment in experiments.items():
         names = experiment.dataset_names()
         for target in names:
             target_profile = experiment.profile(target)
@@ -152,7 +158,7 @@ def run(runner: WorkloadRunner) -> CoverageResult:
                 predictor_profile = experiment.profile(predictor_name)
                 pairs.append(
                     CoveragePair(
-                        workload=workload.name,
+                        workload=workload,
                         predictor=predictor_name,
                         target=target,
                         quality=experiment.quality(

@@ -17,23 +17,22 @@ lose?* — is answerable per program and per hardware budget.
 
 The static rows are scored from the run's counters, as the paper did;
 only the hardware models need the live outcome stream.  The 12 zoo
-models of a dataset are scored in one monitored re-execution that
-carries 6 passes (each size's tournament also advances its bimodal and
-gshare components; see ``monitors_for``).  The plain (monitor-free)
-runs are prewarmed through ``run_many``, so ``--jobs N`` fans the
-simulations across processes; the monitored re-executions are
-deterministic and happen in-process, which keeps serial and parallel
-output byte-identical.
+models of a dataset are one monitored request whose specs are the
+models' names; its run carries 6 passes (each size's tournament also
+advances its bimodal and gshare components; see ``monitors_for``).
+The plain runs and the monitored ones are one ``run_many`` batch, so
+``--jobs N`` fans the plain simulations across processes; the monitored
+runs are deterministic and happen in-process, which keeps serial and
+parallel output byte-identical.
 """
 from __future__ import annotations
 
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.experiment import CrossDatasetExperiment
-from repro.core.parallel import dataset_requests
+from repro.core.experiment import cross_dataset_experiments
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
-from repro.dynamic.base import monitors_for
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES, default_zoo
 from repro.experiments.charts import ascii_bars
 from repro.experiments.report import TextTable
@@ -148,6 +147,34 @@ class DynamicCompareResult:
         )
 
 
+def _zoo_specs(table_sizes: Sequence[int]) -> Tuple[str, ...]:
+    """The monitor specs of the zoo at ``table_sizes``: its models' names."""
+    return tuple(model.name for model in default_zoo(table_sizes))
+
+
+def requests(
+    programs: Optional[Sequence[str]] = None,
+    table_sizes: Sequence[int] = DEFAULT_TABLE_SIZES,
+) -> List[RunRequest]:
+    """Every dataset of ``programs``, plain and with the zoo attached."""
+    workloads = [
+        get_workload(name)
+        for name in (DEFAULT_PROGRAMS if programs is None else programs)
+    ]
+    for workload in workloads:
+        if len(workload.dataset_names()) < 2:
+            raise ValueError(
+                f"workload {workload.name!r} has a single dataset; the "
+                "cross predictor needs 2+ (pick another or drop it)"
+            )
+    plain = dataset_requests(workloads)
+    zoo = _zoo_specs(table_sizes)
+    return plain + [
+        RunRequest(request.workload, request.dataset, monitors=zoo)
+        for request in plain
+    ]
+
+
 def run(
     runner: WorkloadRunner,
     programs: Optional[Sequence[str]] = None,
@@ -155,42 +182,25 @@ def run(
 ) -> DynamicCompareResult:
     """Sweep programs x datasets x predictors x table sizes."""
     program_names = list(DEFAULT_PROGRAMS if programs is None else programs)
+    batch = requests(program_names, table_sizes)
+    answers = dict(zip(batch, runner.run_many(batch)))
     sizes = tuple(sorted(table_sizes))
-
-    workloads = [get_workload(name) for name in program_names]
-    for workload in workloads:
-        if len(workload.dataset_names()) < 2:
-            raise ValueError(
-                f"workload {workload.name!r} has a single dataset; the "
-                "cross predictor needs 2+ (pick another or drop it)"
-            )
-    # Prewarm the profile runs (the parallel fan-out path); the monitored
-    # scoring re-executions below are deterministic and in-process.
-    runner.run_many(dataset_requests(workloads))
-
+    zoo = _zoo_specs(sizes)
+    predictor_order = list(STATIC_PREDICTORS) + list(zoo)
     rows: List[DynamicCompareRow] = []
-    predictor_order = list(STATIC_PREDICTORS)
-    predictor_order.extend(model.name for model in default_zoo(sizes))
-    for workload in workloads:
-        experiment = CrossDatasetExperiment(runner, workload.name)
-        for dataset in workload.dataset_names():
-            static_reports = [
+    for name, experiment in cross_dataset_experiments(answers).items():
+        for dataset in experiment.dataset_names():
+            reports = [
                 experiment.report(dataset, experiment.self_predictor(dataset)),
                 experiment.report(
                     dataset, experiment.combined_predictor(dataset)
                 ),
-            ]
-            models = default_zoo(sizes)
-            run_result = runner.run(
-                workload.name, dataset, monitors=monitors_for(models)
-            )
-            reports = static_reports + [
-                model.score(run_result) for model in models
+                *answers[RunRequest(name, dataset, monitors=zoo)],
             ]
             for predictor, report in zip(predictor_order, reports):
                 rows.append(
                     DynamicCompareRow(
-                        program=workload.name,
+                        program=name,
                         dataset=dataset,
                         predictor=predictor,
                         table_size=report.table_size,

@@ -11,7 +11,7 @@ import json
 from typing import Any, Dict
 
 from repro.core.runner import WorkloadRunner
-from repro.experiments import EXPERIMENTS
+from repro.experiments import run_experiments
 
 
 def _plain(value):
@@ -35,9 +35,7 @@ def document_of(results: Dict[str, Any]) -> dict:
 
 def collect(runner: WorkloadRunner) -> dict:
     """Run every experiment and return one JSON-compatible document."""
-    return document_of(
-        {name: module.run(runner) for name, module in EXPERIMENTS.items()}
-    )
+    return document_of(dict(run_experiments(runner)))
 
 
 def dumps(document: dict) -> str:

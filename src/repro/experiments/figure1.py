@@ -10,12 +10,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.core.parallel import dataset_requests
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_no_prediction
 from repro.workloads.base import FORTRAN
-from repro.workloads.registry import all_workloads
+from repro.workloads.registry import all_workloads, get_workload
 
 
 @dataclasses.dataclass
@@ -72,20 +72,23 @@ class Figure1Result:
         return "\n\n".join(sections)
 
 
+def requests() -> List[RunRequest]:
+    return dataset_requests(all_workloads())
+
+
 def run(runner: WorkloadRunner) -> Figure1Result:
-    runner.run_many(dataset_requests(all_workloads()))
     fortran_bars: List[Figure1Bar] = []
     c_bars: List[Figure1Bar] = []
-    for workload in all_workloads():
+    batch = requests()
+    for request, result in zip(batch, runner.run_many(batch)):
+        workload = get_workload(request.workload)
         bucket = fortran_bars if workload.category == FORTRAN else c_bars
-        for dataset in workload.dataset_names():
-            result = runner.run(workload.name, dataset)
-            bucket.append(
-                Figure1Bar(
-                    program=workload.name,
-                    dataset=dataset,
-                    ipb_black=ipb_no_prediction(result, include_direct_calls=False),
-                    ipb_white=ipb_no_prediction(result, include_direct_calls=True),
-                )
+        bucket.append(
+            Figure1Bar(
+                program=request.workload,
+                dataset=request.dataset,
+                ipb_black=ipb_no_prediction(result, include_direct_calls=False),
+                ipb_white=ipb_no_prediction(result, include_direct_calls=True),
             )
+        )
     return Figure1Result(fortran_bars=fortran_bars, c_bars=c_bars)

@@ -10,8 +10,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Tuple, TypeVar
 
-from repro.core.experiment import CrossDatasetExperiment, DatasetPrediction
-from repro.core.parallel import dataset_requests
+from repro.core.experiment import (
+    CrossDatasetExperiment,
+    DatasetPrediction,
+    cross_dataset_experiments,
+)
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.workloads.base import C
@@ -23,26 +27,32 @@ SPICE = "spice2g6"
 Bar = TypeVar("Bar")
 
 
-def studied_panels(
-    runner: WorkloadRunner,
-    bar: Callable[[CrossDatasetExperiment, str], Bar],
-) -> Tuple[List[Bar], List[Bar]]:
-    """One ``bar(experiment, dataset)`` per dataset of the multi-dataset
-    workloads Figures 2 and 3 measure, as (spice2g6 panel, C/integer
-    panel); stable-dataset FORTRAN programs are Table 3.  Every run is
-    fetched in one batch first."""
-    studied = [
+def requests() -> List[RunRequest]:
+    """Every dataset of the multi-dataset workloads Figures 2 and 3
+    measure: spice2g6 and the C/integer programs (stable-dataset FORTRAN
+    programs are Table 3)."""
+    return dataset_requests(
         workload
         for workload in all_workloads()
         if len(workload.datasets) >= 2
         and (workload.name == SPICE or workload.category == C)
-    ]
-    runner.run_many(dataset_requests(studied))
+    )
+
+
+def studied_panels(
+    runner: WorkloadRunner,
+    bar: Callable[[CrossDatasetExperiment, str], Bar],
+) -> Tuple[List[Bar], List[Bar]]:
+    """One ``bar(experiment, dataset)`` per dataset of ``requests()``, as
+    (spice2g6 panel, C/integer panel)."""
+    batch = requests()
+    experiments = cross_dataset_experiments(
+        dict(zip(batch, runner.run_many(batch)))
+    )
     spice_bars: List[Bar] = []
     c_bars: List[Bar] = []
-    for workload in studied:
-        experiment = CrossDatasetExperiment(runner, workload.name)
-        bucket = spice_bars if workload.name == SPICE else c_bars
+    for name, experiment in experiments.items():
+        bucket = spice_bars if name == SPICE else c_bars
         for dataset in experiment.dataset_names():
             bucket.append(bar(experiment, dataset))
     return spice_bars, c_bars

@@ -11,7 +11,7 @@ from typing import List
 
 from repro.core.experiment import BestWorstPrediction, CrossDatasetExperiment
 from repro.core.runner import WorkloadRunner
-from repro.experiments.figure2 import studied_panels
+from repro.experiments import figure2
 from repro.experiments.report import TextTable
 
 
@@ -74,6 +74,12 @@ class Figure3Result:
         return "\n\n".join(sections)
 
 
+#: Figure 3 measures the panels of Figure 2.
+requests = figure2.requests
+
+
 def run(runner: WorkloadRunner) -> Figure3Result:
-    spice_bars, c_bars = studied_panels(runner, CrossDatasetExperiment.best_worst)
+    spice_bars, c_bars = figure2.studied_panels(
+        runner, CrossDatasetExperiment.best_worst
+    )
     return Figure3Result(spice_bars=spice_bars, c_bars=c_bars)

@@ -10,11 +10,12 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping
 
-from repro.core.experiment import CrossDatasetExperiment
-from repro.core.parallel import dataset_requests
+from repro.core.experiment import cross_dataset_experiments
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
+from repro.core.specs import UNALIASED_COUNTERS
 from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_self_prediction, ipb_with_predictor
 from repro.prediction.combine import COMBINE_MODES
@@ -23,8 +24,32 @@ from repro.prediction.heuristics import (
     LoopHeuristicPredictor,
     OpcodeHeuristicPredictor,
 )
-from repro.dynamic.bimodal import BimodalPredictor
-from repro.workloads.registry import all_workloads, multi_dataset_workloads
+from repro.workloads.registry import (
+    all_workloads,
+    get_workload,
+    multi_dataset_workloads,
+)
+
+#: The programs of the report's dynamic 1-/2-bit comparison.
+DYNAMIC_PROGRAMS = ["li", "gcc", "compress", "tomcatv", "lfk", "doduc"]
+
+#: The comparison's monitors: the paper's cited schemes, infinite-table
+#: (unaliased) 1-bit and 2-bit counters, one per static branch.
+COUNTERS = tuple(UNALIASED_COUNTERS)
+
+#: What each section reads: the answers to ``requests()``, by request.
+Answers = Mapping[RunRequest, Any]
+
+
+def requests() -> List[RunRequest]:
+    """Every section's runs: each dataset of every workload, and the
+    counters' runs of the datasets of ``DYNAMIC_PROGRAMS``."""
+    plain = dataset_requests(all_workloads())
+    return plain + [
+        dataclasses.replace(request, monitors=COUNTERS)
+        for request in plain
+        if request.workload in DYNAMIC_PROGRAMS
+    ]
 
 
 # --- scaled vs unscaled vs polling ------------------------------------------
@@ -67,10 +92,11 @@ class CombineModeResult:
         return table.format_text()
 
 
-def combine_modes(runner: WorkloadRunner) -> CombineModeResult:
+def combine_modes(answers: Answers) -> CombineModeResult:
     rows: List[CombineModeRow] = []
-    for workload in multi_dataset_workloads():
-        experiment = CrossDatasetExperiment(runner, workload.name)
+    for name, experiment in cross_dataset_experiments(answers).items():
+        if len(experiment.dataset_names()) < 2:
+            continue
         fractions = {mode: [] for mode in COMBINE_MODES}
         for target in experiment.dataset_names():
             for mode in COMBINE_MODES:
@@ -81,7 +107,7 @@ def combine_modes(runner: WorkloadRunner) -> CombineModeResult:
                 )
         rows.append(
             CombineModeRow(
-                program=workload.name,
+                program=name,
                 fraction_of_self={
                     mode: sum(vals) / len(vals) for mode, vals in fractions.items()
                 },
@@ -139,14 +165,14 @@ class HeuristicResult:
         return table.format_text()
 
 
-def heuristics(runner: WorkloadRunner) -> HeuristicResult:
+def heuristics(runner: WorkloadRunner, answers: Answers) -> HeuristicResult:
     rows: List[HeuristicRow] = []
     for workload in all_workloads():
         compiled = runner.compiled(workload.name)
         loop_predictor = LoopHeuristicPredictor(compiled.module)
         opcode_predictor = OpcodeHeuristicPredictor(compiled.module)
         for dataset in workload.dataset_names():
-            result = runner.run(workload.name, dataset)
+            result = answers[RunRequest(workload.name, dataset)]
             rows.append(
                 HeuristicRow(
                     program=workload.name,
@@ -198,11 +224,11 @@ class PercentTakenResult:
         return table.format_text()
 
 
-def percent_taken(runner: WorkloadRunner) -> PercentTakenResult:
+def percent_taken(answers: Answers) -> PercentTakenResult:
     rows: List[PercentTakenRow] = []
     for workload in multi_dataset_workloads():
         per_dataset = {
-            dataset: runner.run(workload.name, dataset).percent_taken()
+            dataset: answers[RunRequest(workload.name, dataset)].percent_taken()
             for dataset in workload.dataset_names()
         }
         rows.append(PercentTakenRow(program=workload.name, per_dataset=per_dataset))
@@ -238,11 +264,8 @@ class CompressCrossResult:
         return table.format_text()
 
 
-def compress_cross(runner: WorkloadRunner) -> CompressCrossResult:
-    experiments = {
-        mode: CrossDatasetExperiment(runner, mode)
-        for mode in ("compress", "uncompress")
-    }
+def compress_cross(answers: Answers) -> CompressCrossResult:
+    experiments = cross_dataset_experiments(answers)
     fraction_by_target: Dict[str, float] = {}
     same_mode_fraction: Dict[str, float] = {}
     for target_mode, other_mode in (
@@ -311,34 +334,25 @@ class DynamicResult:
         return table.format_text()
 
 
-def dynamic_comparison(
-    runner: WorkloadRunner,
-    programs: Optional[List[str]] = None,
-) -> DynamicResult:
+def dynamic_comparison(answers: Answers) -> DynamicResult:
+    """One row per counters' run among ``answers``, in their order."""
     rows: List[DynamicRow] = []
-    for workload in all_workloads():
-        if programs is not None and workload.name not in programs:
+    for request, answer in answers.items():
+        if request.monitors != COUNTERS:
             continue
-        # The paper's cited schemes: infinite-table (unaliased) 1-bit and
-        # 2-bit counters, one per static branch.  Each model resets at every
-        # run start, so one pair serves all datasets.
-        models = [
-            BimodalPredictor(table_size=None, num_bits=1),
-            BimodalPredictor(table_size=None, num_bits=2),
-        ]
-        for dataset in workload.dataset_names():
-            result = runner.run(workload.name, dataset, monitors=models)
-            one_bit, two_bit = (model.score(result) for model in models)
-            rows.append(
-                DynamicRow(
-                    program=workload.name,
-                    dataset=dataset,
-                    category=workload.category,
-                    static_self_accuracy=self_prediction(result).percent_correct,
-                    one_bit_accuracy=one_bit.percent_correct,
-                    two_bit_accuracy=two_bit.percent_correct,
-                )
+        one_bit, two_bit = answer
+        rows.append(
+            DynamicRow(
+                program=request.workload,
+                dataset=request.dataset,
+                category=get_workload(request.workload).category,
+                static_self_accuracy=self_prediction(
+                    answers[request.plain()]
+                ).percent_correct,
+                one_bit_accuracy=one_bit.percent_correct,
+                two_bit_accuracy=two_bit.percent_correct,
             )
+        )
     return DynamicResult(rows=rows)
 
 
@@ -387,7 +401,7 @@ class WrongMeasureResult:
         return table.format_text()
 
 
-def wrong_measure(runner: WorkloadRunner) -> WrongMeasureResult:
+def wrong_measure(answers: Answers) -> WrongMeasureResult:
     rows: List[WrongMeasureRow] = []
     for program, dataset in (
         ("fpppp", "4atoms"),
@@ -397,7 +411,7 @@ def wrong_measure(runner: WorkloadRunner) -> WrongMeasureResult:
         ("li", "kittyv"),
         ("li", "sieve1"),
     ):
-        result = runner.run(program, dataset)
+        result = answers[RunRequest(program, dataset)]
         report = self_prediction(result)
         rows.append(
             WrongMeasureRow(
@@ -412,9 +426,6 @@ def wrong_measure(runner: WorkloadRunner) -> WrongMeasureResult:
 
 
 # --- the whole report -----------------------------------------------------------
-
-#: The programs of the report's dynamic 1-/2-bit comparison.
-DYNAMIC_PROGRAMS = ["li", "gcc", "compress", "tomcatv", "lfk", "doduc"]
 
 
 @dataclasses.dataclass
@@ -436,14 +447,13 @@ class InformalResult:
 
 
 def run(runner: WorkloadRunner) -> InformalResult:
-    # Every section's unmonitored runs in one batch, so --jobs fans them
-    # all out; the sections then find them memoized.
-    runner.run_many(dataset_requests(all_workloads()))
+    batch = requests()
+    answers = dict(zip(batch, runner.run_many(batch)))
     return InformalResult(
-        combine_modes=combine_modes(runner),
-        heuristics=heuristics(runner),
-        percent_taken=percent_taken(runner),
-        compress_cross=compress_cross(runner),
-        wrong_measure=wrong_measure(runner),
-        dynamic_comparison=dynamic_comparison(runner, programs=DYNAMIC_PROGRAMS),
+        combine_modes=combine_modes(answers),
+        heuristics=heuristics(runner, answers),
+        percent_taken=percent_taken(answers),
+        compress_cross=compress_cross(answers),
+        wrong_measure=wrong_measure(answers),
+        dynamic_comparison=dynamic_comparison(answers),
     )

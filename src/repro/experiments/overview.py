@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.core.parallel import dataset_requests
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.summary import RunSummary
@@ -55,16 +55,18 @@ class OverviewResult:
         return table.format_text()
 
 
+def requests() -> List[RunRequest]:
+    return dataset_requests(all_workloads())
+
+
 def run(runner: WorkloadRunner) -> OverviewResult:
-    workloads = all_workloads()
-    requests = dataset_requests(workloads)
-    results = runner.run_many(requests)
+    batch = requests()
     rows = [
         RunSummary.from_run(result, request.dataset)
-        for request, result in zip(requests, results)
+        for request, result in zip(batch, runner.run_many(batch))
     ]
     categories = {
         workload.name: "fortran" if workload.category == FORTRAN else "c"
-        for workload in workloads
+        for workload in all_workloads()
     }
     return OverviewResult(rows=rows, categories=categories)

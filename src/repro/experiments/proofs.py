@@ -15,8 +15,8 @@ import dataclasses
 from typing import List, Optional
 
 from repro.analysis.prover import ProofVerdict
-from repro.core.experiment import CrossDatasetExperiment
-from repro.core.parallel import RunRequest
+from repro.core.experiment import cross_dataset_experiments
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.metrics.ipb import ipb_no_prediction, ipb_with_predictor
@@ -107,19 +107,18 @@ class ProofsResult:
         return table.format_text()
 
 
-def run(runner: WorkloadRunner) -> ProofsResult:
-    workloads = all_workloads()
-    runner.run_many(
-        [
-            RunRequest(workload.name, dataset)
-            for workload in workloads
-            for dataset in workload.dataset_names()
-        ]
-    )
+def requests() -> List[RunRequest]:
+    return dataset_requests(all_workloads())
 
+
+def run(runner: WorkloadRunner) -> ProofsResult:
+    batch = requests()
+    experiments = cross_dataset_experiments(
+        dict(zip(batch, runner.run_many(batch)))
+    )
     rows: List[ProofRow] = []
-    for workload in workloads:
-        compiled = runner.compiled(workload.name)
+    for name, experiment in experiments.items():
+        compiled = runner.compiled(name)
         proof_predictor = StaticProofPredictor(compiled.module)
         heuristic = LoopHeuristicPredictor(compiled.module)
         proofs = proof_predictor.proofs
@@ -129,7 +128,6 @@ def run(runner: WorkloadRunner) -> ProofsResult:
             if proof.verdict is not ProofVerdict.UNKNOWN
         }
 
-        experiment = CrossDatasetExperiment(runner, workload.name)
         proven_execs = 0
         total_execs = 0
         none_values: List[float] = []
@@ -137,9 +135,9 @@ def run(runner: WorkloadRunner) -> ProofsResult:
         heuristic_values: List[float] = []
         cross_values: List[float] = []
         self_values: List[float] = []
-        datasets = workload.dataset_names()
+        datasets = experiment.dataset_names()
         for dataset in datasets:
-            result = runner.run(workload.name, dataset)
+            result = experiment.runs[dataset]
             for branch_id, (executed, _) in result.branch_counts().items():
                 total_execs += executed
                 if branch_id in proven_ids:
@@ -162,7 +160,7 @@ def run(runner: WorkloadRunner) -> ProofsResult:
 
         rows.append(
             ProofRow(
-                program=workload.name,
+                program=name,
                 branch_sites=len(proofs),
                 proven_sites=len(proven_ids),
                 dynamic_coverage=(

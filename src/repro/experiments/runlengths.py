@@ -7,10 +7,10 @@ instructions, a mispredicted branch.  Branches in real programs are not
 evenly spaced."
 
 For each program we attach a :class:`RunLengthMonitor` carrying the
-run's own profile predictor (self-prediction) and record the actual gaps
-between mispredicted branches.  A coefficient of variation well above 0
-(an evenly-spaced process would sit near 0; a memoryless one near 1)
-quantifies the claim.
+run's own profile predictor (self-prediction; the ``runlengths(self)``
+monitor spec) and record the actual gaps between mispredicted branches.
+A coefficient of variation well above 0 (an evenly-spaced process would
+sit near 0; a memoryless one near 1) quantifies the claim.
 """
 from __future__ import annotations
 
@@ -19,10 +19,8 @@ from typing import Dict, List, Tuple
 
 from repro.core.parallel import RunRequest
 from repro.core.runner import WorkloadRunner
+from repro.core.specs import RUN_LENGTHS
 from repro.experiments.report import TextTable
-from repro.prediction.base import ProfilePredictor
-from repro.profiling.branch_profile import BranchProfile
-from repro.vm.monitors import RunLengthMonitor
 
 DEFAULT_PROGRAMS: List[Tuple[str, str]] = [
     ("li", "6queens"),
@@ -72,20 +70,21 @@ class RunLengthResult:
         return table.format_text()
 
 
+def requests(programs=DEFAULT_PROGRAMS) -> List[RunRequest]:
+    return [
+        RunRequest(program, dataset, monitors=(RUN_LENGTHS,))
+        for program, dataset in programs
+    ]
+
+
 def run(
     runner: WorkloadRunner,
     programs=DEFAULT_PROGRAMS,
 ) -> RunLengthResult:
-    baselines = runner.run_many(
-        [RunRequest(program, dataset) for program, dataset in programs]
-    )
-    rows: List[RunLengthRow] = []
-    for (program, dataset), baseline in zip(programs, baselines):
-        monitor = RunLengthMonitor(
-            ProfilePredictor(BranchProfile.from_run(baseline), name="self")
+    rows = [
+        RunLengthRow(program=program, dataset=dataset, stats=stats)
+        for (program, dataset), (stats,) in zip(
+            programs, runner.run_many(requests(programs))
         )
-        runner.run(program, dataset, monitors=[monitor])
-        rows.append(
-            RunLengthRow(program=program, dataset=dataset, stats=monitor.stats())
-        )
+    ]
     return RunLengthResult(rows=rows)

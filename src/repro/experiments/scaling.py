@@ -12,8 +12,8 @@ import dataclasses
 import math
 from typing import List
 
-from repro.core.experiment import CrossDatasetExperiment
-from repro.core.parallel import dataset_requests
+from repro.core.experiment import cross_dataset_experiments
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.experiments.coverage import pearson
 from repro.experiments.report import TextTable
@@ -63,11 +63,17 @@ class ScalingResult:
         return table.format_text()
 
 
+def requests() -> List[RunRequest]:
+    return dataset_requests(multi_dataset_workloads())
+
+
 def run(runner: WorkloadRunner) -> ScalingResult:
-    runner.run_many(dataset_requests(multi_dataset_workloads()))
+    batch = requests()
+    experiments = cross_dataset_experiments(
+        dict(zip(batch, runner.run_many(batch)))
+    )
     pairs: List[ScalingPair] = []
-    for workload in multi_dataset_workloads():
-        experiment = CrossDatasetExperiment(runner, workload.name)
+    for workload, experiment in experiments.items():
         names = experiment.dataset_names()
         lengths = {
             name: experiment.runs[name].instructions for name in names
@@ -78,7 +84,7 @@ def run(runner: WorkloadRunner) -> ScalingResult:
                     continue
                 pairs.append(
                     ScalingPair(
-                        workload=workload.name,
+                        workload=workload,
                         predictor=predictor_name,
                         target=target,
                         length_ratio=lengths[target] / lengths[predictor_name],

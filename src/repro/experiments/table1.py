@@ -10,9 +10,9 @@ off) and the DCE configuration — run both on every dataset, and report
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.parallel import dataset_requests
+from repro.core.parallel import RunRequest, dataset_requests
 from repro.core.runner import RunConfig, WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.workloads.registry import get_workload
@@ -72,23 +72,25 @@ class Table1Result:
         return table.format_text()
 
 
+def requests() -> List[RunRequest]:
+    """Every dataset of every SPEC-analog program, without and with DCE."""
+    return dataset_requests(
+        [get_workload(program) for program in PAPER_DEAD_CODE],
+        configs=(RunConfig(), RunConfig(dce=True)),
+    )
+
+
 def run(runner: WorkloadRunner) -> Table1Result:
     """Measure Table 1 over every SPEC-analog program."""
-    runner.run_many(
-        dataset_requests(
-            [get_workload(program) for program in PAPER_DEAD_CODE],
-            configs=(RunConfig(), RunConfig(dce=True)),
-        )
-    )
+    batch = requests()
+    totals: Dict[Tuple[str, RunConfig], int] = {}
+    for request, result in zip(batch, runner.run_many(batch)):
+        key = (request.workload, request.config)
+        totals[key] = totals.get(key, 0) + result.instructions
     rows: List[Table1Row] = []
     for program in PAPER_DEAD_CODE:
-        default_total = sum(
-            result.instructions for result in runner.run_all(program).values()
-        )
-        dce_total = sum(
-            result.instructions
-            for result in runner.run_all(program, RunConfig(dce=True)).values()
-        )
+        default_total = totals[(program, RunConfig())]
+        dce_total = totals[(program, RunConfig(dce=True))]
         rows.append(
             Table1Row(
                 program=program,

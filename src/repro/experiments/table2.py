@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
+from repro.core.parallel import RunRequest
 from repro.core.runner import WorkloadRunner
 from repro.experiments.report import TextTable
 from repro.workloads.base import FORTRAN
@@ -30,6 +31,11 @@ class Table2Result:
         for row in self.rows:
             table.add_row(row.program, row.category, ", ".join(row.datasets))
         return table.format_text()
+
+
+def requests() -> List[RunRequest]:
+    """The inventory runs nothing."""
+    return []
 
 
 def run(runner: WorkloadRunner) -> Table2Result:

@@ -76,19 +76,20 @@ class Table3Result:
         return table.format_text()
 
 
+def requests() -> List[RunRequest]:
+    return [RunRequest(program, dataset) for program, dataset, _ in PAPER_TABLE3]
+
+
 def run(runner: WorkloadRunner) -> Table3Result:
-    runner.run_many(
-        [RunRequest(program, dataset) for program, dataset, _ in PAPER_TABLE3]
-    )
     rows = [
         Table3Row(
             program=program,
             dataset=dataset,
-            instructions_per_break=ipb_self_prediction(
-                runner.run(program, dataset)
-            ),
+            instructions_per_break=ipb_self_prediction(result),
             paper_value=paper_value,
         )
-        for program, dataset, paper_value in PAPER_TABLE3
+        for (program, dataset, paper_value), result in zip(
+            PAPER_TABLE3, runner.run_many(requests())
+        )
     ]
     return Table3Result(rows=rows)

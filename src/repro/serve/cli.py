@@ -104,7 +104,7 @@ def _offline_profile_bytes(args) -> bytes:
     from repro.core.runner import WorkloadRunner
 
     runner = WorkloadRunner(jobs=args.jobs)
-    experiment = CrossDatasetExperiment(runner, args.program)
+    experiment = CrossDatasetExperiment(args.program, runner.run_all(args.program))
     predictor = experiment.combined_predictor(args.exclude, mode=args.mode)
     return protocol.canonical_profile_bytes(predictor.profile)
 

@@ -577,6 +577,9 @@ class _Writer:
         self.arms: Dict[int, List[str]] = {}
         self.pending: List[int] = []
         self.looped = False
+        #: Per block start, each element's :func:`_fold`, computed once
+        #: however many times the block is written.
+        self.folds: Dict[int, List[Tuple[List[Dict[int, str]], Set[int]]]] = {}
 
     def goto(
         self, target: int, nesting: int, head: Optional[int], count: int
@@ -601,9 +604,17 @@ class _Writer:
     ) -> List[str]:
         """A block's statements: each element's body, then its transfer."""
         lines: List[str] = []
-        live_outs = _live_outs(block, self.func.live, self.func.length)
-        for element, live_out in zip(block.elements, live_outs):
-            body, count = self.element(element, live_out, nesting, head, count)
+        folds = self.folds.get(block.start)
+        if folds is None:
+            live_outs = _live_outs(block, self.func.live, self.func.length)
+            folds = self.folds[block.start] = [
+                _fold(element, live_out)
+                for element, live_out in zip(block.elements, live_outs)
+            ]
+        for element, (operands, skipped) in zip(block.elements, folds):
+            body, count = self.element(
+                element, operands, skipped, nesting, head, count
+            )
             lines += body
         if block.elements and block.elements[-1][-1][0] in _TRANSFERS:
             return lines
@@ -618,15 +629,17 @@ class _Writer:
     def element(
         self,
         element: List[Instruction],
-        live_out: int,
+        operands: List[Dict[int, str]],
+        skipped: Set[int],
         nesting: int,
         head: Optional[int],
         count: int,
     ) -> Tuple[List[str], int]:
         """An element's body, with its ``CONST``s and ``MOV``s folded into
-        their uses (see :func:`_fold`), and the count it leaves unsettled.
-        The count is settled first if the element can observe it."""
-        operands, skipped = _fold(element, live_out)
+        their uses as ``operands`` and ``skipped`` (see :func:`_fold`)
+        give, and the count it leaves unsettled.  The count is settled
+        first if the element can observe it."""
+        skipped = set(skipped)  # the fold is shared by every copy
         count += len(element)
         lines: List[str] = []
         if any(self.observes(ins, operands[pos]) for pos, ins in enumerate(element)):

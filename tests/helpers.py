@@ -15,6 +15,7 @@ from repro.lang.sema import analyze
 from repro.opt.pipeline import optimize_module
 from repro.vm.counters import RunResult
 from repro.vm.machine import run_program
+from repro.workloads.registry import get_workload
 
 
 def compile_reference(
@@ -81,6 +82,18 @@ def compile_with(
             source, select=config.select, optimize=config.optimize, name=name
         )
     return compile_source(source, name=name, config=config)
+
+
+def run_with_monitors(runner, workload: str, dataset: str, monitors) -> RunResult:
+    """Run a workload's dataset with monitor objects attached, for tests
+    that need the monitors themselves (reused across runs, or a live
+    predictor); the runner only supplies the compiled program, and the
+    run is neither memoized nor cached."""
+    return run_program(
+        runner.compiled(workload).lowered,
+        input_data=get_workload(workload).dataset(dataset).data,
+        monitors=monitors,
+    )
 
 
 def compile_and_run(

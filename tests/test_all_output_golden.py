@@ -4,8 +4,9 @@
 ``tests/goldens/all.txt`` is the whole standard output of ``all``,
 ``tests/goldens/charts.txt`` that of the four ``--chart`` renders, and
 ``tests/goldens/export.sha256`` the sha256 of the JSON ``export`` writes.
-All three come from the command line; here every experiment runs once on
-the session runner and each output is rebuilt from those results, so a
+All three come from the command line; here the sweep the command line
+runs (``run_experiments``: one plan, one ``run_many``) runs once on the
+session runner and each output is rebuilt from those results, so a
 change that moves any printed digit or exported float fails here.  Each
 experiment's section of a text golden is its own test, named after the
 golden and the experiment (``test_section_matches_golden[all-table1]``),
@@ -24,13 +25,17 @@ repository root and review the diff of the two text goldens::
         --out results.json
     sha256sum results.json | cut -d' ' -f1 > tests/goldens/export.sha256
 """
+import concurrent.futures
+import contextlib
 import difflib
 import hashlib
+import io
 import os
 
 import pytest
 
-from repro.experiments import EXPERIMENTS
+import repro.core.runner as runner_module
+from repro.experiments import EXPERIMENTS, cli, run_experiments
 from repro.experiments.export import document_of, dumps, export_json
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -44,8 +49,31 @@ def _read(name):
 
 
 @pytest.fixture(scope="module")
-def results(runner):
-    return {name: module.run(runner) for name, module in EXPERIMENTS.items()}
+def sweep(runner):
+    """Every experiment's result, and how many runs building them after
+    the plan's ``run_many`` executed."""
+    built = run_experiments(runner)
+    executed = []
+    with pytest.MonkeyPatch.context() as patch:
+        real = runner_module.run_program
+        patch.setattr(
+            runner_module,
+            "run_program",
+            lambda *args, **kwargs: executed.append(args) or real(*args, **kwargs),
+        )
+        results = dict(built)
+    return results, len(executed)
+
+
+@pytest.fixture(scope="module")
+def results(sweep):
+    return sweep[0]
+
+
+def test_the_plan_holds_every_run_the_experiments_read(sweep):
+    """Once the plan's one ``run_many`` has returned, building every
+    result executes no run: each experiment reads only its requests."""
+    assert sweep[1] == 0
 
 
 def _sections(golden, rendered):
@@ -130,3 +158,45 @@ def test_export_json_writes_the_document(results, runner, monkeypatch, tmp_path)
     document = export_json(str(path), runner)
     assert document == document_of(results)
     assert path.read_bytes() == dumps(document_of(results)).encode()
+
+
+class _StandInPool:
+    """A ``ProcessPoolExecutor`` that answers each miss from the session
+    runner in this process, and counts how many pools were started."""
+
+    started = 0
+    answers = None
+
+    def __init__(self, max_workers, initializer):
+        type(self).started += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, execute, request):
+        future = concurrent.futures.Future()
+        future.set_result((self.answers.run_many([request])[0], None))
+        return future
+
+
+def test_all_with_jobs_starts_one_pool(results, runner, monkeypatch):
+    """A cold ``all --jobs 2`` plans every run and starts exactly one
+    pool for the misses.  The pool's answers come from the session
+    runner, which the sweep above filled, and so do the monitored runs,
+    so this costs no simulation; stdout is still the whole golden."""
+    monkeypatch.setattr(_StandInPool, "started", 0)
+    monkeypatch.setattr(_StandInPool, "answers", runner)
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _StandInPool)
+    monkeypatch.setattr(
+        runner_module.WorkloadRunner,
+        "_execute",
+        lambda self, request: runner.run_many([request])[0],
+    )
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["all", "--no-cache", "--jobs", "2"]) == 0
+    assert _StandInPool.started == 1
+    assert stdout.getvalue() == _read("all.txt")

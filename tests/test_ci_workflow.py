@@ -146,7 +146,8 @@ def test_dynamic_equivalence_runs_each_side_on_its_own_cache(workflow):
 
 def test_cacheless_all_runs_serial_and_jobs2_and_compares(workflow):
     """Workers return their results through the pool, so --no-cache still
-    fans out; CI checks that batch against the serial one."""
+    fans out; CI checks that batch against the serial one and against
+    the whole-output golden."""
     steps = [
         run for run in _run_lines(workflow["jobs"]["examples"])
         if "repro-experiments all" in run
@@ -161,19 +162,23 @@ def test_cacheless_all_runs_serial_and_jobs2_and_compares(workflow):
     assert ["--jobs 2" in line for line in commands] == [False, True]
     outputs = [line.split(">")[1].strip() for line in commands]
     assert f"cmp {outputs[0]} {outputs[1]}" in steps[0]
+    assert f"cmp {outputs[1]} tests/goldens/all.txt" in steps[0]
 
 
 def test_overview_and_informal_run_alone_serial_and_jobs2_and_compare(
     workflow,
 ):
-    """Run on their own, overview and informal issue their own run_many
-    batches; inside ``all`` the memo is already full and the pool never
-    sees them."""
-    steps = [
-        run for run in _run_lines(workflow["jobs"]["examples"])
-        if "for experiment in overview informal" in run
+    """Run on their own, overview and informal each plan only their own
+    requests, so the pool sees a different set of misses than in
+    ``all``, whose one plan covers every experiment."""
+    found = [
+        step for step in workflow["jobs"]["examples"]["steps"]
+        if "for experiment in overview informal" in step.get("run", "")
     ]
-    assert len(steps) == 1
+    assert len(found) == 1
+    assert "plan is its own requests" in found[0]["name"]
+    assert "fill the memo" not in found[0]["name"]
+    steps = [found[0]["run"]]
     commands = [
         line.strip() for line in steps[0].splitlines()
         if "repro-experiments" in line

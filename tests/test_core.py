@@ -1,4 +1,6 @@
 """Core runner and cross-dataset experiment machinery tests."""
+import os
+
 import pytest
 
 from repro.core.cache import (
@@ -8,6 +10,7 @@ from repro.core.cache import (
     run_result_to_dict,
 )
 from repro.core.experiment import CrossDatasetExperiment, fraction_of_bound
+from repro.core.parallel import RunRequest
 from repro.core.runner import WorkloadRunner
 from repro.profiling.branch_profile import BranchProfile
 from repro.workloads.registry import get_workload
@@ -156,18 +159,22 @@ def test_runner_profile_matches_run(runner):
     assert profile.total_taken == float(result.total_branch_taken)
 
 
-def test_monitored_runs_bypass_cache(runner):
-    from repro.dynamic import BimodalPredictor
-
-    model = BimodalPredictor(table_size=None, num_bits=2)
-    result = runner.run("lfk", "default", monitors=[model])
-    assert model.executions == result.total_branch_execs
+def test_monitored_runs_bypass_cache(tmp_path):
+    """A monitored request's summaries are memoized but never written to
+    disk: the cache holds only the plain run of the same triple."""
+    runner = WorkloadRunner(cache_dir=str(tmp_path))
+    request = RunRequest("lfk", "default", monitors=("2bit@inf",))
+    (report,) = runner.run_many([request])[0]
+    assert runner.run_many([request])[0] == (report,)
+    assert report.branch_execs == runner.run("lfk", "default").total_branch_execs
+    assert len(os.listdir(tmp_path)) == 1
+    assert runner.executions == 2
 
 
 class TestCrossDatasetExperiment:
     @pytest.fixture(scope="class")
     def doduc(self, runner):
-        return CrossDatasetExperiment(runner, "doduc")
+        return CrossDatasetExperiment("doduc", runner.run_all("doduc"))
 
     def test_dataset_names(self, doduc):
         assert doduc.dataset_names() == ["tiny", "small", "ref"]
@@ -219,6 +226,6 @@ class TestCrossDatasetExperiment:
             assert matrix[(target, target)] == pytest.approx(self_ipb)
 
     def test_best_worst_requires_multiple_datasets(self, runner):
-        experiment = CrossDatasetExperiment(runner, "lfk")
+        experiment = CrossDatasetExperiment("lfk", runner.run_all("lfk"))
         with pytest.raises(ValueError, match="2\\+ datasets"):
             experiment.best_worst("default")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.vm.monitors as vm_monitors
+from repro.core.runner import WorkloadRunner
 from repro.dynamic import (
     MODEL_FAMILIES,
     BimodalPredictor,
@@ -22,6 +23,7 @@ from repro.prediction.evaluate import PredictionReport, evaluate_static
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.machine import run_program
 from repro.vm.monitors import BranchMonitor, deliver
+from tests.helpers import run_with_monitors
 
 ONE_BRANCH = [BranchId("main", 0)]
 
@@ -520,7 +522,7 @@ class TestStaticFromCounters:
         profile = BranchProfile.from_run(runner.run("doduc", predictor_dataset))
         predictor = ProfilePredictor(profile, name=predictor_dataset)
         live = StaticDirections(predictor)
-        result = runner.run("doduc", "ref", monitors=[live])
+        result = run_with_monitors(runner, "doduc", "ref", [live])
         assert evaluate_static(result, predictor) == PredictionReport(
             program=result.program,
             predictor=predictor_dataset,
@@ -580,8 +582,8 @@ class TestInfiniteBimodalMatchesLegacyMonitor:
             BimodalPredictor(table_size=None, num_bits=1),
             BimodalPredictor(table_size=None, num_bits=2),
         ]
-        result = runner.run(
-            "doduc", "small", monitors=[longhand_one, longhand_two, *models]
+        result = run_with_monitors(
+            runner, "doduc", "small", [longhand_one, longhand_two, *models]
         )
         one, two = (model.score(result) for model in models)
         assert one.mispredicted == longhand_one.misses
@@ -628,7 +630,7 @@ class TestVacuousAccuracy:
 class TestScoreMonitor:
     def test_counts_every_branch_event(self, runner):
         model = BimodalPredictor()
-        result = runner.run("doduc", "tiny", monitors=[model])
+        result = run_with_monitors(runner, "doduc", "tiny", [model])
         score = model.score(result)
         assert score.branch_execs == result.total_branch_execs
         assert score.unavoidable_breaks == (
@@ -639,10 +641,10 @@ class TestScoreMonitor:
         """One model attached to two runs scores each from scratch, bound
         to that run's branch table."""
         model = build_model("gshare", 64)
-        first = runner.run("doduc", "tiny", monitors=[model])
+        first = run_with_monitors(runner, "doduc", "tiny", [model])
         first_score = model.score(first)
-        runner.run("compress", "cmprss", monitors=[model])
-        again = runner.run("doduc", "tiny", monitors=[model])
+        run_with_monitors(runner, "compress", "cmprss", [model])
+        again = run_with_monitors(runner, "doduc", "tiny", [model])
         assert model.score(again) == first_score
 
 
@@ -681,12 +683,11 @@ class TestDynamicCompareExperiment:
         chart = result.format_chart()
         assert "instrs per mispredict" in chart
 
-    def test_chunk_size_does_not_change_the_table(
-        self, runner, result, monkeypatch
-    ):
+    def test_chunk_size_does_not_change_the_table(self, result, monkeypatch):
+        # A fresh runner: the session runner has the monitored runs memoized.
         monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", 7)
         chunked = dynamic_compare.run(
-            runner, programs=["doduc"], table_sizes=(16, 64, 256)
+            WorkloadRunner(), programs=["doduc"], table_sizes=(16, 64, 256)
         )
         assert chunked.format_text() == result.format_text()
 

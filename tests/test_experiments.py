@@ -200,8 +200,13 @@ class TestFigure3:
 
 
 class TestInformal:
-    def test_polling_is_the_worst_combiner(self, runner):
-        result = informal.combine_modes(runner)
+    @pytest.fixture(scope="class")
+    def answers(self, runner):
+        batch = informal.requests()
+        return dict(zip(batch, runner.run_many(batch)))
+
+    def test_polling_is_the_worst_combiner(self, answers):
+        result = informal.combine_modes(answers)
         scaled = result.mean_fraction("scaled")
         unscaled = result.mean_fraction("unscaled")
         polling = result.mean_fraction("polling")
@@ -212,20 +217,20 @@ class TestInformal:
         assert abs(scaled - unscaled) < 0.08
         assert "polling" in result.format_text()
 
-    def test_heuristics_lose_about_a_factor_of_two(self, runner):
-        result = informal.heuristics(runner)
+    def test_heuristics_lose_about_a_factor_of_two(self, runner, answers):
+        result = informal.heuristics(runner, answers)
         factor = result.mean_loop_factor()
         assert factor > 1.4  # the paper says "about a factor of two"
         assert "factor" in result.format_text()
 
-    def test_heuristics_never_beat_self_prediction(self, runner):
-        result = informal.heuristics(runner)
+    def test_heuristics_never_beat_self_prediction(self, runner, answers):
+        result = informal.heuristics(runner, answers)
         for row in result.rows:
             assert row.ipb_loop_heuristic <= row.ipb_self + 1e-9
             assert row.ipb_opcode_heuristic <= row.ipb_self + 1e-9
 
-    def test_percent_taken_is_roughly_constant(self, runner):
-        result = informal.percent_taken(runner)
+    def test_percent_taken_is_roughly_constant(self, answers):
+        result = informal.percent_taken(answers)
         spreads = {row.program: row.spread for row in result.rows}
         # spice2g6 must show a notably large spread, like the paper.
         assert spreads["spice2g6"] > 0.15
@@ -237,8 +242,8 @@ class TestInformal:
         assert len(tight) >= 5
         assert "spread" in result.format_text()
 
-    def test_compress_modes_do_not_predict_each_other(self, runner):
-        result = informal.compress_cross(runner)
+    def test_compress_modes_do_not_predict_each_other(self, answers):
+        result = informal.compress_cross(answers)
         for mode in ("compress", "uncompress"):
             assert (
                 result.fraction_by_target[mode]
@@ -248,8 +253,8 @@ class TestInformal:
         assert min(result.fraction_by_target.values()) < 0.75
         assert "very bad idea" in result.format_text()
 
-    def test_wrong_measure_reproduces_fpppp_vs_li(self, runner):
-        result = informal.wrong_measure(runner)
+    def test_wrong_measure_reproduces_fpppp_vs_li(self, answers):
+        result = informal.wrong_measure(answers)
         fpppp = result.find("fpppp", "8atoms")
         li = result.find("li", "6queens")
         # Percent-correct is close between the two...
@@ -258,9 +263,10 @@ class TestInformal:
         assert fpppp.branch_density > 10 * li.branch_density
         assert "wrong measure" in result.format_text()
 
-    def test_dynamic_predictors(self, runner):
-        result = informal.dynamic_comparison(
-            runner, programs=["li", "tomcatv", "lfk"]
+    def test_dynamic_predictors(self, answers):
+        result = informal.dynamic_comparison(answers)
+        assert {row.program for row in result.rows} == set(
+            informal.DYNAMIC_PROGRAMS
         )
         for row in result.rows:
             assert 0.5 < row.two_bit_accuracy <= 1.0

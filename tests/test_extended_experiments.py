@@ -2,6 +2,7 @@
 import pytest
 
 import repro.vm.monitors as vm_monitors
+from repro.core.runner import WorkloadRunner
 from repro.experiments import ablations, coverage, runlengths
 from repro.ir.instructions import BranchId
 from repro.prediction.base import FixedPredictor, ProfilePredictor
@@ -9,10 +10,15 @@ from repro.profiling.branch_profile import BranchProfile
 from repro.vm.monitors import RunLengthMonitor
 
 
+@pytest.fixture(scope="module")
+def ablations_result(runner):
+    return ablations.run(runner)
+
+
 class TestInliningAblation:
     @pytest.fixture(scope="class")
-    def result(self, runner):
-        return ablations.inlining(runner)
+    def result(self, ablations_result):
+        return ablations_result.inlining
 
     def test_outputs_unchanged_by_construction(self, result):
         # The ablation machinery itself verified outputs via the runner's
@@ -34,8 +40,8 @@ class TestInliningAblation:
 
 class TestIfConversionAblation:
     @pytest.fixture(scope="class")
-    def result(self, runner):
-        return ablations.if_conversion(runner)
+    def result(self, ablations_result):
+        return ablations_result.if_conversion
 
     def test_branch_execs_never_increase(self, result):
         for row in result.rows:
@@ -85,11 +91,11 @@ class TestRunLengths:
     def test_formatting(self, result):
         assert "run lengths" in result.format_text().lower()
 
-    def test_chunk_size_does_not_change_the_table(
-        self, runner, result, monkeypatch
-    ):
+    def test_chunk_size_does_not_change_the_table(self, result, monkeypatch):
+        # A fresh runner: the session runner has the monitored runs memoized.
         monkeypatch.setattr(vm_monitors, "CHUNK_EVENTS", 7)
-        assert runlengths.run(runner).format_text() == result.format_text()
+        fresh = WorkloadRunner()
+        assert runlengths.run(fresh).format_text() == result.format_text()
 
 
 TWO_BRANCHES = [BranchId("main", 0), BranchId("main", 1)]

@@ -101,7 +101,9 @@ def test_every_bundled_workload_round_trips_bit_for_bit(runner, live):
     """The acceptance gate: every workload x dataset x combine mode,
     served over the socket == offline combine_profiles/leave_one_out."""
     for workload in all_workloads():
-        experiment = CrossDatasetExperiment(runner, workload.name)
+        experiment = CrossDatasetExperiment(
+            workload.name, runner.run_all(workload.name)
+        )
         names = sorted(workload.dataset_names())
         profiles = []
         for name in names:

@@ -37,7 +37,7 @@ from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import DEFAULT_MAX_CALL_DEPTH, run_program
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
 from repro.workloads import registry
-from tests.helpers import mf_module
+from tests.helpers import mf_module, run_with_monitors
 from tests.legacy_vm import FastEngine, LegacyMachine
 
 #: The engine under test and the oracle, by the ids the tests are
@@ -757,7 +757,7 @@ class ChunkLengths(BranchMonitor):
 
 def test_chunks_never_exceed_the_chunk_size(runner):
     monitor = ChunkLengths()
-    result = runner.run("li", "6queens", monitors=[monitor])
+    result = run_with_monitors(runner, "li", "6queens", [monitor])
     assert max(monitor.lengths) <= vm_monitors.CHUNK_EVENTS
     assert all(
         length == vm_monitors.CHUNK_EVENTS for length in monitor.lengths[:-1]
