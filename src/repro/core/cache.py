@@ -2,15 +2,20 @@
 
 Simulating every (program, dataset) takes seconds; every table and figure is
 arithmetic over the same runs.  The cache keys on a digest of the program
-source, the input bytes and the compile configuration, so it can never serve
-stale results after a workload or compiler change.
+source, the input bytes, the compile configuration and ``code_fingerprint()``
+— a hash of the source files of the front end, the IR, the optimizer, the
+analyses and the VM — so it can never serve stale results after a workload,
+compiler or VM change.  A change anywhere else (the predictors, the
+experiments) does not touch a run's counters and keeps the cache warm.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from typing import Optional
+import pathlib
+from functools import lru_cache
+from typing import List, Optional
 
 from repro.ir.instructions import BranchId
 from repro.profiling.database import write_json_atomic
@@ -18,8 +23,41 @@ from repro.vm.counters import ControlEvents, RunResult
 
 #: Bump when the RunResult layout, counting semantics, or digest scheme
 #: change.  v4: length-prefixed digest fields (the v3 ``|``-joined form was
-#: not injective across field boundaries).
-CACHE_FORMAT_VERSION = 4
+#: not injective across field boundaries).  v5: the code fingerprint.
+CACHE_FORMAT_VERSION = 5
+
+#: The ``repro`` package directory.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: What a run's counters depend on besides its source, input and config:
+#: ``compiler.py`` and every module of these packages.
+_FINGERPRINTED_PACKAGES = ("lang", "ir", "opt", "analysis", "vm")
+
+
+def fingerprinted_files() -> List[str]:
+    """The source files ``code_fingerprint`` hashes, relative to the
+    ``repro`` package, in sorted order."""
+    root = pathlib.Path(_PACKAGE_DIR)
+    paths = [root / "compiler.py"] + [
+        path
+        for package in _FINGERPRINTED_PACKAGES
+        for path in (root / package).rglob("*.py")
+    ]
+    return sorted(path.relative_to(root).as_posix() for path in paths)
+
+
+@lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """A sha256 over the path and bytes of each ``fingerprinted_files()``
+    entry, read once per process."""
+    hasher = hashlib.sha256()
+    for path in fingerprinted_files():
+        with open(os.path.join(_PACKAGE_DIR, path), "rb") as handle:
+            data = handle.read()
+        for field in (path.encode(), data):
+            hasher.update(b"%d:" % len(field))
+            hasher.update(field)
+    return hasher.hexdigest()
 
 
 def run_result_to_dict(result: RunResult) -> dict:
@@ -54,7 +92,9 @@ def run_result_from_dict(data: dict) -> RunResult:
 
 
 def run_digest(source: str, input_data: bytes, config: str) -> str:
-    """Digest identifying one run for caching purposes.
+    """Digest identifying one run for caching purposes: the format
+    version, ``code_fingerprint()``, the config tag, the source and the
+    input.
 
     Every field is length-prefixed before hashing so the encoding is
     injective: joining with a separator alone would let content containing
@@ -64,7 +104,8 @@ def run_digest(source: str, input_data: bytes, config: str) -> str:
     """
     hasher = hashlib.sha256()
     hasher.update(f"v{CACHE_FORMAT_VERSION}".encode())
-    for field in (config.encode(), source.encode(), input_data):
+    fields = (code_fingerprint().encode(), config.encode(), source.encode())
+    for field in fields + (input_data,):
         hasher.update(b"%d:" % len(field))
         hasher.update(field)
     return hasher.hexdigest()[:32]

@@ -1,6 +1,7 @@
 """The workload runner: compile once, run per dataset, cache everything."""
 from __future__ import annotations
 
+import dataclasses
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -46,7 +47,8 @@ class WorkloadRunner:
     ``run_many`` is the one path that looks a run up, executes it and
     stores it; ``run`` and ``run_all`` are batches of one workload.
     ``executions`` counts the runs executed so far, in the pool or here;
-    memo and disk hits do not count.
+    memo and disk hits do not count, and the monitored requests of one
+    triple in one batch count once.
     """
 
     def __init__(self, cache_dir: Optional[str] = "auto", jobs: int = 1):
@@ -125,10 +127,13 @@ class WorkloadRunner:
         this runner is the only reader and writer of its disk cache.
 
         A monitored request's plain triple is fetched with the rest, since
-        a spec may need its counters (``runlengths(self)``); the monitored
-        runs then execute here, in request order.  Their summaries are
-        memoized but never written to disk.  An unknown spec fails its
-        request as an unknown dataset does.
+        a spec may need its counters (``runlengths(self)``).  The monitored
+        requests of one triple then execute here as one run, in
+        first-seen order, carrying the union of their specs in first-seen
+        order; each request gets its own specs' summaries.  Summaries are
+        memoized but never written to disk.  An unknown spec fails only
+        its own request, as an unknown dataset does; a failure of the run
+        fails every request that shares it.
 
         ``on_error="raise"`` raises ``ParallelExecutionError``, listing
         the failed requests of the batch in request order, after the whole
@@ -180,16 +185,29 @@ class WorkloadRunner:
                 continue
             self._disk.store(digest, result)
             self._runs[request] = result
+        groups: Dict[RunRequest, List[RunRequest]] = {}
         for request in monitored:
-            if request.plain() in failures:
-                error = failures[request.plain()].error
+            groups.setdefault(request.plain(), []).append(request)
+        for plain, members in groups.items():
+            if plain in failures:
+                error = failures[plain].error
             else:
-                summaries, error = _execute_captured(self, request)
+                union = tuple(
+                    dict.fromkeys(spec for req in members for spec in req.monitors)
+                )
+                summaries, error = _execute_captured(
+                    self, dataclasses.replace(plain, monitors=union)
+                )
                 self.executions += 1
                 if summaries is not None:
-                    self._runs[request] = summaries
+                    by_spec = dict(zip(union, summaries))
+                    for request in members:
+                        self._runs[request] = tuple(
+                            by_spec[spec] for spec in request.monitors
+                        )
                     continue
-            failures[request] = RunFailure(request, error or "")
+            for request in members:
+                failures[request] = RunFailure(request, error or "")
 
         failed = [
             failures[request]

@@ -15,6 +15,9 @@ from typing import List
 #: Directory holding the .mf program sources.
 PROGRAMS_DIR = os.path.join(os.path.dirname(__file__), "programs")
 
+#: Directory holding the checked-in binary dataset inputs.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
 #: Workload categories, matching the paper's two charts per figure.
 FORTRAN = "fortran"  # FORTRAN / floating-point analogs (Figures 1a, 2a, 3a)
 C = "c"              # C / integer analogs (Figures 1b, 2b, 3b)
@@ -24,6 +27,12 @@ def load_program_source(filename: str) -> str:
     """Read an MF program from the bundled ``programs/`` directory."""
     path = os.path.join(PROGRAMS_DIR, filename)
     with open(path) as handle:
+        return handle.read()
+
+
+def load_data(name: str) -> bytes:
+    """Read a binary dataset input from the bundled ``data/`` directory."""
+    with open(os.path.join(DATA_DIR, name), "rb") as handle:
         return handle.read()
 
 

@@ -1,42 +1,31 @@
 """The compress / uncompress workload pair.
 
 One binary, two programs (mode byte selects): the paper's point is that the
-two modes share no branch behaviour.  The uncompress datasets are built by
-actually running the MF compress program over the plain datasets — the same
-code that will decompress them — so the pair is exact.
+two modes share no branch behaviour.  The uncompress datasets are the MF
+compress program's own output on the plain datasets — the same code that
+will decompress them — so the pair is exact (a tier-1 test reruns compress
+under every compile configuration and compares).
 
 The "compiled image" datasets (cmprss, spice) mirror the paper's use of
-Multiflow executable images as compression inputs: we serialize the lowered
-code of our own compiled programs into a dense byte stream.
+Multiflow executable images as compression inputs.  Each is the lowered
+code of compress.mf or spice.mf, serialized as 16-bit little-endian fields
+and cut at 9,000 bytes, as compiled at commit 2c2fb48.  Like the paper's
+images they are fixed files, so no compiler change can move these inputs.
+The images and the five LZW streams live in ``data/`` without their mode
+byte; building the workloads compiles and runs nothing.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List
 
-from repro.compiler import compile_source
-from repro.vm.machine import run_program
 from repro.workloads import sourcegen
-from repro.workloads.base import C, Dataset, Workload, load_program_source
-
-
-def _image_bytes(program_file: str, limit: int = 9000) -> bytes:
-    """A pseudo executable image: the lowered code of a compiled MF program
-    serialized to bytes (the paper compressed compiled Multiflow images)."""
-    compiled = compile_source(load_program_source(program_file), name="image")
-    raw: List[int] = []
-    for func in compiled.lowered.functions:
-        for ins in func.code:
-            for field in ins:
-                if isinstance(field, tuple):
-                    raw.extend(field)
-                else:
-                    raw.append(field)
-    data = bytearray()
-    for value in raw:
-        data.append(value & 0xFF)
-        data.append((value >> 8) & 0xFF)
-    return bytes(data[:limit])
+from repro.workloads.base import (
+    C,
+    Dataset,
+    Workload,
+    load_data,
+    load_program_source,
+)
 
 
 def _plain_datasets() -> List[Dataset]:
@@ -49,7 +38,7 @@ def _plain_datasets() -> List[Dataset]:
         Dataset(
             "cmprss",
             "compiled image of compress (binary data)",
-            _image_bytes("compress.mf"),
+            load_data("cmprss.image"),
         ),
         Dataset(
             "long",
@@ -64,17 +53,9 @@ def _plain_datasets() -> List[Dataset]:
         Dataset(
             "spice",
             "compiled image of spice (binary data)",
-            _image_bytes("spice.mf"),
+            load_data("spice.image"),
         ),
     ]
-
-
-@lru_cache(maxsize=None)
-def _compressed(data: bytes) -> bytes:
-    """Compress ``data`` by running the MF compress program in the VM."""
-    compiled = compile_source(load_program_source("compress.mf"), name="compress")
-    result = run_program(compiled.lowered, input_data=b"C" + data)
-    return result.output
 
 
 def build_compress() -> Workload:
@@ -96,7 +77,7 @@ def build_uncompress() -> Workload:
         Dataset(
             ds.name,
             f"{ds.description} (LZW-compressed)",
-            b"D" + _compressed(ds.data),
+            b"D" + load_data(f"{ds.name}.lzw"),
         )
         for ds in _plain_datasets()
     ]

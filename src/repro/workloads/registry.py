@@ -26,8 +26,7 @@ _FACTORY_NAMES: List[str] = [
 
 
 def _factories() -> Dict[str, Callable[[], Workload]]:
-    # Imported lazily: dataset construction (e.g. uncompress) may compile
-    # and run programs, which should not happen at import time.
+    # Imported lazily, so importing the registry loads no workload module.
     from repro.workloads import circuits, compression, spec_fp, spec_int
 
     return {

@@ -35,7 +35,8 @@ import os
 import pytest
 
 import repro.core.runner as runner_module
-from repro.experiments import EXPERIMENTS, cli, run_experiments
+from repro.core.runner import WorkloadRunner
+from repro.experiments import EXPERIMENTS, cli, plan, run_experiments
 from repro.experiments.export import document_of, dumps, export_json
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -74,6 +75,30 @@ def test_the_plan_holds_every_run_the_experiments_read(sweep):
     """Once the plan's one ``run_many`` has returned, building every
     result executes no run: each experiment reads only its requests."""
     assert sweep[1] == 0
+
+
+def test_all_runs_its_monitored_requests_as_23_executions(monkeypatch):
+    """The plan's 42 monitored requests cover 23 (workload, dataset)
+    pairs, and each pair executes once.  Execution is stubbed: a
+    monitored execution answers with its own specs, so each request's
+    answer shows which of the union's summaries it was given."""
+    executed = []
+
+    def stub(runner, request):
+        executed.append(request)
+        return request.monitors or "a plain result", None
+
+    monkeypatch.setattr(runner_module, "_execute_captured", stub)
+    requests = plan(EXPERIMENTS)
+    answers = WorkloadRunner(cache_dir=None).run_many(requests)
+    monitored = [
+        (request, answer)
+        for request, answer in zip(requests, answers)
+        if request.monitors
+    ]
+    assert len(monitored) == 42
+    assert sum(1 for request in executed if request.monitors) == 23
+    assert all(answer == request.monitors for request, answer in monitored)
 
 
 def _sections(golden, rendered):
@@ -190,11 +215,21 @@ def test_all_with_jobs_starts_one_pool(results, runner, monkeypatch):
     monkeypatch.setattr(_StandInPool, "started", 0)
     monkeypatch.setattr(_StandInPool, "answers", runner)
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _StandInPool)
-    monkeypatch.setattr(
-        runner_module.WorkloadRunner,
-        "_execute",
-        lambda self, request: runner.run_many([request])[0],
-    )
+    planned = plan(EXPERIMENTS)
+
+    def execute(self, request):
+        """A pair's monitored execution carries the union of its planned
+        requests' specs; answer each spec from the planned request that
+        the session runner memoized with it."""
+        if not request.monitors:
+            return runner.run_many([request])[0]
+        summaries = {}
+        for other in planned:
+            if other.monitors and other.plain() == request.plain():
+                summaries.update(zip(other.monitors, runner.run_many([other])[0]))
+        return tuple(summaries[spec] for spec in request.monitors)
+
+    monkeypatch.setattr(runner_module.WorkloadRunner, "_execute", execute)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert cli.main(["all", "--no-cache", "--jobs", "2"]) == 0

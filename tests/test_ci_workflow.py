@@ -150,7 +150,7 @@ def test_cacheless_all_runs_serial_and_jobs2_and_compares(workflow):
     the whole-output golden."""
     steps = [
         run for run in _run_lines(workflow["jobs"]["examples"])
-        if "repro-experiments all" in run
+        if "repro-experiments all --no-cache" in run
     ]
     assert len(steps) == 1
     commands = [
@@ -163,6 +163,28 @@ def test_cacheless_all_runs_serial_and_jobs2_and_compares(workflow):
     outputs = [line.split(">")[1].strip() for line in commands]
     assert f"cmp {outputs[0]} {outputs[1]}" in steps[0]
     assert f"cmp {outputs[1]} tests/goldens/all.txt" in steps[0]
+
+
+def test_warm_all_is_compared_with_the_golden(workflow):
+    """The second of two ``all`` runs on one cache loads every plain run
+    from disk, so the JSON round trip of each ``RunResult`` feeds every
+    table; its stdout must still be the golden."""
+    steps = [
+        run for run in _run_lines(workflow["jobs"]["examples"])
+        if "repro-experiments all" in run and "--no-cache" not in run
+    ]
+    assert len(steps) == 1
+    commands = [
+        line for line in steps[0].splitlines()
+        if "repro-experiments all" in line
+    ]
+    assert len(commands) == 2
+    assert not any("--jobs" in line for line in commands)
+    caches = [re.search(r"REPRO_CACHE_DIR=(\S+)", line) for line in commands]
+    assert all(caches), "both runs must name the cache directory"
+    assert caches[0].group(1) == caches[1].group(1)
+    warm = commands[1].split(">")[1].strip()
+    assert f"cmp {warm} tests/goldens/all.txt" in steps[0]
 
 
 def test_overview_and_informal_run_alone_serial_and_jobs2_and_compare(

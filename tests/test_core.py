@@ -1,8 +1,10 @@
 """Core runner and cross-dataset experiment machinery tests."""
 import os
+import shutil
 
 import pytest
 
+import repro.core.cache as cache_module
 from repro.core.cache import (
     DiskCache,
     run_digest,
@@ -86,6 +88,50 @@ def test_run_digest_sensitivity():
     assert run_digest("src", b"input2", "dce=False") != base
     assert run_digest("src", b"input", "dce=True") != base
     assert run_digest("src", b"input", "dce=False") == base
+
+
+def test_run_digest_keys_on_the_code_fingerprint(monkeypatch):
+    """An edit to the compiler or the VM changes the fingerprint, and with
+    it every digest, so a warm cache misses instead of serving counters
+    the current code would not produce."""
+    base = run_digest("src", b"input", "dce=False")
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "edited")
+    assert run_digest("src", b"input", "dce=False") != base
+
+
+def test_code_fingerprint_hashes_every_compiler_and_vm_module():
+    package = os.path.dirname(os.path.abspath(cache_module.__file__))
+    package = os.path.dirname(package)
+    expected = ["compiler.py"] + [
+        os.path.relpath(os.path.join(root, name), package).replace(os.sep, "/")
+        for sub in ("lang", "ir", "opt", "analysis", "vm")
+        for root, _dirs, files in os.walk(os.path.join(package, sub))
+        for name in files
+        if name.endswith(".py")
+    ]
+    files = cache_module.fingerprinted_files()
+    assert files == sorted(expected)
+    assert {"opt/cse.py", "vm/engine.py", "ir/lower.py"} <= set(files)
+    assert len(cache_module.code_fingerprint()) == 64
+
+
+def test_code_fingerprint_changes_with_any_fingerprinted_byte(
+    tmp_path, monkeypatch
+):
+    """Recompute the fingerprint over a copy of the hashed files, before
+    and after appending a comment to one of them."""
+    package = os.path.dirname(os.path.dirname(cache_module.__file__))
+    for path in cache_module.fingerprinted_files():
+        copy = tmp_path / path
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(os.path.join(package, path), copy)
+    monkeypatch.setattr(cache_module, "_PACKAGE_DIR", str(tmp_path))
+    fingerprint = cache_module.code_fingerprint.__wrapped__
+    before = fingerprint()
+    assert before == cache_module.code_fingerprint()
+    with open(tmp_path / "opt" / "cse.py", "a") as handle:
+        handle.write("# edited\n")
+    assert fingerprint() != before
 
 
 def test_run_digest_is_injective_across_field_boundaries():

@@ -101,3 +101,49 @@ def test_a_failed_plain_run_fails_its_monitored_request_once(
         WorkloadRunner(cache_dir=str(tmp_path)).run_many([request])
     assert [failure.request for failure in info.value.failures] == [request]
     assert "the plain run broke" in info.value.failures[0].error
+
+
+def test_the_monitored_requests_of_one_pair_execute_once():
+    """Every monitored request of one triple in a batch rides one
+    execution carrying the union of their specs; each request still gets
+    its own specs' summaries, in its own order, equal to its answer run
+    alone on a fresh runner."""
+    requests = [
+        RunRequest("doduc", "small", monitors=(RUN_LENGTHS,)),
+        RunRequest("doduc", "small", monitors=ZOO),
+        RunRequest("doduc", "small", monitors=("2bit@inf", "1bit@inf")),
+        RunRequest("doduc", "small", monitors=("1bit@inf", ZOO[0])),
+    ]
+    runner = WorkloadRunner(cache_dir=None)
+    runner.run("doduc", "small")
+    answers = runner.run_many(requests)
+    assert runner.executions == 2
+    for request, answer in zip(requests, answers):
+        assert len(answer) == len(request.monitors)
+        assert answer == WorkloadRunner(cache_dir=None).run_many([request])[0]
+
+
+def test_a_monitored_fault_fails_every_request_of_its_pair(monkeypatch):
+    """A fault in the shared execution fails each request that rode it,
+    once; an unknown spec on the same triple fails alone with its own
+    error."""
+    real = runner_module.run_program
+
+    def faulty(*args, **kwargs):
+        if kwargs.get("monitors"):
+            raise RuntimeError("the monitored run broke")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "run_program", faulty)
+    requests = [
+        RunRequest("doduc", "tiny", monitors=("2bit@inf",)),
+        RunRequest("doduc", "tiny", monitors=("nonesuch@1",)),
+        RunRequest("doduc", "tiny", monitors=(RUN_LENGTHS,)),
+    ]
+    runner = WorkloadRunner(cache_dir=None)
+    answers = runner.run_many(requests, on_error="capture")
+    assert all(isinstance(answer, RunFailure) for answer in answers)
+    assert "unknown monitor spec" in answers[1].error
+    for answer in answers[::2]:
+        assert "the monitored run broke" in answer.error
+    assert runner.executions == 2

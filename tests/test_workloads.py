@@ -1,7 +1,15 @@
 """Workload integrity: every Table 2 analog compiles, runs, and behaves."""
+import fnmatch
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.compiler import compile_source
+from repro.core.parallel import RunRequest
 from repro.core.runner import RunConfig
 from repro.workloads import (
     FORTRAN,
@@ -10,6 +18,7 @@ from repro.workloads import (
     multi_dataset_workloads,
     workload_names,
 )
+from repro.workloads.base import DATA_DIR, load_data
 
 EXPECTED_NAMES = [
     "spice2g6", "doduc", "nasa7", "matrix300", "fpppp", "tomcatv", "lfk",
@@ -138,3 +147,79 @@ class TestWorkloadBehaviour:
         result = runner.run("spice2g6", "add_bjt")
         assert result.events.indirect_calls > 0
         assert result.events.indirect_returns == result.events.indirect_calls
+
+
+class TestCompressionData:
+    """compress's image datasets and uncompress's inputs are checked-in
+    files under ``workloads/data/``; building them compiles and runs
+    nothing."""
+
+    CONFIGS = [
+        RunConfig(dce=dce, inline=inline, if_conversion=ifconv)
+        for dce, inline, ifconv in itertools.product((False, True), repeat=3)
+    ]
+
+    def test_the_pair_is_exact_under_every_config(self, runner):
+        """compress's output on each dataset, under each compile
+        configuration, is the checked-in uncompress input."""
+        compress = get_workload("compress")
+        requests = [
+            RunRequest("compress", name, config)
+            for config in self.CONFIGS
+            for name in compress.dataset_names()
+        ]
+        mismatches = [
+            request.describe()
+            for request, result in zip(requests, runner.run_many(requests))
+            if result.output != load_data(f"{request.dataset}.lzw")
+        ]
+        assert len(requests) == 40 and mismatches == []
+
+    def test_the_lzw_files_are_uncompress_inputs(self):
+        uncompress = get_workload("uncompress")
+        for name in uncompress.dataset_names():
+            assert uncompress.dataset(name).data == b"D" + load_data(f"{name}.lzw")
+
+    def test_building_the_workloads_compiles_and_runs_nothing(self):
+        script = textwrap.dedent(
+            """
+            import repro.compiler
+            import repro.vm.machine
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("building a workload compiled or ran")
+
+            repro.compiler.compile_source = refuse
+            repro.vm.machine.run_program = refuse
+
+            from repro.workloads.registry import _factories
+
+            built = [factory() for factory in _factories().values()]
+            print(len(built))
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["15"]
+
+    def test_every_data_file_is_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.join(os.path.dirname(__file__), "..")
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            package_data = tomllib.load(handle)["tool"]["setuptools"][
+                "package-data"
+            ]["repro.workloads"]
+        names = sorted(os.listdir(DATA_DIR))
+        assert names
+        for name in names:
+            assert any(
+                fnmatch.fnmatch(f"data/{name}", pattern) for pattern in package_data
+            ), name
