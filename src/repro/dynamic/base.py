@@ -161,6 +161,11 @@ class DynamicPredictor(BranchMonitor):
         finite (infinite tables, software predictors)."""
         return None
 
+    def write_back(self) -> None:
+        """Bring the state of the models this one feeds (see ``fed_by``)
+        up to date.  A feeder may advance its own copy of that state and
+        write it back only when asked; other models do nothing."""
+
     def snapshot(self) -> Tuple:
         """The complete mutable state, as nested plain tuples."""
         raise NotImplementedError

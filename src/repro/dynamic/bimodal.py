@@ -77,4 +77,6 @@ class BimodalPredictor(DynamicPredictor):
         return self.table_size * self.num_bits
 
     def snapshot(self) -> Tuple:
+        if self.fed_by is not None:
+            self.fed_by.write_back()
         return (tuple(self._table),)

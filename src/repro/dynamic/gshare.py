@@ -79,4 +79,6 @@ class GSharePredictor(DynamicPredictor):
         return self.table_size * 2 + self.history_bits
 
     def snapshot(self) -> Tuple:
+        if self.fed_by is not None:
+            self.fed_by.write_back()
         return (tuple(self._table), self._history)

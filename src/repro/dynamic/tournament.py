@@ -84,6 +84,8 @@ class TournamentPredictor(DynamicPredictor):
         ]
         self._chooser: List[int] = []
         self._slots: List[int] = []
+        self._entries: List[int] = []
+        self._global_states: List[int] = []
 
     def reset(self, branch_table: Sequence[BranchId]) -> None:
         self.bimodal.reset(branch_table)
@@ -91,6 +93,14 @@ class TournamentPredictor(DynamicPredictor):
         # The chooser is indexed like the bimodal table: pc & mask.
         self._slots = self.bimodal._slots
         self._chooser = [1] * self.table_size
+        # The simulation's own state, packed as in ``_step_table``: the
+        # components' tables and the chooser are copies of it, brought up
+        # to date by ``write_back``.
+        self._entries = [
+            state << 5 | choice << 3
+            for state, choice in zip(self.bimodal._table, self._chooser)
+        ]
+        self._global_states = [state << 1 for state in self.gshare._table]
 
     def on_run_start(self, branch_table: Sequence[BranchId]) -> None:
         super().on_run_start(branch_table)
@@ -107,20 +117,19 @@ class TournamentPredictor(DynamicPredictor):
             model.mispredicts += packed >> shift & _FIELD_MASK
 
     def simulate(self, outcomes: Iterable[int]) -> int:
-        return self._simulate_all(outcomes) & _FIELD_MASK
+        mispredicts = self._simulate_all(outcomes) & _FIELD_MASK
+        self.write_back()
+        return mispredicts
+
+    def on_run_end(self, icount: int) -> None:
+        self.write_back()
 
     def _simulate_all(self, outcomes: Iterable[int]) -> int:
         """Simulate the tournament and its components; returns the three
-        mispredict counts packed as in ``_step_table``."""
-        # The components' tables and the chooser hold the state between
-        # calls; the loop works on packed copies and writes them back.
-        bimodal = self.bimodal._table
-        chooser = self._chooser
-        gshare = self.gshare._table
-        entries = [
-            state << 5 | choice << 3 for state, choice in zip(bimodal, chooser)
-        ]
-        global_states = [state << 1 for state in gshare]
+        mispredict counts packed as in ``_step_table``.  Only the packed
+        state advances: a replay pays for no unpacking."""
+        entries = self._entries
+        global_states = self._global_states
         slots = self._slots
         mask = self._mask
         next_history = self._next_history
@@ -137,10 +146,15 @@ class TournamentPredictor(DynamicPredictor):
             packed += missed
             history = next_history[history << 1 | taken]
         self.gshare._history = history
-        bimodal[:] = [entry >> 5 for entry in entries]
-        chooser[:] = [entry >> 3 & 3 for entry in entries]
-        gshare[:] = [state >> 1 for state in global_states]
         return packed
+
+    def write_back(self) -> None:
+        """Unpack the simulation's state into the bimodal and gshare
+        tables and the chooser (each component's ``snapshot`` calls this)."""
+        entries = self._entries
+        self.bimodal._table[:] = [entry >> 5 for entry in entries]
+        self._chooser[:] = [entry >> 3 & 3 for entry in entries]
+        self.gshare._table[:] = [state >> 1 for state in self._global_states]
 
     def budget_bits(self) -> Optional[int]:
         return (
@@ -150,6 +164,7 @@ class TournamentPredictor(DynamicPredictor):
         )
 
     def snapshot(self) -> Tuple:
+        self.write_back()
         return (
             self.bimodal.snapshot(),
             self.gshare.snapshot(),

@@ -60,7 +60,8 @@ class LoweredFunction:
 
 @dataclasses.dataclass
 class LoweredProgram:
-    """A whole program in executable form."""
+    """A whole program in executable form.  Its memory image is sparse:
+    see :meth:`initial_memory`."""
 
     name: str
     functions: List[LoweredFunction]
@@ -85,19 +86,40 @@ class LoweredProgram:
         state["predecoded"] = None
         return state
 
+    def initial_memory(self) -> List[int]:
+        """A fresh copy of the ``memory_size`` words a run starts with.
+
+        ``memory_init`` holds the words from address 0 through the last
+        nonzero initialized word and no trailing zeros, so it is empty when
+        no word is initialized; every word from ``len(memory_init)`` up to
+        ``memory_size`` starts at 0.
+        """
+        memory = [0] * self.memory_size
+        memory[: len(self.memory_init)] = self.memory_init
+        return memory
+
 
 def lower_module(module: Module, validate: bool = True) -> LoweredProgram:
-    """Lower a validated module to executable form."""
+    """Lower a validated module to executable form.
+
+    Globals are laid out in declaration order, and only the image
+    :meth:`LoweredProgram.initial_memory` describes is stored: the dense
+    memory is never built here.
+    """
     if validate:
         validate_module(module)
 
-    # Global memory layout: globals in declaration order.
     symbols: Dict[str, int] = {}
     memory_init: List[int] = []
+    memory_size = 0
     for var in module.globals:
-        symbols[var.name] = len(memory_init)
-        cells = list(var.init) + [0] * (var.size - len(var.init))
-        memory_init.extend(cells)
+        symbols[var.name] = memory_size
+        if any(var.init):
+            memory_init.extend([0] * (memory_size - len(memory_init)))
+            memory_init.extend(var.init)
+        memory_size += var.size
+    while memory_init and not memory_init[-1]:
+        memory_init.pop()
 
     function_index = {func.name: i for i, func in enumerate(module.functions)}
     branch_table: List[BranchId] = []
@@ -114,7 +136,7 @@ def lower_module(module: Module, validate: bool = True) -> LoweredProgram:
         functions=functions,
         function_index=function_index,
         main_index=function_index["main"],
-        memory_size=len(memory_init),
+        memory_size=memory_size,
         memory_init=memory_init,
         symbols=symbols,
         branch_table=branch_table,

@@ -61,7 +61,8 @@ The shared per-run state (the instruction count, the counters,
 ``memory``, the event buffer and the function table) lives in closure
 cells made for each run, so each function is compiled once per program
 and bound to a run with :class:`types.FunctionType`.  The function
-cells are cleared after the run, so a run's ``memory`` copy is freed as
+cells are cleared after the run, so a run's ``memory`` (built from the
+program's sparse image by ``LoweredProgram.initial_memory``) is freed as
 soon as it ends instead of waiting for the cyclic collector.
 
 One code generator emits two variants of every function.  The plain
@@ -1023,7 +1024,7 @@ def _call_main(
     cells = {
         "icount": icount,
         "limit": CellType(max_instructions),
-        "memory": CellType(list(program.memory_init)),
+        "memory": CellType(program.initial_memory()),
         "btaken": CellType([0] * num_branches),
         "bnot": CellType([0] * num_branches),
         "jumps": CellType(0),

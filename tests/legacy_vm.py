@@ -105,6 +105,7 @@ class LegacyMachine:
         main = functions[program.main_index]
 
         memory = list(program.memory_init)
+        memory.extend([0] * (program.memory_size - len(memory)))
         mem_size = len(memory)
         num_branches = len(program.branch_table)
         branch_exec = [0] * num_branches

@@ -69,6 +69,15 @@ def test_jobs_run_the_advertised_commands(workflow):
         "the smoke job must run the traced cold-sweep benchmark and fail "
         "on a wrong table, a failed op or an optimizer cap hit"
     )
+    assert any(
+        "perfbench/run.py --workload serve-feedback" in line
+        and '"correct"' in line
+        and '"failed"' in line
+        for line in _run_lines(jobs["benchmark-smoke"])
+    ), (
+        "the smoke job must run serve-feedback and fail unless its served "
+        "predictions match offline and no op failed"
+    )
     serve_lines = _run_lines(jobs["serve-smoke"])
     assert any(
         "repro-serve serve" in line for line in serve_lines

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 import repro.vm.monitors as vm_monitors
 from repro.compiler import compile_source
 import repro.vm as vm
+from repro.ir import Function, GlobalVar, IRBuilder, Module
 from repro.ir.instructions import BranchId
-from repro.ir.lower import LoweredFunction, LoweredProgram
+from repro.ir.lower import LoweredFunction, LoweredProgram, lower_module
 from repro.ir.opcodes import BinOp, Opcode, UnOp
 from repro.prediction.base import FixedPredictor, ProfilePredictor
 from repro.profiling.branch_profile import BranchProfile
@@ -75,10 +76,38 @@ func main() {
 # -- generated-program differential -------------------------------------------
 
 
-@given(st.integers(0, 100_000), st.binary(max_size=8))
+def dense_memory(module):
+    """The whole memory a run starts with, laid out from the module's
+    globals without the lowered image."""
+    return [
+        word
+        for var in module.globals
+        for word in var.init + (0,) * (var.size - len(var.init))
+    ]
+
+
+#: Arrays declared ahead of a generated module: zero runs before, between
+#: and after their initialized words move the module's own globals and end
+#: the image anywhere.
+padding_arrays = st.lists(
+    st.tuples(st.integers(1, 16), st.lists(st.integers(-2, 2), max_size=16)),
+    max_size=3,
+).map(
+    lambda arrays: "".join(
+        f"arr pad{index}[{max(size, len(init))}]"
+        + (" = {" + ", ".join(map(str, init)) + "}" if init else "")
+        + ";\n"
+        for index, (size, init) in enumerate(arrays)
+    )
+)
+
+
+@given(st.integers(0, 100_000), st.binary(max_size=8), padding_arrays)
 @settings(max_examples=60, deadline=None)
-def test_fast_matches_legacy_on_generated_modules(seed, data):
-    program = lowered(mf_module(seed), name=f"p{seed}")
+def test_fast_matches_legacy_on_generated_modules(seed, data, padding):
+    compiled_program = compile_source(padding + mf_module(seed), name=f"p{seed}")
+    program = compiled_program.lowered
+    assert program.initial_memory() == dense_memory(compiled_program.module)
     fast = run_program(program, input_data=data)
     legacy = LegacyMachine().run(program, input_data=data)
     assert as_tuple(fast) == as_tuple(legacy)
@@ -190,6 +219,52 @@ def test_program_that_has_run_pickles_and_copies():
         assert clone.lowered == program.lowered
         assert run_program(clone.lowered, input_data=dataset.data) == original
     assert program.lowered.predecoded is not None
+
+
+def test_no_workload_image_stores_a_trailing_zero(runner):
+    for workload in registry.all_workloads():
+        program = runner.compiled(workload.name).lowered
+        assert program.memory_init[-1:] != [0], workload.name
+        assert len(program.memory_init) <= program.memory_size
+
+
+def test_compiled_programs_pickle_without_their_zero_memory(runner):
+    """li declares a 1.3M-word heap and initializes 3 words of it."""
+    sizes = {
+        workload.name: len(pickle.dumps(runner.compiled(workload.name)))
+        for workload in registry.all_workloads()
+    }
+    assert sizes["li"] < 250_000
+    assert sum(sizes.values()) < 1_000_000
+
+
+def test_a_scalar_after_a_large_array_ends_the_image():
+    """The image stops at the last initialized word and stores none of
+    the zeros after it; both engines still read every word."""
+    func = Function(name="main", num_params=0, num_regs=1)
+    builder = IRBuilder(func)
+    builder.set_block(builder.add_block("entry"))
+    scalar = builder.load(builder.addr("answer"))
+    last = builder.load(builder.bin(
+        BinOp.ADD, builder.addr("tail"), builder.const(49)
+    ))
+    builder.ret(builder.bin(BinOp.ADD, scalar, last))
+    module = Module(
+        name="m",
+        globals=[
+            GlobalVar("big", 100_000),
+            GlobalVar("answer", 1, (42,)),
+            GlobalVar("tail", 50, (0, 0)),
+        ],
+        functions=[func],
+    )
+    program = lower_module(module)
+    assert program.memory_size == 100_051
+    assert len(program.memory_init) == 100_001
+    assert program.memory_init[-1] == 42
+    assert program.initial_memory() == dense_memory(module)
+    for engine in ENGINES.values():
+        assert engine().run(program).exit_code == 42
 
 
 def test_no_engine_selector_is_left():
