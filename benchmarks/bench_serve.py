@@ -7,10 +7,11 @@ upload and predict throughput plus tail latency through the real stack —
 canonical-JSON framing, threaded server, one-database aggregator — with a sync
 client doing one request per round trip (no pipelining, the worst case).
 
-The smoke test guards CI with a conservative floor (the point is catching
-an accidental O(database) per-request regression, not chasing the exact
-figure on a noisy shared runner); the full benchmark measures a sustained
-multi-batch upload push and a predict sweep and rewrites the JSON.
+The smoke tests guard CI with conservative floors, one for uploads and one
+for predicts (the point is catching an accidental O(database) per-request
+regression or a slow profile key, not chasing the exact figure on a noisy
+shared runner); the full benchmark measures a sustained multi-batch upload
+push and a predict sweep and rewrites the JSON.
 """
 import json
 import platform
@@ -32,6 +33,11 @@ UPLOAD_FLOOR = 1_000.0
 #: anything under this means a per-request full-database scan (or similar)
 #: crept into the hot path.
 SMOKE_FLOOR = 400.0
+
+#: CI smoke floor for predicts: loopback measures ~2k req/s on one shared
+#: core; a predict combines every dataset's profile of one program, so a
+#: key whose hashing or comparison runs in Python drags it far below this.
+PREDICT_SMOKE_FLOOR = 300.0
 
 #: Synthetic fleet shape: programs x datasets, branch sites per profile.
 PROGRAMS = 8
@@ -99,6 +105,26 @@ def test_smoke_serve_throughput():
         f"upload throughput {rate:,.0f} req/s fell below the "
         f"{SMOKE_FLOOR:,.0f} req/s smoke floor — did a per-request "
         "database scan creep into the upload path?"
+    )
+
+
+def test_smoke_serve_predict_throughput():
+    with ProfileServer() as server:
+        with ProfileClient(
+            server.host, server.port, retry=RetryPolicy(attempts=2)
+        ) as client:
+            _push_uploads(client, PROGRAMS * DATASETS)  # one per pair
+            _sweep_predicts(client, 50)  # warm up
+            seconds, latencies = _sweep_predicts(client, 300)
+    rate = len(latencies) / seconds
+    print(
+        f"\nserve smoke: {rate:,.0f} predicts/s, "
+        f"p99 {_percentile(latencies, 0.99) * 1e3:.2f} ms"
+    )
+    assert rate >= PREDICT_SMOKE_FLOOR, (
+        f"predict throughput {rate:,.0f} req/s fell below the "
+        f"{PREDICT_SMOKE_FLOOR:,.0f} req/s smoke floor — did combining "
+        "profiles or hashing their keys get slower?"
     )
 
 

@@ -7,6 +7,12 @@ source, the input bytes, the compile configuration and ``code_fingerprint()``
 analyses and the VM — so it can never serve stale results after a workload,
 compiler or VM change.  A change anywhere else (the predictors, the
 experiments) does not touch a run's counters and keeps the cache warm.
+
+One cache directory serves one code version.  A digest starts with the
+fingerprint's first 8 hex digits, so opening a ``DiskCache`` deletes the
+entries that an earlier version of the compiler or VM wrote: nothing could
+read them again, and a directory would otherwise grow by a full sweep per
+compiler edit.  Files not named like an entry are left alone.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 from functools import lru_cache
 from typing import List, Optional
 
@@ -24,7 +31,14 @@ from repro.vm.counters import ControlEvents, RunResult
 #: Bump when the RunResult layout, counting semantics, or digest scheme
 #: change.  v4: length-prefixed digest fields (the v3 ``|``-joined form was
 #: not injective across field boundaries).  v5: the code fingerprint.
-CACHE_FORMAT_VERSION = 5
+#: v6: the digest starts with the fingerprint's first 8 hex digits.
+CACHE_FORMAT_VERSION = 6
+
+#: How many hex digits of ``code_fingerprint()`` lead every run digest.
+FINGERPRINT_PREFIX = 8
+
+#: The file name of a cache entry: a 32-hex-digit run digest plus ``.json``.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{32}\.json")
 
 #: The ``repro`` package directory.
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -94,7 +108,9 @@ def run_result_from_dict(data: dict) -> RunResult:
 def run_digest(source: str, input_data: bytes, config: str) -> str:
     """Digest identifying one run for caching purposes: the format
     version, ``code_fingerprint()``, the config tag, the source and the
-    input.
+    input.  Its first ``FINGERPRINT_PREFIX`` hex digits are the
+    fingerprint's own, which is how ``DiskCache`` tells the entries of
+    another code version apart.
 
     Every field is length-prefixed before hashing so the encoding is
     injective: joining with a separator alone would let content containing
@@ -102,22 +118,39 @@ def run_digest(source: str, input_data: bytes, config: str) -> str:
     ``(source="x|y", input=b"z")`` vs ``(source="x", input=b"y|z")`` —
     and serve the wrong cached run.
     """
+    fingerprint = code_fingerprint()
     hasher = hashlib.sha256()
     hasher.update(f"v{CACHE_FORMAT_VERSION}".encode())
-    fields = (code_fingerprint().encode(), config.encode(), source.encode())
+    fields = (fingerprint.encode(), config.encode(), source.encode())
     for field in fields + (input_data,):
         hasher.update(b"%d:" % len(field))
         hasher.update(field)
-    return hasher.hexdigest()[:32]
+    tail = hasher.hexdigest()[: 32 - FINGERPRINT_PREFIX]
+    return fingerprint[:FINGERPRINT_PREFIX] + tail
 
 
 class DiskCache:
-    """A trivial one-file-per-entry JSON cache."""
+    """A one-file-per-entry JSON cache: ``<digest>.json``, flat in one
+    directory that serves one code version.
+
+    Opening it deletes every entry whose digest does not start with the
+    current fingerprint prefix (see ``run_digest``).
+    """
 
     def __init__(self, directory: Optional[str]):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
+            self._prune()
+
+    def _prune(self) -> None:
+        prefix = code_fingerprint()[:FINGERPRINT_PREFIX]
+        for name in os.listdir(self.directory):
+            if _ENTRY_NAME.fullmatch(name) and not name.startswith(prefix):
+                try:
+                    os.remove(os.path.join(self.directory, name))
+                except FileNotFoundError:
+                    pass  # another process pruned it first
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, f"{digest}.json")

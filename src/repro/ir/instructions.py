@@ -13,19 +13,22 @@ and reflect the probabilities associated with the static source branches".
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.ir.opcodes import BinOp, Opcode, UnOp
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class BranchId:
+class BranchId(NamedTuple):
     """Stable identity of a source-level conditional branch.
 
     ``function`` is the name of the containing function and ``index`` the
     zero-based position of the branch in the function's source order (the
     order the code generator encountered it).  The identity survives any
     optimization that does not delete the branch.
+
+    It is a ``(function, index)`` tuple, so hashing, equality and ordering
+    run in C: every profile, predictor and profile database is a dict keyed
+    by it.  An id equals, hashes and sorts like its plain tuple.
     """
 
     function: str

@@ -1,6 +1,6 @@
 """Static and dynamic branch prediction."""
 from repro.prediction.base import FixedPredictor, ProfilePredictor, StaticPredictor
-from repro.prediction.combine import COMBINE_MODES, combine_profiles, leave_one_out
+from repro.prediction.combine import COMBINE_MODES, combine_profiles
 from repro.prediction.evaluate import (
     PredictionReport,
     evaluate_static,
@@ -23,6 +23,5 @@ __all__ = [
     "StaticProofPredictor",
     "combine_profiles",
     "evaluate_static",
-    "leave_one_out",
     "self_prediction",
 ]

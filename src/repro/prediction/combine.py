@@ -47,26 +47,26 @@ def combine_profiles(
     if mode not in COMBINE_MODES:
         raise ValueError(f"unknown combine mode {mode!r}; use one of {COMBINE_MODES}")
     name = program or profiles[0].program
-    used = [profile for profile in profiles if profile.total_executed]
+    totals = [(profile, profile.total_executed) for profile in profiles]
+    used = [(profile, total) for profile, total in totals if total]
 
     combined = BranchProfile(program=name)
     if mode == "unscaled":
-        for profile in used:
+        for profile, _ in used:
             combined.add_profile(profile)
     elif mode == "scaled":
-        for profile in used:
-            combined.add_profile(profile, weight=1.0 / profile.total_executed)
+        for profile, total in used:
+            combined.add_profile(profile, weight=1.0 / total)
     else:
-        # polling: each dataset casts one vote per branch it executed.
-        for profile in used:
-            votes = BranchProfile(program=name)
-            for branch_id in profile:
-                votes.counts[branch_id] = (
-                    1.0,
-                    1.0 if profile.direction(branch_id) else 0.0,
-                )
-            combined.add_profile(votes)
-    combined.runs = sum(profile.runs for profile in used)
+        # polling: each dataset casts one vote per branch it executed, for
+        # its majority direction (``BranchProfile.direction``'s rule).
+        for profile, _ in used:
+            votes = {
+                branch_id: (1.0, 1.0 if taken > executed - taken else 0.0)
+                for branch_id, (executed, taken) in profile.counts.items()
+            }
+            combined.add_profile(BranchProfile(program=name, counts=votes))
+    combined.runs = sum(profile.runs for profile, _ in used)
     return combined
 
 
@@ -80,8 +80,9 @@ def database_predict(
 
     Dataset profiles are combined in sorted dataset-name order (the order
     ``ProfileDatabase.datasets`` already guarantees); ``exclude`` drops
-    one dataset first — exactly ``leave_one_out`` over the sorted profile
-    list — and ``None`` combines them all.  Returns the combined profile
+    one dataset first (the paper's Figure 2 predictor: "the sum of all the
+    other datasets, weighed by dataset size, to predict the given
+    dataset") and ``None`` combines them all.  Returns the combined profile
     and the dataset names that fed it.
     """
     if mode not in COMBINE_MODES:
@@ -101,23 +102,3 @@ def database_predict(
             )
     profiles = [database.dataset_profile(program, name) for name in datasets]
     return combine_profiles(profiles, mode=mode), datasets
-
-
-def leave_one_out(
-    profiles: List[BranchProfile],
-    exclude_index: int,
-    mode: str = "scaled",
-) -> BranchProfile:
-    """Combine every profile except ``profiles[exclude_index]``.
-
-    This is the paper's Figure 2 white-bar predictor: "the sum of all the
-    other datasets, weighed by dataset size, to predict the given dataset".
-    """
-    rest = [
-        profile
-        for index, profile in enumerate(profiles)
-        if index != exclude_index
-    ]
-    if not rest:
-        raise ValueError("leave-one-out needs at least two profiles")
-    return combine_profiles(rest, mode=mode)

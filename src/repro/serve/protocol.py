@@ -17,7 +17,7 @@ Operations:
     ``{"program", "mode", "exclude"}`` — serve the combined summary
     profile over the program's datasets (leave-one-out when ``exclude``
     names a dataset, all datasets when null), byte-identical to the
-    offline ``combine_profiles``/``leave_one_out`` path.
+    offline ``database_predict`` over the same profiles.
 ``stats``
     aggregator contents plus service metrics.
 ``health``

@@ -13,6 +13,8 @@ from repro.lang.directives import parse_directives
 from repro.lang.parser import parse_source
 from repro.lang.sema import analyze
 from repro.opt.pipeline import optimize_module
+from repro.prediction.combine import combine_profiles
+from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import RunResult
 from repro.vm.machine import run_program
 from repro.workloads.registry import get_workload
@@ -94,6 +96,15 @@ def run_with_monitors(runner, workload: str, dataset: str, monitors) -> RunResul
         input_data=get_workload(workload).dataset(dataset).data,
         monitors=monitors,
     )
+
+
+def combine_without(
+    profiles: List[BranchProfile], exclude_index: int, mode: str
+) -> BranchProfile:
+    """The leave-one-out oracle: ``combine_profiles`` over every profile
+    but ``profiles[exclude_index]``, independent of ``database_predict``."""
+    rest = profiles[:exclude_index] + profiles[exclude_index + 1 :]
+    return combine_profiles(rest, mode=mode)
 
 
 def compile_and_run(

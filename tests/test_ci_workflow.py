@@ -9,6 +9,9 @@ yaml = pytest.importorskip("yaml")
 WORKFLOW = os.path.join(
     os.path.dirname(__file__), "..", ".github", "workflows", "ci.yml"
 )
+BENCH_SERVE = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "bench_serve.py"
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +113,28 @@ def test_jobs_run_the_advertised_commands(workflow):
     assert any(
         "--verify-offline" in line for line in serve_lines
     ), "served predictions must be checked byte-for-byte against offline"
-    assert any(
-        "benchmarks/bench_serve.py" in line for line in serve_lines
-    ), "the serve-smoke job must enforce the upload throughput floor"
+    serve_floors = [
+        line for line in serve_lines if "benchmarks/bench_serve.py" in line
+    ]
+    assert serve_floors and all(
+        "-k smoke" in line for line in serve_floors
+    ), "the serve-smoke job must enforce the upload and predict throughput floors"
     assert any("examples/*.py" in line for line in _run_lines(jobs["examples"]))
     assert any(
         "repro-mf lint" in line for line in _run_lines(jobs["examples"])
     ), "the examples job must IR-lint the bundled programs"
+
+
+def test_serve_smoke_selects_an_upload_and_a_predict_floor():
+    """The serve-smoke job's ``-k smoke`` must pick up both floors, so a
+    slow profile key fails CI even when uploads stay fast."""
+    with open(BENCH_SERVE) as handle:
+        source = handle.read()
+    smoke_tests = re.findall(r"^def (test_smoke_\w+)\(", source, re.M)
+    assert "test_smoke_serve_throughput" in smoke_tests
+    assert "test_smoke_serve_predict_throughput" in smoke_tests
+    assert "rate >= SMOKE_FLOOR" in source
+    assert "rate >= PREDICT_SMOKE_FLOOR" in source
 
 
 def test_property_files_run_under_a_fresh_printed_seed(workflow):

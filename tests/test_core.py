@@ -99,6 +99,42 @@ def test_run_digest_keys_on_the_code_fingerprint(monkeypatch):
     assert run_digest("src", b"input", "dce=False") != base
 
 
+def test_run_digest_starts_with_the_fingerprint_prefix():
+    digest = run_digest("src", b"input", "dce=False")
+    assert len(digest) == 32
+    prefix = cache_module.code_fingerprint()[: cache_module.FINGERPRINT_PREFIX]
+    assert digest.startswith(prefix)
+
+
+def test_disk_cache_prunes_entries_of_other_code_versions(tmp_path):
+    """Opening a cache directory deletes the entries another compiler or
+    VM version wrote, and leaves everything not named like an entry."""
+    width = cache_module.FINGERPRINT_PREFIX
+    prefix = cache_module.code_fingerprint()[:width]
+    other = "f" * width if prefix.startswith("0") else "0" * width
+    current = run_digest("src", b"input", "dce=False") + ".json"
+    stale = other + current[width:]
+    v5_style = other[:4] + "0123456789abcdef0123456789ab.json"
+    unrelated = "notes.txt"
+    for name in (current, stale, v5_style, unrelated):
+        (tmp_path / name).write_text("{}")
+    DiskCache(str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted([current, unrelated])
+
+
+def test_disk_cache_prune_ignores_an_entry_already_gone(tmp_path, monkeypatch):
+    """Another process opening the same directory may delete a stale entry
+    between this one's listing and its removal."""
+    stale = "0" * 32 + ".json"
+    if cache_module.code_fingerprint().startswith("0" * 8):
+        stale = "f" * 32 + ".json"
+    listdir = os.listdir
+    monkeypatch.setattr(
+        cache_module.os, "listdir", lambda path: listdir(path) + [stale]
+    )
+    DiskCache(str(tmp_path))  # must not raise FileNotFoundError
+
+
 def test_code_fingerprint_hashes_every_compiler_and_vm_module():
     package = os.path.dirname(os.path.abspath(cache_module.__file__))
     package = os.path.dirname(package)

@@ -10,12 +10,12 @@ from repro.prediction import (
     ProfilePredictor,
     combine_profiles,
     evaluate_static,
-    leave_one_out,
     self_prediction,
 )
-from repro.profiling import BranchProfile
+from repro.prediction.combine import database_predict
+from repro.profiling import BranchProfile, ProfileDatabase
 
-from tests.helpers import compile_and_run
+from tests.helpers import combine_without, compile_and_run
 
 BIASED_LOOP = """
 func main() {
@@ -177,7 +177,7 @@ def test_leave_one_out_skips_empty_profiles():
         make_profile({}),
         make_profile({("f", 0): (10, 0)}),
     ]
-    loo = leave_one_out(profiles, exclude_index=2, mode="unscaled")
+    loo = combine_without(profiles, 2, "unscaled")
     assert loo.counts[BranchId("f", 0)] == (10.0, 10.0)
 
 
@@ -188,16 +188,25 @@ def test_combine_rejects_bad_mode_and_empty():
         combine_profiles([make_profile({})], mode="bogus")
 
 
+def database_of(profiles):
+    database = ProfileDatabase()
+    for index, profile in enumerate(profiles):
+        database.record_profile("p", f"d{index}", profile)
+    return database
+
+
 def test_leave_one_out_excludes_target():
-    profiles = [
+    database = database_of([
         make_profile({("f", 0): (10, 10)}),
         make_profile({("f", 0): (10, 0)}),
         make_profile({("f", 0): (10, 10)}),
-    ]
-    loo = leave_one_out(profiles, exclude_index=1, mode="unscaled")
+    ])
+    loo, datasets = database_predict(database, "p", "unscaled", exclude="d1")
+    assert datasets == ["d0", "d2"]
     assert loo.counts[BranchId("f", 0)] == (20.0, 20.0)
 
 
 def test_leave_one_out_needs_two_profiles():
+    database = database_of([make_profile({("f", 0): (10, 10)})])
     with pytest.raises(ValueError):
-        leave_one_out([make_profile({})], exclude_index=0)
+        database_predict(database, "p", exclude="d0")

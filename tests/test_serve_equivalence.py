@@ -3,8 +3,8 @@
 Three layers:
 
 * a hypothesis property test — for random profile sets, ``predict`` over
-  the wire equals ``combine_profiles``/``leave_one_out`` bit-for-bit in
-  all three modes;
+  the wire equals ``combine_profiles`` over the uploaded profiles (all of
+  them, or all but the excluded one) bit-for-bit in all three modes;
 * the full bundled sweep — every workload x dataset x combine mode,
   leave-one-out and all-datasets, through a live server;
 * the degradation gate — a client whose server vanished serves the same
@@ -18,13 +18,15 @@ import pytest
 
 from repro.core.experiment import CrossDatasetExperiment
 from repro.ir.instructions import BranchId
-from repro.prediction.combine import combine_profiles, leave_one_out
+from repro.prediction.combine import combine_profiles
 from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase
 from repro.serve.client import ProfileClient, RetryPolicy
 from repro.serve.protocol import canonical_profile_bytes
 from repro.serve.server import ProfileServer
 from repro.workloads.registry import all_workloads, get_workload
+
+from tests.helpers import combine_without
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -91,7 +93,7 @@ def test_wire_predictions_equal_offline_combining(live, datasets):
         ), mode
         for index, name in enumerate(names):
             served_loo = live.predict(program, mode=mode, exclude=name).profile
-            offline_loo = leave_one_out(profiles, index, mode=mode)
+            offline_loo = combine_without(profiles, index, mode)
             assert canonical_profile_bytes(
                 served_loo
             ) == canonical_profile_bytes(offline_loo), (mode, name)
@@ -99,7 +101,8 @@ def test_wire_predictions_equal_offline_combining(live, datasets):
 
 def test_every_bundled_workload_round_trips_bit_for_bit(runner, live):
     """The acceptance gate: every workload x dataset x combine mode,
-    served over the socket == offline combine_profiles/leave_one_out."""
+    served over the socket == offline combine_profiles, with and without
+    each dataset."""
     for workload in all_workloads():
         experiment = CrossDatasetExperiment(
             workload.name, runner.run_all(workload.name)
@@ -129,7 +132,7 @@ def test_every_bundled_workload_round_trips_bit_for_bit(runner, live):
                 served_loo = live.predict(
                     workload.name, mode=mode, exclude=name
                 ).profile
-                offline_loo = leave_one_out(profiles, index, mode=mode)
+                offline_loo = combine_without(profiles, index, mode)
                 assert canonical_profile_bytes(
                     served_loo
                 ) == canonical_profile_bytes(offline_loo), (
