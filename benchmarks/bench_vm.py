@@ -15,15 +15,16 @@ replaces as its ``before`` half, so each refresh is a before/after pair;
 it also records how many functions the engine generates, how long
 generating and compiling them takes and the resident memory they add.  A
 second smoke test holds monitored runs (a no-op monitor) to the same
-floor, and a third pins three deterministic counts of the generated plain
-source: its lines, its run-time bounds checks and its instruction-limit
-checks.
+floor, and a third pins four deterministic counts of the generated plain
+source: its lines, its run-time bounds checks, its instruction-limit
+checks and its path counters.
 """
 import dataclasses
 import gc
 import json
 import os
 import platform
+import re
 import time
 from pathlib import Path
 
@@ -49,12 +50,15 @@ SMOKE_RUNS = [("nasa7", None), ("espresso", None)]
 MONITORED_SMOKE_RUNS = ["nasa7", "espresso", "li"]
 
 #: Lines of generated plain source over the 15 workloads, the
-#: ``LOAD``/``STORE`` bounds checks left in it for run time, and its
-#: instruction-limit checks (one per function and one per arm).  Exact:
-#: a change to the code generator that moves any of them must update them.
-GENERATED_LINES = 20740
+#: ``LOAD``/``STORE`` bounds checks left in it for run time, its
+#: instruction-limit checks (one per function and one per arm) and its
+#: path counters (one per distinct set of events a path counts, per
+#: program).  Exact: a change to the code generator that moves any of
+#: them must update them.
+GENERATED_LINES = 18545
 BOUNDS_CHECKS = 693
 LIMIT_CHECKS = 367
+PATH_COUNTERS = 1162
 
 
 class NoOpMonitor(BranchMonitor):
@@ -141,24 +145,52 @@ def test_smoke_vm_monitored_speedup():
     _smoke(MONITORED_SMOKE_RUNS, monitored=True)
 
 
+def _bounds_checks(source):
+    """The ``if``\\ s in ``source`` (a list of lines) whose own body, not
+    a block nested in it, raises a bad-address fault."""
+    checks = 0
+    for pos, line in enumerate(source):
+        text = line.lstrip()
+        if not text.startswith("if "):
+            continue
+        indent = len(line) - len(text)
+        for body in source[pos + 1:]:
+            depth = len(body) - len(body.lstrip())
+            if depth <= indent:
+                break
+            if depth == indent + 4 and "bad address" in body:
+                checks += 1
+                break
+    return checks
+
+
 def _generated_code(programs):
     """Lines of plain source the engine generates for ``programs``, the
-    run-time bounds checks among them (an ``if`` whose body raises a
-    bad-address fault) and the instruction-limit checks."""
-    lines = checks = limit_checks = 0
+    run-time bounds checks among them, the instruction-limit checks and
+    the path counters bumped."""
+    lines = checks = limit_checks = path_counters = 0
     for program in programs:
         decoded = predecode(program)
+        counters = set()
         for index in range(len(decoded.functions)):
             source = _function_source(decoded, index, False).splitlines()
             lines += len(source)
-            checks += sum(
-                line.lstrip().startswith("if ") and "bad address" in body
-                for line, body in zip(source, source[1:])
-            )
+            checks += _bounds_checks(source)
             limit_checks += sum(
                 line.strip() == "if icount > limit:" for line in source
             )
-    return {"lines": lines, "bounds_checks": checks, "limit_checks": limit_checks}
+            counters.update(
+                line.split()[0]
+                for line in source
+                if re.fullmatch(r"\s*p\d+ \+= 1", line)
+            )
+        path_counters += len(counters)
+    return {
+        "lines": lines,
+        "bounds_checks": checks,
+        "limit_checks": limit_checks,
+        "path_counters": path_counters,
+    }
 
 
 def test_smoke_generated_code_counts():
@@ -169,6 +201,7 @@ def test_smoke_generated_code_counts():
         "lines": GENERATED_LINES,
         "bounds_checks": BOUNDS_CHECKS,
         "limit_checks": LIMIT_CHECKS,
+        "path_counters": PATH_COUNTERS,
     }
 
 

@@ -8,11 +8,12 @@ analyses and the VM — so it can never serve stale results after a workload,
 compiler or VM change.  A change anywhere else (the predictors, the
 experiments) does not touch a run's counters and keeps the cache warm.
 
-One cache directory serves one code version.  A digest starts with the
-fingerprint's first 8 hex digits, so opening a ``DiskCache`` deletes the
-entries that an earlier version of the compiler or VM wrote: nothing could
-read them again, and a directory would otherwise grow by a full sweep per
-compiler edit.  Files not named like an entry are left alone.
+One cache directory serves one code version.  A digest starts with
+``version_prefix()``, 8 hex digits of a hash over the cache format version
+and the fingerprint, so opening a ``DiskCache`` deletes the entries that an
+earlier version of the compiler, the VM or the cache format wrote: nothing
+could read them again, and a directory would otherwise grow by a full sweep
+per compiler edit.  Files not named like an entry are left alone.
 """
 from __future__ import annotations
 
@@ -32,10 +33,11 @@ from repro.vm.counters import ControlEvents, RunResult
 #: change.  v4: length-prefixed digest fields (the v3 ``|``-joined form was
 #: not injective across field boundaries).  v5: the code fingerprint.
 #: v6: the digest starts with the fingerprint's first 8 hex digits.
-CACHE_FORMAT_VERSION = 6
+#: v7: the digest starts with ``version_prefix()``, which covers this too.
+CACHE_FORMAT_VERSION = 7
 
-#: How many hex digits of ``code_fingerprint()`` lead every run digest.
-FINGERPRINT_PREFIX = 8
+#: How many hex digits of ``version_prefix()`` lead every run digest.
+PREFIX_DIGITS = 8
 
 #: The file name of a cache entry: a 32-hex-digit run digest plus ``.json``.
 _ENTRY_NAME = re.compile(r"[0-9a-f]{32}\.json")
@@ -74,6 +76,14 @@ def code_fingerprint() -> str:
     return hasher.hexdigest()
 
 
+def version_prefix() -> str:
+    """The first ``PREFIX_DIGITS`` hex digits of a sha256 over
+    ``CACHE_FORMAT_VERSION`` and ``code_fingerprint()``: what every run
+    digest of this code version and cache format starts with."""
+    key = f"v{CACHE_FORMAT_VERSION}:{code_fingerprint()}"
+    return hashlib.sha256(key.encode()).hexdigest()[:PREFIX_DIGITS]
+
+
 def run_result_to_dict(result: RunResult) -> dict:
     """JSON-serializable form of a RunResult."""
     return {
@@ -108,9 +118,9 @@ def run_result_from_dict(data: dict) -> RunResult:
 def run_digest(source: str, input_data: bytes, config: str) -> str:
     """Digest identifying one run for caching purposes: the format
     version, ``code_fingerprint()``, the config tag, the source and the
-    input.  Its first ``FINGERPRINT_PREFIX`` hex digits are the
-    fingerprint's own, which is how ``DiskCache`` tells the entries of
-    another code version apart.
+    input.  It starts with ``version_prefix()``, which is how
+    ``DiskCache`` tells the entries of another code version or cache
+    format apart.
 
     Every field is length-prefixed before hashing so the encoding is
     injective: joining with a separator alone would let content containing
@@ -118,15 +128,13 @@ def run_digest(source: str, input_data: bytes, config: str) -> str:
     ``(source="x|y", input=b"z")`` vs ``(source="x", input=b"y|z")`` —
     and serve the wrong cached run.
     """
-    fingerprint = code_fingerprint()
     hasher = hashlib.sha256()
     hasher.update(f"v{CACHE_FORMAT_VERSION}".encode())
-    fields = (fingerprint.encode(), config.encode(), source.encode())
+    fields = (code_fingerprint().encode(), config.encode(), source.encode())
     for field in fields + (input_data,):
         hasher.update(b"%d:" % len(field))
         hasher.update(field)
-    tail = hasher.hexdigest()[: 32 - FINGERPRINT_PREFIX]
-    return fingerprint[:FINGERPRINT_PREFIX] + tail
+    return version_prefix() + hasher.hexdigest()[: 32 - PREFIX_DIGITS]
 
 
 class DiskCache:
@@ -134,7 +142,7 @@ class DiskCache:
     directory that serves one code version.
 
     Opening it deletes every entry whose digest does not start with the
-    current fingerprint prefix (see ``run_digest``).
+    current ``version_prefix()``.
     """
 
     def __init__(self, directory: Optional[str]):
@@ -144,7 +152,7 @@ class DiskCache:
             self._prune()
 
     def _prune(self) -> None:
-        prefix = code_fingerprint()[:FINGERPRINT_PREFIX]
+        prefix = version_prefix()
         for name in os.listdir(self.directory):
             if _ENTRY_NAME.fullmatch(name) and not name.startswith(prefix):
                 try:

@@ -93,9 +93,13 @@ class BranchProfile:
     @classmethod
     def from_dict(cls, data: Mapping) -> "BranchProfile":
         profile = cls(program=data["program"], runs=int(data["runs"]))
+        # ``tuple.__new__`` builds the same ``BranchId`` as the
+        # constructor, without its Python-level ``__new__``: every upload
+        # and predict decodes a profile.
+        new = tuple.__new__
         for key, (executed, taken) in data["counts"].items():
             function, _, index = key.rpartition("#")
-            profile.counts[BranchId(function, int(index))] = (
+            profile.counts[new(BranchId, (function, int(index)))] = (
                 float(executed),
                 float(taken),
             )

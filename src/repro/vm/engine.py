@@ -42,14 +42,21 @@ executes it:
   code is generated.  Registers are not observable and a fault ends the
   run, so no counter can tell a dropped store was ever there.
 * **The instruction count** is added to ``icount`` only where it can be
-  observed: before an op that can fault (a ``LOAD``/``STORE`` checked at
-  run time or at an out-of-range literal address, ``DIV``, ``MOD``,
-  ``SHL``, ``SHR``), a call, a return, a ``halt``, control reaching an
-  arm, and, in the recording variant, a branch event.  Elsewhere an
-  *element* (a run of straight-line ops plus the ``BR``, ``JMP``, ``RET``
-  or ``CALL`` that follows it, or one other instruction; see
-  :func:`_blocks`) carries its count forward along its path, and the
-  next settling adds it in one step.
+  observed: before an op that can fault (``DIV``, ``MOD``, ``SHL``,
+  ``SHR``), a call, a return, a ``halt``, control reaching an arm, in
+  the recording variant a branch event, and in the fault branch of a
+  ``LOAD``/``STORE`` bounds check.  Elsewhere an *element* (a run of
+  straight-line ops plus the ``BR``, ``JMP``, ``RET`` or ``CALL`` that
+  follows it, or one other instruction; see :func:`_blocks`) carries its
+  count forward along its path, and the next settling adds it in one
+  step.
+* **One counter per path.**  Below an arm's head the code is a tree, so
+  each place control leaves it (a transfer to an arm, a return, a
+  ``halt``, a call) ends one path, and one closure cell per distinct
+  multiset of events (``BR`` outcomes, ``JMP``\\ s, ``SELECT``\\ s and
+  the direct call that ends a path) counts how often such a path ran.
+  The per-branch counts and the control events are derived from those
+  cells when the run ends (see :func:`_derived_counts`).
 * **The instruction limit** is checked only where control can come
   back: at the head of each arm and at function entry.  When the run
   ends, with a return, a ``halt`` or a guest fault, a count over the
@@ -57,10 +64,11 @@ executes it:
   the branch events counted past the limit are dropped.  ``icount`` only
   grows, so this is the verdict a check before every element would give.
 
-The shared per-run state (the instruction count, the counters,
-``memory``, the event buffer and the function table) lives in closure
-cells made for each run, so each function is compiled once per program
-and bound to a run with :class:`types.FunctionType`.  The function
+The shared per-run state (the instruction count, the path and
+indirect-call counters, ``memory``, the event buffer and the function
+table) lives in closure cells made for each run, so each function is
+compiled once per program and bound to a run with
+:class:`types.FunctionType`.  The function
 cells are cleared after the run, so a run's ``memory`` (built from the
 program's sparse image by ``LoweredProgram.initial_memory``) is freed as
 soon as it ends instead of waiting for the cyclic collector.
@@ -139,15 +147,23 @@ _MAX_TAIL = 64
 _RECURSION_HEADROOM = 100
 
 #: Per-run state shared by every generated function through closure cells.
+#: Each path counter (see :meth:`_Writer.leaf`) is a cell of its own.
 _STATE = (
-    "icount", "limit", "memory", "btaken", "bnot", "jumps", "selects",
-    "direct_calls", "direct_returns", "indirect_calls", "indirect_returns",
+    "icount", "limit", "memory", "indirect_calls", "indirect_returns",
     "stdin", "putc", "functions", "record", "room", "flush",
 )
+
+#: The events of a path (see :meth:`_Writer.leaf`) besides a ``BR``
+#: outcome, whose event is ``bidx << 1 | taken``, as the recording
+#: variant buffers it.
+_JUMP, _SELECT, _DIRECT_CALL = -1, -2, -3
 
 # -- analysis ------------------------------------------------------------------
 
 Instruction = Tuple[Any, ...]
+
+#: The events along a path through a function's generated code.
+Path = Tuple[int, ...]
 
 
 class Block(NamedTuple):
@@ -418,6 +434,7 @@ class PredecodedProgram:
 
     __slots__ = (
         "program", "functions", "main_index", "namespace", "plain", "recording",
+        "paths",
     )
 
     def __init__(self, program: LoweredProgram) -> None:
@@ -429,6 +446,9 @@ class PredecodedProgram:
         #: Per function, the compiled code of each variant, once built.
         self.plain: Optional[List[CodeType]] = None
         self.recording: Optional[List[CodeType]] = None
+        #: The name of each path counter by the sorted events it counts,
+        #: shared by every function and both variants.
+        self.paths: Dict[Path, str] = {}
 
 
 def predecode(program: LoweredProgram) -> PredecodedProgram:
@@ -559,7 +579,15 @@ class _Writer:
     :meth:`observes`) and before control goes to an arm, so ``icount`` is
     exact wherever it is read: at a fault, a call, a return, the limit
     check at each arm's head and at entry, and, in the recording variant,
-    each branch event.
+    each branch event.  A bounds check settles the count in its fault
+    branch instead, and the count is carried on past it.
+
+    The code below an arm's head (or the function's entry) is a tree, so
+    the place where control leaves it names the whole path that led
+    there.  Each element adds its events (``BR`` outcomes, ``JMP``\\ s and
+    ``SELECT``\\ s) to ``path``, and each leaf counts its path once (see
+    :meth:`leaf`): at a transfer to an arm, a return, a ``halt``, and
+    before a call, which a ``halt`` in the callee may never return from.
     """
 
     def __init__(
@@ -573,6 +601,7 @@ class _Writer:
         self.func = func
         self.recording = recording
         self.single = single
+        self.paths = predecode(program).paths
         #: Shared state the function writes (its ``nonlocal`` names).
         self.assigned = {"icount"}
         self.arms: Dict[int, List[str]] = {}
@@ -582,15 +611,34 @@ class _Writer:
         #: however many times the block is written.
         self.folds: Dict[int, List[Tuple[List[Dict[int, str]], Set[int]]]] = {}
 
+    def leaf(self, path: Path) -> List[str]:
+        """Count a path that ends here: one bump of the counter for its
+        events, shared by every path with the same events."""
+        if not path:
+            return []
+        events = tuple(sorted(path))
+        name = self.paths.get(events)
+        if name is None:
+            name = self.paths[events] = f"p{len(self.paths)}"
+        self.assigned.add(name)
+        return [f"{name} += 1"]
+
     def goto(
-        self, target: int, nesting: int, head: Optional[int], count: int
+        self,
+        target: int,
+        nesting: int,
+        head: Optional[int],
+        count: int,
+        path: Path,
     ) -> List[str]:
         """Transfer control to ``target``, inside the arm headed by
         ``head`` if it loops (else ``None``), ``count`` instructions after
-        ``icount`` was last settled."""
+        ``icount`` was last settled, along ``path``."""
         if target not in self.func.arms and nesting < _MAX_NESTING:
-            return self.block(self.func.blocks[target], nesting + 1, head, count)
-        lines = _settle(count)
+            return self.block(
+                self.func.blocks[target], nesting + 1, head, count, path
+            )
+        lines = _settle(count) + self.leaf(path)
         if target == head:
             self.looped = True
             return lines + ["continue"]
@@ -601,7 +649,12 @@ class _Writer:
         return lines + [f"pc = {target}"] + (["break"] if head is not None else [])
 
     def block(
-        self, block: Block, nesting: int, head: Optional[int], count: int
+        self,
+        block: Block,
+        nesting: int,
+        head: Optional[int],
+        count: int,
+        path: Path,
     ) -> List[str]:
         """A block's statements: each element's body, then its transfer."""
         lines: List[str] = []
@@ -613,14 +666,14 @@ class _Writer:
                 for element, live_out in zip(block.elements, live_outs)
             ]
         for element, (operands, skipped) in zip(block.elements, folds):
-            body, count = self.element(
-                element, operands, skipped, nesting, head, count
+            body, count, path = self.element(
+                element, operands, skipped, nesting, head, count, path
             )
             lines += body
         if block.elements and block.elements[-1][-1][0] in _TRANSFERS:
             return lines
         if block.end < self.func.length:
-            return lines + self.goto(block.end, nesting, head, count)
+            return lines + self.goto(block.end, nesting, head, count, path)
         # Only malformed (unvalidated) code runs off the end of a function.
         fetch = block.end if block.elements else block.start
         return lines + _settle(count) + [
@@ -635,15 +688,16 @@ class _Writer:
         nesting: int,
         head: Optional[int],
         count: int,
-    ) -> Tuple[List[str], int]:
+        path: Path,
+    ) -> Tuple[List[str], int, Path]:
         """An element's body, with its ``CONST``s and ``MOV``s folded into
         their uses as ``operands`` and ``skipped`` (see :func:`_fold`)
-        give, and the count it leaves unsettled.  The count is settled
-        first if the element can observe it."""
+        give, and the count and path it leaves open.  The count is settled
+        first if the element can observe it (see :meth:`observes`)."""
         skipped = set(skipped)  # the fold is shared by every copy
         count += len(element)
         lines: List[str] = []
-        if any(self.observes(ins, operands[pos]) for pos, ins in enumerate(element)):
+        if any(self.observes(ins) for ins in element):
             lines = _settle(count)
             count = 0
         test = None
@@ -654,20 +708,26 @@ class _Writer:
         for pos, ins in enumerate(element):
             if pos in skipped:
                 continue
-            if ins[0] == _OP_BR:
-                lines += self.branch(ins, operands[pos], test, nesting, head, count)
-            else:
-                lines += self.op(ins, operands[pos], nesting, head, count)
-        return lines, count
+            op = ins[0]
+            if op == _OP_BR:
+                lines += self.branch(
+                    ins, operands[pos], test, nesting, head, count, path
+                )
+                continue
+            lines += self.op(ins, operands[pos], nesting, head, count, path)
+            if op == _OP_SELECT:
+                path += (_SELECT,)
+            elif op == _OP_CALL or op == _OP_ICALL:
+                path = ()
+        return lines, count, path
 
-    def observes(self, ins: Instruction, operands: Dict[int, str]) -> bool:
+    def observes(self, ins: Instruction) -> bool:
         """Whether ``icount`` must be exact before ``ins``: it may fault,
         it calls or ends a function or the run, or, in the recording
-        variant, it records a branch event."""
+        variant, it records a branch event.  A ``LOAD``/``STORE`` does
+        not: its bounds check settles the element's count in its fault
+        branch (see :meth:`bounds`), and the count is carried on."""
         op = ins[0]
-        if op == _OP_LOAD or op == _OP_STORE:
-            value = _literal(operands[ins[2] if op == _OP_LOAD else ins[1]])
-            return value is None or not 0 <= value < self.program.memory_size
         if op == _OP_BIN:
             return ins[1] in _FAULTING_BINOPS
         if op == _OP_BR:
@@ -706,23 +766,21 @@ class _Writer:
         nesting: int,
         head: Optional[int],
         count: int,
+        path: Path,
     ) -> List[str]:
-        """A ``BR``: count the outcome, record it, and go on."""
-        bidx = ins[4]
-        taken = [f"btaken[{bidx}] += 1"] + self.event(bidx << 1 | 1)
-        not_taken = [f"bnot[{bidx}] += 1"] + self.event(bidx << 1)
+        """A ``BR``: record the outcome, and go on with it on the path."""
+        event = ins[4] << 1
+        taken = self.event(event | 1)
+        not_taken = self.event(event)
         condition = operands[ins[1]]
         if test is not None:
             condition, stored = test
             if stored:
                 taken.insert(0, f"r{ins[1]} = 1")
                 not_taken.insert(0, f"r{ins[1]} = 0")
-        return (
-            [f"if {condition}:"]
-            + _indent(taken + self.goto(ins[2], nesting + 1, head, count))
-            + ["else:"]
-            + _indent(not_taken + self.goto(ins[3], nesting + 1, head, count))
-        )
+        taken += self.goto(ins[2], nesting + 1, head, count, path + (event | 1,))
+        not_taken += self.goto(ins[3], nesting + 1, head, count, path + (event,))
+        return [f"if {condition}:"] + _indent(taken) + ["else:"] + _indent(not_taken)
 
     def op(
         self,
@@ -731,6 +789,7 @@ class _Writer:
         nesting: int,
         head: Optional[int],
         count: int,
+        path: Path,
     ) -> List[str]:
         """The statements of one instruction other than ``BR``, reading
         each register as the text ``operands`` gives for it."""
@@ -749,30 +808,27 @@ class _Writer:
             return [_UN_STMTS[ins[1]].format(d=ins[2], a=operands[ins[3]])]
         if op == _OP_LOAD:
             address = operands[ins[2]]
-            return self.bounds(address, "load from") + [
+            return self.bounds(address, "load from", count) + [
                 f"r{ins[1]} = memory[{address}]"
             ]
         if op == _OP_STORE:
             address = operands[ins[1]]
-            return self.bounds(address, "store to") + [
+            return self.bounds(address, "store to", count) + [
                 f"memory[{address}] = {operands[ins[2]]}"
             ]
         if op == _OP_JMP:
-            self.assigned.add("jumps")
-            return ["jumps += 1"] + self.goto(ins[1], nesting, head, count)
+            return self.goto(ins[1], nesting, head, count, path + (_JUMP,))
         if op == _OP_RET:
-            return ["return 0" if ins[1] == -1 else f"return {operands[ins[1]]}"]
+            value = "0" if ins[1] == -1 else operands[ins[1]]
+            return self.leaf(path) + [f"return {value}"]
         if op == _OP_CALL:
-            self.assigned.update(("direct_calls", "direct_returns"))
-            return _DEPTH_CHECK + [
-                "direct_calls += 1",
+            return _DEPTH_CHECK + self.leaf(path + (_DIRECT_CALL,)) + [
                 _call(ins[2], f"f{ins[1]}", [operands[a] for a in ins[3]]),
-                "direct_returns += 1",
             ]
         if op == _OP_ICALL:
             target = operands[ins[1]]
             self.assigned.update(("indirect_calls", "indirect_returns"))
-            return [
+            return self.leaf(path) + [
                 f"if {target} < 0 or {target} >= {len(self.program.functions)}:",
                 f"    raise _fault('indirect call to bad target %d' % {target})",
                 f"if _arity[{target}] != {len(ins[3])}:",
@@ -785,39 +841,40 @@ class _Writer:
                 "indirect_returns += 1",
             ]
         if op == _OP_SELECT:
-            self.assigned.add("selects")
             return [
                 f"r{ins[1]} = {operands[ins[3]]} if {operands[ins[2]]} "
                 f"else {operands[ins[4]]}",
-                "selects += 1",
             ]
         if op == _OP_GETC:
             return [f"r{ins[1]} = next(stdin, -1)"]
         if op == _OP_PUTC:
             return [f"putc({operands[ins[1]]} & 255)"]
         if op == _OP_HALT:
-            return ["raise _Halt"]
+            return self.leaf(path) + ["raise _Halt(depth)"]
         raise AssertionError(f"unknown opcode {op}")  # pragma: no cover
 
-    def bounds(self, address: str, kind: str) -> List[str]:
+    def bounds(self, address: str, kind: str, count: int) -> List[str]:
         """The bounds check of a ``LOAD``/``STORE`` address, decided here
-        when the address is a literal."""
-        fault = f"raise _fault('{kind} bad address %d' % {address})"
+        when the address is a literal.  Its fault settles ``count``."""
+        fault = _settle(count) + [
+            f"raise _fault('{kind} bad address %d' % {address})"
+        ]
         size = self.program.memory_size
         value = _literal(address)
         if value is not None:
-            return [] if 0 <= value < size else [fault]
-        return [f"if {address} < 0 or {address} >= {size}:", "    " + fault]
+            return [] if 0 <= value < size else fault
+        return [f"if {address} < 0 or {address} >= {size}:"] + _indent(fault)
 
     def arm(self, start: int) -> List[str]:
         """The arm for ``start``: the limit check, then the block, looping
         on itself if it can reach its own start."""
         self.arms[start] = []
         self.looped = False
-        lines = _LIMIT_CHECK + self.block(self.func.blocks[start], 0, start, 0)
+        block = self.func.blocks[start]
+        lines = _LIMIT_CHECK + self.block(block, 0, start, 0, ())
         if self.looped:
             return ["while True:"] + _indent(lines)
-        return _LIMIT_CHECK + self.block(self.func.blocks[start], 0, None, 0)
+        return _LIMIT_CHECK + self.block(block, 0, None, 0, ())
 
     def tree(self, starts: List[int]) -> List[str]:
         """Select the arm for ``pc`` with a binary tree of ``if pc < k``."""
@@ -834,12 +891,12 @@ class _Writer:
     def body(self) -> List[str]:
         """The function's body: the limit check at entry, the entry code,
         then the arms."""
-        lines = _LIMIT_CHECK + self.goto(0, 0, None, 0)
+        lines = _LIMIT_CHECK + self.goto(0, 0, None, 0, ())
         while self.pending:
             start = self.pending.pop()
             self.arms[start] = self.arm(start)
         if self.single:
-            # At most one arm, unless :func:`_body` writes the function again.
+            # At most one arm, unless :func:`_write` writes the function again.
             for arm in self.arms.values():
                 lines += arm
         elif self.arms:
@@ -850,17 +907,25 @@ class _Writer:
         return header + lines
 
 
-def _body(
+def _write(
     program: LoweredProgram, func: PredecodedFunction, recording: bool
-) -> Tuple[List[str], int]:
-    """The body of ``func``'s generated function, and its number of arms.
-    A function with at most one arm is written without ``pc``, unless
+) -> Tuple[_Writer, List[str]]:
+    """The writer of ``func``'s generated function, and its body.  A
+    function with at most one arm is written without ``pc``, unless
     blocks nested too deep become further arms."""
     writer = _Writer(program, func, recording, single=len(func.arms) <= 1)
     lines = writer.body()
     if len(writer.arms) > 1 and writer.single:
         writer = _Writer(program, func, recording, single=False)
         lines = writer.body()
+    return writer, lines
+
+
+def _body(
+    program: LoweredProgram, func: PredecodedFunction, recording: bool
+) -> Tuple[List[str], int]:
+    """The body of ``func``'s generated function, and its number of arms."""
+    writer, lines = _write(program, func, recording)
     return lines, len(writer.arms)
 
 
@@ -868,7 +933,7 @@ def _function_source(
     predecoded: PredecodedProgram, index: int, recording: bool
 ) -> str:
     func = predecoded.functions[index]
-    body, _ = _body(predecoded.program, func, recording)
+    writer, body = _write(predecoded.program, func, recording)
     callees = {
         f"f{ins[1]}"
         for block in func.blocks.values()
@@ -876,9 +941,11 @@ def _function_source(
         for ins in element
         if ins[0] == _OP_CALL
     }
+    paths = writer.assigned.difference(_STATE)
+    names = [*_STATE, *sorted(callees), *sorted(paths)]
     params = ["depth"] + [f"r{reg}" for reg in range(func.num_params)]
     return "\n".join(
-        ["def _scope():", f"    {' = '.join(_STATE + tuple(sorted(callees)))} = None"]
+        ["def _scope():", f"    {' = '.join(names)} = None"]
         + [f"    def f{index}({', '.join(params)}):"]
         + ["        " + line for line in body]
         + [f"    return f{index}"]
@@ -1020,17 +1087,10 @@ def _call_main(
         room.cell_contents = chunk_events
 
     functions: List[Any] = []
-    num_branches = len(program.branch_table)
     cells = {
         "icount": icount,
         "limit": CellType(max_instructions),
         "memory": CellType(program.initial_memory()),
-        "btaken": CellType([0] * num_branches),
-        "bnot": CellType([0] * num_branches),
-        "jumps": CellType(0),
-        "selects": CellType(0),
-        "direct_calls": CellType(0),
-        "direct_returns": CellType(0),
         "indirect_calls": CellType(0),
         "indirect_returns": CellType(0),
         "stdin": CellType(iter(input_data)),
@@ -1042,6 +1102,13 @@ def _call_main(
     }
     function_cells = [CellType() for _ in codes]
     cells.update((f"f{index}", cell) for index, cell in enumerate(function_cells))
+    # Every other free name is a path counter.
+    cells.update(
+        (name, CellType(0))
+        for code in codes
+        for name in code.co_freevars
+        if name not in cells
+    )
     namespace = predecoded.namespace
     for code in codes:
         closure = tuple(cells[name] for name in code.co_freevars)
@@ -1055,10 +1122,13 @@ def _call_main(
     needed = _stack_depth() + depth_limit + _RECURSION_HEADROOM
     if needed > recursion_limit:
         sys.setrecursionlimit(needed)
+    #: Guest frames a ``halt`` left open, which never returned.
+    open_frames = 0
     try:
         exit_code = functions[predecoded.main_index](depth_limit)
-    except _Halt:
+    except _Halt as halt:
         exit_code = 0
+        open_frames = depth_limit - halt.args[0]
     except ZeroDivisionError:
         if in_monitor:
             raise
@@ -1089,25 +1159,50 @@ def _call_main(
     if fault is not None:
         raise fault
 
-    def count(name: str) -> Any:
-        return cells[name].cell_contents
-
-    taken = count("btaken")
-    control = ControlEvents(
-        direct_calls=count("direct_calls"),
-        direct_returns=count("direct_returns"),
-        indirect_calls=count("indirect_calls"),
-        indirect_returns=count("indirect_returns"),
-        jumps=count("jumps"),
-        selects=count("selects"),
-    )
+    executed, taken, control = _derived_counts(predecoded, cells, open_frames)
     return RunResult(
         program=program.name,
-        instructions=count("icount"),
+        instructions=icount.cell_contents,
         branch_table=list(program.branch_table),
-        branch_exec=[t + n for t, n in zip(taken, count("bnot"))],
+        branch_exec=executed,
         branch_taken=taken,
         events=control,
         output=bytes(output),
         exit_code=exit_code,
+    )
+
+
+def _derived_counts(
+    predecoded: PredecodedProgram, cells: Dict[str, CellType], open_frames: int
+) -> Tuple[List[int], List[int], ControlEvents]:
+    """A finished run's ``branch_exec``, ``branch_taken`` and control
+    events, from how often each path counter's path ran.  Every direct
+    call returned but those whose frames a ``halt`` left open: the open
+    frames less the open indirect ones, which count their own returns."""
+    num_branches = len(predecoded.program.branch_table)
+    executed = [0] * num_branches
+    taken = [0] * num_branches
+    kinds = {_JUMP: 0, _SELECT: 0, _DIRECT_CALL: 0}
+    for events, name in predecoded.paths.items():
+        cell = cells.get(name)
+        times = 0 if cell is None else cell.cell_contents
+        if not times:
+            continue
+        for event in events:
+            if event < 0:
+                kinds[event] += times
+            else:
+                executed[event >> 1] += times
+                if event & 1:
+                    taken[event >> 1] += times
+    indirect_calls = cells["indirect_calls"].cell_contents
+    indirect_returns = cells["indirect_returns"].cell_contents
+    open_direct = open_frames - (indirect_calls - indirect_returns)
+    return executed, taken, ControlEvents(
+        direct_calls=kinds[_DIRECT_CALL],
+        direct_returns=kinds[_DIRECT_CALL] - open_direct,
+        indirect_calls=indirect_calls,
+        indirect_returns=indirect_returns,
+        jumps=kinds[_JUMP],
+        selects=kinds[_SELECT],
     )

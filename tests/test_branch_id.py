@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.cache import run_result_from_dict, run_result_to_dict
 from repro.ir.instructions import BranchId
+from repro.profiling.branch_profile import BranchProfile
 from repro.workloads.registry import workload_names
 
 from tests.helpers import compile_and_run
@@ -88,3 +89,20 @@ def test_branch_id_survives_pickle_and_the_cache_round_trip():
     assert loaded.branch_table == run.branch_table
     assert all(type(branch_id) is BranchId for branch_id in loaded.branch_table)
     assert loaded.branch_counts() == run.branch_counts()
+
+
+def test_profile_keys_read_back_as_branch_ids():
+    """``BranchProfile.from_dict`` builds its keys without the
+    constructor; they are still ``BranchId``\\ s that hash, compare and
+    print as the constructor's do."""
+    profile = BranchProfile.from_run(compile_and_run(NESTED))
+    assert len(profile.counts) >= 3
+    loaded = BranchProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
+    assert loaded == profile
+    for key in loaded.counts:
+        built = BranchId(key.function, key.index)
+        assert type(key) is BranchId
+        assert key == built and hash(key) == hash(built)
+        assert str(key) == str(built) and repr(key) == repr(built)
+        assert (key.function, key.index) == (built.function, built.index)
+        assert type(key.index) is int

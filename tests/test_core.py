@@ -1,4 +1,5 @@
 """Core runner and cross-dataset experiment machinery tests."""
+import hashlib
 import os
 import shutil
 
@@ -99,18 +100,22 @@ def test_run_digest_keys_on_the_code_fingerprint(monkeypatch):
     assert run_digest("src", b"input", "dce=False") != base
 
 
-def test_run_digest_starts_with_the_fingerprint_prefix():
+def test_run_digest_starts_with_the_version_prefix():
+    """The prefix is 8 hex digits of a sha256 over the cache format
+    version and the code fingerprint."""
     digest = run_digest("src", b"input", "dce=False")
     assert len(digest) == 32
-    prefix = cache_module.code_fingerprint()[: cache_module.FINGERPRINT_PREFIX]
+    key = f"v{cache_module.CACHE_FORMAT_VERSION}:{cache_module.code_fingerprint()}"
+    prefix = hashlib.sha256(key.encode()).hexdigest()[: cache_module.PREFIX_DIGITS]
+    assert cache_module.version_prefix() == prefix
     assert digest.startswith(prefix)
 
 
 def test_disk_cache_prunes_entries_of_other_code_versions(tmp_path):
     """Opening a cache directory deletes the entries another compiler or
     VM version wrote, and leaves everything not named like an entry."""
-    width = cache_module.FINGERPRINT_PREFIX
-    prefix = cache_module.code_fingerprint()[:width]
+    width = cache_module.PREFIX_DIGITS
+    prefix = cache_module.version_prefix()
     other = "f" * width if prefix.startswith("0") else "0" * width
     current = run_digest("src", b"input", "dce=False") + ".json"
     stale = other + current[width:]
@@ -122,11 +127,31 @@ def test_disk_cache_prunes_entries_of_other_code_versions(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted([current, unrelated])
 
 
+def test_disk_cache_prunes_entries_of_another_format_version(
+    tmp_path, monkeypatch
+):
+    """A bump of ``CACHE_FORMAT_VERSION`` alone, with the same code
+    fingerprint, moves the prefix, so the old format's entries are
+    deleted."""
+    old = run_digest("src", b"input", "dce=False") + ".json"
+    (tmp_path / old).write_text("{}")
+    DiskCache(str(tmp_path))
+    assert os.listdir(tmp_path) == [old]
+    monkeypatch.setattr(
+        cache_module, "CACHE_FORMAT_VERSION", cache_module.CACHE_FORMAT_VERSION + 1
+    )
+    new = run_digest("src", b"input", "dce=False") + ".json"
+    assert new[: cache_module.PREFIX_DIGITS] != old[: cache_module.PREFIX_DIGITS]
+    (tmp_path / new).write_text("{}")
+    DiskCache(str(tmp_path))
+    assert os.listdir(tmp_path) == [new]
+
+
 def test_disk_cache_prune_ignores_an_entry_already_gone(tmp_path, monkeypatch):
     """Another process opening the same directory may delete a stale entry
     between this one's listing and its removal."""
     stale = "0" * 32 + ".json"
-    if cache_module.code_fingerprint().startswith("0" * 8):
+    if cache_module.version_prefix() == "0" * 8:
         stale = "f" * 32 + ".json"
     listdir = os.listdir
     monkeypatch.setattr(

@@ -7,6 +7,8 @@ on outputs, exit codes and faults is strong evidence both are right.
 Each optimizer pass is also checked on its own, so a miscompile names its
 pass even when the full pipeline happens to mask it.
 """
+import itertools
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +22,12 @@ from repro.vm.machine import run_program
 from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_reference, compile_with
 from tests.reference_interp import ReferenceFault, ReferenceInterpreter
 
+#: Every ``RunConfig``, the combinations no experiment runs included, and
+#: the unoptimized reference compile.
 CONFIGS = [
-    RunConfig(),
-    RunConfig(dce=True),
-    UNOPTIMIZED,
-    RunConfig(inline=True),
-    RunConfig(if_conversion=True),
-]
+    RunConfig(dce=dce, inline=inline, if_conversion=if_conversion)
+    for dce, inline, if_conversion in itertools.product((False, True), repeat=3)
+] + [UNOPTIMIZED]
 
 # --- program generator ----------------------------------------------------------
 

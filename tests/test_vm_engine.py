@@ -12,6 +12,7 @@ which is kept precisely to serve as this oracle.
 import copy
 import dataclasses
 import pickle
+import re
 from unittest import mock
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.vm.monitors as vm_monitors
-from repro.compiler import compile_source
+from repro.compiler import RunConfig, compile_source
 import repro.vm as vm
 from repro.ir import Function, GlobalVar, IRBuilder, Module
 from repro.ir.instructions import BranchId
@@ -1045,3 +1046,131 @@ def test_generator_folds_constants_and_drops_literal_address_checks():
     edge_case = FOLDING_EDGE_CASES["dead constant next to one live into a successor"]
     dead_and_live = _function_source(predecode(edge_case), 0, False)
     assert "r1 = 6" in dead_and_live and "r0 =" not in dead_and_live
+
+
+# -- counters derived from path counters ---------------------------------------
+
+#: Programs whose counters the engine derives at run end from one counter
+#: per path (see ``repro.vm.engine._Writer.leaf``), each with the shape
+#: the derivation must get right, and the compiler configuration that
+#: makes it.
+DERIVED_COUNTERS = {
+    # main -> outer -> via (direct), via -> middle (indirect), middle ->
+    # leaf (direct): the halt leaves three direct frames and one indirect
+    # frame open, after three whole rounds of the same calls returned.
+    "halt in nested direct and indirect calls": ("""
+        arr seen[4];
+        func leaf(n) {
+            var i;
+            for (i = 0; i < n; i += 1) {
+                if (n == 3 && i == 2) { putc(33); halt; }
+                seen[i & 3] = seen[i & 3] + i;
+            }
+            return n + 1;
+        }
+        func middle(n) { return leaf(n) * 2; }
+        func via(f, n) { var r = f(n); return r + 1; }
+        func outer(n) { var g = &middle; return via(g, n) + 1; }
+        func main() {
+            var i; var total = 0;
+            for (i = 0; i < 5; i += 1) { total += outer(i); }
+            return total & 127;
+        }
+        """, RunConfig()),
+    "select heavy": ("""
+        arr a[16];
+        func main() {
+            var i; var lo = 1000; var hi = 0 - 1000; var s = 0; var v;
+            for (i = 0; i < 16; i += 1) { a[i] = (i * 7 + 3) % 11 - 5; }
+            for (i = 0; i < 16; i += 1) {
+                v = a[i];
+                if (v < lo) { lo = v; }
+                if (v > hi) { hi = v; }
+                if (v & 1) { s = s + v; } else { s = s - 1; }
+            }
+            putc((hi - lo) & 255);
+            return s & 127;
+        }
+        """, RunConfig(if_conversion=True)),
+    "jump heavy": ("""
+        func main() {
+            var i; var j; var n = 0;
+            for (i = 0; i < 9; i += 1) {
+                j = 0;
+                while (1) {
+                    j += 1;
+                    if (j > i) { break; }
+                    if (j & 1) { continue; }
+                    switch (j % 4) {
+                        case 0: n += 3; break;
+                        case 2: n -= 1;
+                        default: n += j;
+                    }
+                }
+            }
+            return n & 127;
+        }
+        """, RunConfig()),
+}
+
+
+def derived_counters_program(name):
+    source, config = DERIVED_COUNTERS[name]
+    return compile_source(source, name="test", config=config).lowered
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_COUNTERS))
+def test_derived_counters_match_legacy(name):
+    """Both variants derive the legacy loop's branch counts and control
+    events, and each program exercises the counter it is named for."""
+    program = derived_counters_program(name)
+    result = assert_agrees_with_legacy(program)
+    assert result[0] == "ok"
+    events = LegacyMachine().run(program).events
+    if name.startswith("halt"):
+        assert events.indirect_calls - events.indirect_returns == 1
+        assert events.direct_calls - events.direct_returns == 3
+        assert events.direct_returns > 0 and events.indirect_returns > 0
+    elif name.startswith("select"):
+        assert events.selects >= 48
+    else:
+        assert events.jumps >= 30
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_COUNTERS))
+def test_derived_counters_at_every_limit(name):
+    """At every limit up to the run's count, wherever it falls on a path,
+    both variants stop with the limit error exactly when the legacy loop
+    does, and return its result at the full count."""
+    program = derived_counters_program(name)
+    full = LegacyMachine().run(program).instructions
+    assert 100 < full < 2_000
+    for limit in range(full + 1):
+        legacy = _outcome(LegacyMachine(max_instructions=limit).run, program)
+        for monitors in ((), [OutcomeRecorder()]):
+            fast = _outcome(
+                FastEngine(max_instructions=limit).run, program, b"", monitors
+            )
+            assert fast[0] == legacy[0], (name, limit, bool(monitors))
+    assert fast == legacy
+
+
+#: Counter updates that only the path counters carry now.
+_PER_EVENT_COUNTER = re.compile(
+    r"\b(btaken\[|bnot\[|jumps \+=|selects \+=|direct_calls|direct_returns)"
+)
+
+
+@pytest.mark.parametrize("workload_name", registry.workload_names())
+def test_generated_code_counts_paths_not_events(workload_name):
+    """No generated function, in either variant, bumps a per-branch or
+    per-event counter other than the indirect calls' own: each bumps one
+    counter per path."""
+    program = lowered(registry.get_workload(workload_name).source, workload_name)
+    decoded = predecode(program)
+    for index in range(len(decoded.functions)):
+        for recording in (False, True):
+            source = _function_source(decoded, index, recording)
+            found = _PER_EVENT_COUNTER.search(source)
+            assert found is None, (workload_name, index, recording, found)
+    assert decoded.paths
