@@ -24,7 +24,8 @@ import platform
 import time
 from pathlib import Path
 
-from repro.dynamic import MODEL_FAMILIES, build_model, default_zoo, monitors_for
+from repro.core.specs import standalone_model
+from repro.dynamic import MODEL_FAMILIES, default_zoo, monitors_for
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES
 from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
@@ -67,7 +68,7 @@ def test_smoke_predictor_throughput():
     branch_table, stream = _synthetic_stream()
     print()
     for family in MODEL_FAMILIES:
-        model = build_model(family, 1024)
+        model = standalone_model(f"{family}@1024")
         model.reset(branch_table)
         started = time.perf_counter()
         model.simulate(stream)
@@ -105,7 +106,7 @@ def _trace(runner, workload, dataset):
 def _standalone_models():
     """One model per zoo entry, each its own monitor and its own pass."""
     return [
-        build_model(family, size)
+        standalone_model(f"{family}@{size}")
         for family in MODEL_FAMILIES
         for size in DEFAULT_TABLE_SIZES
     ]

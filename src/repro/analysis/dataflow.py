@@ -163,10 +163,11 @@ def _solve_backward(
     # Layout-unreachable blocks are solved too (queued first, popped last):
     # under the paper's no-DCE configuration they stay in the module, and
     # consumers like dead-store detection must see their internal liveness.
+    reachable = set(order)
     leftovers = [
-        block.label for block in func.blocks if block.label not in set(order)
+        block.label for block in func.blocks if block.label not in reachable
     ]
-    pending: Set[str] = set(order) | set(leftovers)
+    pending: Set[str] = reachable | set(leftovers)
     worklist: List[str] = leftovers + list(order)  # pop() yields postorder first
     while worklist:
         label = worklist.pop()

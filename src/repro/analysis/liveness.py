@@ -44,7 +44,7 @@ class LivenessAnalysis(DataflowAnalysis[FrozenSet[int]]):
         self, block: BasicBlock, state: FrozenSet[int]
     ) -> FrozenSet[int]:
         uses, defs = block_use_def(block)
-        return frozenset(uses | (set(state) - defs))
+        return (state - defs) | uses
 
 
 def live_sets(func: Function) -> Tuple[Dict[str, Set[int]], Dict[str, Set[int]]]:

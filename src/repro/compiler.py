@@ -73,3 +73,20 @@ def compile_source(
         feedback=feedback,
         config=config,
     )
+
+
+def renamed(program: CompiledProgram, name: str) -> CompiledProgram:
+    """``program`` as compiling its source under ``name`` would give it.
+
+    The module name is the only trace a program's name leaves on its
+    compile, so the copy gets a renamed copy of the module and a lowered
+    program that shares the (never mutated) code of ``program``'s but
+    carries the new name and an empty engine cache.
+    """
+    return dataclasses.replace(
+        program,
+        name=name,
+        module=program.module.copy(name),
+        lowered=dataclasses.replace(program.lowered, name=name, predecoded=None),
+        feedback=dict(program.feedback),
+    )

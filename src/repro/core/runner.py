@@ -7,7 +7,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.compiler import CompiledProgram, RunConfig, compile_source
+from repro.compiler import CompiledProgram, RunConfig, compile_source, renamed
 from repro.core import specs
 from repro.core.cache import DiskCache, run_digest
 from repro.core.parallel import (
@@ -43,6 +43,8 @@ def _default_cache_dir() -> Optional[str]:
 class WorkloadRunner:
     """Compiles and executes workloads, memoizing runs in memory and on disk.
 
+    ``compiled`` compiles each distinct (source, ``RunConfig``) once per
+    runner; never once per process, so a new runner compiles again.
     ``jobs`` sets the fan-out of ``run_many`` (``0`` means all cores).
     ``run_many`` is the one path that looks a run up, executes it and
     stores it; ``run`` and ``run_all`` are batches of one workload.
@@ -56,6 +58,7 @@ class WorkloadRunner:
             cache_dir = _default_cache_dir()
         self._disk = DiskCache(cache_dir)
         self._programs: Dict[Tuple[str, RunConfig], CompiledProgram] = {}
+        self._by_source: Dict[Tuple[str, RunConfig], CompiledProgram] = {}
         self._runs: Dict[RunRequest, Answer] = {}
         self.jobs = resolve_jobs(jobs)
         self.executions = 0
@@ -65,13 +68,24 @@ class WorkloadRunner:
     def compiled(
         self, workload_name: str, config: RunConfig = RunConfig()
     ) -> CompiledProgram:
-        """The compiled program for a workload (cached per configuration)."""
+        """The compiled program for a workload (cached per configuration).
+
+        Workloads that share a source (gcc and mfcom, compress and
+        uncompress) compile once per configuration and runner: the second
+        gets a ``renamed`` copy of the first's program.
+        """
         key = (workload_name, config)
         if key not in self._programs:
             workload = get_workload(workload_name)
-            self._programs[key] = compile_source(
-                workload.source, name=workload.name, config=config
-            )
+            twin = self._by_source.get((workload.source, config))
+            if twin is None:
+                program = compile_source(
+                    workload.source, name=workload.name, config=config
+                )
+                self._by_source[workload.source, config] = program
+            else:
+                program = renamed(twin, workload.name)
+            self._programs[key] = program
         return self._programs[key]
 
     # -- execution ----------------------------------------------------------------

@@ -6,6 +6,7 @@ frozen, hashable and pickles, and a monitored request is a memo key like
 any other.  The grammar is documented in docs/PREDICTORS.md ("Monitor
 specs"): ``<family>@<size>`` for a zoo model, ``1bit@inf`` and
 ``2bit@inf`` for the unaliased counters, and ``runlengths(self)``.
+``standalone_model`` builds the model a spec names on its own.
 
 A request's specs are built into monitors together, so each size's
 bimodal and gshare ride their tournament's pass (see ``monitors_for``).
@@ -19,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dynamic.base import DynamicPredictor, check_table_size, monitors_for
 from repro.dynamic.bimodal import BimodalPredictor
-from repro.dynamic.zoo import MODEL_FAMILIES, default_zoo
+from repro.dynamic.zoo import FAMILY_MODELS, default_zoo
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import PredictionReport
 from repro.profiling.branch_profile import BranchProfile
@@ -39,12 +40,23 @@ UNALIASED_COUNTERS = {"1bit@inf": 1, "2bit@inf": 2}
 def _zoo_size(spec: str) -> Optional[int]:
     """The table size a zoo model's spec names, else ``None``."""
     family, _, size = spec.partition("@")
-    if family not in MODEL_FAMILIES or not size.isdigit():
+    if family not in FAMILY_MODELS or not size.isdigit():
         return None
     try:
         return check_table_size(int(size))
     except ValueError:
         return None
+
+
+def standalone_model(spec: str) -> DynamicPredictor:
+    """The model a zoo or unaliased-counter spec names, built on its own,
+    so it is its own monitor; raises ``ValueError`` for any other spec."""
+    if spec in UNALIASED_COUNTERS:
+        return BimodalPredictor(table_size=None, num_bits=UNALIASED_COUNTERS[spec])
+    size = _zoo_size(spec)
+    if size is None:
+        raise ValueError(f"unknown model spec {spec!r}")
+    return FAMILY_MODELS[spec.partition("@")[0]](table_size=size)
 
 
 def check(specs: Sequence[str]) -> None:
@@ -80,8 +92,7 @@ def attach(
                 RunLengthMonitor(ProfilePredictor(profile, name="self"))
             )
         elif spec in UNALIASED_COUNTERS:
-            bits = UNALIASED_COUNTERS[spec]
-            observers.append(BimodalPredictor(table_size=None, num_bits=bits))
+            observers.append(standalone_model(spec))
         else:
             observers.append(zoo[spec])
     models = [obs for obs in observers if isinstance(obs, DynamicPredictor)]

@@ -19,7 +19,6 @@ from repro.dynamic.tournament import TournamentPredictor
 from repro.dynamic.zoo import (
     DEFAULT_TABLE_SIZES,
     MODEL_FAMILIES,
-    build_model,
     default_zoo,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "TournamentPredictor",
     "TwoLevelLocalPredictor",
     "branch_pc",
-    "build_model",
     "check_table_size",
     "default_zoo",
     "monitors_for",

@@ -1,7 +1,7 @@
 """The model zoo: named predictor families at configurable table sizes."""
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Sequence, Type
 
 from repro.dynamic.base import DynamicPredictor
 from repro.dynamic.bimodal import BimodalPredictor
@@ -9,29 +9,19 @@ from repro.dynamic.gshare import GSharePredictor
 from repro.dynamic.local import TwoLevelLocalPredictor
 from repro.dynamic.tournament import TournamentPredictor
 
+#: Each family's model class, by family name, in family-major zoo order.
+FAMILY_MODELS: Dict[str, Type[DynamicPredictor]] = {
+    "bimodal": BimodalPredictor,
+    "gshare": GSharePredictor,
+    "local": TwoLevelLocalPredictor,
+    "tournament": TournamentPredictor,
+}
+
 #: Family-major zoo order: each family at every size, smallest first.
-MODEL_FAMILIES = ("bimodal", "gshare", "local", "tournament")
+MODEL_FAMILIES = tuple(FAMILY_MODELS)
 
 #: The default sweep sizes (entries; budgets differ per family).
 DEFAULT_TABLE_SIZES = (64, 256, 1024)
-
-
-def build_model(family: str, table_size: Optional[int]) -> DynamicPredictor:
-    """Construct one zoo model by family name."""
-    if family == "bimodal":
-        return BimodalPredictor(table_size=table_size)
-    if table_size is None:
-        raise ValueError(f"family {family!r} requires a finite table_size")
-    if family == "gshare":
-        return GSharePredictor(table_size=table_size)
-    if family == "local":
-        return TwoLevelLocalPredictor(table_size=table_size)
-    if family == "tournament":
-        return TournamentPredictor(table_size=table_size)
-    raise ValueError(
-        f"unknown predictor family {family!r}; known: "
-        f"{', '.join(MODEL_FAMILIES)}"
-    )
 
 
 def default_zoo(

@@ -105,6 +105,31 @@ class Module:
     globals: List[GlobalVar] = dataclasses.field(default_factory=list)
     functions: List[Function] = dataclasses.field(default_factory=list)
 
+    def copy(self, name: str) -> Module:
+        """A copy named ``name``; every global, function, block and
+        instruction in it is a new object.  Each is built through its
+        constructor: ``copy.deepcopy`` would leave every instruction with
+        its own attribute dict, about three times the memory."""
+        return Module(
+            name=name,
+            globals=[dataclasses.replace(var) for var in self.globals],
+            functions=[
+                Function(
+                    func.name,
+                    func.num_params,
+                    func.num_regs,
+                    [
+                        BasicBlock(
+                            block.label,
+                            [dataclasses.replace(instr) for instr in block.instrs],
+                        )
+                        for block in func.blocks
+                    ],
+                )
+                for func in self.functions
+            ],
+        )
+
     def function(self, name: str) -> Function:
         """Look up a function by name."""
         for func in self.functions:

@@ -13,7 +13,7 @@ and reflect the probabilities associated with the static source branches".
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.ir.opcodes import BinOp, Opcode, UnOp
 
@@ -81,7 +81,7 @@ class Instr:
 
     def is_terminator(self) -> bool:
         """Whether this instruction ends a basic block."""
-        return self.op in (Opcode.BR, Opcode.JMP, Opcode.RET, Opcode.HALT)
+        return self.op in _TERMINATORS
 
     def has_side_effects(self) -> bool:
         """Whether the instruction does more than define ``dst``.
@@ -89,22 +89,19 @@ class Instr:
         Side-effecting instructions may never be removed by dead-instruction
         elimination even when their result is unused.
         """
-        return self.op in (
-            Opcode.STORE,
-            Opcode.GETC,
-            Opcode.PUTC,
-            Opcode.CALL,
-            Opcode.ICALL,
-            Opcode.BR,
-            Opcode.JMP,
-            Opcode.RET,
-            Opcode.HALT,
-        )
+        return self.op in _SIDE_EFFECTS
 
     def uses(self) -> List[int]:
         """Registers read by this instruction."""
-        used = [r for r in (self.a, self.b, self.c) if r is not None]
-        used.extend(self.args)
+        used: List[int] = []
+        if self.a is not None:
+            used.append(self.a)
+        if self.b is not None:
+            used.append(self.b)
+        if self.c is not None:
+            used.append(self.c)
+        if self.args:
+            used.extend(self.args)
         return used
 
     def replace_uses(self, mapping: Mapping[int, int]) -> None:
@@ -126,44 +123,57 @@ class Instr:
             return [self.then_label]
         return []
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        op = self.op.name.lower()
-        if self.op == Opcode.CONST:
-            return f"r{self.dst} = const {self.imm}"
-        if self.op == Opcode.MOV:
-            return f"r{self.dst} = r{self.a}"
-        if self.op == Opcode.ADDR:
-            return f"r{self.dst} = addr {self.symbol}"
-        if self.op == Opcode.FUNCADDR:
-            return f"r{self.dst} = funcaddr {self.symbol}"
-        if self.op == Opcode.BIN:
-            return f"r{self.dst} = r{self.a} {BinOp(self.subop).name.lower()} r{self.b}"
-        if self.op == Opcode.UN:
-            return f"r{self.dst} = {UnOp(self.subop).name.lower()} r{self.a}"
-        if self.op == Opcode.SELECT:
-            return f"r{self.dst} = select r{self.a} ? r{self.b} : r{self.c}"
-        if self.op == Opcode.LOAD:
-            return f"r{self.dst} = load [r{self.a}]"
-        if self.op == Opcode.STORE:
-            return f"store [r{self.a}] = r{self.b}"
-        if self.op == Opcode.GETC:
-            return f"r{self.dst} = getc"
-        if self.op == Opcode.PUTC:
-            return f"putc r{self.a}"
-        if self.op in (Opcode.CALL, Opcode.ICALL):
-            target = self.symbol if self.op == Opcode.CALL else f"*r{self.a}"
-            arglist = ", ".join(f"r{r}" for r in self.args)
-            prefix = f"r{self.dst} = " if self.dst is not None else ""
-            return f"{prefix}{op} {target}({arglist})"
-        if self.op == Opcode.BR:
-            return (
-                f"br r{self.a} ? {self.then_label} : {self.else_label}"
-                f"  ; {self.branch_id}"
-            )
-        if self.op == Opcode.JMP:
-            return f"jmp {self.then_label}"
-        if self.op == Opcode.RET:
-            return f"ret r{self.a}" if self.a is not None else "ret"
-        if self.op == Opcode.HALT:
-            return "halt"
-        return op
+    def __str__(self) -> str:
+        return _FORMATS[self.op](self)
+
+
+#: Opcodes that end a basic block.
+_TERMINATORS = frozenset({Opcode.BR, Opcode.JMP, Opcode.RET, Opcode.HALT})
+
+#: Opcodes that do more than define ``dst``.
+_SIDE_EFFECTS = _TERMINATORS | {
+    Opcode.STORE,
+    Opcode.GETC,
+    Opcode.PUTC,
+    Opcode.CALL,
+    Opcode.ICALL,
+}
+
+#: Each ``subop``'s name, for ``BIN`` and for ``UN``.
+_BINOP_NAMES: Dict[Optional[int], str] = {op: op.name.lower() for op in BinOp}
+_UNOP_NAMES: Dict[Optional[int], str] = {op: op.name.lower() for op in UnOp}
+
+
+def _call_text(instr: Instr) -> str:
+    if instr.op == Opcode.CALL:
+        target = f"call {instr.symbol}"
+    else:
+        target = f"icall *r{instr.a}"
+    arglist = ", ".join(f"r{r}" for r in instr.args)
+    prefix = f"r{instr.dst} = " if instr.dst is not None else ""
+    return f"{prefix}{target}({arglist})"
+
+
+#: Each opcode's text.  The optimizer compares functions by their printed
+#: text (see ``repro.opt.pipeline``), so this is on its hot path.
+_FORMATS: Dict[int, Callable[[Instr], str]] = {
+    Opcode.CONST: lambda i: f"r{i.dst} = const {i.imm}",
+    Opcode.MOV: lambda i: f"r{i.dst} = r{i.a}",
+    Opcode.ADDR: lambda i: f"r{i.dst} = addr {i.symbol}",
+    Opcode.FUNCADDR: lambda i: f"r{i.dst} = funcaddr {i.symbol}",
+    Opcode.BIN: lambda i: f"r{i.dst} = r{i.a} {_BINOP_NAMES[i.subop]} r{i.b}",
+    Opcode.UN: lambda i: f"r{i.dst} = {_UNOP_NAMES[i.subop]} r{i.a}",
+    Opcode.SELECT: lambda i: f"r{i.dst} = select r{i.a} ? r{i.b} : r{i.c}",
+    Opcode.LOAD: lambda i: f"r{i.dst} = load [r{i.a}]",
+    Opcode.STORE: lambda i: f"store [r{i.a}] = r{i.b}",
+    Opcode.GETC: lambda i: f"r{i.dst} = getc",
+    Opcode.PUTC: lambda i: f"putc r{i.a}",
+    Opcode.CALL: _call_text,
+    Opcode.ICALL: _call_text,
+    Opcode.BR: lambda i: (
+        f"br r{i.a} ? {i.then_label} : {i.else_label}  ; {i.branch_id}"
+    ),
+    Opcode.JMP: lambda i: f"jmp {i.then_label}",
+    Opcode.RET: lambda i: f"ret r{i.a}" if i.a is not None else "ret",
+    Opcode.HALT: lambda i: "halt",
+}

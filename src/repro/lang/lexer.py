@@ -7,12 +7,18 @@ that IFPROB profile-feedback directives can be parsed from source.
 """
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lang.errors import LangError
 from repro.lang.tokens import KEYWORDS, MULTI_CHAR_OPS, SINGLE_CHAR_OPS, Token
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
+
+#: ``MULTI_CHAR_OPS`` by first character, longest first within each.
+_MULTI_CHAR_OPS_BY_FIRST: Dict[str, List[str]] = {
+    first: [op for op in MULTI_CHAR_OPS if op[0] == first]
+    for first in {op[0] for op in MULTI_CHAR_OPS}
+}
 
 
 def tokenize(source: str) -> Tuple[List[Token], List[str]]:
@@ -39,11 +45,14 @@ def tokenize(source: str) -> Tuple[List[Token], List[str]]:
             col = 1
             continue
         if ch in " \t\r":
+            start = pos
             pos += 1
-            col += 1
+            while pos < length and source[pos] in " \t\r":
+                pos += 1
+            col += pos - start
             continue
 
-        if source.startswith("//", pos):
+        if ch == "/" and source.startswith("//", pos):
             end = source.find("\n", pos)
             end = length if end == -1 else end
             text = source[pos:end]
@@ -53,7 +62,7 @@ def tokenize(source: str) -> Tuple[List[Token], List[str]]:
             pos = end
             continue
 
-        if source.startswith("/*", pos):
+        if ch == "/" and source.startswith("/*", pos):
             end = source.find("*/", pos + 2)
             if end == -1:
                 raise error("unterminated block comment")
@@ -116,7 +125,7 @@ def tokenize(source: str) -> Tuple[List[Token], List[str]]:
             continue
 
         matched = False
-        for op in MULTI_CHAR_OPS:
+        for op in _MULTI_CHAR_OPS_BY_FIRST.get(ch, ()):
             if source.startswith(op, pos):
                 tokens.append(Token("op", op, line, col))
                 pos += len(op)

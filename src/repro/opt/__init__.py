@@ -4,7 +4,7 @@ from repro.opt.constant_folding import fold_function
 from repro.opt.copy_propagation import propagate_function
 from repro.opt.cse import cse_function
 from repro.opt.deadcode import eliminate_dead_instructions
-from repro.opt.globalconst import constant_globals, written_symbols
+from repro.opt.globalconst import constant_globals, function_writes
 from repro.opt.ifconvert import if_convert_function
 from repro.opt.inline import inline_function, inline_module
 from repro.opt.jump_threading import thread_jumps
@@ -17,6 +17,7 @@ __all__ = [
     "eliminate_dead_instructions",
     "fold_branches",
     "fold_function",
+    "function_writes",
     "if_convert_function",
     "inline_function",
     "inline_module",
@@ -24,5 +25,4 @@ __all__ = [
     "propagate_function",
     "remove_unreachable",
     "thread_jumps",
-    "written_symbols",
 ]

@@ -15,7 +15,7 @@ def propagate_function(func: Function) -> bool:
         for instr in block.instrs:
             if copies:
                 applicable = {
-                    reg: src for reg, src in copies.items() if reg in instr.uses()
+                    reg: copies[reg] for reg in instr.uses() if reg in copies
                 }
                 if applicable:
                     instr.replace_uses(applicable)

@@ -12,18 +12,18 @@ would have removed.  If-conversion runs only with ``if_conversion``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, List, Mapping, Optional, Sequence, Set
 
 from repro.analysis.lint import format_findings, lint_errors
 from repro.ir.cfg import Function, IRError, Module
-from repro.ir.printer import format_module
+from repro.ir.printer import format_function
 from repro.ir.validate import validate_module
 from repro.opt.branch_folding import fold_branches
 from repro.opt.constant_folding import fold_function
 from repro.opt.copy_propagation import propagate_function
 from repro.opt.cse import cse_function
 from repro.opt.deadcode import eliminate_dead_instructions
-from repro.opt.globalconst import constant_globals
+from repro.opt.globalconst import constants_given, function_writes
 from repro.opt.ifconvert import if_convert_function
 from repro.opt.jump_threading import thread_jumps
 from repro.opt.unreachable import remove_unreachable
@@ -117,41 +117,58 @@ def optimize_module(
     if_conversion: bool = False,
     sanitize: bool = False,
 ) -> Module:
-    """Run the passes to a fixpoint (at most ``MAX_ITERATIONS``), in place.
+    """Run the passes to a fixpoint (at most ``MAX_ITERATIONS`` rounds), in
+    place.
 
     The classical passes always run; ``dce`` adds global dead code
     elimination and ``if_conversion`` adds if-conversion (see ``PASSES``).
 
-    The loop stops after an iteration in which no pass reports a change,
-    or which leaves the printed module unchanged: some passes undo each
-    other (CSE turns a duplicate ``const`` into a ``mov`` and constant
-    folding turns it back), so "changed" alone would never settle.  Passes
-    depend only on the printed state, so a further iteration would repeat
-    the same round trip.
+    The first round runs every enabled pass over every function, pass-major.
+    Each later round runs only the functions whose printed text the round
+    before changed, or every function when the constant globals changed.
+    Passes are intraprocedural and depend only on a function's printed
+    state and the constant globals, so a function left as it was would
+    repeat the same round.  A pass's "changed" alone is not enough: some
+    passes undo each other (CSE turns a duplicate ``const`` into a ``mov``
+    and constant folding turns it back), so a function some pass changed is
+    compared with its text from the start of the round.  The loop stops
+    after a round that leaves every function's text as it was, the same
+    round a whole-module comparison would stop at.
 
     With ``sanitize``, the module is re-validated (structural checks plus
     error-severity lint rules) after every pass that changed it;
     a violation raises :class:`PipelineSanityError` naming the pass.
     """
     switches = {"dce": dce, "if_conversion": if_conversion}
+    passes = [
+        entry for entry in PASSES if not entry.switch or switches[entry.switch]
+    ]
     if sanitize:
         _check_invariants(module, "<input>")
-    printed = format_module(module)
+    functions = module.functions
+    texts = [format_function(func) for func in functions]
+    writes = [function_writes(func) for func in functions]
+    const_globals = constants_given(module, writes)
+    worklist: Sequence[int] = range(len(functions))
     for _ in range(MAX_ITERATIONS):
-        changed = False
-        const_globals = constant_globals(module)
-        for pipeline_pass in PASSES:
-            if pipeline_pass.switch and not switches[pipeline_pass.switch]:
-                continue
+        reported: Set[int] = set()
+        for pipeline_pass in passes:
             pass_changed = False
-            for func in module.functions:
-                pass_changed |= pipeline_pass.run(func, const_globals)
+            for position in worklist:
+                if pipeline_pass.run(functions[position], const_globals):
+                    reported.add(position)
+                    pass_changed = True
             if sanitize and pass_changed:
                 _check_invariants(module, pipeline_pass.name)
-            changed |= pass_changed
+        changed: List[int] = []
+        for position in sorted(reported):
+            text = format_function(functions[position])
+            if text != texts[position]:
+                texts[position] = text
+                writes[position] = function_writes(functions[position])
+                changed.append(position)
         if not changed:
             break
-        before, printed = printed, format_module(module)
-        if printed == before:
-            break
+        before, const_globals = const_globals, constants_given(module, writes)
+        worklist = changed if const_globals == before else range(len(functions))
     return module

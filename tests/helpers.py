@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from typing import List, Union
 
@@ -65,6 +66,12 @@ SELECT_OFF = Reference(select=False, optimize=True)
 
 Config = Union[RunConfig, Reference]
 
+
+#: Every ``RunConfig``, the combinations no experiment runs included.
+RUN_CONFIGS = [
+    RunConfig(dce=dce, inline=inline, if_conversion=if_conversion)
+    for dce, inline, if_conversion in itertools.product((False, True), repeat=3)
+]
 
 #: Every compiler configuration the experiments run.
 EXPERIMENT_CONFIGS = [

@@ -12,6 +12,9 @@ WORKFLOW = os.path.join(
 BENCH_SERVE = os.path.join(
     os.path.dirname(__file__), "..", "benchmarks", "bench_serve.py"
 )
+BENCH_TOOLCHAIN = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "bench_toolchain.py"
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,22 @@ def test_serve_smoke_selects_an_upload_and_a_predict_floor():
     assert "test_smoke_serve_predict_throughput" in smoke_tests
     assert "rate >= SMOKE_FLOOR" in source
     assert "rate >= PREDICT_SMOKE_FLOOR" in source
+
+
+def test_benchmark_smoke_runs_the_compile_floor(workflow):
+    """The benchmark-smoke job's ``pytest benchmarks ... -k smoke`` step
+    must pick up the compile benchmark, so a slower compile layer or a
+    change in the optimizer's pass calls fails CI."""
+    assert any(
+        "pytest benchmarks " in line and "-k smoke" in line
+        for line in _run_lines(workflow["jobs"]["benchmark-smoke"])
+    )
+    with open(BENCH_TOOLCHAIN) as handle:
+        source = handle.read()
+    smoke_tests = re.findall(r"^def (test_smoke_\w+)\(", source, re.M)
+    assert "test_smoke_compile_all_workloads" in smoke_tests
+    assert "<= COMPILE_CEILING_S" in source
+    assert "calls == PASS_CALLS" in source
 
 
 def test_property_files_run_under_a_fresh_printed_seed(workflow):

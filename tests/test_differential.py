@@ -7,27 +7,27 @@ on outputs, exit codes and faults is strong evidence both are right.
 Each optimizer pass is also checked on its own, so a miscompile names its
 pass even when the full pipeline happens to mask it.
 """
-import itertools
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import RunConfig
 from repro.ir.lower import lower_module
 from repro.opt import pipeline
 from repro.opt.globalconst import constant_globals
 from repro.vm.errors import VMError
 from repro.vm.machine import run_program
 
-from tests.helpers import SELECT_OFF, UNOPTIMIZED, compile_reference, compile_with
+from tests.helpers import (
+    RUN_CONFIGS,
+    SELECT_OFF,
+    UNOPTIMIZED,
+    compile_reference,
+    compile_with,
+)
 from tests.reference_interp import ReferenceFault, ReferenceInterpreter
 
 #: Every ``RunConfig``, the combinations no experiment runs included, and
 #: the unoptimized reference compile.
-CONFIGS = [
-    RunConfig(dce=dce, inline=inline, if_conversion=if_conversion)
-    for dce, inline, if_conversion in itertools.product((False, True), repeat=3)
-] + [UNOPTIMIZED]
+CONFIGS = RUN_CONFIGS + [UNOPTIMIZED]
 
 # --- program generator ----------------------------------------------------------
 

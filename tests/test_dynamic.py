@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import repro.vm.monitors as vm_monitors
 from repro.core.runner import WorkloadRunner
+from repro.core.specs import standalone_model
 from repro.dynamic import (
     MODEL_FAMILIES,
     BimodalPredictor,
@@ -12,7 +13,6 @@ from repro.dynamic import (
     TournamentPredictor,
     TwoLevelLocalPredictor,
     branch_pc,
-    build_model,
     default_zoo,
     monitors_for,
 )
@@ -209,8 +209,8 @@ class TestBudgets:
             "bimodal@16", "bimodal@64", "gshare@16", "gshare@64",
             "local@16", "local@64", "tournament@16", "tournament@64",
         ]
-        with pytest.raises(ValueError, match="unknown predictor family"):
-            build_model("neural", 64)
+        with pytest.raises(ValueError, match="unknown model spec"):
+            standalone_model("neural@64")
 
     def test_zoo_models_at_a_size_share_its_tournament_pass(self):
         zoo = default_zoo(table_sizes=(16, 64))
@@ -343,7 +343,7 @@ LONGHAND = {
 #: infinite-table 1-bit and 2-bit counters of the informal experiment.
 REPLAY_MODELS = [
     pytest.param(
-        lambda family=family, size=size: build_model(family, size),
+        lambda family=family, size=size: standalone_model(f"{family}@{size}"),
         lambda family=family, size=size: LONGHAND[family](size),
         id=f"{family}@{size}",
     )
@@ -460,7 +460,7 @@ def test_zoo_passes_score_each_model_as_its_own_replay_would(stream):
     grid = [(family, size) for family in MODEL_FAMILIES for size in sizes]
     assert len(models) == len(grid) == 12
     for model, (family, size) in zip(models, grid):
-        alone = build_model(family, size)
+        alone = standalone_model(f"{family}@{size}")
         alone.on_run_start(branch_table)
         for chunk in _chunks(outcomes, cuts):
             alone.replay(chunk)
@@ -640,7 +640,7 @@ class TestScoreMonitor:
     def test_rebinds_to_each_run_it_observes(self, runner):
         """One model attached to two runs scores each from scratch, bound
         to that run's branch table."""
-        model = build_model("gshare", 64)
+        model = standalone_model("gshare@64")
         first = run_with_monitors(runner, "doduc", "tiny", [model])
         first_score = model.score(first)
         run_with_monitors(runner, "compress", "cmprss", [model])

@@ -12,8 +12,8 @@ import pytest
 import repro.core.runner as runner_module
 from repro.core.parallel import ParallelExecutionError, RunFailure, RunRequest
 from repro.core.runner import WorkloadRunner
-from repro.core.specs import RUN_LENGTHS, UNALIASED_COUNTERS, attach
-from repro.dynamic import BimodalPredictor, build_model, default_zoo
+from repro.core.specs import RUN_LENGTHS, UNALIASED_COUNTERS, attach, standalone_model
+from repro.dynamic import default_zoo
 from repro.prediction.base import ProfilePredictor
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.monitors import RunLengthMonitor
@@ -33,11 +33,7 @@ def _by_hand(runner, spec, dataset="tiny"):
         )
         run_with_monitors(runner, "doduc", dataset, [monitor])
         return monitor.stats()
-    if spec in UNALIASED_COUNTERS:
-        model = BimodalPredictor(table_size=None, num_bits=UNALIASED_COUNTERS[spec])
-    else:
-        family, size = spec.split("@")
-        model = build_model(family, int(size))
+    model = standalone_model(spec)
     return model.score(run_with_monitors(runner, "doduc", dataset, [model]))
 
 

@@ -5,9 +5,10 @@ Four contracts:
 1. ``optimize_module`` is idempotent: running the pipeline a second time
    over an already-optimized module changes nothing, byte-for-byte, for
    every registered workload under both measurement configurations.
-2. It stops at its real fixpoint, below ``MAX_ITERATIONS``, for every
-   workload under every configuration the experiments use, and stopping
-   there gives the same module as running every iteration.
+2. It stops at its real fixpoint, below ``MAX_ITERATIONS`` rounds, for
+   every workload under every ``RunConfig``, and stopping there — with
+   later rounds revisiting only the functions that changed — gives the
+   same module as running every pass over every function every round.
 3. Every individual pass preserves ``validate_module`` cleanliness (and
    freedom from error-severity lint findings), property-tested over seeded
    ``tests.helpers.mf_module`` programs rather than hand-picked examples.
@@ -15,7 +16,6 @@ Four contracts:
    the printed function, on every workload and on seeded ``mf_module``
    programs under every experiment configuration.
 """
-import collections
 import copy
 import dataclasses
 
@@ -34,7 +34,12 @@ from repro.opt.inline import inline_module
 from repro.opt.pipeline import MAX_ITERATIONS, PASSES, optimize_module
 from repro.workloads.registry import all_workloads
 
-from tests.helpers import EXPERIMENT_CONFIGS, compile_reference, mf_module
+from tests.helpers import (
+    EXPERIMENT_CONFIGS,
+    RUN_CONFIGS,
+    compile_reference,
+    mf_module,
+)
 
 
 @pytest.mark.parametrize("dce", [False, True], ids=["paper", "dce"])
@@ -50,31 +55,30 @@ def test_optimize_module_twice_is_byte_identical(runner, dce):
         )
 
 
-@pytest.mark.parametrize(
-    "config", EXPERIMENT_CONFIGS, ids=[config.tag() for config in EXPERIMENT_CONFIGS]
-)
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=RunConfig.tag)
 def test_every_workload_stops_below_the_iteration_cap(config, monkeypatch):
-    # Each iteration runs every enabled pass once per function, so the
-    # iteration count is the most calls any one function saw.
-    calls = collections.Counter()
-    index = next(
-        position for position, pipeline_pass in enumerate(PASSES)
-        if pipeline_pass.name == "constant-folding"
-    )
-    folding = PASSES[index]
+    # Each round runs the enabled passes pass-major over its worklist, and
+    # constant folding runs first, so every run of consecutive
+    # constant-folding calls is one round, however few functions it takes.
+    assert PASSES[0].name == "constant-folding"
+    calls = []
 
-    def counted(func, const_globals):
-        calls[func.name] += 1
-        return folding.run(func, const_globals)
+    def counted(entry):
+        def run(func, const_globals):
+            calls.append(entry.name)
+            return entry.run(func, const_globals)
 
-    patched = list(PASSES)
-    patched[index] = dataclasses.replace(folding, run=counted)
-    monkeypatch.setattr(pipeline, "PASSES", patched)
+        return dataclasses.replace(entry, run=run)
+
+    monkeypatch.setattr(pipeline, "PASSES", [counted(entry) for entry in PASSES])
     for workload in all_workloads():
         calls.clear()
         compile_source(workload.source, name=workload.name, config=config)
-        iterations = max(calls.values())
-        assert 0 < iterations < MAX_ITERATIONS, (workload.name, iterations)
+        rounds = sum(
+            name == "constant-folding" and previous != "constant-folding"
+            for previous, name in zip([None] + calls, calls)
+        )
+        assert 0 < rounds < MAX_ITERATIONS, (workload.name, rounds)
 
 
 def _enabled_passes(config):
@@ -105,7 +109,7 @@ def _unoptimized(source, config):
 
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
-    config=st.sampled_from(EXPERIMENT_CONFIGS),
+    config=st.sampled_from(RUN_CONFIGS),
 )
 @settings(max_examples=25, deadline=None)
 def test_early_stop_matches_every_iteration(seed, config):
